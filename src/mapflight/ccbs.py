@@ -44,7 +44,6 @@ class SolveLimits:
 @dataclass
 class SolveStats:
     expansions: int = 0
-    conflicts_resolved: int = 0
     generated: int = 0
     wall_time: float = 0.0
 
@@ -191,7 +190,6 @@ def ccbs_solve(
         if stats.expansions >= limits.max_expansions:
             return SolveResult(LIMIT_EXCEEDED, None, stats, "expansion limit reached")
         stats.expansions += 1
-        stats.conflicts_resolved += 1
         for c in branch(conflict, world, node.plans, bodies):
             spec = by_id[c.agent]
             agent_constraints = node.constraints[c.agent] + (c,)

@@ -131,7 +131,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     stats = result.stats
     print(
         f"solver: {result.status} expansions={stats.expansions} "
-        f"conflicts={stats.conflicts_resolved} wall={stats.wall_time:.3f}s"
+        f"generated={stats.generated} wall={stats.wall_time:.3f}s"
     )
     if result.status == NO_SOLUTION:
         print(f"no solution: {result.detail}")

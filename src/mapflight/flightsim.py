@@ -1,12 +1,21 @@
 """Deterministic lockstep quadcopter simulation: first-order tracking dynamics,
 Gaussian localization noise from seeded per-vehicle substreams, 10 ms pose
-logging, and tracking-error metrics."""
+logging, and tracking-error metrics.
+
+The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
+advances them together, one array update per tick; the scalar `vehicle_step`
+is the one-vehicle case of that same update. Localization noise is drawn in
+blocks of ticks from each vehicle's own seeded stream. Every array operation
+applies, element by element and in the same order, the float operations of
+the one-vehicle update, so pose logs are byte-identical for a fixed
+(plans, method, seed, config).
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -78,26 +87,106 @@ class VehicleState:
     velocity: Vec3
 
 
-def _clamped(v: Vec3, limit: float) -> Vec3:
-    norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-    if norm <= limit or norm == 0.0:
-        return v
-    s = limit / norm
-    return (v[0] * s, v[1] * s, v[2] * s)
+# Ticks of localization noise drawn per vehicle at once. A block draw
+# rng.standard_normal((B, 3)) yields exactly the values of B successive
+# standard_normal(3) calls, so the block size never changes a log.
+_NOISE_BLOCK = 256
+
+
+def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapsed: np.ndarray,
+            rate: float) -> np.ndarray:
+    """Row-wise goto refinement: anchor -> target, interpolated in steps of 1/rate."""
+    s = np.minimum(np.floor(np.maximum(elapsed, 0.0) * rate) / rate, duration)
+    return anchor + (target - anchor) * (s / duration)[:, None]
 
 
 def refine_goto(command: HighLevelGoto, anchor: Vec3, activated: float, now: float, rate: float) -> Vec3:
     """Onboard goto refinement: linear interpolation anchor -> target, stepped at `rate`."""
-    elapsed = now - activated
-    s = math.floor(max(elapsed, 0.0) * rate) / rate
-    if s > command.duration:
-        s = command.duration
-    frac = s / command.duration
-    return (
-        anchor[0] + (command.target[0] - anchor[0]) * frac,
-        anchor[1] + (command.target[1] - anchor[1]) * frac,
-        anchor[2] + (command.target[2] - anchor[2]) * frac,
+    refined = _refine(
+        np.array([anchor], dtype=np.float64),
+        np.array([command.target], dtype=np.float64),
+        np.array([command.duration], dtype=np.float64),
+        np.array([now - activated]),
+        rate,
     )
+    return tuple(refined[0].tolist())  # type: ignore[return-value]
+
+
+class _Fleet:
+    """Positions, velocities and active commands of N vehicles as arrays.
+
+    `step` is the one implementation of the vehicle dynamics: run_execution
+    calls it once per tick for every vehicle, and `vehicle_step` is its N=1 case.
+    """
+
+    def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
+        self.pos = np.array(positions, dtype=np.float64)
+        self.vel = np.array(velocities, dtype=np.float64)
+        n = len(self.pos)
+        self.gain = config.gain
+        self.max_speed = config.max_speed
+        self.rate = config.goto_refine_rate
+        self.dt = dt
+        self.decay = math.exp(-dt / config.tau)
+        self.ramp = config.tau * (1.0 - self.decay)
+        # commanded velocity of idle and velocity-setpoint rows; position or goto target of the rest
+        self.velocity = np.zeros((n, 3))
+        self.target = np.zeros((n, 3))
+        self.tracking = np.zeros(n, dtype=bool)
+        self.goto = np.zeros(n, dtype=bool)
+        self.anchor = np.zeros((n, 3))
+        self.duration = np.ones(n)
+        self.activated = np.zeros(n)
+
+    def activate(self, i: int, command: Command, activated: float, anchor: Optional[Vec3] = None) -> None:
+        """Make `command` row i's active command; a goto is refined from `anchor`
+        (default: the row's position now) starting at time `activated`."""
+        self.goto[i] = isinstance(command, HighLevelGoto)
+        if isinstance(command, VelocitySetpoint):
+            self.tracking[i] = False
+            self.velocity[i] = command.velocity
+            self._clamp(self.velocity[i : i + 1])
+            return
+        self.tracking[i] = True
+        self.target[i] = command.target
+        if isinstance(command, HighLevelGoto):
+            self.anchor[i] = self.pos[i] if anchor is None else anchor
+            self.duration[i] = command.duration
+            self.activated[i] = activated
+
+    def _clamp(self, v: np.ndarray) -> None:
+        """Scale, in place, every row whose speed exceeds max_speed down to it."""
+        sq = v * v
+        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        over = norm > self.max_speed
+        if np.count_nonzero(over):
+            v[over] *= (self.max_speed / norm[over])[:, None]
+
+    def step(self, now: float) -> None:
+        """Advance every row one tick with the exact flow of the first-order velocity lag.
+
+        pos and vel are rebound to new arrays, never written in place, so
+        callers may keep references to earlier states.
+        """
+        n = len(self.pos)
+        n_tracking = np.count_nonzero(self.tracking)
+        commanded = self.velocity
+        if n_tracking:
+            target = self.target
+            n_goto = np.count_nonzero(self.goto)
+            if n_goto:
+                target = _refine(self.anchor, self.target, self.duration, now - self.activated, self.rate)
+                if n_goto < n:
+                    target = np.where(self.goto[:, None], target, self.target)
+            feedback = self.gain * (target - self.pos)
+            self._clamp(feedback)
+            if n_tracking == n:
+                commanded = feedback
+            else:
+                commanded = np.where(self.tracking[:, None], feedback, commanded)
+        lag = self.vel - commanded
+        self.pos = self.pos + commanded * self.dt + lag * self.ramp
+        self.vel = commanded + lag * self.decay
 
 
 def vehicle_step(
@@ -110,47 +199,25 @@ def vehicle_step(
     goto_activated: Optional[float] = None,
 ) -> VehicleState:
     """Advance one tick: velocity relaxes toward the commanded velocity with the
-    exact exponential first-order update; position integrates in closed form."""
-    if command is None:
-        commanded = (0.0, 0.0, 0.0)
-    elif isinstance(command, VelocitySetpoint):
-        commanded = _clamped(command.velocity, config.max_speed)
-    else:
-        if isinstance(command, HighLevelGoto):
-            anchor = goto_anchor if goto_anchor is not None else state.position
-            activated = goto_activated if goto_activated is not None else command.issue_time
-            target = refine_goto(command, anchor, activated, now, config.goto_refine_rate)
-        else:
-            target = command.target
-        commanded = _clamped(
-            (
-                config.gain * (target[0] - state.position[0]),
-                config.gain * (target[1] - state.position[1]),
-                config.gain * (target[2] - state.position[2]),
-            ),
-            config.max_speed,
-        )
-    decay = math.exp(-dt / config.tau)
-    ramp = config.tau * (1.0 - decay)
-    velocity = tuple(c + (v - c) * decay for v, c in zip(state.velocity, commanded))
-    position = tuple(
-        p + c * dt + (v - c) * ramp for p, v, c in zip(state.position, state.velocity, commanded)
-    )
-    return VehicleState(position, velocity)  # type: ignore[arg-type]
+    exact exponential first-order update; position integrates in closed form.
+
+    This is the one-vehicle case of the fleet kernel that run_execution steps.
+    """
+    fleet = _Fleet([state.position], [state.velocity], config, dt)
+    if command is not None:
+        activated = goto_activated if goto_activated is not None else command.issue_time
+        fleet.activate(0, command, activated, goto_anchor)
+    fleet.step(now)
+    return VehicleState(tuple(fleet.pos[0].tolist()), tuple(fleet.vel[0].tolist()))  # type: ignore[arg-type]
 
 
 def localize(actual: Vec3, rng: np.random.Generator, noise_sigma: float) -> Vec3:
-    """Actual position plus independent zero-mean per-axis Gaussian noise."""
-    n = rng.standard_normal(3)
-    return (
-        actual[0] + noise_sigma * float(n[0]),
-        actual[1] + noise_sigma * float(n[1]),
-        actual[2] + noise_sigma * float(n[2]),
-    )
+    """Actual position plus independent zero-mean per-axis Gaussian noise;
+    run_execution applies the same formula to all vehicles at once."""
+    return tuple((np.asarray(actual, dtype=np.float64) + noise_sigma * rng.standard_normal(3)).tolist())  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class PoseRecord:
+class PoseRecord(NamedTuple):
     t: float
     agent: int
     actual: Vec3
@@ -184,16 +251,19 @@ class PoseLog:
 
 
 class _SimEndpoint(VehicleEndpoint):
-    def __init__(self, start: Vec3):
+    """A vehicle's view of the simulation; `now` and `estimates` are set before each resume."""
+
+    def __init__(self, index: int):
+        self.index = index
         self.now = 0.0
-        self.estimate = start
+        self.estimates: Optional[np.ndarray] = None
         self.outbox: list[Command] = []
 
     def send(self, command: Command) -> None:
         self.outbox.append(command)
 
     def estimated_position(self) -> Vec3:
-        return self.estimate
+        return tuple(self.estimates[self.index].tolist())  # type: ignore[return-value]
 
     def clock(self) -> float:
         return self.now
@@ -202,17 +272,11 @@ class _SimEndpoint(VehicleEndpoint):
 @dataclass
 class _AgentRuntime:
     agent: int
-    plan: TimedPlan
     endpoint: _SimEndpoint
     gen: Iterator[float]
-    rng: np.random.Generator
-    state: VehicleState
     next_resume: float = 0.0
     done: bool = False
     pending: list[tuple[float, int, Command]] = field(default_factory=list)
-    active: Optional[Command] = None
-    goto_anchor: Optional[Vec3] = None
-    goto_activated: float = 0.0
 
 
 def _plan_speed(plan: TimedPlan) -> float:
@@ -239,6 +303,14 @@ def run_execution(
     vehicle dynamics. Poses are logged every log_period. The run terminates when
     every executor has finished and every vehicle sits inside the VLL box of its
     goal, or is marked failed at the wall cap of 2 x makespan + 10 s.
+
+    Vehicle state lives in (N, 3) float64 arrays stepped together by one
+    kernel (`_Fleet.step`); only the executors, which wake once per command
+    period, run per agent. Each vehicle's noise comes from its own SeedSequence
+    child, drawn _NOISE_BLOCK ticks at a time. The logs are byte-identical to
+    stepping each vehicle alone: every array operation is the scalar float
+    operation of the one-vehicle update, in the same order, on each element,
+    and a block draw equals the same number of single-tick draws.
     """
     name = method.lower()
     if name not in METHODS:
@@ -247,10 +319,10 @@ def run_execution(
     if not plan_list:
         raise ValueError("no plans to execute")
 
-    streams = np.random.SeedSequence(config.seed).spawn(len(plan_list))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(len(plan_list))]
     runtimes: list[_AgentRuntime] = []
-    for plan, stream in zip(plan_list, streams):
-        endpoint = _SimEndpoint(plan.start_position)
+    for i, plan in enumerate(plan_list):
+        endpoint = _SimEndpoint(i)
         cruise = config.vll_cruise_speed
         if cruise is None:
             cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
@@ -262,85 +334,82 @@ def run_execution(
             box_half_width=config.vll_box_half_width,
             cruise_speed=cruise,
         )
-        runtimes.append(
-            _AgentRuntime(
-                agent=plan.agent,
-                plan=plan,
-                endpoint=endpoint,
-                gen=gen,
-                rng=np.random.default_rng(stream),
-                state=VehicleState(plan.start_position, (0.0, 0.0, 0.0)),
-            )
-        )
+        runtimes.append(_AgentRuntime(agent=plan.agent, endpoint=endpoint, gen=gen))
 
+    fleet = _Fleet([p.start_position for p in plan_list], [(0.0, 0.0, 0.0)] * len(plan_list), config, config.tick)
+    goals = np.array([p.goal_position for p in plan_list], dtype=np.float64)
     makespan = max(p.end_time for p in plan_list)
     cap = 2.0 * makespan + 10.0
     steps_per_log = config.log_every_ticks
     box = config.vll_box_half_width
 
-    records: list[PoseRecord] = []
+    logged: list[tuple[float, np.ndarray, np.ndarray, list[Vec3]]] = []  # (t, actual, estimated, planned)
     seq = 0
     n = 0
+    n_done = 0
+    wake = 0.0  # earliest executor resume or command activation still to come
     completed = False
     t = 0.0
     while True:
         t = n * config.tick
-        for rt in runtimes:
-            rt.endpoint.now = t
-            rt.endpoint.estimate = localize(rt.state.position, rt.rng, config.noise_sigma)
+        k = n % _NOISE_BLOCK
+        if k == 0:
+            noise = np.stack([rng.standard_normal((_NOISE_BLOCK, 3)) for rng in rngs], axis=1)
+        estimated = fleet.pos + config.noise_sigma * noise[k]
         if n % steps_per_log == 0:
-            for rt in runtimes:
-                records.append(
-                    PoseRecord(t, rt.agent, rt.state.position, rt.endpoint.estimate, rt.plan.position_at(t))
-                )
-        if all(rt.done for rt in runtimes) and all(
-            all(abs(p - g) <= box for p, g in zip(rt.state.position, rt.plan.goal_position))
-            for rt in runtimes
-        ):
+            logged.append((t, fleet.pos, estimated, [p.position_at(t) for p in plan_list]))
+        if n_done == len(runtimes) and bool(np.all(np.abs(fleet.pos - goals) <= box)):
             completed = True
             break
         if t > cap:
             completed = False
             break
 
-        for rt in runtimes:
-            guard = 0
-            while not rt.done and rt.next_resume <= t + _EPS:
-                try:
-                    delay = next(rt.gen)
-                except StopIteration:
-                    rt.done = True
-                    break
-                rt.next_resume = t + max(delay, 1e-9)
-                guard += 1
-                if guard > 100000:
-                    raise RuntimeError(f"agent {rt.agent}: executor yields no forward progress")
-            if rt.endpoint.outbox:
-                for command in rt.endpoint.outbox:
-                    rt.pending.append((t + config.latency, seq, command))
-                    seq += 1
-                    if command_sink is not None:
-                        command_sink.append((rt.agent, command))
-                rt.endpoint.outbox.clear()
+        if wake <= t + _EPS:
+            for rt in runtimes:
+                guard = 0
+                rt.endpoint.now = t
+                rt.endpoint.estimates = estimated
+                while not rt.done and rt.next_resume <= t + _EPS:
+                    try:
+                        delay = next(rt.gen)
+                    except StopIteration:
+                        rt.done = True
+                        n_done += 1
+                        break
+                    rt.next_resume = t + max(delay, 1e-9)
+                    guard += 1
+                    if guard > 100000:
+                        raise RuntimeError(f"agent {rt.agent}: executor yields no forward progress")
+                if rt.endpoint.outbox:
+                    for command in rt.endpoint.outbox:
+                        rt.pending.append((t + config.latency, seq, command))
+                        seq += 1
+                        if command_sink is not None:
+                            command_sink.append((rt.agent, command))
+                    rt.endpoint.outbox.clear()
 
-        for rt in runtimes:
-            due = [entry for entry in rt.pending if entry[0] <= t + _EPS]
-            if due:
-                rt.pending = [entry for entry in rt.pending if entry[0] > t + _EPS]
-                newest = max(due, key=lambda entry: entry[1])[2]
-                rt.active = newest
-                if isinstance(newest, HighLevelGoto):
-                    rt.goto_anchor = rt.state.position
-                    rt.goto_activated = t
-        for rt in runtimes:
-            rt.state = vehicle_step(
-                rt.state, rt.active, config.tick, config,
-                now=t, goto_anchor=rt.goto_anchor, goto_activated=rt.goto_activated,
-            )
+            wake = math.inf
+            for i, rt in enumerate(runtimes):
+                due = [entry for entry in rt.pending if entry[0] <= t + _EPS]
+                if due:
+                    rt.pending = [entry for entry in rt.pending if entry[0] > t + _EPS]
+                    fleet.activate(i, max(due, key=lambda entry: entry[1])[2], t)
+                for entry in rt.pending:
+                    wake = min(wake, entry[0])
+                if not rt.done:
+                    wake = min(wake, rt.next_resume)
+        fleet.step(t)
         n += 1
 
+    agents = [p.agent for p in plan_list]
+    records = tuple(
+        PoseRecord(t_log, agent, tuple(a), tuple(e), p)
+        for t_log, pos, est, planned in logged
+        for agent, a, e, p in zip(agents, pos.tolist(), est.tolist(), planned)
+    )
     return PoseLog(
-        records=tuple(records),
+        records=records,
         method=name,
         seed=config.seed,
         log_period=config.log_period,

@@ -1,6 +1,9 @@
 """Simulator unit behavior: dynamics, noise, logging cadence, error metrics."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from mapflight.flightsim import (
     run_execution,
     vehicle_step,
 )
-from mapflight.plan import TimedPlan
+from mapflight.plan import TimedPlan, load_plans
 
 REST = VehicleState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -95,6 +98,76 @@ class TestVehicleStep:
             state = vehicle_step(state, cmd, dt=0.005, config=cfg)
         assert state.position[0] == pytest.approx(1.0, abs=1e-2)
         assert abs(state.velocity[0]) < 0.05
+
+
+class TestKernelMatchesScalarUpdate:
+    """The one-vehicle case of the array kernel, bit for bit against the update
+    written out per axis with Python floats."""
+
+    CFG = SimConfig(tau=0.3, gain=2.0, max_speed=1.0, goto_refine_rate=100.0)
+    STATE = VehicleState((0.31, -0.72, 1.05), (0.12, -0.05, 0.33))
+    DT = 1.5  # long enough that the velocity keeps the last bit of the commanded one
+
+    @staticmethod
+    def clamped(v, limit):
+        norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        if norm <= limit:
+            return v
+        s = limit / norm
+        return (v[0] * s, v[1] * s, v[2] * s)
+
+    def feedback(self, target):
+        p = self.STATE.position
+        g = self.CFG.gain
+        return self.clamped((g * (target[0] - p[0]), g * (target[1] - p[1]), g * (target[2] - p[2])),
+                            self.CFG.max_speed)
+
+    def expected(self, c):
+        decay = math.exp(-self.DT / self.CFG.tau)
+        ramp = self.CFG.tau * (1.0 - decay)
+        p, v = self.STATE.position, self.STATE.velocity
+        return (
+            tuple(p[k] + c[k] * self.DT + (v[k] - c[k]) * ramp for k in range(3)),
+            tuple(c[k] + (v[k] - c[k]) * decay for k in range(3)),
+        )
+
+    def goto_commanded(self, goto, now, activated):
+        anchor = (0.1, 0.2, 0.3)
+        s = math.floor(max(now - activated, 0.0) * self.CFG.goto_refine_rate) / self.CFG.goto_refine_rate
+        frac = min(s, goto.duration) / goto.duration
+        refined = tuple(anchor[k] + (goto.target[k] - anchor[k]) * frac for k in range(3))
+        got = vehicle_step(self.STATE, goto, self.DT, self.CFG, now=now, goto_anchor=anchor, goto_activated=activated)
+        return got, self.feedback(refined)
+
+    def assert_bits(self, got, want):
+        assert [x.hex() for x in got.position + got.velocity] == [x.hex() for x in want[0] + want[1]]
+
+    def test_velocity_below_clamp(self):
+        cmd = VelocitySetpoint((0.3, -0.4, 0.2), issue_time=0.0)
+        self.assert_bits(vehicle_step(self.STATE, cmd, self.DT, self.CFG), self.expected(cmd.velocity))
+
+    def test_velocity_above_clamp(self):
+        cmd = VelocitySetpoint((1.7, -2.3, 0.9), issue_time=0.0)
+        want = self.expected(self.clamped(cmd.velocity, 1.0))
+        assert want[1] != self.expected(cmd.velocity)[1]
+        self.assert_bits(vehicle_step(self.STATE, cmd, self.DT, self.CFG), want)
+
+    def test_position_setpoint(self):
+        cmd = PositionSetpoint((0.9, -0.1, 1.2), issue_time=0.0)
+        self.assert_bits(vehicle_step(self.STATE, cmd, self.DT, self.CFG), self.expected(self.feedback(cmd.target)))
+
+    def test_goto_before_its_duration(self):
+        goto = HighLevelGoto((0.8, -0.6, 1.4), duration=2.0, issue_time=0.0)
+        got, c = self.goto_commanded(goto, now=1.0737, activated=0.5)
+        self.assert_bits(got, self.expected(c))
+
+    def test_goto_after_its_duration(self):
+        goto = HighLevelGoto((0.8, -0.6, 1.4), duration=2.0, issue_time=0.0)
+        got, c = self.goto_commanded(goto, now=4.0, activated=0.5)
+        self.assert_bits(got, self.expected(c))
+
+    def test_no_command(self):
+        self.assert_bits(vehicle_step(self.STATE, None, self.DT, self.CFG), self.expected((0.0, 0.0, 0.0)))
 
 
 class TestRefineGoto:
@@ -232,3 +305,45 @@ class TestErrorMetrics:
         lines = csv.splitlines()
         assert lines[0] == "t,agent,error" and len(lines) == 3
         assert lines[1].startswith("0.000,0,")
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# sha256 of to_csv() and of json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
+# for the committed plan fixtures, recorded with the per-agent scalar simulator.
+# Every run spans 650-710 ticks, so the pins cross noise-block boundaries.
+GOLDEN = {
+    ("swarm_4", "bhl", 0): ("5c241eda83fc8540f55dcec54e9bc743b44be892beb6d5971d2fcf88411b23c4",
+                            "c3927589ad38a82703cbc0753666c16434159d21f752a116800153ad3c4a7f80"),
+    ("swarm_4", "bhl", 7): ("80465f4178603ce654ec63d773a34fcc7c8b0be7e1852b93bbcaa59b3a219a88",
+                            "1754b6314c91c2565eec7eb8f5d5689c88a93c4dd6b6ee1a6b57d6d0034d4496"),
+    ("swarm_4", "bll", 0): ("c595c8c3f8bb66599d4618f4148edee31110893fcff1dd660065f6088ec8fbd8",
+                            "3d27dfa7e036711152d6013e105edde8f38e06aa2d0653f26dd32422e244dd34"),
+    ("swarm_4", "bll", 7): ("a859ff8c47fff163dd416323aef0e5bda59d5e54348ad4dd89073a149f89094b",
+                            "78bc046eef8baf3f0fa5b0b994adb0ed2ccce550803bea537ec4558a21fa9cf0"),
+    ("swarm_4", "vll", 0): ("f565fe1a8fb28098fc6b8468d90836eebe09a1ee75322364c4b4857a8b5b629f",
+                            "9159f3dc0fa092a138b0e61c5d71515e61be6be3e90547c9261515a3eb69a67c"),
+    ("swarm_4", "vll", 7): ("785a5623ba118a665e93bebadc889f977f6343707261d97941c4a5f1ffe1a56c",
+                            "d2e3a9b181b849375666dd47872466a9047a1262c56bfe3523801ffc3e1749bb"),
+    ("method_comparison", "bhl", 0): ("584edff4639dafee96f79b0797f1edc994259e415ec76d8bb18916e27b3d6356",
+                                      "9bfb2717631915d244d8e0e18fe2bd6f4d4d109449148f4051ad8f7074fd41fb"),
+    ("method_comparison", "bhl", 7): ("4901d9be91b0cba1461c290ea8f621f64aece1fbe8717b1b7a5d73f52a883f04",
+                                      "c09f30b8a9d694cb29a5e387bde7978307ec6d92db6d07ff06b69dd526964f2c"),
+    ("method_comparison", "bll", 0): ("4b321fecc6bd8ac57b75f0e76e3c77efd50773bed514a1bcd79647353ab10cb1",
+                                      "2490725d1d5af266265a0aa9d9695cbeca83ccbfc3256b0fb84f2d677cbc200c"),
+    ("method_comparison", "bll", 7): ("5486e5a8e4bc8e4d6d1ab73d429117ab9a005a4f08da2d74f0b5a428388d5ff4",
+                                      "d6ce9950ad802548dad3cc9d7e2a79477c97689c971aa44160ae041ba4ba43f5"),
+    ("method_comparison", "vll", 0): ("059f3d64c7f2695c2376e849f0ba0552d5bf6294aa2d8d897bac956a96e56396",
+                                      "6b69fc83f245a607e001333d02d9b90240ee30151d6b500356bdf28c2c8bdbc3"),
+    ("method_comparison", "vll", 7): ("65f1c2648daa343da7080ae6f14a81d80b0d4dac32df928e1e8c9b8277878677",
+                                      "75eb5dd965f6a6d73350a3b3d7ce25e05eb26971f5b5435d051c9fb43d3efa3f"),
+}
+
+
+@pytest.mark.parametrize("scenario,method,seed", sorted(GOLDEN))
+def test_golden_log_hashes(scenario, method, seed):
+    planset = load_plans(FIXTURES / f"{scenario}.plans.json")
+    log = run_execution(planset.plans, method, SimConfig(seed=seed), speeds=planset.speeds)
+    doc = json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
+    got = (hashlib.sha256(log.to_csv().encode()).hexdigest(), hashlib.sha256(doc.encode()).hexdigest())
+    assert got == GOLDEN[(scenario, method, seed)]
