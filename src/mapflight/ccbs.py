@@ -20,8 +20,8 @@ from .geometry3d import (
     CylinderBody,
     Interval,
     LinearMotion,
+    _pair_earliest,
     cylinder_unsafe_interval,
-    first_conflict,
     move_clear_delay,
 )
 from .plan import TimedPlan
@@ -64,13 +64,69 @@ class SolveResult:
     detail: str = ""
 
 
+# (agent_i, agent_j) with agent_i < agent_j -> (tie-break key, earliest conflict),
+# for the conflicting pairs only; the key orders conflicts as first_conflict does
+ConflictTable = dict[tuple[int, int], tuple[tuple, Conflict]]
+
+
 @dataclass(frozen=True)
 class CTNode:
     constraints: dict[int, tuple[Constraint, ...]]  # per agent
     tables: dict[int, SafeIntervalTable]
     plans: dict[int, TimedPlan]
+    conflicts: ConflictTable
     cost: float
     n_constraints: int
+
+
+def _pair_entry(
+    plan_i: TimedPlan,
+    plan_j: TimedPlan,
+    bodies: Mapping[int, CylinderBody],
+) -> Optional[tuple[tuple, Conflict]]:
+    """Conflict-table entry of one pair (plan_i.agent < plan_j.agent), or None if the pair is safe."""
+    found = _pair_earliest(plan_i, plan_j, bodies[plan_i.agent], bodies[plan_j.agent])
+    if found is None:
+        return None
+    lo, t0_i, t0_j, si, sj, hit = found
+    return (lo, plan_i.agent, plan_j.agent, t0_i, t0_j), Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
+
+
+def conflict_table(plans: Mapping[int, TimedPlan], bodies: Mapping[int, CylinderBody]) -> ConflictTable:
+    """Every conflicting pair of a joint plan, by one full pair scan."""
+    ids = sorted(plans)
+    table: ConflictTable = {}
+    for x, i in enumerate(ids):
+        for j in ids[x + 1:]:
+            entry = _pair_entry(plans[i], plans[j], bodies)
+            if entry is not None:
+                table[(i, j)] = entry
+    return table
+
+
+def replanned_table(
+    table: ConflictTable,
+    plans: Mapping[int, TimedPlan],
+    agent: int,
+    bodies: Mapping[int, CylinderBody],
+) -> ConflictTable:
+    """`table` after `agent` switched to plans[agent]: only its n - 1 pairs are re-tested."""
+    out = {pair: entry for pair, entry in table.items() if agent not in pair}
+    for other, plan in plans.items():
+        if other == agent:
+            continue
+        pair = (agent, other) if agent < other else (other, agent)
+        entry = _pair_entry(plans[pair[0]], plans[pair[1]], bodies)
+        if entry is not None:
+            out[pair] = entry
+    return out
+
+
+def earliest_conflict(table: ConflictTable) -> Optional[Conflict]:
+    """The table's conflict with the smallest key, or None for a conflict-free node."""
+    if not table:
+        return None
+    return min(table.values(), key=lambda entry: entry[0])[1]
 
 
 def _is_parked(action: LinearMotion, plan: TimedPlan) -> bool:
@@ -170,6 +226,7 @@ def ccbs_solve(
         {a.id: () for a in agent_list},
         {a.id: build_safe_intervals((), a.id) for a in agent_list},
         root_plans,
+        conflict_table(root_plans, bodies),
         sum(p.end_time for p in root_plans.values()),
         0,
     )
@@ -181,7 +238,7 @@ def ccbs_solve(
         if stats.wall_time > limits.max_wall_time:
             return SolveResult(LIMIT_EXCEEDED, None, stats, "wall-time limit reached")
         _, _, _, node = heapq.heappop(heap)
-        conflict = first_conflict(node.plans.values(), bodies)
+        conflict = earliest_conflict(node.conflicts)
         if conflict is None:
             stats.wall_time = time.perf_counter() - started
             makespan = max(p.end_time for p in node.plans.values())
@@ -204,7 +261,9 @@ def ccbs_solve(
             child_plans = dict(node.plans)
             child_plans[c.agent] = newp
             cost = sum(p.end_time for p in child_plans.values())
-            child = CTNode(child_constraints, child_tables, child_plans, cost, node.n_constraints + 1)
+            child_conflicts = replanned_table(node.conflicts, child_plans, c.agent, bodies)
+            child = CTNode(child_constraints, child_tables, child_plans, child_conflicts, cost,
+                           node.n_constraints + 1)
             heapq.heappush(heap, (cost, child.n_constraints, next(seq), child))
             stats.generated += 1
 
