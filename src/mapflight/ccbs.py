@@ -12,7 +12,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .geometry3d import (
@@ -43,8 +43,19 @@ class SolveLimits:
 
 @dataclass
 class SolveStats:
+    """Work counters of one solve.
+
+    expansions: conflicts resolved, one per `branch` call, whether the result
+        was pushed as children or adopted in place by a bypass; this is what
+        `SolveLimits.max_expansions` bounds.
+    generated: conflict-tree nodes pushed on the open list, the root included;
+        a child adopted by a bypass is not pushed and not counted.
+    bypasses: conflicts resolved in place by adopting a child's plan.
+    """
+
     expansions: int = 0
     generated: int = 0
+    bypasses: int = 0
     wall_time: float = 0.0
 
 
@@ -71,7 +82,6 @@ ConflictTable = dict[tuple[int, int], tuple[tuple, Conflict]]
 
 @dataclass(frozen=True)
 class CTNode:
-    constraints: dict[int, tuple[Constraint, ...]]  # per agent
     tables: dict[int, SafeIntervalTable]
     plans: dict[int, TimedPlan]
     conflicts: ConflictTable
@@ -138,6 +148,7 @@ def _side_constraint(
     action: LinearMotion,
     other: LinearMotion,
     other_parked: bool,
+    unsafe: Interval,
     body_a: CylinderBody,
     body_b: CylinderBody,
     world: GridWorld,
@@ -152,9 +163,9 @@ def _side_constraint(
             return Constraint(agent, wait_action, Interval(other.t0, hi))
         probe = LinearMotion(v, v, other.t0, other.t1)
         window = cylinder_unsafe_interval(probe, other, body_a, body_b)
-        if window is None:  # pragma: no cover - the conflict guarantees a window
-            raise RuntimeError("conflict without an occupancy window")
-        return Constraint(agent, wait_action, window)
+        # A grazing contact can show a window only when timed from the wait's own
+        # start; the detected window is then the one to forbid.
+        return Constraint(agent, wait_action, unsafe if window is None else window)
 
     t0 = action.t0
     move = MoveAction(world.cell_at(action.p0), world.cell_at(action.p1), action.duration)
@@ -178,8 +189,9 @@ def branch(
     body_j = bodies[conflict.agent_j]
     parked_i = _is_parked(conflict.action_i, plans[conflict.agent_i])
     parked_j = _is_parked(conflict.action_j, plans[conflict.agent_j])
-    c_i = _side_constraint(conflict.agent_i, conflict.action_i, conflict.action_j, parked_j, body_i, body_j, world)
-    c_j = _side_constraint(conflict.agent_j, conflict.action_j, conflict.action_i, parked_i, body_j, body_i, world)
+    a_i, a_j, unsafe = conflict.action_i, conflict.action_j, conflict.unsafe
+    c_i = _side_constraint(conflict.agent_i, a_i, a_j, parked_j, unsafe, body_i, body_j, world)
+    c_j = _side_constraint(conflict.agent_j, a_j, a_i, parked_i, unsafe, body_j, body_i, world)
     return c_i, c_j
 
 
@@ -223,7 +235,6 @@ def ccbs_solve(
 
     seq = itertools.count()
     root = CTNode(
-        {a.id: () for a in agent_list},
         {a.id: build_safe_intervals((), a.id) for a in agent_list},
         root_plans,
         conflict_table(root_plans, bodies),
@@ -238,33 +249,42 @@ def ccbs_solve(
         if stats.wall_time > limits.max_wall_time:
             return SolveResult(LIMIT_EXCEEDED, None, stats, "wall-time limit reached")
         _, _, _, node = heapq.heappop(heap)
-        conflict = earliest_conflict(node.conflicts)
-        if conflict is None:
+        plans, conflicts = node.plans, node.conflicts
+        children: list[CTNode] = []
+        while conflicts:
+            if stats.expansions >= limits.max_expansions:
+                return SolveResult(LIMIT_EXCEEDED, None, stats, "expansion limit reached")
+            stats.expansions += 1
+            children, bypass = [], None
+            for c in branch(earliest_conflict(conflicts), world, plans, bodies):
+                table = node.tables[c.agent].adding(c)
+                newp = sipp_plan(world, by_id[c.agent], (), table=table)
+                if newp is None:
+                    continue
+                child_plans = dict(plans)
+                child_plans[c.agent] = newp
+                child_conflicts = replanned_table(conflicts, child_plans, c.agent, bodies)
+                if newp.end_time <= plans[c.agent].end_time and len(child_conflicts) < len(conflicts):
+                    # bypass: the child costs no more and conflicts less, and its plan
+                    # satisfies every constraint of this node, so adopt it in place
+                    bypass = (child_plans, child_conflicts)
+                    break
+                child_tables = dict(node.tables)
+                child_tables[c.agent] = table
+                cost = sum(p.end_time for p in child_plans.values())
+                children.append(CTNode(child_tables, child_plans, child_conflicts, cost, node.n_constraints + 1))
+            if bypass is None:
+                break
+            plans, conflicts = bypass
+            stats.bypasses += 1
+        if not conflicts:
             stats.wall_time = time.perf_counter() - started
-            makespan = max(p.end_time for p in node.plans.values())
-            ordered = tuple(node.plans[a] for a in sorted(node.plans))
-            return SolveResult(SOLVED, Solution(ordered, node.cost, makespan, stats), stats)
-        if stats.expansions >= limits.max_expansions:
-            return SolveResult(LIMIT_EXCEEDED, None, stats, "expansion limit reached")
-        stats.expansions += 1
-        for c in branch(conflict, world, node.plans, bodies):
-            spec = by_id[c.agent]
-            agent_constraints = node.constraints[c.agent] + (c,)
-            table = node.tables[c.agent].adding(c)
-            newp = sipp_plan(world, spec, agent_constraints, table=table)
-            if newp is None:
-                continue
-            child_constraints = dict(node.constraints)
-            child_constraints[c.agent] = agent_constraints
-            child_tables = dict(node.tables)
-            child_tables[c.agent] = table
-            child_plans = dict(node.plans)
-            child_plans[c.agent] = newp
-            cost = sum(p.end_time for p in child_plans.values())
-            child_conflicts = replanned_table(node.conflicts, child_plans, c.agent, bodies)
-            child = CTNode(child_constraints, child_tables, child_plans, child_conflicts, cost,
-                           node.n_constraints + 1)
-            heapq.heappush(heap, (cost, child.n_constraints, next(seq), child))
+            cost = sum(p.end_time for p in plans.values())
+            makespan = max(p.end_time for p in plans.values())
+            ordered = tuple(plans[a] for a in sorted(plans))
+            return SolveResult(SOLVED, Solution(ordered, cost, makespan, stats), stats)
+        for child in children:
+            heapq.heappush(heap, (child.cost, child.n_constraints, next(seq), child))
             stats.generated += 1
 
     stats.wall_time = time.perf_counter() - started

@@ -131,7 +131,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     stats = result.stats
     print(
         f"solver: {result.status} expansions={stats.expansions} "
-        f"generated={stats.generated} wall={stats.wall_time:.3f}s"
+        f"generated={stats.generated} bypasses={stats.bypasses} wall={stats.wall_time:.3f}s"
     )
     if result.status == NO_SOLUTION:
         print(f"no solution: {result.detail}")
@@ -271,6 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "makespan": solution.makespan,
                     "solver_wall_time": result.stats.wall_time,
                     "solver_expansions": result.stats.expansions,
+                    "solver_bypasses": result.stats.bypasses,
                     "runs": args.repetitions,
                     "success_rate": completed / args.repetitions,
                     "mean_max_error": sum(max_errors) / len(max_errors),

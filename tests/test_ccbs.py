@@ -10,11 +10,22 @@ from mapflight.ccbs import (
     NO_SOLUTION,
     SOLVED,
     SolveLimits,
+    branch,
     ccbs_solve,
+    conflict_table,
+    earliest_conflict,
+    replanned_table,
 )
-from mapflight.geometry3d import CylinderBody
-from mapflight.plan import validate
-from mapflight.world import AgentSpec, GridWorld, load_instance
+from mapflight.geometry3d import (
+    Conflict,
+    CylinderBody,
+    LinearMotion,
+    _pair_earliest,
+    cylinder_unsafe_interval,
+    first_conflict,
+)
+from mapflight.plan import TimedPlan, validate
+from mapflight.world import AgentSpec, GridWorld, load_instance, neighbors
 
 BODY = CylinderBody(0.25, 1.0)
 
@@ -90,6 +101,8 @@ class TestEightAgents:
         world, agents = self.instance()
         first = ccbs_solve(world, agents, SolveLimits(max_wall_time=60.0))
         assert first.status == SOLVED
+        # bypass flattens the equal-cost plateau; without it this took 3335
+        assert first.stats.expansions <= 200
         # total straight-line cost is 24; the single unavoidable conflict
         # resolves with one diagonal-length wait
         assert abs(first.solution.cost - (24.0 + math.sqrt(2))) < 1e-6
@@ -187,3 +200,111 @@ class TestBundledScenarios:
             for p in res.solution.plans:
                 for k in range(len(p.waypoints) - 1):
                     assert p.waypoints[k][:3] != p.waypoints[k + 1][:3], name
+
+
+class TestBypass:
+    def test_bypass_is_counted_apart_from_expansions(self):
+        world, agents = TestEightAgents().instance()
+        res = ccbs_solve(world, agents)
+        assert res.stats.bypasses > 0
+        # a bypass resolves a conflict without pushing children
+        assert res.stats.generated < 2 * res.stats.expansions + 1
+
+
+def _random_plan(rng: random.Random, world: GridWorld, agent: int) -> TimedPlan:
+    """Random walk over cell centers with random continuous waits."""
+    cell = (rng.randrange(world.dims[0]), rng.randrange(world.dims[1]), rng.randrange(world.dims[2]))
+    t = 0.0
+    wps = [(*world.center(cell), t)]
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.3:
+            t += rng.uniform(0.1, 1.5)
+        else:
+            nxt = rng.choice(neighbors(world, cell))
+            t += math.dist(world.center(cell), world.center(nxt)) / 0.5
+            cell = nxt
+        wps.append((*world.center(cell), t))
+    return TimedPlan(agent, tuple(wps))
+
+
+def test_incremental_conflict_table_matches_full_scans():
+    rng = random.Random(20240611)
+    world = GridWorld((4, 4, 2), 0.5)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        bodies = {a: BODY for a in range(n)}
+        plans = {a: _random_plan(rng, world, a) for a in range(n)}
+        table = conflict_table(plans, bodies)
+        for _ in range(15):
+            assert earliest_conflict(table) == first_conflict(plans.values(), bodies)
+            pairs = sum(
+                _pair_earliest(plans[i], plans[j], BODY, BODY) is not None
+                for i in range(n) for j in range(i + 1, n)
+            )
+            assert len(table) == pairs
+            agent = rng.randrange(n)
+            plans[agent] = _random_plan(rng, world, agent)
+            table = replanned_table(table, plans, agent, bodies)
+
+
+def test_grazing_contact_branches_on_the_detected_window():
+    # timed from the wait's own start the contact at t = 3 shows a 1-ulp window;
+    # re-probed over the move's span it is a graze with no window at all
+    wait = LinearMotion((5.25, 3.75, 0.75), (5.25, 3.75, 0.75), 2.4142135627984613, 3.0)
+    move = LinearMotion((5.25, 4.75, 0.25), (5.25, 4.25, 0.25), 2.0, 3.0)
+    unsafe = cylinder_unsafe_interval(wait, move, BODY, BODY)
+    assert unsafe is not None
+    plans = {
+        0: TimedPlan(0, ((4.75, 3.25, 0.75, 0.0), (4.75, 3.25, 0.75, 1.0),
+                         (5.25, 3.75, 0.75, 2.4142135627984613), (5.25, 3.75, 0.75, 3.0),
+                         (5.75, 3.75, 0.75, 4.0))),
+        1: TimedPlan(1, ((5.25, 4.75, 0.25, 0.0), (5.25, 4.75, 0.25, 2.0), (5.25, 4.25, 0.25, 3.0))),
+    }
+    world = GridWorld((12, 12, 2), 0.5)
+    c_wait, c_move = branch(Conflict(0, wait, 1, move, unsafe), world, plans, {0: BODY, 1: BODY})
+    assert c_wait.agent == 0 and c_wait.is_wait
+    assert c_wait.action.src == world.cell_at(wait.p0)
+    assert c_wait.interval == unsafe
+    assert c_move.agent == 1 and not c_move.is_wait
+    assert c_move.interval.lo == 2.0 and c_move.interval.hi > 2.0
+
+
+def _fuzz_instance(seed: int, n: int):
+    """12x12x3, 10% obstacles; starts and goals in distinct columns of one connected component."""
+    rng = random.Random(seed)
+    cells = [(x, y, z) for x in range(12) for y in range(12) for z in range(3)]
+    world = GridWorld((12, 12, 3), 0.5, frozenset(rng.sample(cells, len(cells) // 10)))
+    seen: set = set()
+    largest: list = []
+    for c in cells:
+        if not world.is_free(c) or c in seen:
+            continue
+        component, todo = [c], [c]
+        seen.add(c)
+        while todo:
+            for nb in neighbors(world, todo.pop()):
+                if nb not in seen:
+                    seen.add(nb)
+                    component.append(nb)
+                    todo.append(nb)
+        if len(component) > len(largest):
+            largest = component
+    columns: dict = {}
+    for c in sorted(largest):
+        columns.setdefault(c[:2], []).append(c)
+    pool = sorted(columns)
+    start_cols, goal_cols = rng.sample(pool, n), rng.sample(pool, n)
+    agents = [
+        AgentSpec(i, rng.choice(columns[s]), rng.choice(columns[g]), BODY, 0.5)
+        for i, (s, g) in enumerate(zip(start_cols, goal_cols))
+    ]
+    return world, agents
+
+
+def test_fuzz_dense_grids_never_crash():
+    for seed in range(12):
+        world, agents = _fuzz_instance(seed, 12 + seed % 5)
+        res = ccbs_solve(world, agents, SolveLimits(max_wall_time=60.0, max_expansions=25))
+        assert res.status in (SOLVED, LIMIT_EXCEEDED), (seed, res.status, res.detail)
+        if res.status == SOLVED:
+            assert validate(res.solution.plans, agents, world).ok, seed
