@@ -122,7 +122,7 @@ def replanned_table(
 ) -> ConflictTable:
     """`table` after `agent` switched to plans[agent]: only its n - 1 pairs are re-tested."""
     out = {pair: entry for pair, entry in table.items() if agent not in pair}
-    for other, plan in plans.items():
+    for other in plans:
         if other == agent:
             continue
         pair = (agent, other) if agent < other else (other, agent)
