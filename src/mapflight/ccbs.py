@@ -4,6 +4,11 @@ Branching follows the complementary-constraint rule: the move side of a
 conflict is forbidden from departing inside [t0, t_safe) computed against the
 other action as originally timed; the wait side is forbidden from occupying
 its vertex during the window in which the other action passes through it.
+
+Each node keeps a table of its conflicting agent pairs, so a child re-tests
+only the pairs of the agent it replans. A child that costs no more and has
+fewer conflicting pairs than its node is adopted in place of branching
+(bypass), which keeps the solution optimal.
 """
 
 from __future__ import annotations
