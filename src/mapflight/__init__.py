@@ -15,7 +15,7 @@ tracking-error reports.
 __version__ = "0.1.0"
 
 from .ccbs import SolveLimits, SolveResult, Solution, ccbs_solve
-from .flightsim import ErrorReport, PoseLog, SimConfig, error_metrics, run_execution
+from .flightsim import ErrorReport, PoseLog, SimConfig, error_metrics, run_execution, run_executions
 from .geometry3d import CylinderBody, Interval, LinearMotion, cylinder_unsafe_interval
 from .plan import TimedPlan, ValidationReport, load_plans, save_plans, validate
 from .sipp import Constraint, build_safe_intervals, sipp_plan
@@ -45,6 +45,7 @@ __all__ = [
     "load_plans",
     "neighbors",
     "run_execution",
+    "run_executions",
     "save_instance",
     "save_plans",
     "sipp_plan",

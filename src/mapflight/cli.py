@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SOLVED, SolveLimits, ccbs_solve
-from .flightsim import METHODS, SimConfig, error_metrics, run_execution
+from .flightsim import METHODS, SimConfig, error_metrics, run_execution, run_executions
 from .plan import PlanFormatError, load_plans, save_plans, validate
 from .world import InstanceError, load_instance
 
@@ -245,13 +245,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         save_plans(solution.plans, agents, out_dir / plan_file)
         outputs.append(plan_file)
         speeds = {a.id: a.speed for a in agents}
+        configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repetitions)]
         for m in methods:
             completed = 0
             max_errors: list[float] = []
             avg_errors: list[float] = []
-            for rep in range(args.repetitions):
-                config = dataclasses.replace(base, seed=base.seed + rep)
-                log = run_execution(solution.plans, m, config, speeds=speeds)
+            # the repetitions fly as one fleet; logs arrive one run at a time
+            for config, log in zip(configs, run_executions(solution.plans, m, configs, speeds=speeds)):
                 errors = error_metrics(log)
                 if log.completed:
                     completed += 1

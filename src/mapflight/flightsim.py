@@ -4,7 +4,8 @@ logging, and tracking-error metrics.
 
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
 advances them together, one array update per tick; the scalar `vehicle_step`
-is the one-vehicle case of that same update. Localization noise is drawn in
+is the one-vehicle case of that same update. The seeded repetitions of a batch
+fly as one fleet on one clock (`run_executions`). Localization noise is drawn in
 blocks of ticks from each vehicle's own seeded stream. Every array operation
 applies, element by element and in the same order, the float operations of
 the one-vehicle update, so pose logs are byte-identical for a fixed
@@ -14,7 +15,7 @@ the one-vehicle update, so pose logs are byte-identical for a fixed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -60,10 +61,12 @@ class SimConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a positive number, got {v!r}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency!r}")
+        for name in ("noise_sigma", "latency"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and v >= 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.log_period < self.tick - _EPS:
             raise ValueError("log_period must be at least one tick")
         ratio = self.log_period / self.tick
@@ -87,10 +90,12 @@ class VehicleState:
     velocity: Vec3
 
 
-# Ticks of localization noise drawn per vehicle at once. A block draw
-# rng.standard_normal((B, 3)) yields exactly the values of B successive
-# standard_normal(3) calls, so the block size never changes a log.
-_NOISE_BLOCK = 256
+# Ticks of localization noise drawn per vehicle at once, into preallocated
+# buffers of 3 KiB per vehicle. A block draw yields exactly the values of that
+# many successive standard_normal(3) calls, and scaling by noise_sigma is the
+# same multiply per element whether done per block or per tick, so the block
+# length never changes a log.
+_NOISE_BLOCK = 64
 
 
 def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapsed: np.ndarray,
@@ -115,8 +120,9 @@ def refine_goto(command: HighLevelGoto, anchor: Vec3, activated: float, now: flo
 class _Fleet:
     """Positions, velocities and active commands of N vehicles as arrays.
 
-    `step` is the one implementation of the vehicle dynamics: run_execution
-    calls it once per tick for every vehicle, and `vehicle_step` is its N=1 case.
+    `step` is the one implementation of the vehicle dynamics: the simulation
+    loop calls it once per tick for every vehicle of every run in a batch, and
+    `vehicle_step` is its N=1 case.
     """
 
     def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
@@ -289,6 +295,19 @@ def _plan_speed(plan: TimedPlan) -> float:
     return 0.5
 
 
+@dataclass
+class _Run:
+    """One seeded repetition of a batch: fleet rows index*N .. index*N + N - 1."""
+
+    index: int
+    seed: int
+    runtimes: list[_AgentRuntime]
+    n_done: int = 0
+    completed: bool = False
+    end_time: float = 0.0
+    n_logged: int = 0  # leading entries of the shared pose log that belong to this run
+
+
 def run_execution(
     plans: Iterable[TimedPlan],
     method: str,
@@ -311,110 +330,181 @@ def run_execution(
     stepping each vehicle alone: every array operation is the scalar float
     operation of the one-vehicle update, in the same order, on each element,
     and a block draw equals the same number of single-tick draws.
+
+    This is the one-config case of `run_executions`; `command_sink`, if given,
+    receives every (agent, command) the executors send.
     """
+    return next(_execute(plans, method, [config], speeds, command_sink))
+
+
+def run_executions(
+    plans: Iterable[TimedPlan],
+    method: str,
+    configs: Sequence[SimConfig],
+    speeds: Optional[Mapping[int, float]] = None,
+) -> Iterator[PoseLog]:
+    """Fly the same plans once per config, all runs in one fleet; yields one
+    PoseLog per config, in order.
+
+    The configs must be equal in every field but `seed`. Run r's N vehicles
+    are rows r*N .. r*N + N - 1 of one fleet of R*N rows, and all runs share
+    the tick clock, so each log is byte-identical to
+    `run_execution(plans, method, configs[r], speeds)`. The simulation runs
+    when this is called; a run's pose records are built only when the
+    iterator reaches it.
+    """
+    return _execute(plans, method, configs, speeds, None)
+
+
+def _execute(
+    plans: Iterable[TimedPlan],
+    method: str,
+    configs: Sequence[SimConfig],
+    speeds: Optional[Mapping[int, float]],
+    command_sink: Optional[list],
+) -> Iterator[PoseLog]:
+    """The one tick loop behind run_execution and run_executions; only the
+    one-config call passes a command_sink."""
     name = method.lower()
     if name not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     plan_list = sorted(plans, key=lambda p: p.agent)
     if not plan_list:
         raise ValueError("no plans to execute")
+    if not configs:
+        raise ValueError("no configs to execute")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("configs of one batch may differ only in seed")
 
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(len(plan_list))]
-    runtimes: list[_AgentRuntime] = []
-    for i, plan in enumerate(plan_list):
-        endpoint = _SimEndpoint(i)
+    n_agents = len(plan_list)
+    cruise_speeds = []
+    for plan in plan_list:
         cruise = config.vll_cruise_speed
         if cruise is None:
             cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
-        gen = make_executor(
-            name,
-            plan,
-            endpoint,
-            period=config.command_period,
-            box_half_width=config.vll_box_half_width,
-            cruise_speed=cruise,
-        )
-        runtimes.append(_AgentRuntime(agent=plan.agent, endpoint=endpoint, gen=gen))
+        cruise_speeds.append(cruise)
+    rngs: list[np.random.Generator] = []
+    runs: list[_Run] = []
+    for r, run_config in enumerate(configs):
+        rngs.extend(np.random.default_rng(s) for s in np.random.SeedSequence(run_config.seed).spawn(n_agents))
+        runtimes = []
+        for i, (plan, cruise) in enumerate(zip(plan_list, cruise_speeds)):
+            endpoint = _SimEndpoint(r * n_agents + i)
+            gen = make_executor(
+                name,
+                plan,
+                endpoint,
+                period=config.command_period,
+                box_half_width=config.vll_box_half_width,
+                cruise_speed=cruise,
+            )
+            runtimes.append(_AgentRuntime(agent=plan.agent, endpoint=endpoint, gen=gen))
+        runs.append(_Run(r, run_config.seed, runtimes))
 
-    fleet = _Fleet([p.start_position for p in plan_list], [(0.0, 0.0, 0.0)] * len(plan_list), config, config.tick)
-    goals = np.array([p.goal_position for p in plan_list], dtype=np.float64)
+    rows = len(rngs)
+    fleet = _Fleet([p.start_position for p in plan_list] * len(runs), [(0.0, 0.0, 0.0)] * rows, config, config.tick)
+    goals = np.array([p.goal_position for p in plan_list] * len(runs), dtype=np.float64)
     makespan = max(p.end_time for p in plan_list)
     cap = 2.0 * makespan + 10.0
     steps_per_log = config.log_every_ticks
     box = config.vll_box_half_width
+    noise = np.empty((rows, _NOISE_BLOCK, 3))  # one contiguous block per vehicle stream
+    offsets = np.empty((_NOISE_BLOCK, rows, 3))  # noise_sigma * noise, one (rows, 3) slab per tick
 
     logged: list[tuple[float, np.ndarray, np.ndarray, list[Vec3]]] = []  # (t, actual, estimated, planned)
+    active = runs  # runs still flying
+    ready: list[_Run] = []  # active runs whose executors have all finished
     seq = 0
     n = 0
-    n_done = 0
     wake = 0.0  # earliest executor resume or command activation still to come
-    completed = False
-    t = 0.0
     while True:
         t = n * config.tick
         k = n % _NOISE_BLOCK
         if k == 0:
-            noise = np.stack([rng.standard_normal((_NOISE_BLOCK, 3)) for rng in rngs], axis=1)
-        estimated = fleet.pos + config.noise_sigma * noise[k]
+            for block, rng in zip(noise, rngs):
+                rng.standard_normal(out=block)
+            np.multiply(noise.transpose(1, 0, 2), config.noise_sigma, out=offsets)
+        estimated = fleet.pos + offsets[k]
         if n % steps_per_log == 0:
             logged.append((t, fleet.pos, estimated, [p.position_at(t) for p in plan_list]))
-        if n_done == len(runtimes) and bool(np.all(np.abs(fleet.pos - goals) <= box)):
-            completed = True
-            break
+        if ready:
+            inside = (np.abs(fleet.pos - goals) <= box).reshape(len(runs), -1).all(axis=1)
+            for run in ready:
+                if inside[run.index]:
+                    run.completed = True
+                    run.end_time = t
+                    run.n_logged = len(logged)
+            ready = [run for run in ready if not run.completed]
+            active = [run for run in active if not run.completed]
+            if not active:
+                break
         if t > cap:
-            completed = False
+            for run in active:
+                run.end_time = t
+                run.n_logged = len(logged)
             break
 
         if wake <= t + _EPS:
-            for rt in runtimes:
-                guard = 0
-                rt.endpoint.now = t
-                rt.endpoint.estimates = estimated
-                while not rt.done and rt.next_resume <= t + _EPS:
-                    try:
-                        delay = next(rt.gen)
-                    except StopIteration:
-                        rt.done = True
-                        n_done += 1
-                        break
-                    rt.next_resume = t + max(delay, 1e-9)
-                    guard += 1
-                    if guard > 100000:
-                        raise RuntimeError(f"agent {rt.agent}: executor yields no forward progress")
-                if rt.endpoint.outbox:
-                    for command in rt.endpoint.outbox:
-                        rt.pending.append((t + config.latency, seq, command))
-                        seq += 1
-                        if command_sink is not None:
-                            command_sink.append((rt.agent, command))
-                    rt.endpoint.outbox.clear()
+            for run in active:
+                for rt in run.runtimes:
+                    guard = 0
+                    rt.endpoint.now = t
+                    rt.endpoint.estimates = estimated
+                    while not rt.done and rt.next_resume <= t + _EPS:
+                        try:
+                            delay = next(rt.gen)
+                        except StopIteration:
+                            rt.done = True
+                            run.n_done += 1
+                            if run.n_done == n_agents:
+                                ready.append(run)
+                            break
+                        rt.next_resume = t + max(delay, 1e-9)
+                        guard += 1
+                        if guard > 100000:
+                            raise RuntimeError(f"agent {rt.agent}: executor yields no forward progress")
+                    if rt.endpoint.outbox:
+                        for command in rt.endpoint.outbox:
+                            rt.pending.append((t + config.latency, seq, command))
+                            seq += 1
+                            if command_sink is not None:
+                                command_sink.append((rt.agent, command))
+                        rt.endpoint.outbox.clear()
 
             wake = math.inf
-            for i, rt in enumerate(runtimes):
-                due = [entry for entry in rt.pending if entry[0] <= t + _EPS]
-                if due:
-                    rt.pending = [entry for entry in rt.pending if entry[0] > t + _EPS]
-                    fleet.activate(i, max(due, key=lambda entry: entry[1])[2], t)
-                for entry in rt.pending:
-                    wake = min(wake, entry[0])
-                if not rt.done:
-                    wake = min(wake, rt.next_resume)
+            for run in active:
+                for rt in run.runtimes:
+                    due = [entry for entry in rt.pending if entry[0] <= t + _EPS]
+                    if due:
+                        rt.pending = [entry for entry in rt.pending if entry[0] > t + _EPS]
+                        fleet.activate(rt.endpoint.index, max(due, key=lambda entry: entry[1])[2], t)
+                    for entry in rt.pending:
+                        wake = min(wake, entry[0])
+                    if not rt.done:
+                        wake = min(wake, rt.next_resume)
         fleet.step(t)
         n += 1
 
     agents = [p.agent for p in plan_list]
+    return (_pose_log(run, logged, agents, name, config.log_period) for run in runs)
+
+
+def _pose_log(run: _Run, logged: list, agents: list[int], method: str, log_period: float) -> PoseLog:
+    """The run's records, from its rows of the shared per-tick arrays."""
+    rows = slice(run.index * len(agents), (run.index + 1) * len(agents))
     records = tuple(
         PoseRecord(t_log, agent, tuple(a), tuple(e), p)
-        for t_log, pos, est, planned in logged
-        for agent, a, e, p in zip(agents, pos.tolist(), est.tolist(), planned)
+        for t_log, pos, est, planned in logged[: run.n_logged]
+        for agent, a, e, p in zip(agents, pos[rows].tolist(), est[rows].tolist(), planned)
     )
     return PoseLog(
         records=records,
-        method=name,
-        seed=config.seed,
-        log_period=config.log_period,
-        completed=completed,
-        end_time=t,
+        method=method,
+        seed=run.seed,
+        log_period=log_period,
+        completed=run.completed,
+        end_time=run.end_time,
     )
 
 

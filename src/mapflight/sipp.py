@@ -21,8 +21,6 @@ from .geometry3d import Interval
 from .plan import TimedPlan
 from .world import AgentSpec, Cell, GridWorld, MoveAction, move_duration, neighbors
 
-SingleAgentPlan = TimedPlan
-
 _FULL = (Interval(0.0, math.inf),)
 
 
@@ -63,17 +61,16 @@ def _merge(intervals: list[tuple[float, float]], touch_merges: bool) -> list[tup
     return [(lo, hi) for lo, hi in out]
 
 
-def _complement(merged: list[tuple[float, float]], keep_points: bool) -> tuple[Interval, ...]:
-    """Closed complement of the merged union over [0, inf).
+def _complement(merged: list[tuple[float, float]]) -> tuple[Interval, ...]:
+    """Closed complement of the merged union of open prohibitions over [0, inf).
 
-    keep_points preserves zero-length gaps (an instant between two open
-    prohibitions is legal occupancy); move tables drop them, since a departure
-    exactly at a closed-left prohibition start is blocked.
+    Zero-length gaps are kept: an instant between two open prohibitions is
+    legal occupancy.
     """
     out: list[Interval] = []
     cur = 0.0
     for lo, hi in merged:
-        if lo > cur or (keep_points and lo == cur):
+        if lo >= cur:
             out.append(Interval(cur, lo))
         cur = max(cur, hi)
         if math.isinf(cur):
@@ -107,22 +104,19 @@ def _insert_span(
 
 @dataclass(frozen=True)
 class SafeIntervalTable:
-    """Per-vertex and per-move safe intervals for one agent's constraints.
+    """Per-vertex safe intervals and per-move departure prohibitions for one
+    agent's constraints.
 
     Merged prohibition blocks are kept per key so `adding` can rebuild just
     the one entry a new constraint touches; the conflict tree leans on that.
     """
 
     vertex_safe: dict[Cell, tuple[Interval, ...]]
-    move_safe: dict[tuple[Cell, Cell], tuple[Interval, ...]]
     move_blocks: dict[tuple[Cell, Cell], tuple[tuple[float, float], ...]]
     vertex_blocks: dict[Cell, tuple[tuple[float, float], ...]] = field(default_factory=dict)
 
     def vertex_intervals(self, cell: Cell) -> tuple[Interval, ...]:
         return self.vertex_safe.get(cell, _FULL)
-
-    def move_intervals(self, src: Cell, dst: Cell) -> tuple[Interval, ...]:
-        return self.move_safe.get((src, dst), _FULL)
 
     def earliest_departure(self, src: Cell, dst: Cell, t: float) -> float:
         """Bump t forward past closed-left departure prohibitions on (src, dst)."""
@@ -142,19 +136,18 @@ class SafeIntervalTable:
             vertex_blocks = dict(self.vertex_blocks)
             vertex_blocks[cell] = blocks
             vertex_safe = dict(self.vertex_safe)
-            vertex_safe[cell] = _complement(list(blocks), keep_points=True)
-            return SafeIntervalTable(vertex_safe, self.move_safe, self.move_blocks, vertex_blocks)
+            vertex_safe[cell] = _complement(list(blocks))
+            return SafeIntervalTable(vertex_safe, self.move_blocks, vertex_blocks)
         key = (constraint.action.src, constraint.action.dst)
         blocks = _insert_span(self.move_blocks.get(key, ()), span, touch_merges=True)
         move_blocks = dict(self.move_blocks)
         move_blocks[key] = blocks
-        move_safe = dict(self.move_safe)
-        move_safe[key] = _complement(list(blocks), keep_points=False)
-        return SafeIntervalTable(self.vertex_safe, move_safe, move_blocks, self.vertex_blocks)
+        return SafeIntervalTable(self.vertex_safe, move_blocks, self.vertex_blocks)
 
 
 def build_safe_intervals(constraints: Iterable[Constraint], agent: int) -> SafeIntervalTable:
-    """Complement of the prohibition unions, as sorted maximal intervals over [0, inf)."""
+    """Vertex safe intervals (complements of the wait prohibitions, as sorted
+    maximal intervals over [0, inf)) and merged move departure prohibitions."""
     vertex_prohibitions: dict[Cell, list[tuple[float, float]]] = {}
     move_prohibitions: dict[tuple[Cell, Cell], list[tuple[float, float]]] = {}
     for c in constraints:
@@ -165,15 +158,14 @@ def build_safe_intervals(constraints: Iterable[Constraint], agent: int) -> SafeI
         else:
             move_prohibitions.setdefault((c.action.src, c.action.dst), []).append((c.interval.lo, c.interval.hi))
     vertex_safe = {
-        cell: _complement(_merge(spans, touch_merges=False), keep_points=True)
+        cell: _complement(_merge(spans, touch_merges=False))
         for cell, spans in vertex_prohibitions.items()
     }
     move_blocks = {key: tuple(_merge(spans, touch_merges=True)) for key, spans in move_prohibitions.items()}
-    move_safe = {key: _complement(list(blocks), keep_points=False) for key, blocks in move_blocks.items()}
     vertex_blocks = {
         cell: tuple(_merge(spans, touch_merges=False)) for cell, spans in vertex_prohibitions.items()
     }
-    return SafeIntervalTable(vertex_safe, move_safe, move_blocks, vertex_blocks)
+    return SafeIntervalTable(vertex_safe, move_blocks, vertex_blocks)
 
 
 @lru_cache(maxsize=64)

@@ -158,6 +158,8 @@ class TestSimulate:
             ({"warp_factor": 9}, "unknown keys"),
             ({"noise_sigma": -1.0}, "bad simulation config"),
             ([1, 2], "must hold a JSON object"),
+            ({"latency": float("nan")}, "latency must be a finite number"),
+            ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number"),
         ],
     )
     def test_bad_config_files(self, planned, tmp_path, capsys, doc, needle):
@@ -166,6 +168,12 @@ class TestSimulate:
         code = main(["simulate", "--plans", str(plans), "--method", "bll", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_INPUT
         assert needle in capsys.readouterr().err
+
+    def test_negative_seed_is_malformed_input(self, planned, tmp_path, capsys):
+        _, plans = planned
+        code = main(["simulate", "--plans", str(plans), "--method", "bll", "--seed", "-1", "--out", str(tmp_path / "r")])
+        assert code == EXIT_BAD_INPUT
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_missing_plans_file(self, tmp_path, capsys):
         code = main(["simulate", "--plans", str(tmp_path / "no.json"), "--method", "bll", "--out", str(tmp_path / "r")])

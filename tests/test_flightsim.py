@@ -21,6 +21,7 @@ from mapflight.flightsim import (
     localize,
     refine_goto,
     run_execution,
+    run_executions,
     vehicle_step,
 )
 from mapflight.plan import TimedPlan, load_plans
@@ -50,6 +51,12 @@ class TestSimConfig:
             (dict(tick=0.003, log_period=0.01), "integer multiple"),
             (dict(vll_cruise_speed=0.0), "vll_cruise_speed"),
             (dict(arena_min=(0.0, 0.0, 0.0), arena_max=(0.0, 2.0, 2.0)), "below arena_max"),
+            (dict(noise_sigma=float("nan")), "noise_sigma must be a finite number"),
+            (dict(noise_sigma=float("inf")), "noise_sigma must be a finite number"),
+            (dict(latency=float("nan")), "latency must be a finite number"),
+            (dict(latency=float("inf")), "latency must be a finite number"),
+            (dict(seed=-1), "seed must be a non-negative integer"),
+            (dict(seed=1.5), "seed must be a non-negative integer"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -347,3 +354,30 @@ def test_golden_log_hashes(scenario, method, seed):
     doc = json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
     got = (hashlib.sha256(log.to_csv().encode()).hexdigest(), hashlib.sha256(doc.encode()).hexdigest())
     assert got == GOLDEN[(scenario, method, seed)]
+
+
+def csv_digest(log):
+    return hashlib.sha256(log.to_csv().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("method", ["bhl", "bll", "vll"])
+@pytest.mark.parametrize("scenario", ["swarm_4", "method_comparison"])
+def test_batched_runs_equal_per_seed_runs(scenario, method):
+    planset = load_plans(FIXTURES / f"{scenario}.plans.json")
+    configs = [SimConfig(seed=seed) for seed in range(13)]
+    batched = list(run_executions(planset.plans, method, configs, speeds=planset.speeds))
+    assert [log.seed for log in batched] == list(range(13))
+    for config, log in zip(configs, batched):
+        alone = run_execution(planset.plans, method, config, speeds=planset.speeds)
+        assert (log.completed, log.end_time) == (alone.completed, alone.end_time)
+        assert csv_digest(log) == csv_digest(alone)  # a digest keeps a failure's report short
+        assert error_metrics(log).to_json_dict("") == error_metrics(alone).to_json_dict("")
+    if method == "vll":  # vll steers on noisy estimates, so its runs end at different ticks
+        assert len({log.end_time for log in batched}) > 1
+
+
+def test_batched_runs_reject_bad_configs():
+    with pytest.raises(ValueError, match="no configs"):
+        run_executions(straight_plans(), "bll", [])
+    with pytest.raises(ValueError, match="differ only in seed"):
+        run_executions(straight_plans(), "bll", [SimConfig(seed=0), SimConfig(seed=1, latency=0.0)])

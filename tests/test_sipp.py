@@ -41,12 +41,12 @@ class TestSafeIntervalTable:
     def test_unconstrained_is_fully_safe(self):
         table = build_safe_intervals([], 0)
         assert table.vertex_intervals((2, 2, 0)) == (Interval(0.0, INF),)
-        assert table.move_intervals(*self.EDGE) == (Interval(0.0, INF),)
+        assert table.move_blocks.get(self.EDGE, ()) == ()
 
     def test_touching_move_bans_fuse(self):
         cs = [move_c(*self.EDGE, 1.0, 2.0), move_c(*self.EDGE, 2.0, 3.0)]
         table = build_safe_intervals(cs, 0)
-        assert table.move_intervals(*self.EDGE) == (Interval(0.0, 1.0), Interval(3.0, INF))
+        assert table.move_blocks[self.EDGE] == ((1.0, 3.0),)
 
     def test_touching_vertex_bans_keep_the_instant(self):
         # occupancy prohibitions are open, so the instant t = 2 between the
