@@ -230,9 +230,10 @@ def ccbs_solve(
                 return SolveResult(NO_SOLUTION, None, stats,
                                    f"agents {a.id} and {b.id} have goals with overlapping bodies")
 
+    root_tables = {a.id: build_safe_intervals((), a.id) for a in agent_list}
     root_plans: dict[int, TimedPlan] = {}
     for a in agent_list:
-        p = sipp_plan(world, a, ())
+        p = sipp_plan(world, a, root_tables[a.id])
         if p is None:
             stats.wall_time = time.perf_counter() - started
             return SolveResult(NO_SOLUTION, None, stats, f"agent {a.id} cannot reach its goal")
@@ -240,7 +241,7 @@ def ccbs_solve(
 
     seq = itertools.count()
     root = CTNode(
-        {a.id: build_safe_intervals((), a.id) for a in agent_list},
+        root_tables,
         root_plans,
         conflict_table(root_plans, bodies),
         sum(p.end_time for p in root_plans.values()),
@@ -263,7 +264,7 @@ def ccbs_solve(
             children, bypass = [], None
             for c in branch(earliest_conflict(conflicts), world, plans, bodies):
                 table = node.tables[c.agent].adding(c)
-                newp = sipp_plan(world, by_id[c.agent], (), table=table)
+                newp = sipp_plan(world, by_id[c.agent], table)
                 if newp is None:
                     continue
                 child_plans = dict(plans)

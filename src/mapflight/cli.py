@@ -101,9 +101,6 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> SimConfig:
                 f"config file {path} has unknown keys: {', '.join(sorted(unknown))}", EXIT_BAD_INPUT
             )
         kwargs.update(raw)
-    for key in ("arena_min", "arena_max"):
-        if key in kwargs:
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
     if seed is not None:
         kwargs["seed"] = seed
     try:
@@ -112,15 +109,8 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> SimConfig:
         raise CliError(f"bad simulation config: {exc}", EXIT_BAD_INPUT)
 
 
-def _config_dict(config: SimConfig) -> dict:
-    payload = dataclasses.asdict(config)
-    payload["arena_min"] = list(payload["arena_min"])
-    payload["arena_max"] = list(payload["arena_max"])
-    return payload
-
-
 def _config_hash(config: SimConfig) -> str:
-    blob = json.dumps(_config_dict(config), sort_keys=True).encode("utf-8")
+    blob = json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -180,7 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "simulate",
         {"plans": args.plans},
         ["poses.csv", "error_series.csv", "errors.json"],
-        {"method": args.method, "config": _config_dict(config), "completed": log.completed},
+        {"method": args.method, "config": dataclasses.asdict(config), "completed": log.completed},
     )
     print(
         f"method={log.method} seed={log.seed} completed={log.completed} "
@@ -289,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bench",
         {p.stem: str(p) for p in instance_paths},
         outputs,
-        {"methods": methods, "config": _config_dict(base), "repetitions": args.repetitions},
+        {"methods": methods, "config": dataclasses.asdict(base), "repetitions": args.repetitions},
     )
     print(f"wrote {out_dir / 'bench.json'}")
     return EXIT_OK if not failures else EXIT_SIM_FAILED

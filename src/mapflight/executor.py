@@ -8,13 +8,12 @@ against one clock.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .geometry3d import Vec3
 from .plan import TimedPlan
@@ -192,32 +191,3 @@ def make_executor(
         return vll_execute(plan, endpoint, cruise_speed, period, box_half_width)
     raise ValueError(f"unknown method {method!r}; expected one of bhl, bll, vll")
 
-
-def command_variant(command: Command) -> str:
-    return type(command).__name__
-
-
-def command_payload(command: Command) -> dict:
-    if isinstance(command, HighLevelGoto):
-        return {"target": list(command.target), "duration": command.duration}
-    if isinstance(command, PositionSetpoint):
-        return {"target": list(command.target)}
-    return {"velocity": list(command.velocity)}
-
-
-def write_command_trace(records: Iterable[tuple[int, Command]], path) -> None:
-    """One JSON record per line: agent, issue_time, variant, payload."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for agent, command in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "agent": agent,
-                        "issue_time": command.issue_time,
-                        "variant": command_variant(command),
-                        "payload": command_payload(command),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")

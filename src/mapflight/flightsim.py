@@ -38,6 +38,11 @@ BASIS_ESTIMATED = "estimated-vs-planned"
 _EPS = 1e-9
 
 
+def _is_finite_number(v) -> bool:
+    """An int or float, not a bool, and finite."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     tick: float = 0.005
@@ -59,11 +64,11 @@ class SimConfig:
         for name in ("tick", "log_period", "tau", "gain", "max_speed", "command_period",
                      "vll_box_half_width", "goto_refine_rate"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
+            if not (_is_finite_number(v) and v > 0):
                 raise ValueError(f"{name} must be a positive number, got {v!r}")
         for name in ("noise_sigma", "latency"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v >= 0 and math.isfinite(v)):
+            if not (_is_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -74,8 +79,14 @@ class SimConfig:
             raise ValueError(
                 f"log_period {self.log_period!r} must be an integer multiple of tick {self.tick!r}"
             )
-        if self.vll_cruise_speed is not None and not self.vll_cruise_speed > 0:
-            raise ValueError(f"vll_cruise_speed must be > 0, got {self.vll_cruise_speed!r}")
+        v = self.vll_cruise_speed
+        if v is not None and not (_is_finite_number(v) and v > 0):
+            raise ValueError(f"vll_cruise_speed must be None or a finite number > 0, got {v!r}")
+        for name in ("arena_min", "arena_max"):
+            v = getattr(self, name)
+            if not (isinstance(v, (tuple, list)) and len(v) == 3 and all(_is_finite_number(c) for c in v)):
+                raise ValueError(f"{name} must be three finite numbers, got {v!r}")
+            object.__setattr__(self, name, tuple(float(c) for c in v))
         if any(lo >= hi for lo, hi in zip(self.arena_min, self.arena_max)):
             raise ValueError(f"arena_min {self.arena_min} must be below arena_max {self.arena_max}")
 
@@ -215,12 +226,6 @@ def vehicle_step(
         fleet.activate(0, command, activated, goto_anchor)
     fleet.step(now)
     return VehicleState(tuple(fleet.pos[0].tolist()), tuple(fleet.vel[0].tolist()))  # type: ignore[arg-type]
-
-
-def localize(actual: Vec3, rng: np.random.Generator, noise_sigma: float) -> Vec3:
-    """Actual position plus independent zero-mean per-axis Gaussian noise;
-    run_execution applies the same formula to all vehicles at once."""
-    return tuple((np.asarray(actual, dtype=np.float64) + noise_sigma * rng.standard_normal(3)).tolist())  # type: ignore[return-value]
 
 
 class PoseRecord(NamedTuple):

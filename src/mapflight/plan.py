@@ -20,7 +20,6 @@ from .world import AgentSpec, Cell, GridWorld
 
 Waypoint = tuple[float, float, float, float]
 
-_PARK_PAD = 1.0
 _SPEED_RTOL = 1e-9
 _ENDPOINT_ATOL = 1e-9
 _SAMPLING_GUARD = 1e-9
@@ -165,17 +164,15 @@ def segment_cells(world: GridWorld, p: Vec3, q: Vec3) -> list[Cell]:
 
 def _pair_min_separation(
     pa: "TimedPlan", pb: "TimedPlan", r_sum: float, h_half: float, t0: float, t1: float
-) -> tuple[float, float]:
-    """(earliest violating sample, min planar distance while violating) on a dense grid."""
+) -> float:
+    """Min planar distance while violating, on a dense grid over [t0, t1]."""
     ts = np.linspace(t0, t1, 1001)
     axa = _sample_axes(pa, ts)
     axb = _sample_axes(pb, ts)
     planar = np.hypot(axa[0] - axb[0], axa[1] - axb[1])
     dz = np.abs(axa[2] - axb[2])
     mask = (planar < r_sum) & (dz < h_half)
-    if not mask.any():
-        return t0, float(planar.min())
-    return float(ts[np.argmax(mask)]), float(planar[mask].min())
+    return float((planar[mask] if mask.any() else planar).min())
 
 
 def _sample_axes(plan: "TimedPlan", ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,8 +192,10 @@ def validate(
 ) -> ValidationReport:
     """Dual conflict check (analytic + sampled) plus static and kinematic checks.
 
-    The sampled check is independent of the analytic one: it never evaluates the
-    quadratic, only positions on a uniform grid at sampling_dt.
+    The analytic check is the solver's own pair test (`geometry3d._pair_earliest`),
+    so planner and validator judge the cylinder the same way. The sampled check
+    is independent of it: it never evaluates the quadratic, only positions on a
+    uniform grid at sampling_dt.
     """
     if not sampling_dt > 0:
         raise ValueError(f"sampling_dt must be > 0, got {sampling_dt!r}")
@@ -261,18 +260,10 @@ def validate(
             r_sum = body_a.radius + body_b.radius
             h_half = 0.5 * (body_a.height + body_b.height)
             checked_pairs += 1
-            horizon = max(pa.end_time, pb.end_time) + _PARK_PAD
+            horizon = max(pa.end_time, pb.end_time) + geometry3d._PARK_PAD
 
-            analytic_hit: Optional[geometry3d.Interval] = None
-            segs_a = geometry3d.plan_motions(pa) + list(filter(None, [geometry3d.parked_suffix(pa, horizon)]))
-            segs_b = geometry3d.plan_motions(pb) + list(filter(None, [geometry3d.parked_suffix(pb, horizon)]))
-            for sa in segs_a:
-                for sb in segs_b:
-                    if sa.t1 <= sb.t0 or sb.t1 <= sa.t0:
-                        continue
-                    hit = geometry3d.cylinder_unsafe_interval(sa, sb, body_a, body_b)
-                    if hit is not None and (analytic_hit is None or hit.lo < analytic_hit.lo):
-                        analytic_hit = hit
+            found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
+            analytic_hit = None if found is None else found[-1]
 
             ts = np.arange(0.0, horizon + 0.5 * sampling_dt, sampling_dt)
             axa = _sample_axes(pa, ts)
@@ -289,7 +280,7 @@ def validate(
                 if analytic_hit is not None:
                     lo = analytic_hit.lo
                     hi = min(analytic_hit.hi, horizon)
-                    _, min_sep = _pair_min_separation(pa, pb, r_sum, h_half, lo, hi)
+                    min_sep = _pair_min_separation(pa, pb, r_sum, h_half, lo, hi)
                     earliest = lo if sampled_time is None else min(lo, sampled_time)
                 else:
                     min_sep = float(planar[mask].min())

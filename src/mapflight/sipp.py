@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -37,31 +37,7 @@ class Constraint:
         return self.action.is_wait
 
 
-@dataclass(frozen=True)
-class SippState:
-    vertex: Cell
-    safe_interval: Interval
-    arrival: float
-    parent: Optional["SippState"] = None
-
-    def __post_init__(self) -> None:
-        if not self.safe_interval.contains(self.arrival):
-            raise ValueError(f"arrival {self.arrival!r} outside safe interval {self.safe_interval}")
-
-
-def _merge(intervals: list[tuple[float, float]], touch_merges: bool) -> list[tuple[float, float]]:
-    """Union of intervals; touching pairs fuse only when touch_merges is set."""
-    out: list[list[float]] = []
-    for lo, hi in sorted(intervals):
-        if out and (lo <= out[-1][1] if touch_merges else lo < out[-1][1]):
-            if hi > out[-1][1]:
-                out[-1][1] = hi
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
-
-
-def _complement(merged: list[tuple[float, float]]) -> tuple[Interval, ...]:
+def _complement(merged: tuple[tuple[float, float], ...]) -> tuple[Interval, ...]:
     """Closed complement of the merged union of open prohibitions over [0, inf).
 
     Zero-length gaps are kept: an instant between two open prohibitions is
@@ -109,11 +85,12 @@ class SafeIntervalTable:
 
     Merged prohibition blocks are kept per key so `adding` can rebuild just
     the one entry a new constraint touches; the conflict tree leans on that.
+    `adding` is the only way prohibitions enter a table.
     """
 
     vertex_safe: dict[Cell, tuple[Interval, ...]]
     move_blocks: dict[tuple[Cell, Cell], tuple[tuple[float, float], ...]]
-    vertex_blocks: dict[Cell, tuple[tuple[float, float], ...]] = field(default_factory=dict)
+    vertex_blocks: dict[Cell, tuple[tuple[float, float], ...]]
 
     def vertex_intervals(self, cell: Cell) -> tuple[Interval, ...]:
         return self.vertex_safe.get(cell, _FULL)
@@ -136,7 +113,7 @@ class SafeIntervalTable:
             vertex_blocks = dict(self.vertex_blocks)
             vertex_blocks[cell] = blocks
             vertex_safe = dict(self.vertex_safe)
-            vertex_safe[cell] = _complement(list(blocks))
+            vertex_safe[cell] = _complement(blocks)
             return SafeIntervalTable(vertex_safe, self.move_blocks, vertex_blocks)
         key = (constraint.action.src, constraint.action.dst)
         blocks = _insert_span(self.move_blocks.get(key, ()), span, touch_merges=True)
@@ -146,26 +123,13 @@ class SafeIntervalTable:
 
 
 def build_safe_intervals(constraints: Iterable[Constraint], agent: int) -> SafeIntervalTable:
-    """Vertex safe intervals (complements of the wait prohibitions, as sorted
-    maximal intervals over [0, inf)) and merged move departure prohibitions."""
-    vertex_prohibitions: dict[Cell, list[tuple[float, float]]] = {}
-    move_prohibitions: dict[tuple[Cell, Cell], list[tuple[float, float]]] = {}
+    """The empty table with `adding` applied to each of one agent's constraints in turn."""
+    table = SafeIntervalTable({}, {}, {})
     for c in constraints:
         if c.agent != agent:
             raise ValueError(f"constraint targets agent {c.agent}, expected {agent}")
-        if c.is_wait:
-            vertex_prohibitions.setdefault(c.action.src, []).append((c.interval.lo, c.interval.hi))
-        else:
-            move_prohibitions.setdefault((c.action.src, c.action.dst), []).append((c.interval.lo, c.interval.hi))
-    vertex_safe = {
-        cell: _complement(_merge(spans, touch_merges=False))
-        for cell, spans in vertex_prohibitions.items()
-    }
-    move_blocks = {key: tuple(_merge(spans, touch_merges=True)) for key, spans in move_prohibitions.items()}
-    vertex_blocks = {
-        cell: tuple(_merge(spans, touch_merges=False)) for cell, spans in vertex_prohibitions.items()
-    }
-    return SafeIntervalTable(vertex_safe, move_blocks, vertex_blocks)
+        table = table.adding(c)
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -196,24 +160,17 @@ def _heuristic_map(world: GridWorld, goal: Cell, speed: float) -> dict[Cell, flo
     }
 
 
-def sipp_plan(
-    world: GridWorld,
-    agent: AgentSpec,
-    constraints: Iterable[Constraint],
-    table: Optional[SafeIntervalTable] = None,
-) -> Optional[TimedPlan]:
-    """Minimum-arrival plan from start to goal; None iff the goal is unreachable.
+def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> Optional[TimedPlan]:
+    """Minimum-arrival plan from start to goal under one agent's safe-interval
+    table; None iff the goal is unreachable.
 
     Best-first over (vertex, safe-interval) states with the earliest-departure
     successor rule; waits are implicit in departing later than the arrival.
-    A prebuilt `table` skips rebuilding the safe intervals from `constraints`.
     """
     if not world.is_free(agent.start):
         raise ValueError(f"agent {agent.id}: start {agent.start} is not a free cell")
     if not world.is_free(agent.goal):
         raise ValueError(f"agent {agent.id}: goal {agent.goal} is not a free cell")
-    if table is None:
-        table = build_safe_intervals(constraints, agent.id)
     speed = agent.speed
     expansion = _expansion_map(world, speed)
     h = _heuristic_map(world, agent.goal, speed)
@@ -289,7 +246,7 @@ def sipp_plan(
 
 
 def plan_satisfies_constraints(plan: TimedPlan, constraints: Iterable[Constraint], world: GridWorld) -> bool:
-    """Replay a plan against a constraint list (used by tests and the solver's audits)."""
+    """Replay a plan against a constraint list, independently of the safe-interval tables."""
     eps = 1e-12
     wps = plan.waypoints
     # occupancy spans per vertex: [arrival, departure] closed; the goal parks forever

@@ -30,7 +30,7 @@ from mapflight.flightsim import (
 )
 from mapflight.geometry3d import CylinderBody, Interval, cylinder_unsafe_interval
 from mapflight.plan import validate
-from mapflight.sipp import Constraint, plan_satisfies_constraints, sipp_plan
+from mapflight.sipp import Constraint, build_safe_intervals, plan_satisfies_constraints, sipp_plan
 from mapflight.world import (
     AgentSpec,
     GridWorld,
@@ -166,7 +166,7 @@ def test_02_single_agent_arrivals_match_brute_force():
         worst = 0.0
         for n in range(200):
             world, agent, constraints = _random_single_agent_instance(rng, dt)
-            plan = sipp_plan(world, agent, constraints)
+            plan = sipp_plan(world, agent, build_safe_intervals(constraints, agent.id))
             want = oracles.timed_astar_oracle(world, agent, constraints, dt=dt)
             if plan is None:
                 assert want is None, f"#{n}: planner said unreachable, oracle found {want}"

@@ -160,6 +160,12 @@ class TestSimulate:
             ([1, 2], "must hold a JSON object"),
             ({"latency": float("nan")}, "latency must be a finite number"),
             ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number"),
+            ({"arena_min": 5}, "arena_min must be three finite numbers"),
+            ({"arena_min": ["a", 0, 0]}, "arena_min must be three finite numbers"),
+            ({"arena_min": [0, 0], "arena_max": [1, 1]}, "arena_min must be three finite numbers"),
+            ({"tick": True, "log_period": True, "max_speed": True}, "tick must be a positive number"),
+            ({"vll_cruise_speed": float("inf")}, "vll_cruise_speed must be None or a finite number"),
+            ({"vll_cruise_speed": True}, "vll_cruise_speed must be None or a finite number"),
         ],
     )
     def test_bad_config_files(self, planned, tmp_path, capsys, doc, needle):

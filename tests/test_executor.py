@@ -1,6 +1,5 @@
 """Command generation: interpolated setpoints, per-segment gotos, box-chasing."""
 
-import json
 import math
 
 import pytest
@@ -15,7 +14,6 @@ from mapflight.executor import (
     make_executor,
     vll_execute,
     vll_step,
-    write_command_trace,
 )
 from mapflight.plan import TimedPlan
 
@@ -201,22 +199,3 @@ class TestCommands:
         with pytest.raises(ValueError, match="three finite numbers"):
             PositionSetpoint((0.0, math.nan, 0.0), issue_time=0.0)
 
-    def test_command_trace_is_json_lines(self, tmp_path):
-        records = [
-            (0, PositionSetpoint((1.0, 2.0, 3.0), issue_time=0.5)),
-            (1, HighLevelGoto((1.0, 0.0, 0.0), duration=2.0, issue_time=0.0)),
-            (0, VelocitySetpoint((0.0, 0.0, 1.0), issue_time=1.0)),
-        ]
-        path = tmp_path / "trace.jsonl"
-        write_command_trace(records, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 3
-        docs = [json.loads(line) for line in lines]
-        assert docs[0] == {
-            "agent": 0,
-            "issue_time": 0.5,
-            "variant": "PositionSetpoint",
-            "payload": {"target": [1.0, 2.0, 3.0]},
-        }
-        assert docs[1]["payload"] == {"target": [1.0, 0.0, 0.0], "duration": 2.0}
-        assert docs[2]["payload"] == {"velocity": [0.0, 0.0, 1.0]}

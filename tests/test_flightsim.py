@@ -18,7 +18,6 @@ from mapflight.flightsim import (
     SimConfig,
     VehicleState,
     error_metrics,
-    localize,
     refine_goto,
     run_execution,
     run_executions,
@@ -57,11 +56,28 @@ class TestSimConfig:
             (dict(latency=float("inf")), "latency must be a finite number"),
             (dict(seed=-1), "seed must be a non-negative integer"),
             (dict(seed=1.5), "seed must be a non-negative integer"),
+            (dict(tick=True), "tick must be a positive number"),
+            (dict(log_period=True), "log_period must be a positive number"),
+            (dict(max_speed=True), "max_speed must be a positive number"),
+            (dict(noise_sigma=False), "noise_sigma must be a finite number"),
+            (dict(vll_cruise_speed=math.inf), "vll_cruise_speed must be None or a finite number"),
+            (dict(vll_cruise_speed=math.nan), "vll_cruise_speed must be None or a finite number"),
+            (dict(vll_cruise_speed=True), "vll_cruise_speed must be None or a finite number"),
+            (dict(arena_min=5), "arena_min must be three finite numbers"),
+            (dict(arena_min=("a", 0, 0)), "arena_min must be three finite numbers"),
+            (dict(arena_min=(0.0, 0.0), arena_max=(1.0, 1.0)), "arena_min must be three finite numbers"),
+            (dict(arena_max=(2.0, 2.0, math.inf)), "arena_max must be three finite numbers"),
+            (dict(arena_max=(2.0, 2.0, True)), "arena_max must be three finite numbers"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SimConfig(**kwargs)
+
+    def test_arena_bounds_become_float_tuples(self):
+        cfg = SimConfig(arena_min=[0, 0, 0], arena_max=[2, 2, 2])
+        assert cfg.arena_min == (0.0, 0.0, 0.0) and type(cfg.arena_min[0]) is float
+        assert cfg == SimConfig()
 
 
 class TestVehicleStep:
@@ -199,19 +215,32 @@ class TestRefineGoto:
 
 
 class TestLocalize:
+    """The localization noise run_execution adds to every logged pose."""
+
+    @staticmethod
+    def noise(config):
+        planset = load_plans(FIXTURES / "swarm_4.plans.json")
+        log = run_execution(planset.plans, "bll", config, speeds=planset.speeds)
+        assert log.records
+        return log, np.array([r.estimated for r in log.records]) - np.array([r.actual for r in log.records])
+
     def test_seeded_streams_are_reproducible(self):
-        a = [localize((1.0, 2.0, 3.0), np.random.default_rng(42), 0.05) for _ in range(10)]
-        b = [localize((1.0, 2.0, 3.0), np.random.default_rng(42), 0.05) for _ in range(10)]
-        assert a == b
+        log, noise = self.noise(SimConfig(seed=42))
+        again, noise_again = self.noise(SimConfig(seed=42))
+        _, other_seed = self.noise(SimConfig(seed=43))
+        assert log.records == again.records and np.array_equal(noise, noise_again)
+        assert not np.array_equal(noise[:8], other_seed[:8])
+        # each vehicle draws from its own stream
+        assert len({tuple(noise[k]) for k in range(4)}) == 4
 
     def test_noise_statistics(self):
-        rng = np.random.default_rng(7)
-        samples = np.array([localize((0.0, 0.0, 0.0), rng, 0.05) for _ in range(10_000)])
-        assert abs(samples.mean()) < 0.002
-        assert 0.045 < samples.std() < 0.055
+        _, noise = self.noise(SimConfig())
+        assert abs(noise.mean()) < 0.005
+        assert 0.045 < noise.std() < 0.055
 
     def test_zero_sigma_is_exact(self):
-        assert localize((1.0, 2.0, 3.0), np.random.default_rng(0), 0.0) == (1.0, 2.0, 3.0)
+        log, _ = self.noise(SimConfig(noise_sigma=0.0))
+        assert all(r.estimated == r.actual for r in log.records)
 
 
 class TestRunExecution:

@@ -9,7 +9,6 @@ import oracles
 from mapflight.geometry3d import CylinderBody, Interval
 from mapflight.sipp import (
     Constraint,
-    SippState,
     build_safe_intervals,
     plan_satisfies_constraints,
     sipp_plan,
@@ -73,46 +72,64 @@ class TestSafeIntervalTable:
         assert dep(*self.EDGE, 3.5) == 4.0
         assert dep(*self.EDGE, 9.0) == 9.0
 
-    def test_adding_matches_batch_construction(self):
+    def test_tables_answer_as_their_prohibitions_say(self):
+        """Probe random tables against the constraint semantics read off the
+        constraint list itself, with zero-length, touching and unbounded bans."""
         rng = random.Random(7)
-        cells = [(i, j, 0) for i in range(3) for j in range(3)]
-        for _ in range(50):
+        cells = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+        edges = [(src, dst) for src in cells for dst in cells if src != dst][:3]
+        probes = [k * 0.125 for k in range(0, 14 * 8 + 1)]  # quarter grid and midpoints
+        for _ in range(300):
             cs = []
-            for _ in range(rng.randrange(1, 8)):
-                lo = rng.randrange(0, 40) * 0.25
-                hi = lo + rng.randrange(1, 12) * 0.25
+            ends = []
+            for _ in range(rng.randrange(1, 10)):
+                if ends and rng.random() < 0.3:
+                    lo = rng.choice(ends)  # touches an earlier ban's end
+                else:
+                    lo = rng.randrange(0, 40) * 0.25
+                kind = rng.random()
+                if kind < 0.15:
+                    hi = lo
+                elif kind < 0.3:
+                    hi = INF
+                else:
+                    hi = lo + rng.randrange(1, 12) * 0.25
+                    ends.append(hi)
                 if rng.random() < 0.5:
                     cs.append(wait_c(rng.choice(cells), lo, hi))
                 else:
-                    src = rng.choice(cells)
-                    dst = rng.choice([c for c in cells if c != src])
-                    cs.append(move_c(src, dst, lo, hi))
-            batch = build_safe_intervals(cs, 0)
-            incremental = build_safe_intervals([], 0)
-            for c in cs:
-                incremental = incremental.adding(c)
-            assert incremental == batch
+                    cs.append(move_c(*rng.choice(edges), lo, hi))
+            table = build_safe_intervals(cs, 0)
+            for cell in cells:
+                bans = [c.interval for c in cs if c.is_wait and c.action.src == cell]
+                for t in probes:
+                    safe = any(iv.contains(t) for iv in table.vertex_intervals(cell))
+                    assert safe == (not any(b.lo < t < b.hi for b in bans)), (cs, cell, t)
+            for src, dst in edges:
+                bans = [c.interval for c in cs if not c.is_wait and (c.action.src, c.action.dst) == (src, dst)]
+                for t in probes:
+                    free = table.earliest_departure(src, dst, t) == t
+                    assert free == (not any(b.lo <= t < b.hi for b in bans)), (cs, (src, dst), t)
+            shuffled = list(cs)
+            rng.shuffle(shuffled)
+            assert build_safe_intervals(shuffled, 0) == table
 
     def test_rejects_foreign_agent_constraints(self):
         with pytest.raises(ValueError, match="targets agent 3"):
             build_safe_intervals([wait_c((0, 0, 0), 1.0, 2.0, agent=3)], 0)
 
-    def test_state_arrival_must_lie_in_interval(self):
-        with pytest.raises(ValueError, match="outside safe interval"):
-            SippState((0, 0, 0), Interval(2.0, 3.0), 1.0)
-
 
 class TestSippPlan:
     def test_unconstrained_straight_line(self):
         world, agent = corridor()
-        plan = sipp_plan(world, agent, [])
+        plan = sipp_plan(world, agent, build_safe_intervals([], 0))
         assert plan is not None and plan.end_time == pytest.approx(3.0)
         assert [wp[3] for wp in plan.waypoints] == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
     def test_move_ban_inserts_a_wait_waypoint(self):
         world, agent = corridor()
         ban = move_c((0, 0, 0), (1, 0, 0), 0.0, 1.5)
-        plan = sipp_plan(world, agent, [ban])
+        plan = sipp_plan(world, agent, build_safe_intervals([ban], 0))
         assert plan is not None and plan.end_time == pytest.approx(4.5)
         # the wait shows up as a duplicated start position at t = 0 and t = 1.5
         assert plan.waypoints[0][:3] == plan.waypoints[1][:3]
@@ -121,12 +138,12 @@ class TestSippPlan:
 
     def test_goal_occupancy_ban_delays_arrival(self):
         world, agent = corridor()
-        plan = sipp_plan(world, agent, [wait_c((3, 0, 0), 2.0, 5.0)])
+        plan = sipp_plan(world, agent, build_safe_intervals([wait_c((3, 0, 0), 2.0, 5.0)], 0))
         assert plan is not None and plan.end_time == pytest.approx(5.0)
 
     def test_unbounded_goal_ban_means_no_plan(self):
         world, agent = corridor()
-        assert sipp_plan(world, agent, [wait_c((3, 0, 0), 0.0, INF)]) is None
+        assert sipp_plan(world, agent, build_safe_intervals([wait_c((3, 0, 0), 0.0, INF)], 0)) is None
 
     def test_vertex_ban_on_a_through_cell(self):
         # passing through (1,0,0) means touching it for an instant; the open
@@ -134,7 +151,7 @@ class TestSippPlan:
         # earliest legal touch is exactly t = 2.0
         world, agent = corridor()
         ban = wait_c((1, 0, 0), 0.5, 2.0)
-        plan = sipp_plan(world, agent, [ban])
+        plan = sipp_plan(world, agent, build_safe_intervals([ban], 0))
         assert plan is not None and plan.end_time == pytest.approx(4.0)
         assert plan_satisfies_constraints(plan, [ban], world)
 
@@ -143,32 +160,26 @@ class TestSippPlan:
         world = GridWorld((3, 2, 1), 0.5)
         agent = AgentSpec(0, (0, 0, 0), (2, 0, 0), BODY, 0.5)
         ban = move_c((1, 0, 0), (2, 0, 0), 0.0, 9.0)
-        plan = sipp_plan(world, agent, [ban])
+        plan = sipp_plan(world, agent, build_safe_intervals([ban], 0))
         assert plan is not None and plan.end_time == pytest.approx(4.0)  # around via y = 1
 
     def test_unreachable_goal(self):
         world = GridWorld((3, 1, 1), 0.5, frozenset({(1, 0, 0)}))
         agent = AgentSpec(0, (0, 0, 0), (2, 0, 0), BODY, 0.5)
-        assert sipp_plan(world, agent, []) is None
+        assert sipp_plan(world, agent, build_safe_intervals([], 0)) is None
 
     def test_rejects_blocked_endpoints(self):
         world = GridWorld((3, 1, 1), 0.5, frozenset({(1, 0, 0)}))
         with pytest.raises(ValueError, match="start .* is not a free cell"):
-            sipp_plan(world, AgentSpec(0, (1, 0, 0), (2, 0, 0), BODY, 0.5), [])
+            sipp_plan(world, AgentSpec(0, (1, 0, 0), (2, 0, 0), BODY, 0.5), build_safe_intervals([], 0))
         with pytest.raises(ValueError, match="goal .* is not a free cell"):
-            sipp_plan(world, AgentSpec(0, (0, 0, 0), (1, 0, 0), BODY, 0.5), [])
-
-    def test_prebuilt_table_matches_constraint_list(self):
-        world, agent = corridor()
-        cs = [move_c((0, 0, 0), (1, 0, 0), 0.0, 1.5), wait_c((2, 0, 0), 3.0, 4.0)]
-        table = build_safe_intervals(cs, 0)
-        assert sipp_plan(world, agent, cs) == sipp_plan(world, agent, [], table=table)
+            sipp_plan(world, AgentSpec(0, (0, 0, 0), (1, 0, 0), BODY, 0.5), build_safe_intervals([], 0))
 
 
 class TestPlanSatisfiesConstraints:
     def test_violating_plans_are_rejected(self):
         world, agent = corridor()
-        plan = sipp_plan(world, agent, [])
+        plan = sipp_plan(world, agent, build_safe_intervals([], 0))
         assert plan is not None
         # departs the first edge at t = 0, inside the closed-left ban
         assert not plan_satisfies_constraints(plan, [move_c((0, 0, 0), (1, 0, 0), 0.0, 1.5)], world)
@@ -213,7 +224,7 @@ class TestAgainstTimeExpandedOracle:
         checked = 0
         for _ in range(30):
             world, agent, constraints = self.random_instance(rng)
-            plan = sipp_plan(world, agent, constraints)
+            plan = sipp_plan(world, agent, build_safe_intervals(constraints, 0))
             want = oracles.timed_astar_oracle(world, agent, constraints, dt=self.DT)
             if plan is None:
                 assert want is None, f"planner said unreachable, oracle found {want}"
