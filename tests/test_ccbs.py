@@ -308,3 +308,44 @@ def test_fuzz_dense_grids_never_crash():
         assert res.status in (SOLVED, LIMIT_EXCEEDED), (seed, res.status, res.detail)
         if res.status == SOLVED:
             assert validate(res.solution.plans, agents, world).ok, seed
+
+
+def _summary(res):
+    cost = None if res.solution is None else round(res.solution.cost, 9)
+    return res.status, cost, res.stats.expansions, res.stats.generated, res.stats.bypasses
+
+
+class TestGolden:
+    """(status, cost, expansions, generated, bypasses) pinned: a solver change
+    that claims to expand the same conflict tree must reproduce every count."""
+
+    FUZZ = {
+        0: (LIMIT_EXCEEDED, None, 25, 27, 12),
+        1: (LIMIT_EXCEEDED, None, 25, 41, 5),
+        2: (LIMIT_EXCEEDED, None, 25, 29, 11),
+        3: (LIMIT_EXCEEDED, None, 25, 27, 12),
+        4: (LIMIT_EXCEEDED, None, 25, 29, 11),
+        5: (SOLVED, 67.0, 10, 13, 4),
+        6: (LIMIT_EXCEEDED, None, 25, 41, 5),
+        7: (LIMIT_EXCEEDED, None, 25, 31, 10),
+        8: (LIMIT_EXCEEDED, None, 25, 41, 5),
+        9: (LIMIT_EXCEEDED, None, 25, 29, 11),
+        10: (SOLVED, 111.0, 17, 19, 8),
+        11: (SOLVED, 109.0, 8, 9, 4),
+    }
+
+    def test_dense_instance(self):
+        world, agents = TestEightAgents().instance()
+        res = ccbs_solve(world, agents)
+        assert _summary(res) == (SOLVED, round(25.414213562798462, 9), 57, 67, 24)
+
+    def test_bundled_ring_scenario(self, scenario_dir):
+        world, agents = load_instance(scenario_dir / "swarm_8.json")
+        res = ccbs_solve(world, agents)
+        assert _summary(res) == (SOLVED, round(25.656854251193845, 9), 124, 249, 0)
+
+    def test_fuzz_seeds_at_their_budget(self):
+        for seed, want in self.FUZZ.items():
+            world, agents = _fuzz_instance(seed, 12 + seed % 5)
+            res = ccbs_solve(world, agents, SolveLimits(max_wall_time=60.0, max_expansions=25))
+            assert _summary(res) == want, seed
