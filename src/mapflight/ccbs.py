@@ -8,7 +8,9 @@ its vertex during the window in which the other action passes through it.
 Each node keeps a table of its conflicting agent pairs, so a child re-tests
 only the pairs of the agent it replans. A child that costs no more and has
 fewer conflicting pairs than its node is adopted in place of branching
-(bypass), which keeps the solution optimal.
+(bypass), which keeps the solution optimal. Sibling subtrees share their
+parents' tables and branch on the same conflicts again, so each solve keeps
+its replans by (parent table, constraint) and runs each distinct one once.
 """
 
 from __future__ import annotations
@@ -56,11 +58,20 @@ class SolveStats:
     generated: conflict-tree nodes pushed on the open list, the root included;
         a child adopted by a bypass is not pushed and not counted.
     bypasses: conflicts resolved in place by adopting a child's plan.
+    replans: `sipp_plan` calls made, the root plans included.
+    replans_reused: children whose (parent table, constraint) was replanned
+        before in this solve, so they reuse that table and plan instead.
+    lower_bound: at LIMIT_EXCEEDED, a proven lower bound on the optimal
+        sum of costs: the cost of the node being expanded at the expansion
+        limit, the smallest key on the open list at the wall limit; else None.
     """
 
     expansions: int = 0
     generated: int = 0
     bypasses: int = 0
+    replans: int = 0
+    replans_reused: int = 0
+    lower_bound: Optional[float] = None
     wall_time: float = 0.0
 
 
@@ -232,6 +243,7 @@ def ccbs_solve(
 
     root_tables = {a.id: build_safe_intervals((), a.id) for a in agent_list}
     root_plans: dict[int, TimedPlan] = {}
+    stats.replans = len(agent_list)
     for a in agent_list:
         p = sipp_plan(world, a, root_tables[a.id])
         if p is None:
@@ -249,22 +261,39 @@ def ccbs_solve(
     )
     stats.generated = 1
     heap: list[tuple[float, int, int, CTNode]] = [(root.cost, 0, next(seq), root)]
+    # (id of the parent table, constraint) -> (parent table, new table, plan);
+    # sipp_plan is pure, so a repeated replan is looked up, not rerun. The
+    # parent table is kept in the value so its id cannot be reused.
+    replans: dict[tuple[int, Constraint], tuple[SafeIntervalTable, SafeIntervalTable, Optional[TimedPlan]]] = {}
+
+    def at_limit(what: str, bound: float) -> SolveResult:
+        stats.lower_bound = bound
+        stats.wall_time = time.perf_counter() - started
+        return SolveResult(LIMIT_EXCEEDED, None, stats, f"{what} limit reached; cost lower bound {bound!r}")
 
     while heap:
         stats.wall_time = time.perf_counter() - started
         if stats.wall_time > limits.max_wall_time:
-            return SolveResult(LIMIT_EXCEEDED, None, stats, "wall-time limit reached")
+            return at_limit("wall-time", heap[0][0])
         _, _, _, node = heapq.heappop(heap)
         plans, conflicts = node.plans, node.conflicts
         children: list[CTNode] = []
         while conflicts:
             if stats.expansions >= limits.max_expansions:
-                return SolveResult(LIMIT_EXCEEDED, None, stats, "expansion limit reached")
+                return at_limit("expansion", node.cost)
             stats.expansions += 1
             children, bypass = [], None
             for c in branch(earliest_conflict(conflicts), world, plans, bodies):
-                table = node.tables[c.agent].adding(c)
-                newp = sipp_plan(world, by_id[c.agent], table)
+                parent = node.tables[c.agent]
+                cached = replans.get((id(parent), c))
+                if cached is None:
+                    table = parent.adding(c)
+                    newp = sipp_plan(world, by_id[c.agent], table)
+                    replans[(id(parent), c)] = (parent, table, newp)
+                    stats.replans += 1
+                else:
+                    _, table, newp = cached
+                    stats.replans_reused += 1
                 if newp is None:
                     continue
                 child_plans = dict(plans)

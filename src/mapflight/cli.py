@@ -121,7 +121,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     stats = result.stats
     print(
         f"solver: {result.status} expansions={stats.expansions} "
-        f"generated={stats.generated} bypasses={stats.bypasses} wall={stats.wall_time:.3f}s"
+        f"generated={stats.generated} bypasses={stats.bypasses} replans={stats.replans} "
+        f"replans_reused={stats.replans_reused} wall={stats.wall_time:.3f}s"
     )
     if result.status == NO_SOLUTION:
         print(f"no solution: {result.detail}")
@@ -262,6 +263,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "solver_wall_time": result.stats.wall_time,
                     "solver_expansions": result.stats.expansions,
                     "solver_bypasses": result.stats.bypasses,
+                    "solver_replans": result.stats.replans,
+                    "solver_replans_reused": result.stats.replans_reused,
                     "runs": args.repetitions,
                     "success_rate": completed / args.repetitions,
                     "mean_max_error": sum(max_errors) / len(max_errors),

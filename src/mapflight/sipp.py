@@ -105,8 +105,13 @@ class SafeIntervalTable:
         return t
 
     def adding(self, constraint: Constraint) -> "SafeIntervalTable":
-        """New table with one more prohibition; only the touched entry is rebuilt."""
+        """New table with one more prohibition; only the touched entry is rebuilt.
+
+        A ban whose interval is empty (hi <= lo) forbids nothing and returns self.
+        """
         span = (constraint.interval.lo, constraint.interval.hi)
+        if span[1] <= span[0]:
+            return self
         if constraint.is_wait:
             cell = constraint.action.src
             blocks = _insert_span(self.vertex_blocks.get(cell, ()), span, touch_merges=False)

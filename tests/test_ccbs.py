@@ -156,13 +156,28 @@ class TestLimits:
         world, agents = swap_instance()
         res = ccbs_solve(world, agents, SolveLimits(max_expansions=0))
         assert res.status == LIMIT_EXCEEDED and res.solution is None
-        assert res.detail == "expansion limit reached"
+        assert res.detail == "expansion limit reached; cost lower bound 4.0"
+        assert res.stats.lower_bound == 4.0  # the root: two straight lines
 
     def test_wall_time_limit(self):
         world, agents = swap_instance()
         res = ccbs_solve(world, agents, SolveLimits(max_wall_time=0.0))
         assert res.status == LIMIT_EXCEEDED
-        assert res.detail == "wall-time limit reached"
+        assert res.detail == "wall-time limit reached; cost lower bound 4.0"
+        assert res.stats.lower_bound == 4.0
+
+    def test_lower_bound_at_the_expansion_limit(self):
+        world, agents = TestEightAgents().instance()
+        root = ccbs_solve(world, agents, SolveLimits(max_expansions=0)).stats.lower_bound
+        res = ccbs_solve(world, agents, SolveLimits(max_expansions=10))
+        assert res.status == LIMIT_EXCEEDED
+        # best-first on cost: no node left unexpanded can beat the one at hand
+        assert root <= res.stats.lower_bound <= 24.0 + math.sqrt(2) + 1e-9
+        assert res.detail.endswith(repr(res.stats.lower_bound))
+
+    def test_solved_runs_report_no_bound(self):
+        world, agents = swap_instance()
+        assert ccbs_solve(world, agents).stats.lower_bound is None
 
     def test_unsolvable_swap_without_bypass_is_cut_off(self):
         # a swap in a 1-wide corridor has no solution, but the conflict tree
@@ -175,7 +190,7 @@ class TestLimits:
         ]
         res = ccbs_solve(world, agents, SolveLimits(max_expansions=300))
         assert res.status == LIMIT_EXCEEDED
-        assert res.detail == "expansion limit reached"
+        assert res.detail.startswith("expansion limit reached; cost lower bound ")
 
 
 class TestBundledScenarios:
@@ -343,6 +358,13 @@ class TestGolden:
         world, agents = load_instance(scenario_dir / "swarm_8.json")
         res = ccbs_solve(world, agents)
         assert _summary(res) == (SOLVED, round(25.656854251193845, 9), 124, 249, 0)
+
+    def test_each_distinct_replan_runs_once(self):
+        world, agents = TestEightAgents().instance()
+        stats = ccbs_solve(world, agents).stats
+        assert stats.replans < 2 * stats.expansions
+        # 8 root plans and 103 children, of which 64 repeat an earlier replan
+        assert (stats.replans, stats.replans_reused) == (47, 64)
 
     def test_fuzz_seeds_at_their_budget(self):
         for seed, want in self.FUZZ.items():

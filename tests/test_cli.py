@@ -72,6 +72,7 @@ class TestPlan:
         assert code == EXIT_OK and out.is_file()
         stdout = capsys.readouterr().out
         assert "solver: solved" in stdout and "cost=6.0" in stdout
+        assert "replans=2 replans_reused=0" in stdout  # one root plan per agent
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["plan", "--instance", str(tmp_path / "nope.json"), "--out", str(tmp_path / "p.json")])
@@ -97,7 +98,7 @@ class TestPlan:
             ["plan", "--instance", str(inst), "--out", str(tmp_path / "p.json"), "--expansions-limit", "0"]
         )
         assert code == EXIT_LIMIT
-        assert "limit exceeded" in capsys.readouterr().out
+        assert "limit exceeded: expansion limit reached; cost lower bound 4.0" in capsys.readouterr().out
 
 
 class TestValidate:
@@ -227,6 +228,7 @@ class TestBench:
         }
         for row in bench["rows"]:
             assert row["runs"] == 2 and row["success_rate"] == 1.0
+            assert row["solver_replans"] == row["agents"] and row["solver_replans_reused"] == 0
             assert 0.0 < row["mean_avg_error"] < 1.0
             assert (out / f"{row['scenario']}_plans.json").is_file()
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))

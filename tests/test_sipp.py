@@ -63,6 +63,20 @@ class TestSafeIntervalTable:
         table = build_safe_intervals(cs, 0)
         assert table.vertex_intervals((1, 0, 0)) == (Interval(0.0, 1.0), Interval(3.0, INF))
 
+    def test_zero_length_ban_between_touching_bans_adds_nothing(self):
+        cell = (1, 0, 0)
+        cs = [wait_c(cell, 1.0, 2.0), wait_c(cell, 2.0, 2.0), wait_c(cell, 2.0, 3.0)]
+        table = build_safe_intervals(cs, 0)
+        assert table.vertex_intervals(cell) == (Interval(0.0, 1.0), Interval(2.0, 2.0), Interval(3.0, INF))
+
+    def test_zero_length_bans_leave_the_table_unchanged(self):
+        cell = (1, 0, 0)
+        table = build_safe_intervals([wait_c(cell, 2.0, 2.0), wait_c(cell, 2.0, 2.0)], 0)
+        assert table.vertex_intervals(cell) == (Interval(0.0, INF),)
+        empty = build_safe_intervals([], 0)
+        for c in (wait_c(cell, 2.0, 2.0), move_c(*self.EDGE, 2.0, 2.0)):
+            assert empty.adding(c) is empty
+
     def test_earliest_departure_bumps_past_closed_left_blocks(self):
         table = build_safe_intervals([move_c(*self.EDGE, 1.0, 2.0), move_c(*self.EDGE, 3.0, 4.0)], 0)
         dep = table.earliest_departure
