@@ -27,6 +27,7 @@ from .geometry3d import (
     CylinderBody,
     Interval,
     LinearMotion,
+    _contact,
     _pair_earliest,
     cylinder_unsafe_interval,
     move_clear_delay,
@@ -39,13 +40,20 @@ SOLVED = "solved"
 NO_SOLUTION = "no-solution"
 LIMIT_EXCEEDED = "limit-exceeded"
 
-_BISECT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SolveLimits:
-    max_wall_time: float = 60.0
+    max_wall_time: float = 60.0  # s; inf for none
     max_expansions: int = 200_000
+
+    def __post_init__(self) -> None:
+        w = self.max_wall_time
+        # `not w >= 0` also rejects NaN, which would switch the wall check off
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not w >= 0.0:
+            raise ValueError(f"max_wall_time must be a number >= 0, got {w!r}")
+        e = self.max_expansions
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            raise ValueError(f"max_expansions must be an integer >= 0, got {e!r}")
 
 
 @dataclass
@@ -188,9 +196,7 @@ def _side_constraint(
     if other_parked:
         # delaying the move only deepens the overlap with a permanent suffix
         return Constraint(agent, move, Interval(t0, math.inf))
-    delay = move_clear_delay(
-        action, other, body_a.radius + body_b.radius, 0.5 * (body_a.height + body_b.height), _BISECT_TOL
-    )
+    delay = move_clear_delay(action, other, body_a, body_b)
     return Constraint(agent, move, Interval(t0, t0 + delay))
 
 
@@ -212,8 +218,9 @@ def branch(
 
 
 def _static_overlap(pa, pb, body_a: CylinderBody, body_b: CylinderBody) -> bool:
-    planar = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-    return planar < body_a.radius + body_b.radius and abs(pa[2] - pb[2]) < 0.5 * (body_a.height + body_b.height)
+    dp = (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2])
+    r_sum = body_a.radius + body_b.radius
+    return _contact(dp, (0.0, 0.0, 0.0), 1.0, r_sum, 0.5 * (body_a.height + body_b.height)) is not None
 
 
 def ccbs_solve(

@@ -114,9 +114,16 @@ def _config_hash(config: SimConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _solve_limits(args: argparse.Namespace) -> SolveLimits:
+    try:
+        return SolveLimits(max_wall_time=args.time_limit, max_expansions=args.expansions_limit)
+    except ValueError as exc:
+        raise CliError(f"bad solver limits: {exc}", EXIT_USAGE) from exc
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
+    limits = _solve_limits(args)
     world, agents = _load_instance(args.instance)
-    limits = SolveLimits(max_wall_time=args.time_limit, max_expansions=args.expansions_limit)
     result = ccbs_solve(world, agents, limits)
     stats = result.stats
     print(
@@ -206,9 +213,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise CliError(f"unknown method {m!r}; expected subset of {','.join(METHODS)}", EXIT_USAGE)
     if args.repetitions < 1:
         raise CliError(f"repetitions must be >= 1, got {args.repetitions}", EXIT_USAGE)
+    limits = _solve_limits(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    limits = SolveLimits(max_wall_time=args.time_limit, max_expansions=args.expansions_limit)
 
     rows: list[dict] = []
     failures: list[dict] = []

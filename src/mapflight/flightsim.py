@@ -3,13 +3,12 @@ Gaussian localization noise from seeded per-vehicle substreams, 10 ms pose
 logging, and tracking-error metrics.
 
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
-advances them together, one array update per tick; the scalar `vehicle_step`
-is the one-vehicle case of that same update. The seeded repetitions of a batch
-fly as one fleet on one clock (`run_executions`). Localization noise is drawn in
-blocks of ticks from each vehicle's own seeded stream. Every array operation
-applies, element by element and in the same order, the float operations of
-the one-vehicle update, so pose logs are byte-identical for a fixed
-(plans, method, seed, config).
+advances them together, one array update per tick (`_Fleet.step`). The seeded
+repetitions of a batch fly as one fleet on one clock (`run_executions`).
+Localization noise is drawn in blocks of ticks from each vehicle's own seeded
+stream. Every array operation applies, element by element and in the same
+order, the float operations of the one-vehicle update, so pose logs are
+byte-identical for a fixed (plans, method, seed, config).
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .executor import (
+    DEFAULT_BOX_HALF_WIDTH,
+    DEFAULT_COMMAND_PERIOD,
     Command,
     HighLevelGoto,
     VehicleEndpoint,
@@ -29,6 +30,7 @@ from .executor import (
 )
 from .geometry3d import Vec3
 from .plan import TimedPlan
+from .world import DEFAULT_SPEED
 
 METHODS = ("bhl", "bll", "vll")
 
@@ -55,8 +57,8 @@ class SimConfig:
     seed: int = 0
     arena_min: Vec3 = (0.0, 0.0, 0.0)
     arena_max: Vec3 = (2.0, 2.0, 2.0)
-    command_period: float = 0.05
-    vll_box_half_width: float = 0.10
+    command_period: float = DEFAULT_COMMAND_PERIOD
+    vll_box_half_width: float = DEFAULT_BOX_HALF_WIDTH
     vll_cruise_speed: Optional[float] = None  # None: use each agent's plan speed
     goto_refine_rate: float = 100.0  # onboard goto interpolation, Hz
 
@@ -95,12 +97,6 @@ class SimConfig:
         return round(self.log_period / self.tick)
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    position: Vec3
-    velocity: Vec3
-
-
 # Ticks of localization noise drawn per vehicle at once, into preallocated
 # buffers of 3 KiB per vehicle. A block draw yields exactly the values of that
 # many successive standard_normal(3) calls, and scaling by noise_sigma is the
@@ -116,24 +112,11 @@ def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapse
     return anchor + (target - anchor) * (s / duration)[:, None]
 
 
-def refine_goto(command: HighLevelGoto, anchor: Vec3, activated: float, now: float, rate: float) -> Vec3:
-    """Onboard goto refinement: linear interpolation anchor -> target, stepped at `rate`."""
-    refined = _refine(
-        np.array([anchor], dtype=np.float64),
-        np.array([command.target], dtype=np.float64),
-        np.array([command.duration], dtype=np.float64),
-        np.array([now - activated]),
-        rate,
-    )
-    return tuple(refined[0].tolist())  # type: ignore[return-value]
-
-
 class _Fleet:
     """Positions, velocities and active commands of N vehicles as arrays.
 
     `step` is the one implementation of the vehicle dynamics: the simulation
-    loop calls it once per tick for every vehicle of every run in a batch, and
-    `vehicle_step` is its N=1 case.
+    loop calls it once per tick for every vehicle of every run in a batch.
     """
 
     def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
@@ -206,28 +189,6 @@ class _Fleet:
         self.vel = commanded + lag * self.decay
 
 
-def vehicle_step(
-    state: VehicleState,
-    command: Optional[Command],
-    dt: float,
-    config: SimConfig,
-    now: float = 0.0,
-    goto_anchor: Optional[Vec3] = None,
-    goto_activated: Optional[float] = None,
-) -> VehicleState:
-    """Advance one tick: velocity relaxes toward the commanded velocity with the
-    exact exponential first-order update; position integrates in closed form.
-
-    This is the one-vehicle case of the fleet kernel that run_execution steps.
-    """
-    fleet = _Fleet([state.position], [state.velocity], config, dt)
-    if command is not None:
-        activated = goto_activated if goto_activated is not None else command.issue_time
-        fleet.activate(0, command, activated, goto_anchor)
-    fleet.step(now)
-    return VehicleState(tuple(fleet.pos[0].tolist()), tuple(fleet.vel[0].tolist()))  # type: ignore[arg-type]
-
-
 class PoseRecord(NamedTuple):
     t: float
     agent: int
@@ -297,7 +258,7 @@ def _plan_speed(plan: TimedPlan) -> float:
         length = math.dist((x0, y0, z0), (x1, y1, z1))
         if length > 0:
             return length / (t1 - t0)
-    return 0.5
+    return DEFAULT_SPEED
 
 
 @dataclass

@@ -21,6 +21,9 @@ Vec3 = tuple[float, float, float]
 # Quadratic discriminants below this are grazing contacts, not conflicts.
 TANGENCY_EPS = 1e-12
 
+# Bisection width of move_clear_delay, s.
+_CLEAR_TOL = 1e-9
+
 # How far past the later plan end a pair is scanned; parked agents that
 # statically overlap are guaranteed to show a conflict inside this pad.
 _PARK_PAD = 1.0
@@ -184,49 +187,23 @@ def _below_threshold(dp: tuple, dv: tuple, threshold: float, span: float) -> Opt
     return lo, hi
 
 
-def xy_unsafe_interval(a: LinearMotion, b: LinearMotion, r_sum: float) -> Optional[Interval]:
-    """Maximal window where the planar center distance is strictly below r_sum."""
-    _require_valid(a)
-    _require_valid(b)
-    if not r_sum > 0.0:
-        raise ValueError(f"r_sum must be > 0, got {r_sum!r}")
-    window = _overlap_window(a, b)
-    if window is None:
-        return None
-    w0, w1 = window
-    pa = a.position_at(w0)
-    pb = b.position_at(w0)
-    va = a.velocity()
-    vb = b.velocity()
-    hit = _below_threshold(
-        (pa[0] - pb[0], pa[1] - pb[1]),
-        (va[0] - vb[0], va[1] - vb[1]),
-        r_sum,
-        w1 - w0,
-    )
-    if hit is None:
-        return None
-    return Interval(w0 + hit[0], w0 + hit[1])
+def _contact(dp: Vec3, dv: Vec3, span: float, r_sum: float, h_sum_half: float) -> Optional[tuple[float, float]]:
+    """Open subwindow of [0, span] where the relative motion dp + s*dv is a contact, or None.
 
-
-def z_unsafe_interval(a: LinearMotion, b: LinearMotion, h_sum_half: float) -> Optional[Interval]:
-    """Maximal window where the vertical center distance is strictly below h_sum_half."""
-    _require_valid(a)
-    _require_valid(b)
-    if not h_sum_half > 0.0:
-        raise ValueError(f"h_sum_half must be > 0, got {h_sum_half!r}")
-    window = _overlap_window(a, b)
-    if window is None:
+    The one statement of the cylinder rule: planar distance < r_sum AND
+    vertical distance < h_sum_half.
+    """
+    xy = _below_threshold((dp[0], dp[1]), (dv[0], dv[1]), r_sum, span)
+    if xy is None:
         return None
-    w0, w1 = window
-    za = a.position_at(w0)[2]
-    zb = b.position_at(w0)[2]
-    va = a.velocity()[2]
-    vb = b.velocity()[2]
-    hit = _below_threshold((za - zb,), (va - vb,), h_sum_half, w1 - w0)
-    if hit is None:
+    z = _below_threshold((dp[2],), (dv[2],), h_sum_half, span)
+    if z is None:
         return None
-    return Interval(w0 + hit[0], w0 + hit[1])
+    lo = max(xy[0], z[0])
+    hi = min(xy[1], z[1])
+    if hi <= lo:
+        return None
+    return lo, hi
 
 
 def cylinder_unsafe_interval(
@@ -235,53 +212,63 @@ def cylinder_unsafe_interval(
     body_a: CylinderBody,
     body_b: CylinderBody,
 ) -> Optional[Interval]:
-    """Window where the two moving cylinders overlap: xy condition AND z condition."""
-    xy = xy_unsafe_interval(a, b, body_a.radius + body_b.radius)
-    if xy is None:
+    """Maximal window where the two moving cylinders overlap (point contact is empty)."""
+    _require_valid(a)
+    _require_valid(b)
+    window = _overlap_window(a, b)
+    if window is None:
         return None
-    z = z_unsafe_interval(a, b, 0.5 * (body_a.height + body_b.height))
-    if z is None:
+    w0, w1 = window
+    pa, pb = a.position_at(w0), b.position_at(w0)
+    va, vb = a.velocity(), b.velocity()
+    hit = _contact(
+        (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]),
+        (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]),
+        w1 - w0,
+        body_a.radius + body_b.radius,
+        0.5 * (body_a.height + body_b.height),
+    )
+    if hit is None:
         return None
-    return xy.intersect(z)
+    lo, hi = w0 + hit[0], w0 + hit[1]
+    # a sub-ulp window collapses once it is placed at w0
+    return Interval(lo, hi) if lo < hi else None
 
 
 def move_clear_delay(
     action: LinearMotion,
     other: LinearMotion,
-    r_sum: float,
-    h_sum_half: float,
-    tol: float = 1e-9,
+    body_a: CylinderBody,
+    body_b: CylinderBody,
 ) -> float:
     """Smallest delay of `action` that clears its conflict with `other`.
 
     Bisects on the safe side, so shifting by the returned value is always
-    conflict-free; exact to within tol. `other` must end at a finite time.
+    conflict-free; exact to within _CLEAR_TOL. `other` must end at a finite time.
     """
     p0a, va, t0a, t1a = action.p0, action.velocity(), action.t0, action.t1
     p0b, vb, t0b, t1b = other.p0, other.velocity(), other.t0, other.t1
+    dv = (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2])
+    r_sum = body_a.radius + body_b.radius
+    h_sum_half = 0.5 * (body_a.height + body_b.height)
 
     def collides(delta: float) -> bool:
         w0 = max(t0a + delta, t0b)
         w1 = min(t1a + delta, t1b)
         if w1 <= w0:
             return False
-        span = w1 - w0
         sa = w0 - delta - t0a
         sb = w0 - t0b
-        dx = (p0a[0] + va[0] * sa) - (p0b[0] + vb[0] * sb)
-        dy = (p0a[1] + va[1] * sa) - (p0b[1] + vb[1] * sb)
-        dz = (p0a[2] + va[2] * sa) - (p0b[2] + vb[2] * sb)
-        xy = _below_threshold((dx, dy), (va[0] - vb[0], va[1] - vb[1]), r_sum, span)
-        if xy is None:
-            return False
-        z = _below_threshold((dz,), (va[2] - vb[2],), h_sum_half, span)
-        if z is None:
-            return False
-        return max(xy[0], z[0]) < min(xy[1], z[1])
+        dp = (
+            (p0a[0] + va[0] * sa) - (p0b[0] + vb[0] * sb),
+            (p0a[1] + va[1] * sa) - (p0b[1] + vb[1] * sb),
+            (p0a[2] + va[2] * sa) - (p0b[2] + vb[2] * sb),
+        )
+        return _contact(dp, dv, w1 - w0, r_sum, h_sum_half) is not None
 
     lo = 0.0
     hi = max(0.0, t1b - t0a) + 1e-9  # past the other's window: disjoint in time
-    while hi - lo > tol:
+    while hi - lo > _CLEAR_TOL:
         mid = 0.5 * (lo + hi)
         if collides(mid):
             lo = mid

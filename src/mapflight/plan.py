@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry3d
 from .geometry3d import CylinderBody, Vec3
-from .world import AgentSpec, Cell, GridWorld
+from .world import DEFAULT_HEIGHT, DEFAULT_RADIUS, DEFAULT_SPEED, AgentSpec, Cell, GridWorld
 
 Waypoint = tuple[float, float, float, float]
 
@@ -379,9 +379,9 @@ def load_plans(path) -> PlanSet:
             last_t = t
             waypoints.append((float(wp[0]), float(wp[1]), float(wp[2]), t))
         plans.append(TimedPlan(agent, tuple(waypoints)))
-        radius = raw.get("radius", 0.25)
-        height = raw.get("height", 1.0)
-        speed = raw.get("speed", 0.5)
+        radius = raw.get("radius", DEFAULT_RADIUS)
+        height = raw.get("height", DEFAULT_HEIGHT)
+        speed = raw.get("speed", DEFAULT_SPEED)
         for name, v in (("radius", radius), ("height", height), ("speed", speed)):
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not (v > 0 and math.isfinite(v)):
                 raise PlanFormatError(f"{where}.{name}", f"expected a positive number, got {v!r}")

@@ -140,6 +140,24 @@ class TestNoSolution:
         assert res.status == NO_SOLUTION
         assert "goals with overlapping bodies" in res.detail
 
+    @pytest.mark.parametrize("which", ["start", "goal"])
+    def test_overlap_check_agrees_with_detection_at_a_diagonal_graze(self, which):
+        # r_sum rounds to exactly the diagonal of a cell: the check must call the
+        # two parked bodies what the conflict detector calls them
+        body = CylinderBody(0.5 * 0.7071067811865476, 1.0)
+        world = GridWorld((4, 4, 1), 0.5)
+        a, b = (0, 0, 0), (1, 1, 0)
+        parked = cylinder_unsafe_interval(LinearMotion(world.center(a), world.center(a), 0.0, 1.0),
+                                          LinearMotion(world.center(b), world.center(b), 0.0, 1.0), body, body)
+        assert parked is not None
+        if which == "start":
+            agents = [AgentSpec(0, a, (3, 0, 0), body, 0.5), AgentSpec(1, b, (3, 3, 0), body, 0.5)]
+        else:
+            agents = [AgentSpec(0, (3, 0, 0), a, body, 0.5), AgentSpec(1, (3, 3, 0), b, body, 0.5)]
+        res = ccbs_solve(world, agents)
+        assert res.status == NO_SOLUTION and res.stats.expansions == 0
+        assert f"{'start' if which == 'start' else 'have goals'} with overlapping bodies" in res.detail
+
     def test_walled_in_agent(self):
         world = GridWorld((3, 3, 1), 0.5, frozenset({(1, 2, 0), (2, 1, 0)}))
         agents = [
@@ -178,6 +196,28 @@ class TestLimits:
     def test_solved_runs_report_no_bound(self):
         world, agents = swap_instance()
         assert ccbs_solve(world, agents).stats.lower_bound is None
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(max_wall_time=math.nan), "max_wall_time must be a number >= 0"),
+            (dict(max_wall_time=-1.0), "max_wall_time must be a number >= 0"),
+            (dict(max_wall_time=-math.inf), "max_wall_time must be a number >= 0"),
+            (dict(max_wall_time=True), "max_wall_time must be a number >= 0"),
+            (dict(max_wall_time="60"), "max_wall_time must be a number >= 0"),
+            (dict(max_expansions=-3), "max_expansions must be an integer >= 0"),
+            (dict(max_expansions=2.0), "max_expansions must be an integer >= 0"),
+            (dict(max_expansions=False), "max_expansions must be an integer >= 0"),
+        ],
+    )
+    def test_rejects_bad_limits(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SolveLimits(**kwargs)
+
+    def test_an_infinite_wall_time_is_no_limit(self):
+        world, agents = swap_instance()
+        res = ccbs_solve(world, agents, SolveLimits(max_wall_time=math.inf, max_expansions=0))
+        assert res.detail == "expansion limit reached; cost lower bound 4.0"
 
     def test_unsolvable_swap_without_bypass_is_cut_off(self):
         # a swap in a 1-wide corridor has no solution, but the conflict tree

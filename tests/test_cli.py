@@ -100,6 +100,15 @@ class TestPlan:
         assert code == EXIT_LIMIT
         assert "limit exceeded: expansion limit reached; cost lower bound 4.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--time-limit", "nan"), ("--time-limit", "-1"),
+                                            ("--expansions-limit", "-3")])
+    def test_bad_limits_are_usage_errors(self, tmp_path, capsys, flag, value):
+        inst = write_json(tmp_path / "swap.json", SWAP_INSTANCE)
+        out = tmp_path / "p.json"
+        code = main(["plan", "--instance", str(inst), "--out", str(out), flag, value])
+        assert code == EXIT_USAGE and not out.exists()
+        assert "bad solver limits" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_good_plans_pass(self, planned, capsys):
@@ -207,6 +216,13 @@ class TestBench:
             ["bench", "--scenarios", str(scenario_dir), "--repetitions", "0", "--out", str(tmp_path / "out")]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [("--time-limit", "nan"), ("--expansions-limit", "-3")])
+    def test_bad_limits_are_usage_errors(self, tmp_path, scenario_dir, capsys, flag, value):
+        out = tmp_path / "out"
+        code = main(["bench", "--scenarios", str(scenario_dir), "--out", str(out), flag, value])
+        assert code == EXIT_USAGE and not out.exists()
+        assert "bad solver limits" in capsys.readouterr().err
 
     def test_batch_over_two_scenarios(self, tmp_path, scenario_dir):
         src = tmp_path / "scenarios"

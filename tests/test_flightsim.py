@@ -16,16 +16,24 @@ from mapflight.flightsim import (
     PoseLog,
     PoseRecord,
     SimConfig,
-    VehicleState,
+    _Fleet,
+    _refine,
     error_metrics,
-    refine_goto,
     run_execution,
     run_executions,
-    vehicle_step,
 )
 from mapflight.plan import TimedPlan, load_plans
 
-REST = VehicleState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+REST = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))  # (position, velocity)
+
+
+def one_tick(state, command, dt, config, now=0.0, anchor=None, activated=None):
+    """(position, velocity) after one tick of a one-row fleet that starts at `state`."""
+    fleet = _Fleet([state[0]], [state[1]], config, dt)
+    if command is not None:
+        fleet.activate(0, command, command.issue_time if activated is None else activated, anchor)
+    fleet.step(now)
+    return tuple(fleet.pos[0].tolist()), tuple(fleet.vel[0].tolist())
 
 
 def straight_plans():
@@ -84,43 +92,42 @@ class TestVehicleStep:
     def test_exact_exponential_velocity_relaxation(self):
         cfg = SimConfig(tau=0.3)
         cmd = VelocitySetpoint((1.0, 0.0, 0.0), issue_time=0.0)
-        nxt = vehicle_step(REST, cmd, dt=0.3, config=cfg)
+        pos, vel = one_tick(REST, cmd, dt=0.3, config=cfg)
         # closed forms for a first-order lag over exactly one time constant
-        assert nxt.velocity[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
-        assert nxt.position[0] == pytest.approx(0.3 * math.exp(-1.0), abs=1e-15)
-        assert nxt.velocity[1] == 0.0 and nxt.position[2] == 0.0
+        assert vel[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+        assert pos[0] == pytest.approx(0.3 * math.exp(-1.0), abs=1e-15)
+        assert vel[1] == 0.0 and pos[2] == 0.0
 
     def test_two_half_steps_equal_one_full_step(self):
         # the update is the exact flow of the ODE, so stepping is a semigroup
         cfg = SimConfig(tau=0.3)
         cmd = VelocitySetpoint((0.7, -0.2, 0.3), issue_time=0.0)
-        once = vehicle_step(REST, cmd, dt=0.2, config=cfg)
-        twice = vehicle_step(vehicle_step(REST, cmd, dt=0.1, config=cfg), cmd, dt=0.1, config=cfg)
-        for a, b in zip(once.position + once.velocity, twice.position + twice.velocity):
+        once = one_tick(REST, cmd, dt=0.2, config=cfg)
+        twice = one_tick(one_tick(REST, cmd, dt=0.1, config=cfg), cmd, dt=0.1, config=cfg)
+        for a, b in zip(once[0] + once[1], twice[0] + twice[1]):
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_no_command_decays_to_hover(self):
         cfg = SimConfig(tau=0.3)
-        state = VehicleState((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        nxt = vehicle_step(state, None, dt=0.3, config=cfg)
-        assert nxt.velocity[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        _, vel = one_tick(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), None, dt=0.3, config=cfg)
+        assert vel[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_commanded_speed_is_clamped(self):
         cfg = SimConfig(tau=0.05, max_speed=1.0)
         cmd = VelocitySetpoint((10.0, 0.0, 0.0), issue_time=0.0)
         state = REST
         for _ in range(100):
-            state = vehicle_step(state, cmd, dt=0.05, config=cfg)
-        assert state.velocity[0] == pytest.approx(1.0, abs=1e-6)
+            state = one_tick(state, cmd, dt=0.05, config=cfg)
+        assert state[1][0] == pytest.approx(1.0, abs=1e-6)
 
     def test_position_setpoint_converges(self):
         cfg = SimConfig(tau=0.05, gain=5.0)
         cmd = PositionSetpoint((1.0, 0.0, 0.0), issue_time=0.0)
         state = REST
         for _ in range(2000):
-            state = vehicle_step(state, cmd, dt=0.005, config=cfg)
-        assert state.position[0] == pytest.approx(1.0, abs=1e-2)
-        assert abs(state.velocity[0]) < 0.05
+            state = one_tick(state, cmd, dt=0.005, config=cfg)
+        assert state[0][0] == pytest.approx(1.0, abs=1e-2)
+        assert abs(state[1][0]) < 0.05
 
 
 class TestKernelMatchesScalarUpdate:
@@ -128,7 +135,7 @@ class TestKernelMatchesScalarUpdate:
     written out per axis with Python floats."""
 
     CFG = SimConfig(tau=0.3, gain=2.0, max_speed=1.0, goto_refine_rate=100.0)
-    STATE = VehicleState((0.31, -0.72, 1.05), (0.12, -0.05, 0.33))
+    STATE = ((0.31, -0.72, 1.05), (0.12, -0.05, 0.33))
     DT = 1.5  # long enough that the velocity keeps the last bit of the commanded one
 
     @staticmethod
@@ -140,7 +147,7 @@ class TestKernelMatchesScalarUpdate:
         return (v[0] * s, v[1] * s, v[2] * s)
 
     def feedback(self, target):
-        p = self.STATE.position
+        p = self.STATE[0]
         g = self.CFG.gain
         return self.clamped((g * (target[0] - p[0]), g * (target[1] - p[1]), g * (target[2] - p[2])),
                             self.CFG.max_speed)
@@ -148,7 +155,7 @@ class TestKernelMatchesScalarUpdate:
     def expected(self, c):
         decay = math.exp(-self.DT / self.CFG.tau)
         ramp = self.CFG.tau * (1.0 - decay)
-        p, v = self.STATE.position, self.STATE.velocity
+        p, v = self.STATE
         return (
             tuple(p[k] + c[k] * self.DT + (v[k] - c[k]) * ramp for k in range(3)),
             tuple(c[k] + (v[k] - c[k]) * decay for k in range(3)),
@@ -159,25 +166,25 @@ class TestKernelMatchesScalarUpdate:
         s = math.floor(max(now - activated, 0.0) * self.CFG.goto_refine_rate) / self.CFG.goto_refine_rate
         frac = min(s, goto.duration) / goto.duration
         refined = tuple(anchor[k] + (goto.target[k] - anchor[k]) * frac for k in range(3))
-        got = vehicle_step(self.STATE, goto, self.DT, self.CFG, now=now, goto_anchor=anchor, goto_activated=activated)
+        got = one_tick(self.STATE, goto, self.DT, self.CFG, now=now, anchor=anchor, activated=activated)
         return got, self.feedback(refined)
 
     def assert_bits(self, got, want):
-        assert [x.hex() for x in got.position + got.velocity] == [x.hex() for x in want[0] + want[1]]
+        assert [x.hex() for x in got[0] + got[1]] == [x.hex() for x in want[0] + want[1]]
 
     def test_velocity_below_clamp(self):
         cmd = VelocitySetpoint((0.3, -0.4, 0.2), issue_time=0.0)
-        self.assert_bits(vehicle_step(self.STATE, cmd, self.DT, self.CFG), self.expected(cmd.velocity))
+        self.assert_bits(one_tick(self.STATE, cmd, self.DT, self.CFG), self.expected(cmd.velocity))
 
     def test_velocity_above_clamp(self):
         cmd = VelocitySetpoint((1.7, -2.3, 0.9), issue_time=0.0)
         want = self.expected(self.clamped(cmd.velocity, 1.0))
         assert want[1] != self.expected(cmd.velocity)[1]
-        self.assert_bits(vehicle_step(self.STATE, cmd, self.DT, self.CFG), want)
+        self.assert_bits(one_tick(self.STATE, cmd, self.DT, self.CFG), want)
 
     def test_position_setpoint(self):
         cmd = PositionSetpoint((0.9, -0.1, 1.2), issue_time=0.0)
-        self.assert_bits(vehicle_step(self.STATE, cmd, self.DT, self.CFG), self.expected(self.feedback(cmd.target)))
+        self.assert_bits(one_tick(self.STATE, cmd, self.DT, self.CFG), self.expected(self.feedback(cmd.target)))
 
     def test_goto_before_its_duration(self):
         goto = HighLevelGoto((0.8, -0.6, 1.4), duration=2.0, issue_time=0.0)
@@ -190,7 +197,14 @@ class TestKernelMatchesScalarUpdate:
         self.assert_bits(got, self.expected(c))
 
     def test_no_command(self):
-        self.assert_bits(vehicle_step(self.STATE, None, self.DT, self.CFG), self.expected((0.0, 0.0, 0.0)))
+        self.assert_bits(one_tick(self.STATE, None, self.DT, self.CFG), self.expected((0.0, 0.0, 0.0)))
+
+
+def refine_row(command, anchor, activated, now, rate):
+    """One row of the fleet's goto refinement."""
+    row = _refine(np.array([anchor]), np.array([command.target]), np.array([command.duration]),
+                  np.array([now - activated]), rate)
+    return tuple(row[0].tolist())
 
 
 class TestRefineGoto:
@@ -199,18 +213,18 @@ class TestRefineGoto:
     def test_staircase_interpolation(self):
         anchor = (0.0, 0.0, 0.0)
         # below one refine step: still at the anchor
-        assert refine_goto(self.GOTO, anchor, 0.0, now=0.004, rate=100.0) == (0.0, 0.0, 0.0)
+        assert refine_row(self.GOTO, anchor, 0.0, now=0.004, rate=100.0) == (0.0, 0.0, 0.0)
         # exactly at a step boundary
-        assert refine_goto(self.GOTO, anchor, 0.0, now=0.01, rate=100.0)[0] == pytest.approx(0.01)
+        assert refine_row(self.GOTO, anchor, 0.0, now=0.01, rate=100.0)[0] == pytest.approx(0.01)
         # mid-flight, rounded down to the last 10 ms step
-        assert refine_goto(self.GOTO, anchor, 0.0, now=0.5003, rate=100.0)[0] == pytest.approx(0.5)
+        assert refine_row(self.GOTO, anchor, 0.0, now=0.5003, rate=100.0)[0] == pytest.approx(0.5)
 
     def test_clamps_at_the_target(self):
-        got = refine_goto(self.GOTO, (0.0, 0.0, 0.0), 0.0, now=2.5, rate=100.0)
+        got = refine_row(self.GOTO, (0.0, 0.0, 0.0), 0.0, now=2.5, rate=100.0)
         assert got == (1.0, 0.0, 0.0)
 
     def test_anchor_offset(self):
-        got = refine_goto(self.GOTO, (0.5, 0.5, 0.0), 1.0, now=1.5, rate=100.0)
+        got = refine_row(self.GOTO, (0.5, 0.5, 0.0), 1.0, now=1.5, rate=100.0)
         assert got[0] == pytest.approx(0.75) and got[1] == pytest.approx(0.25)
 
 

@@ -15,8 +15,6 @@ from mapflight.geometry3d import (
     move_clear_delay,
     parked_suffix,
     plan_motions,
-    xy_unsafe_interval,
-    z_unsafe_interval,
 )
 from mapflight.plan import TimedPlan
 
@@ -79,8 +77,10 @@ class TestCylinderBody:
 
 
 # ---------------------------------------------------------------------------
-# planar window
+# planar window: bodies tall enough that the vertical condition always holds
 # ---------------------------------------------------------------------------
+
+TALL = CylinderBody(0.5, 10.0)  # r_sum 1.0 between two of them
 
 
 class TestXYUnsafeInterval:
@@ -88,7 +88,7 @@ class TestXYUnsafeInterval:
         # closing speed 2 m/s, below 1 m apart exactly for t in (1.5, 2.5)
         a = LinearMotion((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), 0.0, 4.0)
         b = LinearMotion((4.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 4.0)
-        hit = xy_unsafe_interval(a, b, 1.0)
+        hit = cylinder_unsafe_interval(a, b, TALL, TALL)
         assert hit is not None
         assert hit.lo == pytest.approx(1.5, abs=1e-12)
         assert hit.hi == pytest.approx(2.5, abs=1e-12)
@@ -96,33 +96,30 @@ class TestXYUnsafeInterval:
     def test_parallel_far_apart(self):
         a = LinearMotion((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), 0.0, 4.0)
         b = LinearMotion((0.0, 10.0, 0.0), (4.0, 10.0, 0.0), 0.0, 4.0)
-        assert xy_unsafe_interval(a, b, 1.0) is None
+        assert cylinder_unsafe_interval(a, b, TALL, TALL) is None
 
     def test_two_overlapping_waits(self):
         a = LinearMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 1.0)
         b = LinearMotion((0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 0.0, 1.0)
-        assert xy_unsafe_interval(a, b, 1.0) == Interval(0.0, 1.0)
+        assert cylinder_unsafe_interval(a, b, TALL, TALL) == Interval(0.0, 1.0)
 
     def test_exact_touch_is_safe(self):
         # parallel lanes exactly r_sum apart: grazing, strict inequality says safe
         a = LinearMotion((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), 0.0, 4.0)
         b = LinearMotion((4.0, 1.0, 0.0), (0.0, 1.0, 0.0), 0.0, 4.0)
-        assert xy_unsafe_interval(a, b, 1.0) is None
+        assert cylinder_unsafe_interval(a, b, TALL, TALL) is None
 
     def test_disjoint_time_windows(self):
         a = LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 1.0)
         b = LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0, 2.0)
-        assert xy_unsafe_interval(a, b, 1.0) is None
-
-    def test_rejects_nonpositive_radius(self):
-        a = LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            xy_unsafe_interval(a, a, 0.0)
+        assert cylinder_unsafe_interval(a, b, TALL, TALL) is None
 
 
 # ---------------------------------------------------------------------------
-# vertical window
+# vertical window: bodies wide enough that the planar condition always holds
 # ---------------------------------------------------------------------------
+
+WIDE = CylinderBody(50.0, 0.6)  # half-height sum 0.6 between two of them
 
 
 class TestZUnsafeInterval:
@@ -130,7 +127,7 @@ class TestZUnsafeInterval:
         # a climbs 0 -> 2 m over 2 s; b hovers at 2 m; half-height sum 0.6
         a = LinearMotion((0.0, 0.0, 0.0), (0.0, 0.0, 2.0), 0.0, 2.0)
         b = LinearMotion((5.0, 5.0, 2.0), (5.0, 5.0, 2.0), 0.0, 2.0)
-        hit = z_unsafe_interval(a, b, 0.6)
+        hit = cylinder_unsafe_interval(a, b, WIDE, WIDE)
         assert hit is not None
         assert hit.lo == pytest.approx(1.4, abs=1e-12)
         assert hit.hi == pytest.approx(2.0, abs=1e-12)
@@ -138,12 +135,12 @@ class TestZUnsafeInterval:
     def test_same_level_hover(self):
         a = LinearMotion((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0.0, 5.0)
         b = LinearMotion((1.0, 0.0, 1.0), (1.0, 0.0, 1.0), 0.0, 5.0)
-        assert z_unsafe_interval(a, b, 0.6) == Interval(0.0, 5.0)
+        assert cylinder_unsafe_interval(a, b, WIDE, WIDE) == Interval(0.0, 5.0)
 
     def test_far_apart_levels(self):
         a = LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 2.0)
         b = LinearMotion((0.0, 0.0, 5.0), (1.0, 0.0, 5.0), 0.0, 2.0)
-        assert z_unsafe_interval(a, b, 0.6) is None
+        assert cylinder_unsafe_interval(a, b, WIDE, WIDE) is None
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +189,42 @@ class TestCylinderUnsafeInterval:
 # ---------------------------------------------------------------------------
 
 
+SQRT2 = math.sqrt(2.0)
+# departure times as the solver produces them: sums of face (1 s) and planar
+# diagonal (sqrt 2 s) moves at 0.5 m/s on 0.5 m cells, and a bisected delay
+LATTICE_TIMES = (0.0, 1.0, SQRT2, 2.0, 1.0 + SQRT2, 2.4142135627984613, 3.0, 2.0 * SQRT2, 2.0 + SQRT2)
+LATTICE_STEPS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                 (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)]
+
+
+def random_pair(rng: random.Random) -> tuple[LinearMotion, LinearMotion]:
+    def motion():
+        return LinearMotion(
+            (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1)),
+            (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1)),
+            rng.uniform(0, 1),
+            rng.uniform(1.5, 3),
+        )
+
+    return motion(), motion()
+
+
+def lattice_pair(rng: random.Random) -> tuple[LinearMotion, LinearMotion]:
+    """Grid-neighbour moves and waits between 0.5 m cell centres: the grazing-rich case."""
+
+    def motion():
+        cell = (rng.randrange(3), rng.randrange(3), rng.randrange(2))
+        p0 = tuple((c + 0.5) * 0.5 for c in cell)
+        t0 = rng.choice(LATTICE_TIMES)
+        if rng.random() < 0.3:
+            return LinearMotion(p0, p0, t0, t0 + rng.choice((1.0, SQRT2, 2.0)))
+        step = rng.choice(LATTICE_STEPS)
+        p1 = tuple((c + d + 0.5) * 0.5 for c, d in zip(cell, step))
+        return LinearMotion(p0, p1, t0, t0 + math.dist(p0, p1) / 0.5)
+
+    return motion(), motion()
+
+
 class TestMoveClearDelay:
     def test_head_on_lattice_move_snaps_exactly(self):
         # two grid moves toward each other; the minimal clearing delay is exactly
@@ -199,32 +232,27 @@ class TestMoveClearDelay:
         # delayed departures do not leave nanosecond grazing overlaps behind
         action = LinearMotion((0.25, 0.25, 0.25), (0.75, 0.25, 0.25), 0.0, 1.0)
         other = LinearMotion((1.25, 0.25, 0.25), (0.75, 0.25, 0.25), 0.0, 1.0)
-        delay = move_clear_delay(action, other, 0.5, 1.0)
+        body = CylinderBody(0.25, 1.0)
+        delay = move_clear_delay(action, other, body, body)
         assert delay == 1.0
 
     def test_shifting_by_returned_delay_clears(self):
+        # continuous motions, then lattice ones, where the snap candidates decide;
+        # on the lattice both a layer-overlapping and a layer-touching height
+        cases = [(random_pair, CylinderBody(0.5, 1.0), 200, 40),
+                 (lattice_pair, CylinderBody(0.25, 1.0), 5000, 500),
+                 (lattice_pair, CylinderBody(0.25, 0.5), 5000, 300)]
         rng = random.Random(4)
-        body = CylinderBody(0.5, 1.0)
-        checked = 0
-        for _ in range(200):
-            a = LinearMotion(
-                (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1)),
-                (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1)),
-                rng.uniform(0, 1),
-                rng.uniform(1.5, 3),
-            )
-            b = LinearMotion(
-                (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1)),
-                (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1)),
-                rng.uniform(0, 1),
-                rng.uniform(1.5, 3),
-            )
-            if cylinder_unsafe_interval(a, b, body, body) is None:
-                continue
-            checked += 1
-            delay = move_clear_delay(a, b, 1.0, 1.0)
-            assert cylinder_unsafe_interval(a.shifted(delay), b, body, body) is None
-        assert checked >= 40  # the generator must actually produce conflicts
+        for make_pair, body, draws, least in cases:
+            checked = 0
+            for _ in range(draws):
+                a, b = make_pair(rng)
+                if cylinder_unsafe_interval(a, b, body, body) is None:
+                    continue
+                checked += 1
+                delay = move_clear_delay(a, b, body, body)
+                assert cylinder_unsafe_interval(a.shifted(delay), b, body, body) is None, (a, b, body, delay)
+            assert checked >= least  # the generator must actually produce conflicts
 
 
 # ---------------------------------------------------------------------------
