@@ -99,9 +99,8 @@ class SolveResult:
     detail: str = ""
 
 
-# (agent_i, agent_j) with agent_i < agent_j -> (tie-break key, earliest conflict),
-# for the conflicting pairs only; the key orders conflicts as first_conflict does
-ConflictTable = dict[tuple[int, int], tuple[tuple, Conflict]]
+# (agent_i, agent_j) with agent_i < agent_j -> earliest conflict, for the conflicting pairs only
+ConflictTable = dict[tuple[int, int], Conflict]
 
 
 @dataclass(frozen=True)
@@ -113,28 +112,15 @@ class CTNode:
     n_constraints: int
 
 
-def _pair_entry(
-    plan_i: TimedPlan,
-    plan_j: TimedPlan,
-    bodies: Mapping[int, CylinderBody],
-) -> Optional[tuple[tuple, Conflict]]:
-    """Conflict-table entry of one pair (plan_i.agent < plan_j.agent), or None if the pair is safe."""
-    found = _pair_earliest(plan_i, plan_j, bodies[plan_i.agent], bodies[plan_j.agent])
-    if found is None:
-        return None
-    lo, t0_i, t0_j, si, sj, hit = found
-    return (lo, plan_i.agent, plan_j.agent, t0_i, t0_j), Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
-
-
 def conflict_table(plans: Mapping[int, TimedPlan], bodies: Mapping[int, CylinderBody]) -> ConflictTable:
     """Every conflicting pair of a joint plan, by one full pair scan."""
     ids = sorted(plans)
     table: ConflictTable = {}
     for x, i in enumerate(ids):
         for j in ids[x + 1:]:
-            entry = _pair_entry(plans[i], plans[j], bodies)
-            if entry is not None:
-                table[(i, j)] = entry
+            found = _pair_earliest(plans[i], plans[j], bodies[i], bodies[j])
+            if found is not None:
+                table[(i, j)] = found
     return table
 
 
@@ -145,26 +131,29 @@ def replanned_table(
     bodies: Mapping[int, CylinderBody],
 ) -> ConflictTable:
     """`table` after `agent` switched to plans[agent]: only its n - 1 pairs are re-tested."""
-    out = {pair: entry for pair, entry in table.items() if agent not in pair}
+    out = {pair: found for pair, found in table.items() if agent not in pair}
     for other in plans:
         if other == agent:
             continue
-        pair = (agent, other) if agent < other else (other, agent)
-        entry = _pair_entry(plans[pair[0]], plans[pair[1]], bodies)
-        if entry is not None:
-            out[pair] = entry
+        i, j = (agent, other) if agent < other else (other, agent)
+        found = _pair_earliest(plans[i], plans[j], bodies[i], bodies[j])
+        if found is not None:
+            out[(i, j)] = found
     return out
 
 
 def earliest_conflict(table: ConflictTable) -> Optional[Conflict]:
-    """The table's conflict with the smallest key, or None for a conflict-free node."""
+    """The table's conflict that starts first, or None for a conflict-free node.
+
+    Tie-break on equal start: (agent_i, agent_j, action_i.t0, action_j.t0).
+    """
     if not table:
         return None
-    return min(table.values(), key=lambda entry: entry[0])[1]
+    return min(table.values(), key=lambda c: (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0))
 
 
 def _is_parked(action: LinearMotion, plan: TimedPlan) -> bool:
-    return action.is_wait and action.t0 >= plan.end_time - 1e-12
+    return action.is_wait and action.t0 >= plan.end_time
 
 
 def _side_constraint(
@@ -172,7 +161,6 @@ def _side_constraint(
     action: LinearMotion,
     other: LinearMotion,
     other_parked: bool,
-    unsafe: Interval,
     body_a: CylinderBody,
     body_b: CylinderBody,
     world: GridWorld,
@@ -186,10 +174,7 @@ def _side_constraint(
             hi = math.inf if other_parked else other.t1
             return Constraint(agent, wait_action, Interval(other.t0, hi))
         probe = LinearMotion(v, v, other.t0, other.t1)
-        window = cylinder_unsafe_interval(probe, other, body_a, body_b)
-        # A grazing contact can show a window only when timed from the wait's own
-        # start; the detected window is then the one to forbid.
-        return Constraint(agent, wait_action, unsafe if window is None else window)
+        return Constraint(agent, wait_action, cylinder_unsafe_interval(probe, other, body_a, body_b))
 
     t0 = action.t0
     move = MoveAction(world.cell_at(action.p0), world.cell_at(action.p1), action.duration)
@@ -211,9 +196,9 @@ def branch(
     body_j = bodies[conflict.agent_j]
     parked_i = _is_parked(conflict.action_i, plans[conflict.agent_i])
     parked_j = _is_parked(conflict.action_j, plans[conflict.agent_j])
-    a_i, a_j, unsafe = conflict.action_i, conflict.action_j, conflict.unsafe
-    c_i = _side_constraint(conflict.agent_i, a_i, a_j, parked_j, unsafe, body_i, body_j, world)
-    c_j = _side_constraint(conflict.agent_j, a_j, a_i, parked_i, unsafe, body_j, body_i, world)
+    a_i, a_j = conflict.action_i, conflict.action_j
+    c_i = _side_constraint(conflict.agent_i, a_i, a_j, parked_j, body_i, body_j, world)
+    c_j = _side_constraint(conflict.agent_j, a_j, a_i, parked_i, body_j, body_i, world)
     return c_i, c_j
 
 

@@ -302,13 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    limits = SolveLimits()
 
     p_plan = sub.add_parser("plan", help="solve an instance and write timed plans")
     p_plan.add_argument("--instance", required=True, help="instance JSON file")
     p_plan.add_argument("--out", required=True, help="output plan JSON file")
-    p_plan.add_argument("--time-limit", type=float, default=60.0, help="solver wall-time limit, s")
+    p_plan.add_argument("--time-limit", type=float, default=limits.max_wall_time, help="solver wall-time limit, s")
     p_plan.add_argument(
-        "--expansions-limit", type=int, default=200_000, help="conflict-tree expansion limit"
+        "--expansions-limit", type=int, default=limits.max_expansions, help="conflict-tree expansion limit"
     )
     p_plan.set_defaults(func=cmd_plan)
 
@@ -331,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repetitions", type=int, default=13, help="seeded runs per (scenario, method)")
     p_bench.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
     p_bench.add_argument("--config", default=None, help="simulation config JSON file")
-    p_bench.add_argument("--time-limit", type=float, default=60.0, help="solver wall-time limit, s")
+    p_bench.add_argument("--time-limit", type=float, default=limits.max_wall_time, help="solver wall-time limit, s")
     p_bench.add_argument(
-        "--expansions-limit", type=int, default=200_000, help="conflict-tree expansion limit"
+        "--expansions-limit", type=int, default=limits.max_expansions, help="conflict-tree expansion limit"
     )
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.set_defaults(func=cmd_bench)

@@ -13,7 +13,9 @@ byte-identical for a fixed (plans, method, seed, config).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -514,6 +516,12 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
+def _mean(values: list[float]) -> float:
+    # From Python 3.12 on, sum() of floats is compensated; a plain left-to-right
+    # sum keeps errors.json byte-identical on every supported Python.
+    return functools.reduce(operator.add, values, 0.0) / len(values)
+
+
 def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
     """Per-record Euclidean error between the basis position and the planned one."""
     if basis in ("actual", BASIS_ACTUAL):
@@ -532,9 +540,9 @@ def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
         per_agent_errors.setdefault(r.agent, []).append(err)
         series.append((r.t, r.agent, err))
     per_agent = {
-        agent: AgentError(max(errors), sum(errors) / len(errors))
+        agent: AgentError(max(errors), _mean(errors))
         for agent, errors in sorted(per_agent_errors.items())
     }
     all_errors = [err for _, _, err in series]
-    aggregate = AgentError(max(all_errors), sum(all_errors) / len(all_errors))
+    aggregate = AgentError(max(all_errors), _mean(all_errors))
     return ErrorReport(basis, log.method, log.seed, per_agent, aggregate, tuple(series))

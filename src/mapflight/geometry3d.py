@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from .plan import TimedPlan
@@ -55,14 +55,6 @@ class Interval:
 
     def shifted(self, dt: float) -> "Interval":
         return Interval(self.lo + dt, self.hi + dt)
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        """Intersection with a nonempty interior, or None (point contact is empty)."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if hi <= lo:
-            return None
-        return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -219,19 +211,25 @@ def cylinder_unsafe_interval(
     if window is None:
         return None
     w0, w1 = window
-    pa, pb = a.position_at(w0), b.position_at(w0)
+    # A wait-move pair is timed from the move's own start, where the mover sits
+    # exactly at p0, so a graze is classified the same wherever the wait is cut.
+    if a.is_wait != b.is_wait:
+        ref = b.t0 if a.is_wait else a.t0
+    else:
+        ref = w0
+    pa, pb = a.position_at(ref), b.position_at(ref)
     va, vb = a.velocity(), b.velocity()
     hit = _contact(
         (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]),
         (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]),
-        w1 - w0,
+        w1 - ref,
         body_a.radius + body_b.radius,
         0.5 * (body_a.height + body_b.height),
     )
     if hit is None:
         return None
-    lo, hi = w0 + hit[0], w0 + hit[1]
-    # a sub-ulp window collapses once it is placed at w0
+    lo, hi = max(w0, ref + hit[0]), ref + hit[1]
+    # a sub-ulp window collapses once it is placed at ref
     return Interval(lo, hi) if lo < hi else None
 
 
@@ -251,12 +249,19 @@ def move_clear_delay(
     dv = (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2])
     r_sum = body_a.radius + body_b.radius
     h_sum_half = 0.5 * (body_a.height + body_b.height)
+    other_waits = other.is_wait
+    dp0 = (p0a[0] - p0b[0], p0a[1] - p0b[1], p0a[2] - p0b[2])
 
     def collides(delta: float) -> bool:
         w0 = max(t0a + delta, t0b)
         w1 = min(t1a + delta, t1b)
         if w1 <= w0:
             return False
+        if other_waits:
+            # timed from the move's own start, as cylinder_unsafe_interval does
+            ref = t0a + delta
+            hit = _contact(dp0, dv, w1 - ref, r_sum, h_sum_half)
+            return hit is not None and max(w0, ref + hit[0]) < ref + hit[1]
         sa = w0 - delta - t0a
         sb = w0 - t0b
         dp = (
@@ -267,7 +272,7 @@ def move_clear_delay(
         return _contact(dp, dv, w1 - w0, r_sum, h_sum_half) is not None
 
     lo = 0.0
-    hi = max(0.0, t1b - t0a) + 1e-9  # past the other's window: disjoint in time
+    hi = max(0.0, t1b - t0a) + _CLEAR_TOL  # past the other's window: disjoint in time
     while hi - lo > _CLEAR_TOL:
         mid = 0.5 * (lo + hi)
         if collides(mid):
@@ -318,11 +323,12 @@ def _pair_earliest(
     plan_j: "TimedPlan",
     body_i: CylinderBody,
     body_j: CylinderBody,
-) -> Optional[tuple]:
-    """Earliest conflict between two plans as (lo, t0_i, t0_j, motion_i, motion_j, hit).
+) -> Optional[Conflict]:
+    """Earliest conflict between two plans, with goal-parking applied, or None.
 
-    Cached: the conflict tree re-checks mostly unchanged plan pairs. Pure in
-    its arguments, so sharing across solver nodes is sound.
+    Ties on the window start go to the earlier action of plan_i, then of
+    plan_j. Cached: the conflict tree re-checks mostly unchanged plan pairs.
+    Pure in its arguments, so sharing across solver nodes is sound.
     """
     horizon = max(plan_i.waypoints[-1][3], plan_j.waypoints[-1][3]) + _PARK_PAD
     segs_i: tuple = _plan_motions_cached(plan_i)
@@ -334,46 +340,18 @@ def _pair_earliest(
     if park_j is not None:
         segs_j = segs_j + (park_j,)
 
-    best: Optional[tuple] = None
+    best: Optional[Conflict] = None
     for si in segs_i:
-        if best is not None and si.t0 > best[0]:
+        if best is not None and si.t0 > best.unsafe.lo:
             break
         for sj in segs_j:
-            if best is not None and sj.t0 > best[0]:
+            if best is not None and sj.t0 > best.unsafe.lo:
                 break
             if si.t1 <= sj.t0 or sj.t1 <= si.t0:
                 continue
             hit = cylinder_unsafe_interval(si, sj, body_i, body_j)
             if hit is None:
                 continue
-            cand = (hit.lo, si.t0, sj.t0, si, sj, hit)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-    return best
-
-
-def first_conflict(
-    plans: Iterable["TimedPlan"],
-    bodies: Mapping[int, CylinderBody],
-) -> Optional[Conflict]:
-    """Earliest cylinder conflict over all agent pairs, with goal-parking applied.
-
-    Tie-break on equal start: (agent_i, agent_j, action_i.t0, action_j.t0).
-    """
-    ordered = sorted(plans, key=lambda p: p.agent)
-    if len(ordered) < 2:
-        return None
-    best_key: Optional[tuple] = None
-    best: Optional[Conflict] = None
-    for idx_i in range(len(ordered)):
-        for idx_j in range(idx_i + 1, len(ordered)):
-            pi, pj = ordered[idx_i], ordered[idx_j]
-            found = _pair_earliest(pi, pj, bodies[pi.agent], bodies[pj.agent])
-            if found is None:
-                continue
-            lo, t0_i, t0_j, si, sj, hit = found
-            key = (lo, pi.agent, pj.agent, t0_i, t0_j)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = Conflict(pi.agent, si, pj.agent, sj, hit)
+            if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
+                best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best

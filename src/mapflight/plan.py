@@ -263,7 +263,7 @@ def validate(
             horizon = max(pa.end_time, pb.end_time) + geometry3d._PARK_PAD
 
             found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
-            analytic_hit = None if found is None else found[-1]
+            analytic_hit = None if found is None else found.unsafe
 
             ts = np.arange(0.0, horizon + 0.5 * sampling_dt, sampling_dt)
             axa = _sample_axes(pa, ts)

@@ -19,13 +19,14 @@ from mapflight.ccbs import (
 from mapflight.geometry3d import (
     Conflict,
     CylinderBody,
+    Interval,
     LinearMotion,
-    _pair_earliest,
     cylinder_unsafe_interval,
-    first_conflict,
 )
 from mapflight.plan import TimedPlan, validate
 from mapflight.world import AgentSpec, GridWorld, load_instance, neighbors
+
+from test_geometry3d import LATTICE_TIMES
 
 BODY = CylinderBody(0.25, 1.0)
 
@@ -291,37 +292,95 @@ def test_incremental_conflict_table_matches_full_scans():
         plans = {a: _random_plan(rng, world, a) for a in range(n)}
         table = conflict_table(plans, bodies)
         for _ in range(15):
-            assert earliest_conflict(table) == first_conflict(plans.values(), bodies)
-            pairs = sum(
-                _pair_earliest(plans[i], plans[j], BODY, BODY) is not None
-                for i in range(n) for j in range(i + 1, n)
-            )
-            assert len(table) == pairs
+            assert table == conflict_table(plans, bodies)
             agent = rng.randrange(n)
             plans[agent] = _random_plan(rng, world, agent)
             table = replanned_table(table, plans, agent, bodies)
 
 
+GRAZE_WAIT = LinearMotion((5.25, 3.75, 0.75), (5.25, 3.75, 0.75), 2.4142135627984613, 3.0)
+GRAZE_MOVE = LinearMotion((5.25, 4.75, 0.25), (5.25, 4.25, 0.25), 2.0, 3.0)
+
+
+@pytest.mark.parametrize("wait_start", [2.4142135627984613, 2.0, 2.5])
+def test_grazing_contact_is_no_conflict_wherever_the_wait_starts(wait_start):
+    # the move ends touching the waiting body at t = 3; timed from the wait's
+    # start this once showed a 1-ulp window [2.999999999999999, 3.0]
+    wait = LinearMotion(GRAZE_WAIT.p0, GRAZE_WAIT.p1, wait_start, GRAZE_WAIT.t1)
+    assert cylinder_unsafe_interval(wait, GRAZE_MOVE, BODY, BODY) is None
+    assert cylinder_unsafe_interval(GRAZE_MOVE, wait, BODY, BODY) is None
+
+
 def test_grazing_contact_branches_on_the_detected_window():
-    # timed from the wait's own start the contact at t = 3 shows a 1-ulp window;
-    # re-probed over the move's span it is a graze with no window at all
-    wait = LinearMotion((5.25, 3.75, 0.75), (5.25, 3.75, 0.75), 2.4142135627984613, 3.0)
-    move = LinearMotion((5.25, 4.75, 0.25), (5.25, 4.25, 0.25), 2.0, 3.0)
-    unsafe = cylinder_unsafe_interval(wait, move, BODY, BODY)
-    assert unsafe is not None
+    # the same pair with the move ending 1 cm deeper: a real conflict, which the
+    # wait side must forbid in full
+    move = LinearMotion(GRAZE_MOVE.p0, (5.25, 4.24, 0.25), 2.0, 3.0)
+    unsafe = cylinder_unsafe_interval(GRAZE_WAIT, move, BODY, BODY)
+    assert unsafe is not None and unsafe.hi == 3.0
     plans = {
         0: TimedPlan(0, ((4.75, 3.25, 0.75, 0.0), (4.75, 3.25, 0.75, 1.0),
                          (5.25, 3.75, 0.75, 2.4142135627984613), (5.25, 3.75, 0.75, 3.0),
                          (5.75, 3.75, 0.75, 4.0))),
-        1: TimedPlan(1, ((5.25, 4.75, 0.25, 0.0), (5.25, 4.75, 0.25, 2.0), (5.25, 4.25, 0.25, 3.0))),
+        1: TimedPlan(1, ((5.25, 4.75, 0.25, 0.0), (5.25, 4.75, 0.25, 2.0), (5.25, 4.24, 0.25, 3.0))),
     }
     world = GridWorld((12, 12, 2), 0.5)
-    c_wait, c_move = branch(Conflict(0, wait, 1, move, unsafe), world, plans, {0: BODY, 1: BODY})
+    c_wait, c_move = branch(Conflict(0, GRAZE_WAIT, 1, move, unsafe), world, plans, {0: BODY, 1: BODY})
     assert c_wait.agent == 0 and c_wait.is_wait
-    assert c_wait.action.src == world.cell_at(wait.p0)
-    assert c_wait.interval == unsafe
+    assert c_wait.action.src == world.cell_at(GRAZE_WAIT.p0)
+    assert c_wait.interval.lo <= unsafe.lo and c_wait.interval.hi == unsafe.hi
     assert c_move.agent == 1 and not c_move.is_wait
     assert c_move.interval.lo == 2.0 and c_move.interval.hi > 2.0
+
+
+STEPS_26 = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
+
+
+def test_fuzz_wait_move_grazes_are_classified_once():
+    """Detection and branching agree on wait-move contacts at lattice times.
+
+    A wait that starts later may lose a conflict only when the whole window
+    ended before its new start, and then keeps the rest of it exactly. The
+    wait side of every branch forbids at least the detected window.
+    """
+    rng = random.Random(7)
+    world = GridWorld((5, 5, 4), 0.5)
+
+    def centre(cell):
+        return tuple((c + 0.5) * 0.5 for c in cell)
+
+    reclassified, uncovered, detected = [], [], 0
+    for _ in range(8000):
+        body = CylinderBody(0.25, rng.choice((1.0, 0.5)))
+        cell = (rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(1, 3))
+        t0, t1 = sorted(rng.sample(LATTICE_TIMES, 2))
+        wait = LinearMotion(centre(cell), centre(cell), t0, t1 + rng.choice((0.0, 1.0)))
+        src = tuple(c + rng.randrange(-1, 2) for c in cell)
+        dst = tuple(c + d for c, d in zip(src, rng.choice(STEPS_26)))
+        m0, m1, ms = centre(src), centre(dst), rng.choice(LATTICE_TIMES)
+        move = LinearMotion(m0, m1, ms, ms + math.dist(m0, m1) / 0.5)
+        full = cylinder_unsafe_interval(wait, move, body, body)
+        for start in LATTICE_TIMES:
+            if not t0 < start < wait.t1:
+                continue
+            late = cylinder_unsafe_interval(LinearMotion(wait.p0, wait.p1, start, wait.t1), move, body, body)
+            if full is not None and full.hi <= start:
+                ok = late is None
+            else:
+                ok = late == (None if full is None else Interval(max(full.lo, start), full.hi))
+            if not ok:
+                reclassified.append((wait, start, move, body, full, late))
+        if full is None:
+            continue
+        detected += 1
+        # branch reads a plan only for its end time, to tell a parked wait
+        plans = {0: TimedPlan(0, ((*wait.p0, 0.0), (*wait.p0, wait.t1 + 1.0))),
+                 1: TimedPlan(1, ((*m0, 0.0), (*m1, move.t1 + 1.0)))}
+        c_wait, _ = branch(Conflict(0, wait, 1, move, full), world, plans, {0: body, 1: body})
+        if not (c_wait.interval.lo <= full.lo and full.hi <= c_wait.interval.hi):
+            uncovered.append((wait, move, body, full, c_wait.interval))
+    assert detected >= 1000  # the generator must actually produce conflicts
+    assert not reclassified, (len(reclassified), reclassified[:3])
+    assert not uncovered, (len(uncovered), uncovered[:3])
 
 
 def _fuzz_instance(seed: int, n: int):

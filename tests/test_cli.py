@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from mapflight.ccbs import SolveLimits
 from mapflight.cli import (
     EXIT_BAD_INPUT,
     EXIT_INVALID_PLAN,
@@ -13,6 +14,7 @@ from mapflight.cli import (
     EXIT_OK,
     EXIT_SIM_FAILED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -63,6 +65,12 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--plans", "x.json", "--method", "teleport", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["plan", "--instance", "i.json"], ["bench", "--scenarios", "s"]])
+    def test_limit_defaults_are_the_solver_defaults(self, argv):
+        args = build_parser().parse_args([*argv, "--out", "o"])
+        limits = SolveLimits()
+        assert (args.time_limit, args.expansions_limit) == (limits.max_wall_time, limits.max_expansions)
 
 
 class TestPlan:

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from mapflight.ccbs import conflict_table, earliest_conflict
 from mapflight.geometry3d import (
     Conflict,
     CylinderBody,
     Interval,
     LinearMotion,
     cylinder_unsafe_interval,
-    first_conflict,
     move_clear_delay,
     parked_suffix,
     plan_motions,
@@ -31,10 +31,6 @@ class TestInterval:
         iv = Interval(1.0, 2.0)
         assert iv.contains(1.0) and iv.contains(2.0) and iv.contains(1.5)
         assert not iv.contains(0.999) and not iv.contains(2.001)
-
-    def test_intersect_requires_interior(self):
-        assert Interval(0.0, 1.0).intersect(Interval(1.0, 2.0)) is None
-        assert Interval(0.0, 1.0).intersect(Interval(0.5, 2.0)) == Interval(0.5, 1.0)
 
     def test_unbounded_and_shift(self):
         iv = Interval(1.0, math.inf)
@@ -260,6 +256,11 @@ class TestMoveClearDelay:
 # ---------------------------------------------------------------------------
 
 
+def joint_earliest(plans, bodies):
+    """Earliest conflict of a joint plan, through the solver's conflict table."""
+    return earliest_conflict(conflict_table({p.agent: p for p in plans}, bodies))
+
+
 class TestFirstConflict:
     def test_parked_goal_is_protected(self):
         # agent 0 parks at x = 2.5 from t = 2; agent 1 flies at it and stops
@@ -267,7 +268,7 @@ class TestFirstConflict:
         plan_a = TimedPlan(0, ((0.5, 0.5, 0.5, 0.0), (2.5, 0.5, 0.5, 2.0)))
         plan_b = TimedPlan(1, ((6.5, 0.5, 0.5, 0.0), (3.5, 0.5, 0.5, 3.0)))
         bodies = {0: CylinderBody(0.6, 1.0), 1: CylinderBody(0.6, 1.0)}
-        conflict = first_conflict([plan_a, plan_b], bodies)
+        conflict = joint_earliest([plan_a, plan_b], bodies)
         assert conflict is not None
         assert (conflict.agent_i, conflict.agent_j) == (0, 1)
         # |3.5 + (6.5 - 3.5 - t) - 2.5| < 1.2 from t = 2.8 onward
@@ -277,7 +278,7 @@ class TestFirstConflict:
         plan_a = TimedPlan(0, ((0.5, 0.5, 0.5, 0.0), (2.5, 0.5, 0.5, 2.0)))
         plan_b = TimedPlan(1, ((6.5, 0.5, 0.5, 0.0), (3.5, 0.5, 0.5, 3.0)))
         bodies = {0: CylinderBody(0.5, 1.0), 1: CylinderBody(0.5, 1.0)}  # gap == r_sum
-        assert first_conflict([plan_a, plan_b], bodies) is None
+        assert joint_earliest([plan_a, plan_b], bodies) is None
 
     def test_earliest_conflict_wins(self):
         # agent 1 meets agent 0 at t ~ 1; agent 2 meets agent 0 much later
@@ -285,13 +286,13 @@ class TestFirstConflict:
         plan_b = TimedPlan(1, ((2.0, 0.0, 0.5, 0.0), (2.0, 0.0, 0.5, 0.0 + 1.0),))
         plan_c = TimedPlan(2, ((6.0, 0.0, 0.5, 0.0), (6.0, 0.0, 0.5, 1.0),))
         bodies = {i: CylinderBody(0.5, 1.0) for i in range(3)}
-        conflict = first_conflict([plan_a, plan_b, plan_c], bodies)
+        conflict = joint_earliest([plan_a, plan_b, plan_c], bodies)
         assert conflict is not None
         assert (conflict.agent_i, conflict.agent_j) == (0, 1)
 
     def test_single_plan_has_no_conflict(self):
         plan = TimedPlan(0, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0)))
-        assert first_conflict([plan], {0: CylinderBody(0.5, 1.0)}) is None
+        assert joint_earliest([plan], {0: CylinderBody(0.5, 1.0)}) is None
 
 
 class TestPlanMotions:
