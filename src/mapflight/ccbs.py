@@ -15,9 +15,11 @@ its replans by (parent table, constraint) and runs each distinct one once.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -34,7 +36,7 @@ from .geometry3d import (
 )
 from .plan import TimedPlan
 from .sipp import Constraint, SafeIntervalTable, build_safe_intervals, sipp_plan
-from .world import AgentSpec, GridWorld, MoveAction
+from .world import AgentSpec, GridWorld
 
 SOLVED = "solved"
 NO_SOLUTION = "no-solution"
@@ -152,54 +154,48 @@ def earliest_conflict(table: ConflictTable) -> Optional[Conflict]:
     return min(table.values(), key=lambda c: (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0))
 
 
-def _is_parked(action: LinearMotion, plan: TimedPlan) -> bool:
-    return action.is_wait and action.t0 >= plan.end_time
-
-
 def _side_constraint(
     agent: int,
     action: LinearMotion,
     other: LinearMotion,
-    other_parked: bool,
     body_a: CylinderBody,
     body_b: CylinderBody,
     world: GridWorld,
 ) -> Constraint:
+    src, dst = world.cell_at(action.p0), world.cell_at(action.p1)
     if action.is_wait:
-        v = action.p0
-        cell = world.cell_at(v)
-        wait_action = MoveAction(cell, cell, 1.0)
         if other.is_wait:
             # static vs static: the vertex is unsafe exactly while the other sits there
-            hi = math.inf if other_parked else other.t1
-            return Constraint(agent, wait_action, Interval(other.t0, hi))
-        probe = LinearMotion(v, v, other.t0, other.t1)
-        return Constraint(agent, wait_action, cylinder_unsafe_interval(probe, other, body_a, body_b))
+            return Constraint(agent, src, dst, Interval(other.t0, other.t1))
+        probe = LinearMotion(action.p0, action.p0, other.t0, other.t1)
+        return Constraint(agent, src, dst, cylinder_unsafe_interval(probe, other, body_a, body_b))
 
     t0 = action.t0
-    move = MoveAction(world.cell_at(action.p0), world.cell_at(action.p1), action.duration)
-    if other_parked:
-        # delaying the move only deepens the overlap with a permanent suffix
-        return Constraint(agent, move, Interval(t0, math.inf))
+    if math.isinf(other.t1):
+        # delaying the move only deepens the overlap with an agent parked for good
+        return Constraint(agent, src, dst, Interval(t0, math.inf))
     delay = move_clear_delay(action, other, body_a, body_b)
-    return Constraint(agent, move, Interval(t0, t0 + delay))
+    return Constraint(agent, src, dst, Interval(t0, t0 + delay))
 
 
 def branch(
     conflict: Conflict,
     world: GridWorld,
-    plans: Mapping[int, TimedPlan],
     bodies: Mapping[int, CylinderBody],
 ) -> tuple[Constraint, Constraint]:
     """Two complementary constraints, one per conflicting agent."""
     body_i = bodies[conflict.agent_i]
     body_j = bodies[conflict.agent_j]
-    parked_i = _is_parked(conflict.action_i, plans[conflict.agent_i])
-    parked_j = _is_parked(conflict.action_j, plans[conflict.agent_j])
     a_i, a_j = conflict.action_i, conflict.action_j
-    c_i = _side_constraint(conflict.agent_i, a_i, a_j, parked_j, body_i, body_j, world)
-    c_j = _side_constraint(conflict.agent_j, a_j, a_i, parked_i, body_j, body_i, world)
+    c_i = _side_constraint(conflict.agent_i, a_i, a_j, body_i, body_j, world)
+    c_j = _side_constraint(conflict.agent_j, a_j, a_i, body_j, body_i, world)
     return c_i, c_j
+
+
+def _sum_of_costs(plans: Mapping[int, TimedPlan]) -> float:
+    # From Python 3.12 on, sum() of floats is compensated; a plain left-to-right
+    # sum keeps node costs, and so heap ties, the same on every supported Python.
+    return functools.reduce(operator.add, (p.end_time for p in plans.values()), 0.0)
 
 
 def _static_overlap(pa, pb, body_a: CylinderBody, body_b: CylinderBody) -> bool:
@@ -248,7 +244,7 @@ def ccbs_solve(
         root_tables,
         root_plans,
         conflict_table(root_plans, bodies),
-        sum(p.end_time for p in root_plans.values()),
+        _sum_of_costs(root_plans),
         0,
     )
     stats.generated = 1
@@ -275,7 +271,7 @@ def ccbs_solve(
                 return at_limit("expansion", node.cost)
             stats.expansions += 1
             children, bypass = [], None
-            for c in branch(earliest_conflict(conflicts), world, plans, bodies):
+            for c in branch(earliest_conflict(conflicts), world, bodies):
                 parent = node.tables[c.agent]
                 cached = replans.get((id(parent), c))
                 if cached is None:
@@ -298,7 +294,7 @@ def ccbs_solve(
                     break
                 child_tables = dict(node.tables)
                 child_tables[c.agent] = table
-                cost = sum(p.end_time for p in child_plans.values())
+                cost = _sum_of_costs(child_plans)
                 children.append(CTNode(child_tables, child_plans, child_conflicts, cost, node.n_constraints + 1))
             if bypass is None:
                 break
@@ -306,7 +302,7 @@ def ccbs_solve(
             stats.bypasses += 1
         if not conflicts:
             stats.wall_time = time.perf_counter() - started
-            cost = sum(p.end_time for p in plans.values())
+            cost = _sum_of_costs(plans)
             makespan = max(p.end_time for p in plans.values())
             ordered = tuple(plans[a] for a in sorted(plans))
             return SolveResult(SOLVED, Solution(ordered, cost, makespan, stats), stats)

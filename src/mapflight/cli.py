@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SOLVED, SolveLimits, ccbs_solve
-from .flightsim import METHODS, SimConfig, error_metrics, run_execution, run_executions
+from .flightsim import METHODS, SimConfig, _mean, error_metrics, run_execution, run_executions
 from .plan import PlanFormatError, load_plans, save_plans, validate
 from .world import InstanceError, load_instance
 
@@ -274,8 +274,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "solver_replans_reused": result.stats.replans_reused,
                     "runs": args.repetitions,
                     "success_rate": completed / args.repetitions,
-                    "mean_max_error": sum(max_errors) / len(max_errors),
-                    "mean_avg_error": sum(avg_errors) / len(avg_errors),
+                    "mean_max_error": _mean(max_errors),
+                    "mean_avg_error": _mean(avg_errors),
                 }
             )
             print(

@@ -24,10 +24,6 @@ TANGENCY_EPS = 1e-12
 # Bisection width of move_clear_delay, s.
 _CLEAR_TOL = 1e-9
 
-# How far past the later plan end a pair is scanned; parked agents that
-# statically overlap are guaranteed to show a conflict inside this pad.
-_PARK_PAD = 1.0
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -43,18 +39,11 @@ class Interval:
             raise ValueError(f"interval must satisfy lo <= hi, got [{self.lo!r}, {self.hi!r}]")
 
     @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def unbounded(self) -> bool:
         return math.isinf(self.hi)
 
     def contains(self, t: float) -> bool:
         return self.lo <= t <= self.hi
-
-    def shifted(self, dt: float) -> "Interval":
-        return Interval(self.lo + dt, self.hi + dt)
 
 
 @dataclass(frozen=True)
@@ -83,10 +72,6 @@ class LinearMotion:
     @property
     def is_wait(self) -> bool:
         return self.p0 == self.p1
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
 
     def velocity(self) -> Vec3:
         if self.is_wait or self.t1 == self.t0:
@@ -292,29 +277,18 @@ def move_clear_delay(
     return snapped
 
 
-def plan_motions(plan: "TimedPlan") -> list[LinearMotion]:
-    """Consecutive-waypoint motions of a plan (without the parked suffix)."""
+@lru_cache(maxsize=32768)
+def plan_motions(plan: "TimedPlan") -> tuple[LinearMotion, ...]:
+    """Consecutive-waypoint motions of a plan, ending in a wait at the goal
+    that never ends: the agent parks there for good."""
     wps = plan.waypoints
-    return [
+    goal = (wps[-1][0], wps[-1][1], wps[-1][2])
+    return tuple(
         LinearMotion((wps[k][0], wps[k][1], wps[k][2]),
                      (wps[k + 1][0], wps[k + 1][1], wps[k + 1][2]),
                      wps[k][3], wps[k + 1][3])
         for k in range(len(wps) - 1)
-    ]
-
-
-def parked_suffix(plan: "TimedPlan", until: float) -> Optional[LinearMotion]:
-    """Goal-parked wait covering [plan end, until], or None if until is not past the end."""
-    last = plan.waypoints[-1]
-    if until <= last[3]:
-        return None
-    pos = (last[0], last[1], last[2])
-    return LinearMotion(pos, pos, last[3], until)
-
-
-@lru_cache(maxsize=32768)
-def _plan_motions_cached(plan: "TimedPlan") -> tuple[LinearMotion, ...]:
-    return tuple(plan_motions(plan))
+    ) + (LinearMotion(goal, goal, wps[-1][3], math.inf),)
 
 
 @lru_cache(maxsize=65536)
@@ -324,21 +298,14 @@ def _pair_earliest(
     body_i: CylinderBody,
     body_j: CylinderBody,
 ) -> Optional[Conflict]:
-    """Earliest conflict between two plans, with goal-parking applied, or None.
+    """Earliest conflict between two plans, goal parking included, or None.
 
     Ties on the window start go to the earlier action of plan_i, then of
     plan_j. Cached: the conflict tree re-checks mostly unchanged plan pairs.
     Pure in its arguments, so sharing across solver nodes is sound.
     """
-    horizon = max(plan_i.waypoints[-1][3], plan_j.waypoints[-1][3]) + _PARK_PAD
-    segs_i: tuple = _plan_motions_cached(plan_i)
-    park_i = parked_suffix(plan_i, horizon)
-    if park_i is not None:
-        segs_i = segs_i + (park_i,)
-    segs_j: tuple = _plan_motions_cached(plan_j)
-    park_j = parked_suffix(plan_j, horizon)
-    if park_j is not None:
-        segs_j = segs_j + (park_j,)
+    segs_i = plan_motions(plan_i)
+    segs_j = plan_motions(plan_j)
 
     best: Optional[Conflict] = None
     for si in segs_i:

@@ -23,6 +23,9 @@ Waypoint = tuple[float, float, float, float]
 _SPEED_RTOL = 1e-9
 _ENDPOINT_ATOL = 1e-9
 _SAMPLING_GUARD = 1e-9
+# How far past the later plan end the sampled sweep runs; parked agents that
+# statically overlap are guaranteed to show inside this pad.
+_PARK_PAD = 1.0
 
 
 class PlanFormatError(ValueError):
@@ -260,7 +263,7 @@ def validate(
             r_sum = body_a.radius + body_b.radius
             h_half = 0.5 * (body_a.height + body_b.height)
             checked_pairs += 1
-            horizon = max(pa.end_time, pb.end_time) + geometry3d._PARK_PAD
+            horizon = max(pa.end_time, pb.end_time) + _PARK_PAD
 
             found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
             analytic_hit = None if found is None else found.unsafe

@@ -19,56 +19,38 @@ from typing import Iterable, Optional
 
 from .geometry3d import Interval
 from .plan import TimedPlan
-from .world import AgentSpec, Cell, GridWorld, MoveAction, move_duration, neighbors
+from .world import AgentSpec, Cell, GridWorld, move_duration, neighbors
 
 _FULL = (Interval(0.0, math.inf),)
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """Prohibition on one agent's action over one time interval."""
+    """Prohibition on one agent's move from src to dst (a wait when src == dst)
+    over one time interval."""
 
     agent: int
-    action: MoveAction
+    src: Cell
+    dst: Cell
     interval: Interval
 
     @property
     def is_wait(self) -> bool:
-        return self.action.is_wait
-
-
-def _complement(merged: tuple[tuple[float, float], ...]) -> tuple[Interval, ...]:
-    """Closed complement of the merged union of open prohibitions over [0, inf).
-
-    Zero-length gaps are kept: an instant between two open prohibitions is
-    legal occupancy.
-    """
-    out: list[Interval] = []
-    cur = 0.0
-    for lo, hi in merged:
-        if lo >= cur:
-            out.append(Interval(cur, lo))
-        cur = max(cur, hi)
-        if math.isinf(cur):
-            break
-    if not math.isinf(cur):
-        out.append(Interval(cur, math.inf))
-    return tuple(out)
+        return self.src == self.dst
 
 
 def _insert_span(
     blocks: tuple[tuple[float, float], ...],
     span: tuple[float, float],
-    touch_merges: bool,
 ) -> tuple[tuple[float, float], ...]:
-    """Insert one span into sorted disjoint blocks, fusing per the merge rule."""
+    """Insert one span into sorted disjoint blocks, fusing those it overlaps or touches."""
     lo, hi = span
     before: list[tuple[float, float]] = []
     after: list[tuple[float, float]] = []
     for b_lo, b_hi in blocks:
-        if b_hi < lo or (not touch_merges and b_hi == lo):
+        if b_hi < lo:
             before.append((b_lo, b_hi))
-        elif b_lo > hi or (not touch_merges and b_lo == hi):
+        elif b_lo > hi:
             after.append((b_lo, b_hi))
         else:
             if b_lo < lo:
@@ -83,14 +65,13 @@ class SafeIntervalTable:
     """Per-vertex safe intervals and per-move departure prohibitions for one
     agent's constraints.
 
-    Merged prohibition blocks are kept per key so `adding` can rebuild just
-    the one entry a new constraint touches; the conflict tree leans on that.
-    `adding` is the only way prohibitions enter a table.
+    Entries are kept per key so `adding` can rebuild just the one entry a new
+    constraint touches; the conflict tree leans on that. `adding` is the only
+    way prohibitions enter a table.
     """
 
     vertex_safe: dict[Cell, tuple[Interval, ...]]
     move_blocks: dict[tuple[Cell, Cell], tuple[tuple[float, float], ...]]
-    vertex_blocks: dict[Cell, tuple[tuple[float, float], ...]]
 
     def vertex_intervals(self, cell: Cell) -> tuple[Interval, ...]:
         return self.vertex_safe.get(cell, _FULL)
@@ -109,27 +90,33 @@ class SafeIntervalTable:
 
         A ban whose interval is empty (hi <= lo) forbids nothing and returns self.
         """
-        span = (constraint.interval.lo, constraint.interval.hi)
-        if span[1] <= span[0]:
+        lo, hi = constraint.interval.lo, constraint.interval.hi
+        if hi <= lo:
             return self
         if constraint.is_wait:
-            cell = constraint.action.src
-            blocks = _insert_span(self.vertex_blocks.get(cell, ()), span, touch_merges=False)
-            vertex_blocks = dict(self.vertex_blocks)
-            vertex_blocks[cell] = blocks
+            # the open ban (lo, hi) leaves the closed ends of what it cuts,
+            # so an instant between two touching bans stays as [lo, lo]
+            kept: list[Interval] = []
+            for iv in self.vertex_intervals(constraint.src):
+                if iv.hi <= lo or iv.lo >= hi:
+                    kept.append(iv)
+                    continue
+                if iv.lo <= lo:
+                    kept.append(Interval(iv.lo, lo))
+                if hi <= iv.hi and not math.isinf(hi):
+                    kept.append(Interval(hi, iv.hi))
             vertex_safe = dict(self.vertex_safe)
-            vertex_safe[cell] = _complement(blocks)
-            return SafeIntervalTable(vertex_safe, self.move_blocks, vertex_blocks)
-        key = (constraint.action.src, constraint.action.dst)
-        blocks = _insert_span(self.move_blocks.get(key, ()), span, touch_merges=True)
+            vertex_safe[constraint.src] = tuple(kept)
+            return SafeIntervalTable(vertex_safe, self.move_blocks)
+        key = (constraint.src, constraint.dst)
         move_blocks = dict(self.move_blocks)
-        move_blocks[key] = blocks
-        return SafeIntervalTable(self.vertex_safe, move_blocks, self.vertex_blocks)
+        move_blocks[key] = _insert_span(self.move_blocks.get(key, ()), (lo, hi))
+        return SafeIntervalTable(self.vertex_safe, move_blocks)
 
 
 def build_safe_intervals(constraints: Iterable[Constraint], agent: int) -> SafeIntervalTable:
     """The empty table with `adding` applied to each of one agent's constraints in turn."""
-    table = SafeIntervalTable({}, {}, {})
+    table = SafeIntervalTable({}, {})
     for c in constraints:
         if c.agent != agent:
             raise ValueError(f"constraint targets agent {c.agent}, expected {agent}")
@@ -248,44 +235,3 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
         if departure is not None and departure > arrival:
             waypoints.append((x, y, z, departure))
     return TimedPlan(agent.id, tuple(waypoints))
-
-
-def plan_satisfies_constraints(plan: TimedPlan, constraints: Iterable[Constraint], world: GridWorld) -> bool:
-    """Replay a plan against a constraint list, independently of the safe-interval tables."""
-    eps = 1e-12
-    wps = plan.waypoints
-    # occupancy spans per vertex: [arrival, departure] closed; the goal parks forever
-    spans: list[tuple[Cell, float, float]] = []
-    moves: list[tuple[Cell, Cell, float]] = []
-    arrival = wps[0][3]
-    for k in range(len(wps) - 1):
-        p0 = (wps[k][0], wps[k][1], wps[k][2])
-        p1 = (wps[k + 1][0], wps[k + 1][1], wps[k + 1][2])
-        c0 = world.cell_at(p0)
-        c1 = world.cell_at(p1)
-        if p0 == p1:
-            continue
-        spans.append((c0, arrival, wps[k][3]))
-        moves.append((c0, c1, wps[k][3]))
-        arrival = wps[k + 1][3]
-    last = (wps[-1][0], wps[-1][1], wps[-1][2])
-    spans.append((world.cell_at(last), arrival, math.inf))
-
-    for c in constraints:
-        if c.agent != plan.agent:
-            continue
-        lo, hi = c.interval.lo, c.interval.hi
-        if c.is_wait:
-            for cell, t_in, t_out in spans:
-                if cell != c.action.src:
-                    continue
-                if t_in == t_out:
-                    if lo + eps < t_in < hi - eps:
-                        return False
-                elif max(t_in, lo) + eps < min(t_out, hi):
-                    return False
-        else:
-            for src, dst, depart in moves:
-                if (src, dst) == (c.action.src, c.action.dst) and lo - eps <= depart < hi - eps:
-                    return False
-    return True

@@ -102,11 +102,6 @@ class GridWorld:
         _, ny, nz = self.dims
         return (cell[0] * ny + cell[1]) * nz + cell[2]
 
-    @property
-    def extent(self) -> Vec3:
-        cs = self.cell_size
-        return (self.dims[0] * cs, self.dims[1] * cs, self.dims[2] * cs)
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -121,23 +116,6 @@ class AgentSpec:
             raise ValueError(f"agent id must be a non-negative integer, got {self.id!r}")
         if not (self.speed > 0 and math.isfinite(self.speed)):
             raise ValueError(f"agent {self.id}: speed must be > 0, got {self.speed!r}")
-
-
-@dataclass(frozen=True)
-class MoveAction:
-    """A move between grid vertices; src == dst encodes a wait."""
-
-    src: Cell
-    dst: Cell
-    duration: float
-
-    def __post_init__(self) -> None:
-        if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise ValueError(f"move duration must be positive and finite, got {self.duration!r}")
-
-    @property
-    def is_wait(self) -> bool:
-        return self.src == self.dst
 
 
 def move_duration(world: GridWorld, a: Cell, b: Cell, speed: float) -> float:

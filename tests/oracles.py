@@ -8,6 +8,8 @@ with the implementation:
   * timed_astar_oracle — single-agent time-expanded A* on a fixed tick grid,
     honoring departure prohibitions (closed-left) and occupancy prohibitions
     (open), with goal arrival requiring a legal park-forever.
+  * plan_satisfies_constraints — replay of a plan against a constraint list,
+    read off the constraints themselves rather than a safe-interval table.
   * joint_astar_oracle — exhaustive joint A* over all agents on a coarser tick
     grid, minimizing sum of individual arrival times, with pairwise swept
     cylinder collision checks each tick.
@@ -182,10 +184,10 @@ def timed_astar_oracle(
         hi = math.inf if math.isinf(c.interval.hi) else tick_of(c.interval.hi)
         if hi is not math.inf:
             horizon_pad += hi - lo
-        if c.action.is_wait:
-            stay_bans.setdefault(c.action.src, []).append((lo, hi))
+        if c.is_wait:
+            stay_bans.setdefault(c.src, []).append((lo, hi))
         else:
-            move_bans.setdefault((c.action.src, c.action.dst), []).append((lo, hi))
+            move_bans.setdefault((c.src, c.dst), []).append((lo, hi))
 
     def move_banned(src: Cell, dst: Cell, k: int) -> bool:
         return any(lo <= k < hi for lo, hi in move_bans.get((src, dst), ()))
@@ -230,6 +232,47 @@ def timed_astar_oracle(
             seen.add((nbr, arrival))
             heapq.heappush(open_heap, (arrival + bfs[nbr] * move_ticks, next(counter), nbr, arrival))
     return None
+
+
+def plan_satisfies_constraints(plan, constraints: Iterable, world) -> bool:
+    """Replay a plan against a constraint list, independently of the safe-interval tables."""
+    eps = 1e-12
+    wps = plan.waypoints
+    # occupancy spans per vertex: [arrival, departure] closed; the goal parks forever
+    spans: list[tuple[Cell, float, float]] = []
+    moves: list[tuple[Cell, Cell, float]] = []
+    arrival = wps[0][3]
+    for k in range(len(wps) - 1):
+        p0 = (wps[k][0], wps[k][1], wps[k][2])
+        p1 = (wps[k + 1][0], wps[k + 1][1], wps[k + 1][2])
+        c0 = world.cell_at(p0)
+        c1 = world.cell_at(p1)
+        if p0 == p1:
+            continue
+        spans.append((c0, arrival, wps[k][3]))
+        moves.append((c0, c1, wps[k][3]))
+        arrival = wps[k + 1][3]
+    last = (wps[-1][0], wps[-1][1], wps[-1][2])
+    spans.append((world.cell_at(last), arrival, math.inf))
+
+    for c in constraints:
+        if c.agent != plan.agent:
+            continue
+        lo, hi = c.interval.lo, c.interval.hi
+        if c.is_wait:
+            for cell, t_in, t_out in spans:
+                if cell != c.src:
+                    continue
+                if t_in == t_out:
+                    if lo + eps < t_in < hi - eps:
+                        return False
+                elif max(t_in, lo) + eps < min(t_out, hi):
+                    return False
+        else:
+            for src, dst, depart in moves:
+                if (src, dst) == (c.src, c.dst) and lo - eps <= depart < hi - eps:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,9 @@ from mapflight.flightsim import (
 )
 from mapflight.geometry3d import CylinderBody, Interval, cylinder_unsafe_interval
 from mapflight.plan import validate
-from mapflight.sipp import Constraint, build_safe_intervals, plan_satisfies_constraints, sipp_plan
-from mapflight.world import (
-    AgentSpec,
-    GridWorld,
-    MoveAction,
-    load_instance,
-    move_duration,
-    neighbors,
-)
+from mapflight.sipp import Constraint, build_safe_intervals, sipp_plan
+from mapflight.world import AgentSpec, GridWorld, load_instance, neighbors
+from oracles import plan_satisfies_constraints
 from test_geometry3d import random_motion
 
 BODY = CylinderBody(0.25, 1.0)
@@ -121,7 +115,7 @@ def test_01_unsafe_interval_endpoints_match_sampling_oracle():
                 conflicts += 1
             elif got is not None:
                 # sub-sampling-width slivers are legitimate analytic findings
-                assert got.length < 2e-4, f"oracle missed a wide window {got}"
+                assert got.hi - got.lo < 2e-4, f"oracle missed a wide window {got}"
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"batch took {elapsed:.1f} s"
         assert conflicts >= 100  # the batch must actually exercise overlaps
@@ -148,11 +142,9 @@ def _random_single_agent_instance(rng, dt):
         cell = rng.choice(free)
         nbrs = neighbors(world, cell)
         if nbrs and rng.random() < 0.5:
-            dst = rng.choice(nbrs)
-            dur = move_duration(world, cell, dst, agent.speed)
-            constraints.append(Constraint(0, MoveAction(cell, dst, dur), Interval(lo, hi)))
+            constraints.append(Constraint(0, cell, rng.choice(nbrs), Interval(lo, hi)))
         else:
-            constraints.append(Constraint(0, MoveAction(cell, cell, 1.0), Interval(lo, hi)))
+            constraints.append(Constraint(0, cell, cell, Interval(lo, hi)))
     return world, agent, constraints
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -317,19 +318,50 @@ def test_grazing_contact_branches_on_the_detected_window():
     move = LinearMotion(GRAZE_MOVE.p0, (5.25, 4.24, 0.25), 2.0, 3.0)
     unsafe = cylinder_unsafe_interval(GRAZE_WAIT, move, BODY, BODY)
     assert unsafe is not None and unsafe.hi == 3.0
-    plans = {
-        0: TimedPlan(0, ((4.75, 3.25, 0.75, 0.0), (4.75, 3.25, 0.75, 1.0),
-                         (5.25, 3.75, 0.75, 2.4142135627984613), (5.25, 3.75, 0.75, 3.0),
-                         (5.75, 3.75, 0.75, 4.0))),
-        1: TimedPlan(1, ((5.25, 4.75, 0.25, 0.0), (5.25, 4.75, 0.25, 2.0), (5.25, 4.24, 0.25, 3.0))),
-    }
     world = GridWorld((12, 12, 2), 0.5)
-    c_wait, c_move = branch(Conflict(0, GRAZE_WAIT, 1, move, unsafe), world, plans, {0: BODY, 1: BODY})
+    c_wait, c_move = branch(Conflict(0, GRAZE_WAIT, 1, move, unsafe), world, {0: BODY, 1: BODY})
     assert c_wait.agent == 0 and c_wait.is_wait
-    assert c_wait.action.src == world.cell_at(GRAZE_WAIT.p0)
+    assert c_wait.src == world.cell_at(GRAZE_WAIT.p0)
     assert c_wait.interval.lo <= unsafe.lo and c_wait.interval.hi == unsafe.hi
     assert c_move.agent == 1 and not c_move.is_wait
     assert c_move.interval.lo == 2.0 and c_move.interval.hi > 2.0
+
+
+def test_branching_against_a_parked_agent_bans_for_good():
+    # agent 1 parks at cell (2, 0, 0) from t = 3 and never leaves; bodies of
+    # radius 0.3 overlap across one 0.5 m cell
+    world = GridWorld((4, 1, 1), 0.5)
+    body = CylinderBody(0.3, 1.0)
+    here, there = world.center((1, 0, 0)), world.center((2, 0, 0))
+    parked = LinearMotion(there, there, 3.0, math.inf)
+    bodies = {0: body, 1: body}
+
+    move = LinearMotion(world.center((0, 0, 0)), here, 4.0, 5.0)
+    unsafe = cylinder_unsafe_interval(move, parked, body, body)
+    c_move, _ = branch(Conflict(0, move, 1, parked, unsafe), world, bodies)
+    # delaying the move never clears a body that stays forever
+    assert (c_move.src, c_move.dst, c_move.interval) == ((0, 0, 0), (1, 0, 0), Interval(4.0, math.inf))
+
+    wait = LinearMotion(here, here, 2.0, 6.0)
+    unsafe = cylinder_unsafe_interval(wait, parked, body, body)
+    c_wait, c_parked = branch(Conflict(0, wait, 1, parked, unsafe), world, bodies)
+    assert (c_wait.src, c_wait.dst, c_wait.interval) == ((1, 0, 0), (1, 0, 0), Interval(3.0, math.inf))
+    assert (c_parked.src, c_parked.interval) == ((2, 0, 0), Interval(2.0, 6.0))
+
+
+PLAN_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "plan_grid"
+
+
+def test_costs_are_the_same_on_every_python():
+    # From Python 3.12 on, sum() of floats is compensated and read these one
+    # ulp lower; a node cost that moves breaks heap ties differently
+    world, agents = load_instance(PLAN_GRID / "grid_020.json")
+    res = ccbs_solve(world, agents, SolveLimits(max_wall_time=3600.0, max_expansions=200))
+    assert res.status == SOLVED and float.hex(res.solution.cost) == "0x1.cb504f334e3b8p+5"
+    world, agents = load_instance(PLAN_GRID / "grid_015.json")
+    res = ccbs_solve(world, agents, SolveLimits(max_wall_time=3600.0, max_expansions=200))
+    assert res.status == LIMIT_EXCEEDED and repr(res.stats.lower_bound) == "116.82842712559693"
+    assert res.detail == "expansion limit reached; cost lower bound 116.82842712559693"
 
 
 STEPS_26 = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
@@ -372,10 +404,7 @@ def test_fuzz_wait_move_grazes_are_classified_once():
         if full is None:
             continue
         detected += 1
-        # branch reads a plan only for its end time, to tell a parked wait
-        plans = {0: TimedPlan(0, ((*wait.p0, 0.0), (*wait.p0, wait.t1 + 1.0))),
-                 1: TimedPlan(1, ((*m0, 0.0), (*m1, move.t1 + 1.0)))}
-        c_wait, _ = branch(Conflict(0, wait, 1, move, full), world, plans, {0: body, 1: body})
+        c_wait, _ = branch(Conflict(0, wait, 1, move, full), world, {0: body, 1: body})
         if not (c_wait.interval.lo <= full.lo and full.hi <= c_wait.interval.hi):
             uncovered.append((wait, move, body, full, c_wait.interval))
     assert detected >= 1000  # the generator must actually produce conflicts

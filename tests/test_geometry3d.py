@@ -12,8 +12,8 @@ from mapflight.geometry3d import (
     Interval,
     LinearMotion,
     cylinder_unsafe_interval,
+    _pair_earliest,
     move_clear_delay,
-    parked_suffix,
     plan_motions,
 )
 from mapflight.plan import TimedPlan
@@ -32,10 +32,9 @@ class TestInterval:
         assert iv.contains(1.0) and iv.contains(2.0) and iv.contains(1.5)
         assert not iv.contains(0.999) and not iv.contains(2.001)
 
-    def test_unbounded_and_shift(self):
-        iv = Interval(1.0, math.inf)
-        assert iv.unbounded
-        assert iv.shifted(2.0) == Interval(3.0, math.inf)
+    def test_unbounded(self):
+        assert Interval(1.0, math.inf).unbounded
+        assert not Interval(1.0, 2.0).unbounded
 
     @pytest.mark.parametrize("lo,hi", [(-1.0, 2.0), (2.0, 1.0), (math.inf, math.inf), (0.0, math.nan)])
     def test_rejects_bad_bounds(self, lo, hi):
@@ -297,14 +296,24 @@ class TestFirstConflict:
 
 class TestPlanMotions:
     def test_motions_and_parked_suffix(self):
+        # the last motion is the goal park: a wait from the plan's end that never ends
         plan = TimedPlan(0, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 2.0)))
         motions = plan_motions(plan)
-        assert len(motions) == 2
-        assert not motions[0].is_wait and motions[1].is_wait
-        suffix = parked_suffix(plan, 5.0)
-        assert suffix is not None and suffix.is_wait
-        assert suffix.t0 == 2.0 and suffix.t1 == 5.0
-        assert parked_suffix(plan, 1.5) is None
+        assert [(m.t0, m.t1, m.is_wait) for m in motions] == [(0.0, 1.0, False), (1.0, 2.0, True), (2.0, math.inf, True)]
+        assert motions[-1].p0 == (1.0, 0.0, 0.0)
+        assert plan_motions(plan) is motions  # one cached list per plan
+        assert plan_motions(TimedPlan(1, ((0.0, 0.0, 0.0, 0.0),))) == (
+            LinearMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, math.inf),
+        )
+
+    def test_overlapping_goals_conflict_for_good(self):
+        # two agents parked 0.3 m apart from t = 0: the overlap never ends
+        body = CylinderBody(0.25, 1.0)
+        plan_a = TimedPlan(0, ((1.0, 0.0, 0.5, 0.0),))
+        plan_b = TimedPlan(1, ((1.3, 0.0, 0.5, 0.0),))
+        found = _pair_earliest(plan_a, plan_b, body, body)
+        assert found is not None and found.unsafe == Interval(0.0, math.inf)
+        assert (found.action_i, found.action_j) == (plan_motions(plan_a)[-1], plan_motions(plan_b)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +344,7 @@ def assert_matches_oracle(a: LinearMotion, b: LinearMotion, body_a: CylinderBody
     elif got is not None:
         # windows narrower than the oracle's sampling step are legitimate;
         # they must still be genuine overlaps at their midpoint
-        assert got.length < 2e-4, f"oracle missed a wide window {got}"
+        assert got.hi - got.lo < 2e-4, f"oracle missed a wide window {got}"
 
 
 def test_randomized_pairs_match_oracle():

@@ -165,6 +165,15 @@ class TestValidateChecks:
         assert report.violations[0].kind == "pairwise"
         assert report.violations[0].time > 1.0
 
+    def test_overlapping_parked_goals_are_reported_once(self):
+        # both agents sit 0.3 m apart from t = 0 for good: the analytic window
+        # never ends, and the validator measures it only up to its own horizon
+        plans = [TimedPlan(0, ((0.25, 0.25, 0.5, 0.0),)), TimedPlan(1, ((0.55, 0.25, 0.5, 0.0),))]
+        specs = [spec(0, (0, 0, 0), (0, 0, 0)), spec(1, (1, 0, 0), (1, 0, 0))]
+        report = validate(plans, specs, None)
+        assert [(v.kind, v.pair, v.time) for v in report.violations] == [("pairwise", (0, 1), 0.0)]
+        assert report.violations[0].min_separation_found == pytest.approx(0.3)
+
 
 class TestPlanFiles:
     def make(self):

@@ -7,13 +7,9 @@ import pytest
 
 import oracles
 from mapflight.geometry3d import CylinderBody, Interval
-from mapflight.sipp import (
-    Constraint,
-    build_safe_intervals,
-    plan_satisfies_constraints,
-    sipp_plan,
-)
-from mapflight.world import AgentSpec, GridWorld, MoveAction, move_duration, neighbors
+from mapflight.sipp import Constraint, build_safe_intervals, sipp_plan
+from mapflight.world import AgentSpec, GridWorld, neighbors
+from oracles import plan_satisfies_constraints
 
 BODY = CylinderBody(0.25, 1.0)
 INF = math.inf
@@ -27,11 +23,11 @@ def corridor():
 
 
 def move_c(src, dst, lo, hi, agent=0):
-    return Constraint(agent, MoveAction(src, dst, 1.0), Interval(lo, hi))
+    return Constraint(agent, src, dst, Interval(lo, hi))
 
 
 def wait_c(cell, lo, hi, agent=0):
-    return Constraint(agent, MoveAction(cell, cell, 1.0), Interval(lo, hi))
+    return Constraint(agent, cell, cell, Interval(lo, hi))
 
 
 class TestSafeIntervalTable:
@@ -88,7 +84,11 @@ class TestSafeIntervalTable:
 
     def test_tables_answer_as_their_prohibitions_say(self):
         """Probe random tables against the constraint semantics read off the
-        constraint list itself, with zero-length, touching and unbounded bans."""
+        constraint list itself, with zero-length, touching and unbounded bans.
+
+        A wait ban is cut straight out of the vertex's safe intervals, so the
+        intervals must also stay sorted and maximal: no two of them touch.
+        """
         rng = random.Random(7)
         cells = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
         edges = [(src, dst) for src in cells for dst in cells if src != dst][:3]
@@ -96,6 +96,7 @@ class TestSafeIntervalTable:
         for _ in range(300):
             cs = []
             ends = []
+            starts = []
             for _ in range(rng.randrange(1, 10)):
                 if ends and rng.random() < 0.3:
                     lo = rng.choice(ends)  # touches an earlier ban's end
@@ -106,24 +107,31 @@ class TestSafeIntervalTable:
                     hi = lo
                 elif kind < 0.3:
                     hi = INF
+                elif kind < 0.4 and any(s > lo for s in starts):
+                    hi = rng.choice([s for s in starts if s > lo])  # touches an earlier ban's start
                 else:
                     hi = lo + rng.randrange(1, 12) * 0.25
                     ends.append(hi)
+                starts.append(lo)
                 if rng.random() < 0.5:
                     cs.append(wait_c(rng.choice(cells), lo, hi))
                 else:
                     cs.append(move_c(*rng.choice(edges), lo, hi))
             table = build_safe_intervals(cs, 0)
             for cell in cells:
-                bans = [c.interval for c in cs if c.is_wait and c.action.src == cell]
+                bans = [c.interval for c in cs if c.is_wait and c.src == cell]
                 for t in probes:
                     safe = any(iv.contains(t) for iv in table.vertex_intervals(cell))
                     assert safe == (not any(b.lo < t < b.hi for b in bans)), (cs, cell, t)
+                ivs = table.vertex_intervals(cell)
+                assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:])), (cs, cell, ivs)
             for src, dst in edges:
-                bans = [c.interval for c in cs if not c.is_wait and (c.action.src, c.action.dst) == (src, dst)]
+                bans = [c.interval for c in cs if not c.is_wait and (c.src, c.dst) == (src, dst)]
                 for t in probes:
                     free = table.earliest_departure(src, dst, t) == t
                     assert free == (not any(b.lo <= t < b.hi for b in bans)), (cs, (src, dst), t)
+                blocks = table.move_blocks.get((src, dst), ())
+                assert all(a[1] < b[0] for a, b in zip(blocks, blocks[1:])), (cs, (src, dst), blocks)
             shuffled = list(cs)
             rng.shuffle(shuffled)
             assert build_safe_intervals(shuffled, 0) == table
@@ -226,11 +234,9 @@ class TestAgainstTimeExpandedOracle:
             cell = rng.choice(free)
             nbrs = [n for n in neighbors(world, cell)]
             if nbrs and rng.random() < 0.5:
-                dst = rng.choice(nbrs)
-                dur = move_duration(world, cell, dst, agent.speed)
-                constraints.append(Constraint(0, MoveAction(cell, dst, dur), Interval(lo, hi)))
+                constraints.append(Constraint(0, cell, rng.choice(nbrs), Interval(lo, hi)))
             else:
-                constraints.append(Constraint(0, MoveAction(cell, cell, 1.0), Interval(lo, hi)))
+                constraints.append(Constraint(0, cell, cell, Interval(lo, hi)))
         return world, agent, constraints
 
     def test_arrival_times_match_brute_force(self):

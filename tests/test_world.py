@@ -13,7 +13,6 @@ from mapflight.world import (
     AgentSpec,
     GridWorld,
     InstanceError,
-    MoveAction,
     load_instance,
     move_duration,
     neighbors,
@@ -38,9 +37,6 @@ class TestGridWorld:
         w = GridWorld((3, 4, 2), 1.0)
         seen = {w.vertex_index((i, j, k)) for i in range(3) for j in range(4) for k in range(2)}
         assert seen == set(range(24))
-
-    def test_extent(self):
-        assert GridWorld((4, 3, 2), 0.5).extent == (2.0, 1.5, 1.0)
 
     @pytest.mark.parametrize(
         "dims,cell,conn",
@@ -90,16 +86,6 @@ class TestMoveDuration:
         w = GridWorld((3, 3, 1), 0.5)
         assert move_duration(w, (0, 0, 0), (1, 0, 0), 0.5) == pytest.approx(1.0)
         assert move_duration(w, (0, 0, 0), (1, 1, 0), 0.5) == pytest.approx(math.sqrt(2), rel=1e-12)
-
-
-class TestMoveAction:
-    def test_wait_encoding(self):
-        assert MoveAction((1, 1, 0), (1, 1, 0), 1.0).is_wait
-        assert not MoveAction((1, 1, 0), (2, 1, 0), 1.0).is_wait
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            MoveAction((0, 0, 0), (1, 0, 0), 0.0)
 
 
 class TestAgentSpec:
