@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SOLVED, SolveLimits, ccbs_solve
+from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, ccbs_solve
 from .flightsim import METHODS, SimConfig, _mean, error_metrics, run_execution, run_executions
 from .plan import PlanFormatError, load_plans, save_plans, validate
 from .world import InstanceError, load_instance

@@ -2,6 +2,10 @@
 Gaussian localization noise from seeded per-vehicle substreams, 10 ms pose
 logging, and tracking-error metrics.
 
+A pose log is one numpy structured array (`POSE_DTYPE`), one row per agent per
+logged tick, and the error series is another (`ERROR_DTYPE`); the metrics and
+the CSV writers read their columns.
+
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
 advances them together, one array update per tick (`_Fleet.step`). The seeded
 repetitions of a batch fly as one fleet on one clock (`run_executions`).
@@ -13,11 +17,9 @@ byte-identical for a fixed (plans, method, seed, config).
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -191,17 +193,14 @@ class _Fleet:
         self.vel = commanded + lag * self.decay
 
 
-class PoseRecord(NamedTuple):
-    t: float
-    agent: int
-    actual: Vec3
-    estimated: Vec3
-    planned: Vec3
+POSE_DTYPE = np.dtype([("t", "f8"), ("agent", "i8"), ("actual", "f8", (3,)), ("estimated", "f8", (3,)),
+                       ("planned", "f8", (3,))])
+ERROR_DTYPE = np.dtype([("t", "f8"), ("agent", "i8"), ("error", "f8")])
 
 
 @dataclass(frozen=True)
 class PoseLog:
-    records: tuple[PoseRecord, ...]
+    records: np.ndarray  # POSE_DTYPE rows, tick-major, then agent
     method: str
     seed: int
     log_period: float
@@ -209,14 +208,12 @@ class PoseLog:
     end_time: float
 
     def to_csv(self) -> str:
+        r = self.records
+        # floats go through tolist() so that repr prints 0.1, not np.float64(0.1)
+        xyz = np.concatenate([r["actual"], r["estimated"], r["planned"]], axis=1).tolist()
         lines = ["t,agent,ax,ay,az,ex,ey,ez,px,py,pz"]
-        for r in self.records:
-            lines.append(
-                f"{r.t:.3f},{r.agent},"
-                f"{r.actual[0]!r},{r.actual[1]!r},{r.actual[2]!r},"
-                f"{r.estimated[0]!r},{r.estimated[1]!r},{r.estimated[2]!r},"
-                f"{r.planned[0]!r},{r.planned[1]!r},{r.planned[2]!r}"
-            )
+        lines += [f"{t:.3f},{agent}," + ",".join(map(repr, row))
+                  for t, agent, row in zip(r["t"].tolist(), r["agent"].tolist(), xyz)]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -318,8 +315,8 @@ def run_executions(
     are rows r*N .. r*N + N - 1 of one fleet of R*N rows, and all runs share
     the tick clock, so each log is byte-identical to
     `run_execution(plans, method, configs[r], speeds)`. The simulation runs
-    when this is called; a run's pose records are built only when the
-    iterator reaches it.
+    when this is called; a run's record array is filled from the logged
+    arrays only when the iterator reaches it.
     """
     return _execute(plans, method, configs, speeds, None)
 
@@ -455,17 +452,22 @@ def _execute(
         n += 1
 
     agents = [p.agent for p in plan_list]
-    return (_pose_log(run, logged, agents, name, config.log_period) for run in runs)
+    planned = np.array([p for _, _, _, p in logged])  # (ticks, N, 3), the same for every run
+    return (_pose_log(run, logged, planned, agents, name, config.log_period) for run in runs)
 
 
-def _pose_log(run: _Run, logged: list, agents: list[int], method: str, log_period: float) -> PoseLog:
-    """The run's records, from its rows of the shared per-tick arrays."""
+def _pose_log(run: _Run, logged: list, planned: np.ndarray, agents: list[int], method: str,
+              log_period: float) -> PoseLog:
+    """The run's POSE_DTYPE records, one row per agent per logged tick, filled
+    column by column from its rows of the logged per-tick arrays."""
     rows = slice(run.index * len(agents), (run.index + 1) * len(agents))
-    records = tuple(
-        PoseRecord(t_log, agent, tuple(a), tuple(e), p)
-        for t_log, pos, est, planned in logged[: run.n_logged]
-        for agent, a, e, p in zip(agents, pos[rows].tolist(), est[rows].tolist(), planned)
-    )
+    ticks = logged[: run.n_logged]
+    records = np.empty(len(ticks) * len(agents), dtype=POSE_DTYPE)
+    records["t"] = np.repeat([t for t, _, _, _ in ticks], len(agents))
+    records["agent"] = np.tile(agents, len(ticks))
+    records["actual"] = np.concatenate([pos[rows] for _, pos, _, _ in ticks])
+    records["estimated"] = np.concatenate([est[rows] for _, _, est, _ in ticks])
+    records["planned"] = planned[: len(ticks)].reshape(-1, 3)
     return PoseLog(
         records=records,
         method=method,
@@ -494,7 +496,7 @@ class ErrorReport:
     seed: int
     per_agent: dict[int, AgentError]
     aggregate: AgentError
-    series: tuple[tuple[float, int, float], ...]  # (t, agent, error)
+    series: np.ndarray  # ERROR_DTYPE rows, in the order of the log's records
 
     def to_json_dict(self, config_hash: str = "") -> dict:
         return {
@@ -511,38 +513,33 @@ class ErrorReport:
 
     def series_csv(self) -> str:
         lines = ["t,agent,error"]
-        for t, agent, err in self.series:
-            lines.append(f"{t:.3f},{agent},{err!r}")
+        lines += [f"{t:.3f},{agent},{err!r}" for t, agent, err in self.series.tolist()]
         return "\n".join(lines) + "\n"
 
 
-def _mean(values: list[float]) -> float:
-    # From Python 3.12 on, sum() of floats is compensated; a plain left-to-right
-    # sum keeps errors.json byte-identical on every supported Python.
-    return functools.reduce(operator.add, values, 0.0) / len(values)
+def _mean(values) -> float:
+    # A running sum adds left to right. From Python 3.12 on sum() of floats is
+    # compensated, and np.sum is pairwise; either would change errors.json.
+    return np.cumsum(values)[-1].item() / len(values)
 
 
 def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
     """Per-record Euclidean error between the basis position and the planned one."""
-    if basis in ("actual", BASIS_ACTUAL):
-        basis = BASIS_ACTUAL
-    elif basis in ("estimated", BASIS_ESTIMATED):
-        basis = BASIS_ESTIMATED
-    else:
+    if basis not in (BASIS_ACTUAL, BASIS_ESTIMATED):
         raise ValueError(f"unknown basis {basis!r}")
-    if not log.records:
+    r = log.records
+    if not len(r):
         raise ValueError("empty pose log")
-    per_agent_errors: dict[int, list[float]] = {}
-    series: list[tuple[float, int, float]] = []
-    for r in log.records:
-        p = r.actual if basis == BASIS_ACTUAL else r.estimated
-        err = math.dist(p, r.planned)
-        per_agent_errors.setdefault(r.agent, []).append(err)
-        series.append((r.t, r.agent, err))
-    per_agent = {
-        agent: AgentError(max(errors), _mean(errors))
-        for agent, errors in sorted(per_agent_errors.items())
-    }
-    all_errors = [err for _, _, err in series]
-    aggregate = AgentError(max(all_errors), _mean(all_errors))
-    return ErrorReport(basis, log.method, log.seed, per_agent, aggregate, tuple(series))
+    offset = r["actual" if basis == BASIS_ACTUAL else "estimated"] - r["planned"]
+    series = np.empty(len(r), dtype=ERROR_DTYPE)
+    series["t"], series["agent"] = r["t"], r["agent"]
+    # math.hypot of the differences is math.dist bit for bit (one CPython routine);
+    # a numpy norm differs from both by an ulp on some poses
+    series["error"] = list(map(math.hypot, *offset.T.tolist()))
+    errors, agents = series["error"], series["agent"]
+    per_agent = {}
+    for agent in np.unique(agents).tolist():
+        agent_errors = errors[agents == agent]
+        per_agent[agent] = AgentError(agent_errors.max().item(), _mean(agent_errors))
+    aggregate = AgentError(errors.max().item(), _mean(errors))
+    return ErrorReport(basis, log.method, log.seed, per_agent, aggregate, series)

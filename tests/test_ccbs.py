@@ -14,7 +14,6 @@ from mapflight.ccbs import (
     branch,
     ccbs_solve,
     conflict_table,
-    earliest_conflict,
     replanned_table,
 )
 from mapflight.geometry3d import (

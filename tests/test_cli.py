@@ -1,5 +1,6 @@
 """End-to-end command line flows and their exit codes."""
 
+import hashlib
 import json
 import shutil
 
@@ -258,6 +259,19 @@ class TestBench:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "bench"
         assert set(manifest["inputs"]) == {"method_comparison", "swarm_2"}
+
+    def test_bundled_rows_are_pinned(self, tmp_path, scenario_dir):
+        # every number of every row but the solver's wall time, byte for byte
+        out = tmp_path / "out"
+        code = main(["bench", "--scenarios", str(scenario_dir), "--repetitions", "2", "--seed", "0",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        rows = json.loads((out / "bench.json").read_text(encoding="utf-8"))["rows"]
+        assert len(rows) == 15
+        for row in rows:
+            del row["solver_wall_time"]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "3d340a36b8c2fe3fc2d329b91a94e70cb5d35e0cb3d7fcdc3c3354b4220ebb15"
 
     def test_failures_are_recorded_and_the_batch_continues(self, tmp_path, scenario_dir, capsys):
         src = tmp_path / "scenarios"

@@ -12,11 +12,11 @@ from mapflight.executor import HighLevelGoto, PositionSetpoint, VelocitySetpoint
 from mapflight.flightsim import (
     BASIS_ACTUAL,
     BASIS_ESTIMATED,
-    ErrorReport,
+    POSE_DTYPE,
     PoseLog,
-    PoseRecord,
     SimConfig,
     _Fleet,
+    _mean,
     _refine,
     error_metrics,
     run_execution,
@@ -235,14 +235,14 @@ class TestLocalize:
     def noise(config):
         planset = load_plans(FIXTURES / "swarm_4.plans.json")
         log = run_execution(planset.plans, "bll", config, speeds=planset.speeds)
-        assert log.records
-        return log, np.array([r.estimated for r in log.records]) - np.array([r.actual for r in log.records])
+        assert len(log.records)
+        return log, log.records["estimated"] - log.records["actual"]
 
     def test_seeded_streams_are_reproducible(self):
         log, noise = self.noise(SimConfig(seed=42))
         again, noise_again = self.noise(SimConfig(seed=42))
         _, other_seed = self.noise(SimConfig(seed=43))
-        assert log.records == again.records and np.array_equal(noise, noise_again)
+        assert np.array_equal(log.records, again.records) and np.array_equal(noise, noise_again)
         assert not np.array_equal(noise[:8], other_seed[:8])
         # each vehicle draws from its own stream
         assert len({tuple(noise[k]) for k in range(4)}) == 4
@@ -254,7 +254,7 @@ class TestLocalize:
 
     def test_zero_sigma_is_exact(self):
         log, _ = self.noise(SimConfig(noise_sigma=0.0))
-        assert all(r.estimated == r.actual for r in log.records)
+        assert np.array_equal(log.records["estimated"], log.records["actual"])
 
 
 class TestRunExecution:
@@ -266,18 +266,18 @@ class TestRunExecution:
 
     def test_logging_cadence_is_exact(self):
         log = run_execution(straight_plans(), "bll", SimConfig(seed=3))
-        assert log.records
-        for r in log.records:
-            assert abs(r.t * 100.0 - round(r.t * 100.0)) < 1e-6
+        assert len(log.records)
+        for t in log.records["t"].tolist():
+            assert abs(t * 100.0 - round(t * 100.0)) < 1e-6
         # both agents appear at every logged timestamp
         by_t: dict[float, set[int]] = {}
-        for r in log.records:
-            by_t.setdefault(r.t, set()).add(r.agent)
+        for t, agent in zip(log.records["t"].tolist(), log.records["agent"].tolist()):
+            by_t.setdefault(t, set()).add(agent)
         assert all(agents == {0, 1} for agents in by_t.values())
 
     def test_runs_are_deterministic(self):
         logs = [run_execution(straight_plans(), "bll", SimConfig(seed=11)) for _ in range(3)]
-        assert logs[0].records == logs[1].records == logs[2].records
+        assert np.array_equal(logs[0].records, logs[1].records) and np.array_equal(logs[1].records, logs[2].records)
         assert logs[0].to_csv() == logs[1].to_csv() == logs[2].to_csv()
         a, b = error_metrics(logs[0]), error_metrics(logs[1])
         assert a.to_json_dict("h") == b.to_json_dict("h")
@@ -285,11 +285,11 @@ class TestRunExecution:
     def test_different_seeds_differ(self):
         a = run_execution(straight_plans(), "bll", SimConfig(seed=1))
         b = run_execution(straight_plans(), "bll", SimConfig(seed=2))
-        assert a.records != b.records
+        assert not np.array_equal(a.records, b.records)
 
     def test_zero_noise_estimates_equal_actuals(self):
         log = run_execution(straight_plans(), "bll", SimConfig(noise_sigma=0.0))
-        assert all(r.estimated == r.actual for r in log.records)
+        assert np.array_equal(log.records["estimated"], log.records["actual"])
 
     def test_incompletable_plan_hits_the_wall_cap(self):
         cfg = SimConfig(tick=0.01, log_period=0.1, max_speed=0.001, noise_sigma=0.0)
@@ -302,7 +302,8 @@ class TestRunExecution:
         cfg = SimConfig(noise_sigma=0.0, latency=0.0, tau=0.05)
         log = run_execution(straight_plans(), "vll", cfg)
         assert log.completed
-        final = {r.agent: r.actual for r in log.records if r.t == log.records[-1].t}
+        last = log.records[log.records["t"] == log.records["t"][-1]]
+        final = dict(zip(last["agent"].tolist(), last["actual"].tolist()))
         for plan in straight_plans():
             got = final[plan.agent]
             assert max(abs(p - g) for p, g in zip(got, plan.goal_position)) <= cfg.vll_box_half_width + 1e-9
@@ -320,9 +321,12 @@ class TestRunExecution:
 
 class TestErrorMetrics:
     def make_log(self):
-        records = (
-            PoseRecord(0.0, 0, actual=(1.0, 0.0, 0.0), estimated=(1.1, 0.0, 0.0), planned=(1.0, 0.0, 0.0)),
-            PoseRecord(0.01, 0, actual=(1.3, 0.0, 0.0), estimated=(1.0, 0.0, 0.0), planned=(1.0, 0.0, 0.0)),
+        records = np.array(
+            [
+                (0.0, 0, (1.0, 0.0, 0.0), (1.1, 0.0, 0.0), (1.0, 0.0, 0.0)),  # t, agent, actual, estimated, planned
+                (0.01, 0, (1.3, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ],
+            dtype=POSE_DTYPE,
         )
         return PoseLog(records, "bll", 0, 0.01, True, 0.01)
 
@@ -333,17 +337,26 @@ class TestErrorMetrics:
         assert rep.per_agent[0].max_error == pytest.approx(0.3)
 
     def test_estimated_basis(self):
-        rep = error_metrics(self.make_log(), "estimated")
+        rep = error_metrics(self.make_log(), BASIS_ESTIMATED)
         assert rep.basis == BASIS_ESTIMATED
         assert rep.aggregate.max_error == pytest.approx(0.1)
         assert rep.aggregate.avg_error == pytest.approx(0.05)
 
     def test_unknown_basis_and_empty_log(self):
-        with pytest.raises(ValueError, match="unknown basis"):
-            error_metrics(self.make_log(), "wishful")
-        empty = PoseLog((), "bll", 0, 0.01, True, 0.0)
+        for basis in ("wishful", "actual", "estimated"):  # the bases have no short aliases
+            with pytest.raises(ValueError, match="unknown basis"):
+                error_metrics(self.make_log(), basis)
+        empty = PoseLog(np.empty(0, dtype=POSE_DTYPE), "bll", 0, 0.01, True, 0.0)
         with pytest.raises(ValueError, match="empty pose log"):
             error_metrics(empty)
+
+    def test_errors_are_math_dist_and_means_run_left_to_right(self):
+        log = run_execution(straight_plans(), "vll", SimConfig(seed=3))
+        rep = error_metrics(log, BASIS_ESTIMATED)
+        r = log.records
+        assert rep.series["error"].tolist() == list(map(math.dist, r["estimated"].tolist(), r["planned"].tolist()))
+        # a compensated sum (math.fsum, or sum() from Python 3.12 on) gives 0.5
+        assert _mean([1e16, 1.0, -1e16, 1.0]) == 0.25
 
     def test_serialization(self):
         rep = error_metrics(self.make_log())
@@ -359,34 +372,48 @@ class TestErrorMetrics:
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# sha256 of to_csv() and of json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
-# for the committed plan fixtures, recorded with the per-agent scalar simulator.
+# sha256 of to_csv(), of json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
+# and of error_metrics(log).series_csv() for the committed plan fixtures. The first two
+# were recorded with the per-agent scalar simulator, the third with the per-pose tuple log.
+# bhl and bll never read the estimate, so their logs differ by seed but their errors do not.
 # Every run spans 650-710 ticks, so the pins cross noise-block boundaries.
 GOLDEN = {
     ("swarm_4", "bhl", 0): ("5c241eda83fc8540f55dcec54e9bc743b44be892beb6d5971d2fcf88411b23c4",
-                            "c3927589ad38a82703cbc0753666c16434159d21f752a116800153ad3c4a7f80"),
+                            "c3927589ad38a82703cbc0753666c16434159d21f752a116800153ad3c4a7f80",
+                            "d992fc945f621679a7a8174e8d32cc6551276544a54f937638e079e6839edcf0"),
     ("swarm_4", "bhl", 7): ("80465f4178603ce654ec63d773a34fcc7c8b0be7e1852b93bbcaa59b3a219a88",
-                            "1754b6314c91c2565eec7eb8f5d5689c88a93c4dd6b6ee1a6b57d6d0034d4496"),
+                            "1754b6314c91c2565eec7eb8f5d5689c88a93c4dd6b6ee1a6b57d6d0034d4496",
+                            "d992fc945f621679a7a8174e8d32cc6551276544a54f937638e079e6839edcf0"),
     ("swarm_4", "bll", 0): ("c595c8c3f8bb66599d4618f4148edee31110893fcff1dd660065f6088ec8fbd8",
-                            "3d27dfa7e036711152d6013e105edde8f38e06aa2d0653f26dd32422e244dd34"),
+                            "3d27dfa7e036711152d6013e105edde8f38e06aa2d0653f26dd32422e244dd34",
+                            "93f98b923dccb3362129ef6ca5c6b02673ef8eeabdbe4f5f761b18188bd267d8"),
     ("swarm_4", "bll", 7): ("a859ff8c47fff163dd416323aef0e5bda59d5e54348ad4dd89073a149f89094b",
-                            "78bc046eef8baf3f0fa5b0b994adb0ed2ccce550803bea537ec4558a21fa9cf0"),
+                            "78bc046eef8baf3f0fa5b0b994adb0ed2ccce550803bea537ec4558a21fa9cf0",
+                            "93f98b923dccb3362129ef6ca5c6b02673ef8eeabdbe4f5f761b18188bd267d8"),
     ("swarm_4", "vll", 0): ("f565fe1a8fb28098fc6b8468d90836eebe09a1ee75322364c4b4857a8b5b629f",
-                            "9159f3dc0fa092a138b0e61c5d71515e61be6be3e90547c9261515a3eb69a67c"),
+                            "9159f3dc0fa092a138b0e61c5d71515e61be6be3e90547c9261515a3eb69a67c",
+                            "ed7eb48b9fc32055258ae109c66d35e66192e6a1a07eac6cab132cda5b764066"),
     ("swarm_4", "vll", 7): ("785a5623ba118a665e93bebadc889f977f6343707261d97941c4a5f1ffe1a56c",
-                            "d2e3a9b181b849375666dd47872466a9047a1262c56bfe3523801ffc3e1749bb"),
+                            "d2e3a9b181b849375666dd47872466a9047a1262c56bfe3523801ffc3e1749bb",
+                            "1ce80405b2f82c7009c2bab9f1ee8dfd94daf016d01eea439a4efd2a670ef6ce"),
     ("method_comparison", "bhl", 0): ("584edff4639dafee96f79b0797f1edc994259e415ec76d8bb18916e27b3d6356",
-                                      "9bfb2717631915d244d8e0e18fe2bd6f4d4d109449148f4051ad8f7074fd41fb"),
+                                      "9bfb2717631915d244d8e0e18fe2bd6f4d4d109449148f4051ad8f7074fd41fb",
+                                      "e25853def1459f7f22c680f86d80b6e1158468a9a6144f079b2f1719b73734d8"),
     ("method_comparison", "bhl", 7): ("4901d9be91b0cba1461c290ea8f621f64aece1fbe8717b1b7a5d73f52a883f04",
-                                      "c09f30b8a9d694cb29a5e387bde7978307ec6d92db6d07ff06b69dd526964f2c"),
+                                      "c09f30b8a9d694cb29a5e387bde7978307ec6d92db6d07ff06b69dd526964f2c",
+                                      "e25853def1459f7f22c680f86d80b6e1158468a9a6144f079b2f1719b73734d8"),
     ("method_comparison", "bll", 0): ("4b321fecc6bd8ac57b75f0e76e3c77efd50773bed514a1bcd79647353ab10cb1",
-                                      "2490725d1d5af266265a0aa9d9695cbeca83ccbfc3256b0fb84f2d677cbc200c"),
+                                      "2490725d1d5af266265a0aa9d9695cbeca83ccbfc3256b0fb84f2d677cbc200c",
+                                      "94ead7e9641b1cd9fd659641ba9625211cb88b6f1ab323e2758ff9d36ac138bc"),
     ("method_comparison", "bll", 7): ("5486e5a8e4bc8e4d6d1ab73d429117ab9a005a4f08da2d74f0b5a428388d5ff4",
-                                      "d6ce9950ad802548dad3cc9d7e2a79477c97689c971aa44160ae041ba4ba43f5"),
+                                      "d6ce9950ad802548dad3cc9d7e2a79477c97689c971aa44160ae041ba4ba43f5",
+                                      "94ead7e9641b1cd9fd659641ba9625211cb88b6f1ab323e2758ff9d36ac138bc"),
     ("method_comparison", "vll", 0): ("059f3d64c7f2695c2376e849f0ba0552d5bf6294aa2d8d897bac956a96e56396",
-                                      "6b69fc83f245a607e001333d02d9b90240ee30151d6b500356bdf28c2c8bdbc3"),
+                                      "6b69fc83f245a607e001333d02d9b90240ee30151d6b500356bdf28c2c8bdbc3",
+                                      "f065b8e7c000d82fee185c7f71d70a4011a7e26f4f129bc58d321ab9786f86ec"),
     ("method_comparison", "vll", 7): ("65f1c2648daa343da7080ae6f14a81d80b0d4dac32df928e1e8c9b8277878677",
-                                      "75eb5dd965f6a6d73350a3b3d7ce25e05eb26971f5b5435d051c9fb43d3efa3f"),
+                                      "75eb5dd965f6a6d73350a3b3d7ce25e05eb26971f5b5435d051c9fb43d3efa3f",
+                                      "3e77c8dc0e884a8bcd0b93381ea5c9bc1ebd74fe858cef27e69967d3a005689d"),
 }
 
 
@@ -394,8 +421,9 @@ GOLDEN = {
 def test_golden_log_hashes(scenario, method, seed):
     planset = load_plans(FIXTURES / f"{scenario}.plans.json")
     log = run_execution(planset.plans, method, SimConfig(seed=seed), speeds=planset.speeds)
-    doc = json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
-    got = (hashlib.sha256(log.to_csv().encode()).hexdigest(), hashlib.sha256(doc.encode()).hexdigest())
+    report = error_metrics(log)
+    doc = json.dumps(report.to_json_dict(""), sort_keys=True)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (log.to_csv(), doc, report.series_csv()))
     assert got == GOLDEN[(scenario, method, seed)]
 
 

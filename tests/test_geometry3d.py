@@ -7,7 +7,6 @@ import pytest
 
 from mapflight.ccbs import conflict_table, earliest_conflict
 from mapflight.geometry3d import (
-    Conflict,
     CylinderBody,
     Interval,
     LinearMotion,
