@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mapflight import flightsim
 from mapflight.executor import HighLevelGoto, PositionSetpoint, VelocitySetpoint
 from mapflight.flightsim import (
     BASIS_ACTUAL,
@@ -318,6 +319,15 @@ class TestRunExecution:
         diffs = [b - a for a, b in zip(issue_times, issue_times[1:])]
         assert all(d == pytest.approx(0.05, abs=1e-9) for d in diffs)
 
+    def test_an_executor_that_never_advances_is_stopped(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            while True:
+                yield 0.0
+
+        monkeypatch.setattr(flightsim, "make_executor", stalled)
+        with pytest.raises(RuntimeError, match="no forward progress"):
+            run_execution(straight_plans(), "bll", SimConfig())
+
 
 class TestErrorMetrics:
     def make_log(self):
@@ -452,3 +462,32 @@ def test_batched_runs_reject_bad_configs():
         run_executions(straight_plans(), "bll", [])
     with pytest.raises(ValueError, match="differ only in seed"):
         run_executions(straight_plans(), "bll", [SimConfig(seed=0), SimConfig(seed=1, latency=0.0)])
+
+
+# sha256 of to_csv() and of repr(command_sink) for swarm_4, seed 0, at two latencies
+# the GOLDEN pins never reach: 0.12 s puts two or three commands in flight at once
+# (the command period is 0.05 s), and 0 activates each command on the tick it is sent.
+LINK_GOLDEN = {
+    (0.12, "bhl"): ("584a61f214de70bb0057fe4119050b45482f19fa31ff11f198c4dbe2c9804cea",
+                    "4920fddac3c28cbdacfbc5c32780ad7d43214705903e9854623a2ab028215afa"),
+    (0.12, "bll"): ("2b79a52fe66291b07f5e31c0d9376bad6101f540766bfcda49f905d72ebb0212",
+                    "40aa2ee12b2be64a8beb729c21df37c3ce0aac63dc9ea440f210896c179e9fa9"),
+    (0.12, "vll"): ("164a8900a15a1ed95dc2bd2761e214f74bd3cea6239837317c759b205fd55d3e",
+                    "ddaeaaf84f23d37cc962395e043d9564ecfcc54e015b66f2d5d5c5dee94853c3"),
+    (0.0, "bhl"): ("c1f14d818d5a4b605e6b6d5630984b04a887d9c103908643aa676dd59ecd3d15",
+                   "4920fddac3c28cbdacfbc5c32780ad7d43214705903e9854623a2ab028215afa"),
+    (0.0, "bll"): ("24c8273e57867e8192612edb3c2ec897be181285a09d6bd6f2ce941d0e54583d",
+                   "40aa2ee12b2be64a8beb729c21df37c3ce0aac63dc9ea440f210896c179e9fa9"),
+    (0.0, "vll"): ("6548f021509e70a74a2deca3fc3c0b0999ae0062915a2976149c46320c3e54fc",
+                   "11edf60d223f41be1a397ecdb0975fc40048402a02f7854aa4f2e6ed087caa29"),
+}
+
+
+@pytest.mark.parametrize("latency,method", sorted(LINK_GOLDEN))
+def test_command_link_hashes(latency, method):
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    sink: list = []
+    log = run_execution(planset.plans, method, SimConfig(seed=0, latency=latency), speeds=planset.speeds,
+                        command_sink=sink)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (log.to_csv(), repr(sink)))
+    assert got == LINK_GOLDEN[(latency, method)]
