@@ -18,6 +18,7 @@ byte-identical for a fixed (plans, method, seed, config).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -121,6 +122,8 @@ class _Fleet:
 
     `step` is the one implementation of the vehicle dynamics: the simulation
     loop calls it once per tick for every vehicle of every run in a batch.
+    `activate` stores a command as it was sent; `step` limits every commanded
+    velocity, setpoint or feedback, to max_speed.
     """
 
     def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
@@ -133,7 +136,7 @@ class _Fleet:
         self.dt = dt
         self.decay = math.exp(-dt / config.tau)
         self.ramp = config.tau * (1.0 - self.decay)
-        # commanded velocity of idle and velocity-setpoint rows; position or goto target of the rest
+        # velocity setpoint of idle and velocity-setpoint rows, as sent; position or goto target of the rest
         self.velocity = np.zeros((n, 3))
         self.target = np.zeros((n, 3))
         self.tracking = np.zeros(n, dtype=bool)
@@ -142,35 +145,29 @@ class _Fleet:
         self.duration = np.ones(n)
         self.activated = np.zeros(n)
 
-    def activate(self, i: int, command: Command, activated: float, anchor: Optional[Vec3] = None) -> None:
-        """Make `command` row i's active command; a goto is refined from `anchor`
-        (default: the row's position now) starting at time `activated`."""
+    def activate(self, i: int, command: Command, activated: float) -> None:
+        """Make `command` row i's active command; a goto is refined from the
+        row's position now, starting at time `activated`."""
         self.goto[i] = isinstance(command, HighLevelGoto)
         if isinstance(command, VelocitySetpoint):
             self.tracking[i] = False
             self.velocity[i] = command.velocity
-            self._clamp(self.velocity[i : i + 1])
             return
         self.tracking[i] = True
         self.target[i] = command.target
         if isinstance(command, HighLevelGoto):
-            self.anchor[i] = self.pos[i] if anchor is None else anchor
+            self.anchor[i] = self.pos[i]
             self.duration[i] = command.duration
             self.activated[i] = activated
-
-    def _clamp(self, v: np.ndarray) -> None:
-        """Scale, in place, every row whose speed exceeds max_speed down to it."""
-        sq = v * v
-        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-        over = norm > self.max_speed
-        if np.count_nonzero(over):
-            v[over] *= (self.max_speed / norm[over])[:, None]
 
     def step(self, now: float) -> None:
         """Advance every row one tick with the exact flow of the first-order velocity lag.
 
-        pos and vel are rebound to new arrays, never written in place, so
-        callers may keep references to earlier states.
+        The commanded velocity (the setpoint, or a tracking row's position
+        feedback) is limited to max_speed row by row, so a setpoint gives the
+        same bits on every tick it is active. pos and vel are rebound to new
+        arrays, never written in place, so callers may keep references to
+        earlier states.
         """
         n = len(self.pos)
         n_tracking = np.count_nonzero(self.tracking)
@@ -183,11 +180,13 @@ class _Fleet:
                 if n_goto < n:
                     target = np.where(self.goto[:, None], target, self.target)
             feedback = self.gain * (target - self.pos)
-            self._clamp(feedback)
-            if n_tracking == n:
-                commanded = feedback
-            else:
-                commanded = np.where(self.tracking[:, None], feedback, commanded)
+            commanded = feedback if n_tracking == n else np.where(self.tracking[:, None], feedback, commanded)
+        sq = commanded * commanded
+        norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        over = norm > self.max_speed
+        if np.count_nonzero(over):
+            commanded = commanded.copy()  # the stored setpoints stay as sent
+            commanded[over] *= (self.max_speed / norm[over])[:, None]
         lag = self.vel - commanded
         self.pos = self.pos + commanded * self.dt + lag * self.ramp
         self.vel = commanded + lag * self.decay
@@ -221,33 +220,36 @@ class PoseLog:
             fh.write(self.to_csv())
 
 
-class _SimEndpoint(VehicleEndpoint):
-    """A vehicle's view of the simulation; `now` and `estimates` are set before each resume."""
+@dataclass
+class _Vehicle(VehicleEndpoint):
+    """One fleet row as its executor sees it, and that executor's schedule.
 
-    def __init__(self, index: int):
-        self.index = index
-        self.now = 0.0
-        self.estimates: Optional[np.ndarray] = None
-        self.outbox: list[Command] = []
+    `now` and `estimates` are set before each resume. A sent command is due
+    `latency` after `now`; `now` never decreases, so `pending` is in due order
+    as well as in send order.
+    """
+
+    row: int
+    agent: int
+    latency: float
+    command_sink: Optional[list]
+    gen: Optional[Iterator[float]] = None  # the executor, made on this endpoint
+    next_resume: float = 0.0
+    done: bool = False
+    now: float = 0.0
+    estimates: Optional[np.ndarray] = None
+    pending: list[tuple[float, Command]] = field(default_factory=list)  # (due, command)
 
     def send(self, command: Command) -> None:
-        self.outbox.append(command)
+        self.pending.append((self.now + self.latency, command))
+        if self.command_sink is not None:
+            self.command_sink.append((self.agent, command))
 
     def estimated_position(self) -> Vec3:
-        return tuple(self.estimates[self.index].tolist())  # type: ignore[return-value]
+        return tuple(self.estimates[self.row].tolist())  # type: ignore[return-value]
 
     def clock(self) -> float:
         return self.now
-
-
-@dataclass
-class _AgentRuntime:
-    agent: int
-    endpoint: _SimEndpoint
-    gen: Iterator[float]
-    next_resume: float = 0.0
-    done: bool = False
-    pending: list[tuple[float, int, Command]] = field(default_factory=list)
 
 
 def _plan_speed(plan: TimedPlan) -> float:
@@ -266,7 +268,7 @@ class _Run:
 
     index: int
     seed: int
-    runtimes: list[_AgentRuntime]
+    vehicles: list[_Vehicle]
     n_done: int = 0
     completed: bool = False
     end_time: float = 0.0
@@ -283,8 +285,10 @@ def run_execution(
     """Lockstep execution of all plans under one method.
 
     Per tick: localize every vehicle, resume due executors on the shared clock,
-    activate the newest due command (transport latency applies), then step the
-    vehicle dynamics. Poses are logged every log_period. The run terminates when
+    activate each vehicle's newest arrived command, then step the vehicle
+    dynamics. A command arrives `latency` after it is sent and replaces the
+    active one; `_Fleet.step` limits every commanded velocity to max_speed.
+    Poses are logged every log_period. The run terminates when
     every executor has finished and every vehicle sits inside the VLL box of its
     goal, or is marked failed at the wall cap of 2 x makespan + 10 s.
 
@@ -353,19 +357,19 @@ def _execute(
     runs: list[_Run] = []
     for r, run_config in enumerate(configs):
         rngs.extend(np.random.default_rng(s) for s in np.random.SeedSequence(run_config.seed).spawn(n_agents))
-        runtimes = []
+        vehicles = []
         for i, (plan, cruise) in enumerate(zip(plan_list, cruise_speeds)):
-            endpoint = _SimEndpoint(r * n_agents + i)
-            gen = make_executor(
+            vehicle = _Vehicle(r * n_agents + i, plan.agent, config.latency, command_sink)
+            vehicle.gen = make_executor(
                 name,
                 plan,
-                endpoint,
+                vehicle,
                 period=config.command_period,
                 box_half_width=config.vll_box_half_width,
                 cruise_speed=cruise,
             )
-            runtimes.append(_AgentRuntime(agent=plan.agent, endpoint=endpoint, gen=gen))
-        runs.append(_Run(r, run_config.seed, runtimes))
+            vehicles.append(vehicle)
+        runs.append(_Run(r, run_config.seed, vehicles))
 
     rows = len(rngs)
     fleet = _Fleet([p.start_position for p in plan_list] * len(runs), [(0.0, 0.0, 0.0)] * rows, config, config.tick)
@@ -380,7 +384,6 @@ def _execute(
     logged: list[tuple[float, np.ndarray, np.ndarray, list[Vec3]]] = []  # (t, actual, estimated, planned)
     active = runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
-    seq = 0
     n = 0
     wake = 0.0  # earliest executor resume or command activation still to come
     while True:
@@ -411,43 +414,33 @@ def _execute(
             break
 
         if wake <= t + _EPS:
+            wake = math.inf
             for run in active:
-                for rt in run.runtimes:
+                for v in run.vehicles:
                     guard = 0
-                    rt.endpoint.now = t
-                    rt.endpoint.estimates = estimated
-                    while not rt.done and rt.next_resume <= t + _EPS:
+                    v.now, v.estimates = t, estimated
+                    while not v.done and v.next_resume <= t + _EPS:
                         try:
-                            delay = next(rt.gen)
+                            delay = next(v.gen)
                         except StopIteration:
-                            rt.done = True
+                            v.done = True
                             run.n_done += 1
                             if run.n_done == n_agents:
                                 ready.append(run)
                             break
-                        rt.next_resume = t + max(delay, 1e-9)
+                        v.next_resume = t + max(delay, 1e-9)
                         guard += 1
                         if guard > 100000:
-                            raise RuntimeError(f"agent {rt.agent}: executor yields no forward progress")
-                    if rt.endpoint.outbox:
-                        for command in rt.endpoint.outbox:
-                            rt.pending.append((t + config.latency, seq, command))
-                            seq += 1
-                            if command_sink is not None:
-                                command_sink.append((rt.agent, command))
-                        rt.endpoint.outbox.clear()
-
-            wake = math.inf
-            for run in active:
-                for rt in run.runtimes:
-                    due = [entry for entry in rt.pending if entry[0] <= t + _EPS]
-                    if due:
-                        rt.pending = [entry for entry in rt.pending if entry[0] > t + _EPS]
-                        fleet.activate(rt.endpoint.index, max(due, key=lambda entry: entry[1])[2], t)
-                    for entry in rt.pending:
-                        wake = min(wake, entry[0])
-                    if not rt.done:
-                        wake = min(wake, rt.next_resume)
+                            raise RuntimeError(f"agent {v.agent}: executor yields no forward progress")
+                    # the due commands are a prefix of pending; its last one is the newest
+                    arrived = bisect_right(v.pending, t + _EPS, key=lambda entry: entry[0])
+                    if arrived:
+                        fleet.activate(v.row, v.pending[arrived - 1][1], t)
+                        del v.pending[:arrived]
+                    if v.pending:
+                        wake = min(wake, v.pending[0][0])
+                    if not v.done:
+                        wake = min(wake, v.next_resume)
         fleet.step(t)
         n += 1
 

@@ -93,9 +93,6 @@ class LinearMotion:
             self.p0[2] + (self.p1[2] - self.p0[2]) * s,
         )
 
-    def shifted(self, dt: float) -> "LinearMotion":
-        return LinearMotion(self.p0, self.p1, self.t0 + dt, self.t1 + dt)
-
 
 @dataclass(frozen=True)
 class CylinderBody:

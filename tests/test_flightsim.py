@@ -29,10 +29,12 @@ REST = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))  # (position, velocity)
 
 
 def one_tick(state, command, dt, config, now=0.0, anchor=None, activated=None):
-    """(position, velocity) after one tick of a one-row fleet that starts at `state`."""
-    fleet = _Fleet([state[0]], [state[1]], config, dt)
+    """(position, velocity) after one tick of a one-row fleet that starts at `state`;
+    the command is activated while the row sits at `anchor` (default: the state)."""
+    fleet = _Fleet([state[0] if anchor is None else anchor], [state[1]], config, dt)
     if command is not None:
-        fleet.activate(0, command, command.issue_time if activated is None else activated, anchor)
+        fleet.activate(0, command, command.issue_time if activated is None else activated)
+    fleet.pos = np.array([state[0]], dtype=np.float64)
     fleet.step(now)
     return tuple(fleet.pos[0].tolist()), tuple(fleet.vel[0].tolist())
 

@@ -20,6 +20,11 @@ from mapflight.plan import TimedPlan
 from oracles import unsafe_interval_oracle
 
 
+def shifted(motion: LinearMotion, dt: float) -> LinearMotion:
+    """The same motion, dt later."""
+    return LinearMotion(motion.p0, motion.p1, motion.t0 + dt, motion.t1 + dt)
+
+
 # ---------------------------------------------------------------------------
 # Interval / LinearMotion / CylinderBody contracts
 # ---------------------------------------------------------------------------
@@ -172,10 +177,10 @@ class TestCylinderUnsafeInterval:
         b = LinearMotion((4.0, 0.2, 0.0), (0.0, 0.2, 0.0), 0.0, 4.0)
         body = CylinderBody(0.5, 1.0)
         base = cylinder_unsafe_interval(a, b, body, body)
-        shifted = cylinder_unsafe_interval(a.shifted(2.0), b.shifted(2.0), body, body)
-        assert base is not None and shifted is not None
-        assert shifted.lo == pytest.approx(base.lo + 2.0, abs=1e-9)
-        assert shifted.hi == pytest.approx(base.hi + 2.0, abs=1e-9)
+        later = cylinder_unsafe_interval(shifted(a, 2.0), shifted(b, 2.0), body, body)
+        assert base is not None and later is not None
+        assert later.lo == pytest.approx(base.lo + 2.0, abs=1e-9)
+        assert later.hi == pytest.approx(base.hi + 2.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ class TestMoveClearDelay:
                     continue
                 checked += 1
                 delay = move_clear_delay(a, b, body, body)
-                assert cylinder_unsafe_interval(a.shifted(delay), b, body, body) is None, (a, b, body, delay)
+                assert cylinder_unsafe_interval(shifted(a, delay), b, body, body) is None, (a, b, body, delay)
             assert checked >= least  # the generator must actually produce conflicts
 
 
