@@ -1,5 +1,7 @@
 """Conflict-tree search over continuous-time plans: optimality, failure modes."""
 
+import hashlib
+import json
 import math
 import random
 from pathlib import Path
@@ -498,3 +500,27 @@ class TestGolden:
             world, agents = _fuzz_instance(seed, 12 + seed % 5)
             res = ccbs_solve(world, agents, SolveLimits(max_wall_time=60.0, max_expansions=25))
             assert _summary(res) == want, seed
+
+
+def test_plan_grid_counters_at_a_small_budget():
+    # Every counter of the 32 committed plan-grid solves at 20 expansions,
+    # bit for bit: a change that claims the same conflict trees must keep it.
+    rows = []
+    for k in range(32):
+        world, agents = load_instance(PLAN_GRID / f"grid_{k:03d}.json")
+        res = ccbs_solve(world, agents, SolveLimits(max_wall_time=math.inf, max_expansions=20))
+        st = res.stats
+        rows.append([
+            res.status,
+            res.detail,
+            None if res.solution is None else res.solution.cost.hex(),
+            st.expansions,
+            st.generated,
+            st.bypasses,
+            st.replans,
+            st.replans_reused,
+            None if st.lower_bound is None else float(st.lower_bound).hex(),
+        ])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "379bffc9f91d576c958ca1ca14dd03b64ba497953d8fa52b8e282513469b50f3", rows
+
