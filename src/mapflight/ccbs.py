@@ -10,7 +10,8 @@ only the pairs of the agent it replans. A child that costs no more and has
 fewer conflicting pairs than its node is adopted in place of branching
 (bypass), which keeps the solution optimal. Sibling subtrees share their
 parents' tables and branch on the same conflicts again, so each solve keeps
-its replans by (parent table, constraint) and runs each distinct one once.
+its branches by conflict and its replans by (parent table, constraint), and
+derives each distinct one once.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class SolveStats:
     replans: `sipp_plan` calls made, the root plans included.
     replans_reused: children whose (parent table, constraint) was replanned
         before in this solve, so they reuse that table and plan instead.
+    branches_reused: expansions whose conflict was branched on before in
+        this solve, so they reuse its two constraints; expansions minus this
+        is the number of `branch` calls.
     lower_bound: at LIMIT_EXCEEDED, a proven lower bound on the optimal
         sum of costs: the cost of the node being expanded at the expansion
         limit, the smallest key on the open list at the wall limit; else None.
@@ -81,6 +85,7 @@ class SolveStats:
     bypasses: int = 0
     replans: int = 0
     replans_reused: int = 0
+    branches_reused: int = 0
     lower_bound: Optional[float] = None
     wall_time: float = 0.0
 
@@ -253,6 +258,9 @@ def ccbs_solve(
     # sipp_plan is pure, so a repeated replan is looked up, not rerun. The
     # parent table is kept in the value so its id cannot be reused.
     replans: dict[tuple[int, Constraint], tuple[SafeIntervalTable, SafeIntervalTable, Optional[TimedPlan]]] = {}
+    # conflict -> its two constraints; branch is pure, and the world and
+    # bodies are fixed for the solve
+    branches: dict[Conflict, tuple[Constraint, Constraint]] = {}
 
     def at_limit(what: str, bound: float) -> SolveResult:
         stats.lower_bound = bound
@@ -271,7 +279,13 @@ def ccbs_solve(
                 return at_limit("expansion", node.cost)
             stats.expansions += 1
             children, bypass = [], None
-            for c in branch(earliest_conflict(conflicts), world, bodies):
+            conflict = earliest_conflict(conflicts)
+            constraints = branches.get(conflict)
+            if constraints is None:
+                constraints = branches[conflict] = branch(conflict, world, bodies)
+            else:
+                stats.branches_reused += 1
+            for c in constraints:
                 parent = node.tables[c.agent]
                 cached = replans.get((id(parent), c))
                 if cached is None:

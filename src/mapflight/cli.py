@@ -129,7 +129,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(
         f"solver: {result.status} expansions={stats.expansions} "
         f"generated={stats.generated} bypasses={stats.bypasses} replans={stats.replans} "
-        f"replans_reused={stats.replans_reused} wall={stats.wall_time:.3f}s"
+        f"replans_reused={stats.replans_reused} branches_reused={stats.branches_reused} "
+        f"wall={stats.wall_time:.3f}s"
     )
     if result.status == NO_SOLUTION:
         print(f"no solution: {result.detail}")

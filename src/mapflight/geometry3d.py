@@ -9,7 +9,7 @@ touching bodies are safe and grazing contacts do not count as conflicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
@@ -51,12 +51,15 @@ class LinearMotion:
     """Straight-line motion from p0 at t0 to p1 at t1; a wait has p0 == p1.
 
     t1 = +inf is permitted only for waits (an agent parked forever).
+    `is_wait` and the velocity are computed once, at construction.
     """
 
     p0: Vec3
     p1: Vec3
     t0: float
     t1: float
+    is_wait: bool = field(init=False, repr=False, compare=False)
+    _velocity: Vec3 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in (*self.p0, *self.p1, self.t0):
@@ -66,22 +69,23 @@ class LinearMotion:
             raise ValueError(f"motion must satisfy t0 <= t1, got [{self.t0!r}, {self.t1!r}]")
         if self.t0 < 0.0:
             raise ValueError("motion cannot start before t = 0")
-        if math.isinf(self.t1) and self.p0 != self.p1:
+        is_wait = self.p0 == self.p1
+        if math.isinf(self.t1) and not is_wait:
             raise ValueError("only a wait may have an infinite end time")
-
-    @property
-    def is_wait(self) -> bool:
-        return self.p0 == self.p1
+        if is_wait or self.t1 == self.t0:
+            velocity = (0.0, 0.0, 0.0)
+        else:
+            inv = 1.0 / (self.t1 - self.t0)
+            velocity = (
+                (self.p1[0] - self.p0[0]) * inv,
+                (self.p1[1] - self.p0[1]) * inv,
+                (self.p1[2] - self.p0[2]) * inv,
+            )
+        object.__setattr__(self, "is_wait", is_wait)
+        object.__setattr__(self, "_velocity", velocity)
 
     def velocity(self) -> Vec3:
-        if self.is_wait or self.t1 == self.t0:
-            return (0.0, 0.0, 0.0)
-        inv = 1.0 / (self.t1 - self.t0)
-        return (
-            (self.p1[0] - self.p0[0]) * inv,
-            (self.p1[1] - self.p0[1]) * inv,
-            (self.p1[2] - self.p0[2]) * inv,
-        )
+        return self._velocity
 
     def position_at(self, t: float) -> Vec3:
         if self.is_wait or self.t1 == self.t0:
@@ -132,18 +136,15 @@ def _overlap_window(a: LinearMotion, b: LinearMotion) -> Optional[tuple[float, f
     return lo, hi
 
 
-def _below_threshold(dp: tuple, dv: tuple, threshold: float, span: float) -> Optional[tuple[float, float]]:
-    """Open subinterval of [0, span] where ||dp + s*dv|| < threshold, or None.
+def _solve_below(a2: float, b2: float, c2: float, span: float) -> Optional[tuple[float, float]]:
+    """Open subinterval of [0, span] where a2 s^2 + b2 s + c2 < 0, or None.
 
-    Solves the quadratic |dv|^2 s^2 + 2(dp.dv) s + |dp|^2 - threshold^2 < 0
-    in a cancellation-free form.
+    The coefficients are those of ||dp + s*dv||^2 - threshold^2; the roots
+    are taken in a cancellation-free form.
     """
-    a2 = sum(c * c for c in dv)
-    c2 = sum(c * c for c in dp) - threshold * threshold
     if a2 < 1e-30:
         # no relative motion: inside for the whole window or never
         return (0.0, span) if c2 < 0.0 else None
-    b2 = 2.0 * sum(p * v for p, v in zip(dp, dv))
     disc = b2 * b2 - 4.0 * a2 * c2
     if disc < TANGENCY_EPS:
         return None
@@ -165,12 +166,18 @@ def _contact(dp: Vec3, dv: Vec3, span: float, r_sum: float, h_sum_half: float) -
     """Open subwindow of [0, span] where the relative motion dp + s*dv is a contact, or None.
 
     The one statement of the cylinder rule: planar distance < r_sum AND
-    vertical distance < h_sum_half.
+    vertical distance < h_sum_half. Every sum starts at 0.0, so that a sum
+    of negative zeros is +0.0, as a sum() from int 0 is: _solve_below reads
+    the sign of b2 through copysign, and -0.0 would take the other root
+    formula and can change the window's last bits.
     """
-    xy = _below_threshold((dp[0], dp[1]), (dv[0], dv[1]), r_sum, span)
+    px, py, pz = dp
+    vx, vy, vz = dv
+    xy = _solve_below(0.0 + vx * vx + vy * vy, 2.0 * (0.0 + px * vx + py * vy),
+                      0.0 + px * px + py * py - r_sum * r_sum, span)
     if xy is None:
         return None
-    z = _below_threshold((dp[2],), (dv[2],), h_sum_half, span)
+    z = _solve_below(0.0 + vz * vz, 2.0 * (0.0 + pz * vz), 0.0 + pz * pz - h_sum_half * h_sum_half, span)
     if z is None:
         return None
     lo = max(xy[0], z[0])
@@ -224,8 +231,11 @@ def move_clear_delay(
     """Smallest delay of `action` that clears its conflict with `other`.
 
     Bisects on the safe side, so shifting by the returned value is always
-    conflict-free; exact to within _CLEAR_TOL. `other` must end at a finite time.
+    conflict-free; exact to within _CLEAR_TOL. `other` must end at a finite
+    time: no delay clears an agent parked for good, so that raises ValueError.
     """
+    if math.isinf(other.t1):
+        raise ValueError("move_clear_delay needs `other` to end at a finite time")
     p0a, va, t0a, t1a = action.p0, action.velocity(), action.t0, action.t1
     p0b, vb, t0b, t1b = other.p0, other.velocity(), other.t0, other.t1
     dv = (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2])

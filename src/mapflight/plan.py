@@ -59,6 +59,11 @@ class TimedPlan:
                 )
         object.__setattr__(self, "waypoints", wps)
         object.__setattr__(self, "_times", tuple(wp[3] for wp in wps))
+        # plans key the solver's pair-test cache, so hash the waypoints once
+        object.__setattr__(self, "_hash", hash((self.agent, wps)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def start_position(self) -> Vec3:

@@ -5,6 +5,10 @@ with the implementation:
 
   * unsafe_interval_oracle — dense time sampling of the two-cylinder overlap
     predicate plus bisection refinement of the entry/exit instants.
+  * contact_oracle — the generic (any-dimension, sum()-based) form of the
+    solver's cylinder contact kernel, which the plain-arithmetic kernel must
+    reproduce bit for bit; velocity_oracle and is_wait_oracle are the
+    per-call LinearMotion formulas its precomputed fields must match.
   * timed_astar_oracle — single-agent time-expanded A* on a fixed tick grid,
     honoring departure prohibitions (closed-left) and occupancy prohibitions
     (open), with goal arrival requiring a legal park-forever.
@@ -115,6 +119,64 @@ def unsafe_interval_oracle(
         k = first + int(after[0])
         exit_ = _bisect_edge(inside, float(ts[k - 1]), float(ts[k]), False, tol)
     return entry, exit_
+
+
+def below_threshold_oracle(dp: tuple, dv: tuple, threshold: float, span: float) -> Optional[tuple[float, float]]:
+    """Open subinterval of [0, span] where ||dp + s*dv|| < threshold, or None.
+
+    Solves the quadratic |dv|^2 s^2 + 2(dp.dv) s + |dp|^2 - threshold^2 < 0
+    in a cancellation-free form, with the sums taken by sum() from int 0.
+    """
+    a2 = sum(c * c for c in dv)
+    c2 = sum(c * c for c in dp) - threshold * threshold
+    if a2 < 1e-30:
+        return (0.0, span) if c2 < 0.0 else None
+    b2 = 2.0 * sum(p * v for p, v in zip(dp, dv))
+    disc = b2 * b2 - 4.0 * a2 * c2
+    if disc < 1e-12:  # geometry3d.TANGENCY_EPS
+        return None
+    root = math.sqrt(disc)
+    q = -0.5 * (b2 + math.copysign(root, b2))
+    r1 = q / a2
+    r2 = c2 / q
+    lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
+    if lo < 0.0:
+        lo = 0.0
+    if hi > span:
+        hi = span
+    if hi <= lo:
+        return None
+    return lo, hi
+
+
+def contact_oracle(dp: Vec3, dv: Vec3, span: float, r_sum: float, h_sum_half: float) -> Optional[tuple[float, float]]:
+    """Open subwindow of [0, span] where dp + s*dv is a cylinder contact, or None."""
+    xy = below_threshold_oracle((dp[0], dp[1]), (dv[0], dv[1]), r_sum, span)
+    if xy is None:
+        return None
+    z = below_threshold_oracle((dp[2],), (dv[2],), h_sum_half, span)
+    if z is None:
+        return None
+    lo = max(xy[0], z[0])
+    hi = min(xy[1], z[1])
+    if hi <= lo:
+        return None
+    return lo, hi
+
+
+def is_wait_oracle(motion) -> bool:
+    return motion.p0 == motion.p1
+
+
+def velocity_oracle(motion) -> Vec3:
+    if is_wait_oracle(motion) or motion.t1 == motion.t0:
+        return (0.0, 0.0, 0.0)
+    inv = 1.0 / (motion.t1 - motion.t0)
+    return (
+        (motion.p1[0] - motion.p0[0]) * inv,
+        (motion.p1[1] - motion.p0[1]) * inv,
+        (motion.p1[2] - motion.p0[2]) * inv,
+    )
 
 
 # ---------------------------------------------------------------------------

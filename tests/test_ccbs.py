@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mapflight import ccbs
 from mapflight.ccbs import (
     LIMIT_EXCEEDED,
     NO_SOLUTION,
@@ -524,3 +525,18 @@ def test_plan_grid_counters_at_a_small_budget():
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "379bffc9f91d576c958ca1ca14dd03b64ba497953d8fa52b8e282513469b50f3", rows
 
+
+def test_each_distinct_conflict_is_branched_once(scenario_dir, monkeypatch):
+    calls = []
+
+    def counted(conflict, world, bodies):
+        calls.append(conflict)
+        return branch(conflict, world, bodies)
+
+    monkeypatch.setattr(ccbs, "branch", counted)
+    cases = [(TestEightAgents().instance(), 57, 40), (load_instance(scenario_dir / "swarm_8.json"), 124, 104)]
+    for (world, agents), expansions, reused in cases:
+        calls.clear()
+        stats = ccbs_solve(world, agents).stats
+        assert (stats.expansions, stats.branches_reused) == (expansions, reused)
+        assert len(calls) == len(set(calls)) == expansions - reused

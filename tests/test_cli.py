@@ -81,7 +81,7 @@ class TestPlan:
         assert code == EXIT_OK and out.is_file()
         stdout = capsys.readouterr().out
         assert "solver: solved" in stdout and "cost=6.0" in stdout
-        assert "replans=2 replans_reused=0" in stdout  # one root plan per agent
+        assert "replans=2 replans_reused=0 branches_reused=0" in stdout  # one root plan per agent
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["plan", "--instance", str(tmp_path / "nope.json"), "--out", str(tmp_path / "p.json")])

@@ -8,6 +8,7 @@ import pytest
 from mapflight.ccbs import conflict_table, earliest_conflict
 from mapflight.geometry3d import (
     CylinderBody,
+    _contact,
     Interval,
     LinearMotion,
     cylinder_unsafe_interval,
@@ -17,7 +18,7 @@ from mapflight.geometry3d import (
 )
 from mapflight.plan import TimedPlan
 
-from oracles import unsafe_interval_oracle
+from oracles import contact_oracle, is_wait_oracle, unsafe_interval_oracle, velocity_oracle
 
 
 def shifted(motion: LinearMotion, dt: float) -> LinearMotion:
@@ -235,6 +236,15 @@ class TestMoveClearDelay:
         delay = move_clear_delay(action, other, body, body)
         assert delay == 1.0
 
+    def test_an_other_that_never_ends_is_rejected(self):
+        # no delay clears an agent parked for good: its window never closes,
+        # so a bisection over [0, inf] could never narrow
+        action = LinearMotion((0.25, 0.25, 0.25), (0.75, 0.25, 0.25), 0.0, 1.0)
+        parked = LinearMotion((0.75, 0.25, 0.25), (0.75, 0.25, 0.25), 0.5, math.inf)
+        body = CylinderBody(0.25, 1.0)
+        with pytest.raises(ValueError, match="finite time"):
+            move_clear_delay(action, parked, body, body)
+
     def test_shifting_by_returned_delay_clears(self):
         # continuous motions, then lattice ones, where the snap candidates decide;
         # on the lattice both a layer-overlapping and a layer-touching height
@@ -359,3 +369,54 @@ def test_randomized_pairs_match_oracle():
         body_a = CylinderBody(rng.uniform(0.2, 0.7), rng.uniform(0.5, 2.0))
         body_b = CylinderBody(rng.uniform(0.2, 0.7), rng.uniform(0.5, 2.0))
         assert_matches_oracle(a, b, body_a, body_b)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equivalence of the contact kernel and the motion fields
+# ---------------------------------------------------------------------------
+
+SQRT1_2 = math.sqrt(0.5)
+# signed zeros, cell offsets and axis/diagonal speeds: the values grid plans produce
+KERNEL_LATTICE = (0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, SQRT1_2, -SQRT1_2, 0.5 * SQRT1_2, -0.5 * SQRT1_2)
+# (r_sum, h_sum_half) of the test bodies (0.25, 1.0), (0.25, 0.5) and (0.5, 1.0)
+KERNEL_BODIES = ((0.5, 1.0), (0.5, 0.5), (1.0, 1.0))
+KERNEL_SPANS = (*LATTICE_TIMES[1:], 0.5, math.inf)
+
+
+def bits(value):
+    """float.hex of every entry, so that -0.0 and 0.0 differ."""
+    return None if value is None else tuple(float.hex(v) for v in value)
+
+
+def test_contact_kernel_matches_the_generic_oracle_bit_for_bit():
+    rng = random.Random(20)
+
+    def component():
+        return rng.choice(KERNEL_LATTICE) if rng.random() < 0.75 else rng.uniform(-2.0, 2.0)
+
+    contacts = 0
+    for _ in range(60_000):
+        dp = (component(), component(), component())
+        dv = (component(), component(), component())
+        span = rng.choice(KERNEL_SPANS) if rng.random() < 0.75 else rng.uniform(0.1, 3.0)
+        if rng.random() < 0.75:
+            r_sum, h_half = rng.choice(KERNEL_BODIES)
+        else:
+            r_sum, h_half = rng.uniform(0.4, 1.4), rng.uniform(0.5, 2.0)
+        got = _contact(dp, dv, span, r_sum, h_half)
+        assert bits(got) == bits(contact_oracle(dp, dv, span, r_sum, h_half)), (dp, dv, span, r_sum, h_half)
+        contacts += got is not None
+    assert contacts >= 10_000  # the draws must reach the root-finding branch
+
+
+def test_motion_fields_match_the_per_call_formulas():
+    rng = random.Random(21)
+    motions = []
+    for _ in range(2000):
+        motions += [*random_pair(rng), *lattice_pair(rng), random_motion(rng)]
+        p0 = (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1))
+        motions.append(LinearMotion(p0, (p0[0] + 0.5, p0[1], p0[2]), 1.0, 1.0))  # zero duration
+    motions.append(LinearMotion((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 2.0, math.inf))
+    for m in motions:
+        assert m.is_wait == is_wait_oracle(m), m
+        assert bits(m.velocity()) == bits(velocity_oracle(m)), m

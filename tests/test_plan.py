@@ -1,7 +1,9 @@
 """Timed plans: interpolation, dual-check validation, plan file round-trips."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
@@ -46,6 +48,20 @@ class TestTimedPlan:
     def test_rejects_malformed_waypoints(self, wps, match):
         with pytest.raises(ValueError, match=match):
             TimedPlan(0, wps)
+
+    def test_hash_is_the_hash_of_agent_and_waypoints(self):
+        # the hash is computed once; equal plans must still hash equal
+        ints = TimedPlan(3, ((0, 0, 0, 0), (1, 0, 0, 2), (1, 1, 0, 4)))
+        floats = TimedPlan(3, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0), (1.0, 1.0, 0.0, 4.0)))
+        assert ints == floats and hash(ints) == hash(floats)
+        assert hash(floats) == hash((floats.agent, floats.waypoints))
+        assert TimedPlan(4, floats.waypoints) != floats
+        for copy in (pickle.loads(pickle.dumps(floats)), dataclasses.replace(floats)):
+            assert copy == floats and hash(copy) == hash(floats)
+        moved = dataclasses.replace(floats, agent=5)
+        assert hash(moved) == hash((5, floats.waypoints))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            floats.agent = 7
 
 
 class TestSegmentCells:
