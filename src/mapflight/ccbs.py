@@ -78,6 +78,10 @@ class SolveStats:
     lower_bound: at LIMIT_EXCEEDED, a proven lower bound on the optimal
         sum of costs: the cost of the node being expanded at the expansion
         limit, the smallest key on the open list at the wall limit; else None.
+    peak_open: the largest size the open list reached.
+    sipp_s, detect_s, branch_s: seconds spent in `sipp_plan`, in the pair
+        scans (`conflict_table`, `replanned_table`) and in `branch`; each is
+        part of wall_time.
     """
 
     expansions: int = 0
@@ -88,6 +92,10 @@ class SolveStats:
     branches_reused: int = 0
     lower_bound: Optional[float] = None
     wall_time: float = 0.0
+    peak_open: int = 0
+    sipp_s: float = 0.0
+    detect_s: float = 0.0
+    branch_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -219,18 +227,19 @@ def ccbs_solve(
     by_id = {a.id: a for a in agent_list}
     bodies = {a.id: a.body for a in agent_list}
     stats = SolveStats()
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
 
     # permanent conflicts no branching can fix
     for x in range(len(agent_list)):
         for y in range(x + 1, len(agent_list)):
             a, b = agent_list[x], agent_list[y]
             if _static_overlap(world.center(a.start), world.center(b.start), a.body, b.body):
-                stats.wall_time = time.perf_counter() - started
+                stats.wall_time = clock() - started
                 return SolveResult(NO_SOLUTION, None, stats,
                                    f"agents {a.id} and {b.id} start with overlapping bodies")
             if _static_overlap(world.center(a.goal), world.center(b.goal), a.body, b.body):
-                stats.wall_time = time.perf_counter() - started
+                stats.wall_time = clock() - started
                 return SolveResult(NO_SOLUTION, None, stats,
                                    f"agents {a.id} and {b.id} have goals with overlapping bodies")
 
@@ -238,21 +247,21 @@ def ccbs_solve(
     root_plans: dict[int, TimedPlan] = {}
     stats.replans = len(agent_list)
     for a in agent_list:
+        t = clock()
         p = sipp_plan(world, a, root_tables[a.id])
+        stats.sipp_s += clock() - t
         if p is None:
-            stats.wall_time = time.perf_counter() - started
+            stats.wall_time = clock() - started
             return SolveResult(NO_SOLUTION, None, stats, f"agent {a.id} cannot reach its goal")
         root_plans[a.id] = p
 
     seq = itertools.count()
-    root = CTNode(
-        root_tables,
-        root_plans,
-        conflict_table(root_plans, bodies),
-        _sum_of_costs(root_plans),
-        0,
-    )
+    t = clock()
+    root_conflicts = conflict_table(root_plans, bodies)
+    stats.detect_s += clock() - t
+    root = CTNode(root_tables, root_plans, root_conflicts, _sum_of_costs(root_plans), 0)
     stats.generated = 1
+    stats.peak_open = 1
     heap: list[tuple[float, int, int, CTNode]] = [(root.cost, 0, next(seq), root)]
     # (id of the parent table, constraint) -> (parent table, new table, plan);
     # sipp_plan is pure, so a repeated replan is looked up, not rerun. The
@@ -264,11 +273,11 @@ def ccbs_solve(
 
     def at_limit(what: str, bound: float) -> SolveResult:
         stats.lower_bound = bound
-        stats.wall_time = time.perf_counter() - started
+        stats.wall_time = clock() - started
         return SolveResult(LIMIT_EXCEEDED, None, stats, f"{what} limit reached; cost lower bound {bound!r}")
 
     while heap:
-        stats.wall_time = time.perf_counter() - started
+        stats.wall_time = clock() - started
         if stats.wall_time > limits.max_wall_time:
             return at_limit("wall-time", heap[0][0])
         _, _, _, node = heapq.heappop(heap)
@@ -282,7 +291,9 @@ def ccbs_solve(
             conflict = earliest_conflict(conflicts)
             constraints = branches.get(conflict)
             if constraints is None:
+                t = clock()
                 constraints = branches[conflict] = branch(conflict, world, bodies)
+                stats.branch_s += clock() - t
             else:
                 stats.branches_reused += 1
             for c in constraints:
@@ -290,7 +301,9 @@ def ccbs_solve(
                 cached = replans.get((id(parent), c))
                 if cached is None:
                     table = parent.adding(c)
+                    t = clock()
                     newp = sipp_plan(world, by_id[c.agent], table)
+                    stats.sipp_s += clock() - t
                     replans[(id(parent), c)] = (parent, table, newp)
                     stats.replans += 1
                 else:
@@ -300,7 +313,9 @@ def ccbs_solve(
                     continue
                 child_plans = dict(plans)
                 child_plans[c.agent] = newp
+                t = clock()
                 child_conflicts = replanned_table(conflicts, child_plans, c.agent, bodies)
+                stats.detect_s += clock() - t
                 if newp.end_time <= plans[c.agent].end_time and len(child_conflicts) < len(conflicts):
                     # bypass: the child costs no more and conflicts less, and its plan
                     # satisfies every constraint of this node, so adopt it in place
@@ -315,7 +330,7 @@ def ccbs_solve(
             plans, conflicts = bypass
             stats.bypasses += 1
         if not conflicts:
-            stats.wall_time = time.perf_counter() - started
+            stats.wall_time = clock() - started
             cost = _sum_of_costs(plans)
             makespan = max(p.end_time for p in plans.values())
             ordered = tuple(plans[a] for a in sorted(plans))
@@ -323,6 +338,7 @@ def ccbs_solve(
         for child in children:
             heapq.heappush(heap, (child.cost, child.n_constraints, next(seq), child))
             stats.generated += 1
+        stats.peak_open = max(stats.peak_open, len(heap))
 
-    stats.wall_time = time.perf_counter() - started
+    stats.wall_time = clock() - started
     return SolveResult(NO_SOLUTION, None, stats, "conflict tree exhausted")

@@ -130,7 +130,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"solver: {result.status} expansions={stats.expansions} "
         f"generated={stats.generated} bypasses={stats.bypasses} replans={stats.replans} "
         f"replans_reused={stats.replans_reused} branches_reused={stats.branches_reused} "
-        f"wall={stats.wall_time:.3f}s"
+        f"peak_open={stats.peak_open} sipp={stats.sipp_s:.3f}s detect={stats.detect_s:.3f}s "
+        f"branch={stats.branch_s:.3f}s wall={stats.wall_time:.3f}s"
     )
     if result.status == NO_SOLUTION:
         print(f"no solution: {result.detail}")

@@ -298,6 +298,11 @@ def plan_motions(plan: "TimedPlan") -> tuple[LinearMotion, ...]:
     ) + (LinearMotion(goal, goal, wps[-1][3], math.inf),)
 
 
+# Box gap beyond the contact thresholds at which a pair cannot touch. Contact
+# is strict `<`, so at this gap no rounding in the kernel can produce a hit.
+_BOX_MARGIN = 1e-9
+
+
 @lru_cache(maxsize=65536)
 def _pair_earliest(
     plan_i: "TimedPlan",
@@ -310,22 +315,52 @@ def _pair_earliest(
     Ties on the window start go to the earlier action of plan_i, then of
     plan_j. Cached: the conflict tree re-checks mostly unchanged plan pairs.
     Pure in its arguments, so sharing across solver nodes is sound.
+
+    A plan's motions are contiguous and ordered in time, so one sweep visits
+    just the pairs that overlap in time, in the order of the full double loop.
+    A pair whose axis-aligned boxes lie a margin apart skips the kernel.
     """
     segs_i = plan_motions(plan_i)
     segs_j = plan_motions(plan_j)
+    gap_xy = body_i.radius + body_j.radius + _BOX_MARGIN
+    gap_z = 0.5 * (body_i.height + body_j.height) + _BOX_MARGIN
 
     best: Optional[Conflict] = None
+    first = 0  # the first j motion that does not end before the current i motion starts
+    n_j = len(segs_j)
     for si in segs_i:
-        if best is not None and si.t0 > best.unsafe.lo:
+        t0, t1 = si.t0, si.t1
+        if best is not None and t0 > best.unsafe.lo:
             break
-        for sj in segs_j:
-            if best is not None and sj.t0 > best.unsafe.lo:
+        while segs_j[first].t1 <= t0:  # stops at the latest at the park, which ends at inf
+            first += 1
+        (ax, ay, az), (bx, by, bz) = si.p0, si.p1
+        x_lo, x_hi = (ax, bx) if ax < bx else (bx, ax)
+        y_lo, y_hi = (ay, by) if ay < by else (by, ay)
+        z_lo, z_hi = (az, bz) if az < bz else (bz, az)
+        for k in range(first, n_j):
+            sj = segs_j[k]
+            if sj.t0 >= t1 or (best is not None and sj.t0 > best.unsafe.lo):
                 break
-            if si.t1 <= sj.t0 or sj.t1 <= si.t0:
+            (cx, cy, cz), (dx, dy, dz) = sj.p0, sj.p1
+            if cx < dx:
+                if cx - x_hi >= gap_xy or x_lo - dx >= gap_xy:
+                    continue
+            elif dx - x_hi >= gap_xy or x_lo - cx >= gap_xy:
+                continue
+            if cy < dy:
+                if cy - y_hi >= gap_xy or y_lo - dy >= gap_xy:
+                    continue
+            elif dy - y_hi >= gap_xy or y_lo - cy >= gap_xy:
+                continue
+            if cz < dz:
+                if cz - z_hi >= gap_z or z_lo - dz >= gap_z:
+                    continue
+            elif dz - z_hi >= gap_z or z_lo - cz >= gap_z:
                 continue
             hit = cylinder_unsafe_interval(si, sj, body_i, body_j)
             if hit is None:
                 continue
-            if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
+            if best is None or (hit.lo, t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best

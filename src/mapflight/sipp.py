@@ -15,9 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .geometry3d import Interval
+from .geometry3d import Interval, Vec3
 from .plan import TimedPlan
 from .world import AgentSpec, Cell, GridWorld, move_duration, neighbors
 
@@ -37,6 +37,16 @@ class Constraint:
     @property
     def is_wait(self) -> bool:
         return self.src == self.dst
+
+
+def _past_blocks(blocks: tuple[tuple[float, float], ...], t: float) -> float:
+    """t bumped forward past sorted closed-left blocks [lo, hi)."""
+    for lo, hi in blocks:
+        if lo <= t < hi:
+            t = hi
+        elif lo > t:
+            break
+    return t
 
 
 def _insert_span(
@@ -78,12 +88,7 @@ class SafeIntervalTable:
 
     def earliest_departure(self, src: Cell, dst: Cell, t: float) -> float:
         """Bump t forward past closed-left departure prohibitions on (src, dst)."""
-        for lo, hi in self.move_blocks.get((src, dst), ()):
-            if lo <= t < hi:
-                t = hi
-            elif lo > t:
-                break
-        return t
+        return _past_blocks(self.move_blocks.get((src, dst), ()), t)
 
     def adding(self, constraint: Constraint) -> "SafeIntervalTable":
         """New table with one more prohibition; only the touched entry is rebuilt.
@@ -124,32 +129,32 @@ def build_safe_intervals(constraints: Iterable[Constraint], agent: int) -> SafeI
     return table
 
 
+class _SearchGraph(NamedTuple):
+    """One world's free cells as vertex indices (`GridWorld.vertex_index`)."""
+
+    centers: tuple[Vec3, ...]  # the center of the cell at each vertex index, obstacles included
+    index: dict[Cell, int]  # vertex index of each free cell
+    succ: tuple[tuple[tuple[int, float], ...], ...]  # (successor index, move duration); () off the free cells
+
+
 @lru_cache(maxsize=64)
-def _expansion_map(world: GridWorld, speed: float) -> dict[Cell, tuple[tuple[Cell, float, int], ...]]:
-    """(neighbor, move duration, neighbor vertex index) per free cell."""
-    out: dict[Cell, tuple[tuple[Cell, float, int], ...]] = {}
+def _search_graph(world: GridWorld, speed: float) -> _SearchGraph:
     nx, ny, nz = world.dims
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                cell = (i, j, k)
-                if not world.is_free(cell):
-                    continue
-                out[cell] = tuple(
-                    (nbr, move_duration(world, cell, nbr, speed), world.vertex_index(nbr))
-                    for nbr in neighbors(world, cell)
-                )
-    return out
+    cells = tuple((i, j, k) for i in range(nx) for j in range(ny) for k in range(nz))  # vertex_index order
+    index = {cell: v for v, cell in enumerate(cells) if world.is_free(cell)}
+    succ = tuple(
+        tuple((index[nbr], move_duration(world, cell, nbr, speed)) for nbr in neighbors(world, cell))
+        if cell in index else ()
+        for cell in cells
+    )
+    return _SearchGraph(tuple(world.center(cell) for cell in cells), index, succ)
 
 
 @lru_cache(maxsize=256)
-def _heuristic_map(world: GridWorld, goal: Cell, speed: float) -> dict[Cell, float]:
-    """Straight-line lower bound on time to the goal, per free cell."""
+def _heuristic(world: GridWorld, goal: Cell, speed: float) -> tuple[float, ...]:
+    """Straight-line lower bound on time to the goal, per vertex index."""
     goal_center = world.center(goal)
-    return {
-        cell: math.dist(world.center(cell), goal_center) / speed
-        for cell in _expansion_map(world, speed)
-    }
+    return tuple(math.dist(center, goal_center) / speed for center in _search_graph(world, speed).centers)
 
 
 def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> Optional[TimedPlan]:
@@ -158,79 +163,110 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
 
     Best-first over (vertex, safe-interval) states with the earliest-departure
     successor rule; waits are implicit in departing later than the arrival.
+    State (v, m), the m-th safe interval of vertex v, is keyed v + m * |V|.
     """
     if not world.is_free(agent.start):
         raise ValueError(f"agent {agent.id}: start {agent.start} is not a free cell")
     if not world.is_free(agent.goal):
         raise ValueError(f"agent {agent.id}: goal {agent.goal} is not a free cell")
     speed = agent.speed
-    expansion = _expansion_map(world, speed)
-    h = _heuristic_map(world, agent.goal, speed)
+    centers, index, succ = _search_graph(world, speed)
+    h = _heuristic(world, agent.goal, speed)
+    n_vertices = len(centers)
+    inf = math.inf
 
-    start_state: Optional[int] = None
-    for idx, iv in enumerate(table.vertex_intervals(agent.start)):
-        if iv.contains(0.0):
-            start_state = idx
+    # the table by vertex index; an entry off the free cells is never reached
+    safe: dict[int, tuple[tuple[float, float], ...]] = {}
+    for cell, intervals in table.vertex_safe.items():
+        v = index.get(cell)
+        if v is not None:
+            safe[v] = tuple((iv.lo, iv.hi) for iv in intervals)
+    blocks: dict[int, dict[int, tuple[tuple[float, float], ...]]] = {}
+    for (src, dst), spans in table.move_blocks.items():
+        v, w = index.get(src), index.get(dst)
+        if v is not None and w is not None:
+            blocks.setdefault(v, {})[w] = spans
+
+    start, goal = index[agent.start], index[agent.goal]
+    for start_m, (lo, hi) in enumerate(safe.get(start, ((0.0, inf),))):
+        if lo <= 0.0 <= hi:
             break
-    if start_state is None:
+    else:
         return None
 
     counter = itertools.count()
-    best_g: dict[tuple[Cell, int], float] = {(agent.start, start_state): 0.0}
-    parents: dict[tuple[Cell, int], tuple[tuple[Cell, int], float]] = {}
-    open_heap: list[tuple] = [
-        (h[agent.start], 0.0, world.vertex_index(agent.start), start_state, next(counter), agent.start)
-    ]
-    closed: set[tuple[Cell, int]] = set()
+    start_key = start + start_m * n_vertices
+    best_g: dict[int, float] = {start_key: 0.0}
+    parents: dict[int, tuple[int, float]] = {}
+    open_heap: list[tuple[float, float, int, int, int]] = [(h[start], 0.0, start, start_m, next(counter))]
+    closed: set[int] = set()
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    goal_key: Optional[tuple[Cell, int]] = None
+    goal_key: Optional[int] = None
     while open_heap:
-        f, neg_g, _, ivl_idx, _, cell = heapq.heappop(open_heap)
-        key = (cell, ivl_idx)
+        _, neg_g, v, m, _ = heappop(open_heap)
+        key = v + m * n_vertices
         if key in closed:
             continue
         closed.add(key)
         g = -neg_g
-        interval = table.vertex_intervals(cell)[ivl_idx]
-        if cell == agent.goal and interval.unbounded:
+        intervals = safe.get(v)
+        hi = inf if intervals is None else intervals[m][1]
+        if v == goal and hi == inf:
             goal_key = key
             break
-        for nbr, dur, nbr_idx in expansion[cell]:
-            for m, target in enumerate(table.vertex_intervals(nbr)):
-                if (nbr, m) in closed:
+        if g > hi:
+            continue  # no departure window: every successor's dep_min > dep_max
+        out_blocks = blocks.get(v)
+        for w, dur in succ[v]:
+            spans = None if out_blocks is None else out_blocks.get(w)
+            targets = safe.get(w)
+            if targets is None:
+                # no vertex bans: the one interval is [0, inf), so the
+                # departure window is exactly [g, hi]
+                if w in closed:
                     continue
-                dep_min = max(g, target.lo - dur)
-                dep_max = min(interval.hi, target.hi - dur)
+                tau = g if spans is None else _past_blocks(spans, g)
+                if tau > hi:
+                    continue
+                arrival = tau + dur
+                if arrival < best_g.get(w, inf):
+                    best_g[w] = arrival
+                    parents[w] = (key, tau)
+                    heappush(open_heap, (arrival + h[w], -arrival, w, 0, next(counter)))
+                continue
+            for n, (t_lo, t_hi) in enumerate(targets):
+                w_key = w + n * n_vertices
+                if w_key in closed:
+                    continue
+                dep_min = max(g, t_lo - dur)
+                dep_max = min(hi, t_hi - dur)
                 if dep_min > dep_max:
                     continue
-                tau = table.earliest_departure(cell, nbr, dep_min)
+                tau = dep_min if spans is None else _past_blocks(spans, dep_min)
                 if tau > dep_max:
                     continue
                 arrival = tau + dur
-                if arrival < best_g.get((nbr, m), math.inf):
-                    best_g[(nbr, m)] = arrival
-                    parents[(nbr, m)] = (key, tau)
-                    heapq.heappush(
-                        open_heap,
-                        (arrival + h[nbr], -arrival, nbr_idx, m, next(counter), nbr),
-                    )
+                if arrival < best_g.get(w_key, inf):
+                    best_g[w_key] = arrival
+                    parents[w_key] = (key, tau)
+                    heappush(open_heap, (arrival + h[w], -arrival, w, n, next(counter)))
     if goal_key is None:
         return None
 
     # reconstruct: walk parent links, inserting a wait waypoint when the
     # departure is strictly after the arrival at that vertex
-    chain: list[tuple[Cell, float, Optional[float]]] = []  # (cell, arrival, departure to next)
+    chain: list[tuple[Vec3, float, Optional[float]]] = []  # (center, arrival, departure to next)
     key = goal_key
     departure: Optional[float] = None
     while True:
-        chain.append((key[0], best_g[key], departure))
+        chain.append((centers[key % n_vertices], best_g[key], departure))
         if key not in parents:
             break
         key, departure = parents[key]
     chain.reverse()
     waypoints: list[tuple[float, float, float, float]] = []
-    for cell, arrival, departure in chain:
-        x, y, z = world.center(cell)
+    for (x, y, z), arrival, departure in chain:
         waypoints.append((x, y, z, arrival))
         if departure is not None and departure > arrival:
             waypoints.append((x, y, z, departure))

@@ -81,10 +81,12 @@ class GridWorld:
                 raise ValueError(f"obstacle {cell} outside grid dims {self.dims}")
 
     def in_bounds(self, cell: Cell) -> bool:
-        return all(0 <= c < n for c, n in zip(cell, self.dims))
+        nx, ny, nz = self.dims
+        return 0 <= cell[0] < nx and 0 <= cell[1] < ny and 0 <= cell[2] < nz
 
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.obstacles
+        nx, ny, nz = self.dims
+        return 0 <= cell[0] < nx and 0 <= cell[1] < ny and 0 <= cell[2] < nz and cell not in self.obstacles
 
     def center(self, cell: Cell) -> Vec3:
         cs = self.cell_size

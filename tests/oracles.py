@@ -17,6 +17,14 @@ with the implementation:
   * joint_astar_oracle — exhaustive joint A* over all agents on a coarser tick
     grid, minimizing sum of individual arrival times, with pairwise swept
     cylinder collision checks each tick.
+
+Two more are the solver's earlier kernels, kept as written, which the
+rewritten ones must reproduce bit for bit:
+
+  * sipp_reference — the cell-keyed SIPP search, querying the safe-interval
+    table per neighbour.
+  * pair_earliest_reference — the exhaustive double loop over two plans'
+    motions, testing every pair that overlaps in time.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from mapflight.geometry3d import Conflict, cylinder_unsafe_interval, plan_motions
+from mapflight.plan import TimedPlan
+from mapflight.world import move_duration, neighbors
 
 Vec3 = tuple[float, float, float]
 Cell = tuple[int, int, int]
@@ -532,3 +544,145 @@ def joint_astar_oracle(
 
         expand(0, [])
     return None
+
+
+# ---------------------------------------------------------------------------
+# earlier solver kernels
+# ---------------------------------------------------------------------------
+
+
+def _expansion_map(world, speed: float) -> dict:
+    """(neighbor, move duration, neighbor vertex index) per free cell."""
+    out: dict = {}
+    nx, ny, nz = world.dims
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                cell = (i, j, k)
+                if not world.is_free(cell):
+                    continue
+                out[cell] = tuple(
+                    (nbr, move_duration(world, cell, nbr, speed), world.vertex_index(nbr))
+                    for nbr in neighbors(world, cell)
+                )
+    return out
+
+
+def _heuristic_map(world, goal: Cell, speed: float) -> dict:
+    """Straight-line lower bound on time to the goal, per free cell."""
+    goal_center = world.center(goal)
+    return {
+        cell: math.dist(world.center(cell), goal_center) / speed
+        for cell in _expansion_map(world, speed)
+    }
+
+
+def sipp_reference(world, agent, table):
+    """Minimum-arrival plan from start to goal under one agent's safe-interval
+    table; None iff the goal is unreachable.
+
+    Best-first over (vertex, safe-interval) states with the earliest-departure
+    successor rule; waits are implicit in departing later than the arrival.
+    """
+    if not world.is_free(agent.start):
+        raise ValueError(f"agent {agent.id}: start {agent.start} is not a free cell")
+    if not world.is_free(agent.goal):
+        raise ValueError(f"agent {agent.id}: goal {agent.goal} is not a free cell")
+    speed = agent.speed
+    expansion = _expansion_map(world, speed)
+    h = _heuristic_map(world, agent.goal, speed)
+
+    start_state: Optional[int] = None
+    for idx, iv in enumerate(table.vertex_intervals(agent.start)):
+        if iv.contains(0.0):
+            start_state = idx
+            break
+    if start_state is None:
+        return None
+
+    counter = itertools.count()
+    best_g: dict = {(agent.start, start_state): 0.0}
+    parents: dict = {}
+    open_heap: list[tuple] = [
+        (h[agent.start], 0.0, world.vertex_index(agent.start), start_state, next(counter), agent.start)
+    ]
+    closed: set = set()
+
+    goal_key = None
+    while open_heap:
+        f, neg_g, _, ivl_idx, _, cell = heapq.heappop(open_heap)
+        key = (cell, ivl_idx)
+        if key in closed:
+            continue
+        closed.add(key)
+        g = -neg_g
+        interval = table.vertex_intervals(cell)[ivl_idx]
+        if cell == agent.goal and interval.unbounded:
+            goal_key = key
+            break
+        for nbr, dur, nbr_idx in expansion[cell]:
+            for m, target in enumerate(table.vertex_intervals(nbr)):
+                if (nbr, m) in closed:
+                    continue
+                dep_min = max(g, target.lo - dur)
+                dep_max = min(interval.hi, target.hi - dur)
+                if dep_min > dep_max:
+                    continue
+                tau = table.earliest_departure(cell, nbr, dep_min)
+                if tau > dep_max:
+                    continue
+                arrival = tau + dur
+                if arrival < best_g.get((nbr, m), math.inf):
+                    best_g[(nbr, m)] = arrival
+                    parents[(nbr, m)] = (key, tau)
+                    heapq.heappush(
+                        open_heap,
+                        (arrival + h[nbr], -arrival, nbr_idx, m, next(counter), nbr),
+                    )
+    if goal_key is None:
+        return None
+
+    # reconstruct: walk parent links, inserting a wait waypoint when the
+    # departure is strictly after the arrival at that vertex
+    chain: list = []  # (cell, arrival, departure to next)
+    key = goal_key
+    departure: Optional[float] = None
+    while True:
+        chain.append((key[0], best_g[key], departure))
+        if key not in parents:
+            break
+        key, departure = parents[key]
+    chain.reverse()
+    waypoints: list[tuple[float, float, float, float]] = []
+    for cell, arrival, departure in chain:
+        x, y, z = world.center(cell)
+        waypoints.append((x, y, z, arrival))
+        if departure is not None and departure > arrival:
+            waypoints.append((x, y, z, departure))
+    return TimedPlan(agent.id, tuple(waypoints))
+
+
+def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
+    """Earliest conflict between two plans, goal parking included, or None.
+
+    Ties on the window start go to the earlier action of plan_i, then of
+    plan_j.
+    """
+    segs_i = plan_motions(plan_i)
+    segs_j = plan_motions(plan_j)
+
+    best = None
+    for si in segs_i:
+        if best is not None and si.t0 > best.unsafe.lo:
+            break
+        for sj in segs_j:
+            if best is not None and sj.t0 > best.unsafe.lo:
+                break
+            if si.t1 <= sj.t0 or sj.t1 <= si.t0:
+                continue
+            hit = cylinder_unsafe_interval(si, sj, body_i, body_j)
+            if hit is None:
+                continue
+            if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
+                best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
+    return best

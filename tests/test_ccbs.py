@@ -540,3 +540,26 @@ def test_each_distinct_conflict_is_branched_once(scenario_dir, monkeypatch):
         stats = ccbs_solve(world, agents).stats
         assert (stats.expansions, stats.branches_reused) == (expansions, reused)
         assert len(calls) == len(set(calls)) == expansions - reused
+
+
+def test_solver_timers_are_parts_of_the_wall_time():
+    walled = (GridWorld((3, 3, 1), 0.5, frozenset({(1, 2, 0), (2, 1, 0)})),
+              [AgentSpec(0, (0, 0, 0), (0, 2, 0), BODY, 0.5), AgentSpec(1, (2, 2, 0), (0, 1, 0), BODY, 0.5)])
+    cases = [
+        (TestEightAgents().instance(), SolveLimits(), SOLVED),
+        (load_instance(PLAN_GRID / "grid_015.json"), SolveLimits(max_wall_time=math.inf, max_expansions=30),
+         LIMIT_EXCEEDED),
+        (walled, SolveLimits(), NO_SOLUTION),
+    ]
+    for (world, agents), limits, status in cases:
+        res = ccbs_solve(world, agents, limits)
+        st = res.stats
+        assert res.status == status
+        timers = (st.sipp_s, st.detect_s, st.branch_s)
+        assert all(t >= 0.0 for t in timers), st
+        assert sum(timers) <= st.wall_time, st
+        if status != NO_SOLUTION:
+            assert st.sipp_s > 0.0 and st.detect_s > 0.0 and st.branch_s > 0.0, st
+            assert 1 <= st.peak_open <= st.generated, st
+    # the dense instance's open list peaks at 34 of its 67 generated nodes
+    assert ccbs_solve(*TestEightAgents().instance()).stats.peak_open == 34

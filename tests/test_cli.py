@@ -82,6 +82,7 @@ class TestPlan:
         stdout = capsys.readouterr().out
         assert "solver: solved" in stdout and "cost=6.0" in stdout
         assert "replans=2 replans_reused=0 branches_reused=0" in stdout  # one root plan per agent
+        assert "branches_reused=0 peak_open=1 sipp=" in stdout and " detect=" in stdout and " branch=" in stdout
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["plan", "--instance", str(tmp_path / "nope.json"), "--out", str(tmp_path / "p.json")])

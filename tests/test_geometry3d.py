@@ -18,7 +18,7 @@ from mapflight.geometry3d import (
 )
 from mapflight.plan import TimedPlan
 
-from oracles import contact_oracle, is_wait_oracle, unsafe_interval_oracle, velocity_oracle
+from oracles import contact_oracle, is_wait_oracle, pair_earliest_reference, unsafe_interval_oracle, velocity_oracle
 
 
 def shifted(motion: LinearMotion, dt: float) -> LinearMotion:
@@ -420,3 +420,55 @@ def test_motion_fields_match_the_per_call_formulas():
     for m in motions:
         assert m.is_wait == is_wait_oracle(m), m
         assert bits(m.velocity()) == bits(velocity_oracle(m)), m
+
+
+# ---------------------------------------------------------------------------
+# the swept pair scan against the exhaustive double loop
+# ---------------------------------------------------------------------------
+
+PAIR_STEP = 0.5  # lattice spacing in x, y and z
+# r_sum below, at (grazing) and just above one step; h_sum_half likewise
+PAIR_BODIES = (CylinderBody(0.2, 0.9), CylinderBody(0.25, 1.0), CylinderBody(0.255, 1.02), CylinderBody(0.3, 0.5))
+
+
+def lattice_plan(rng: random.Random, agent: int) -> TimedPlan:
+    """A random walk over a small lattice, diagonal moves and waits included;
+    a zero coordinate is sometimes -0.0."""
+
+    def coord(n):
+        x = n * PAIR_STEP
+        return -0.0 if x == 0.0 and rng.random() < 0.5 else x
+
+    cell = [rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(0, 2)]
+    speed = rng.choice([0.5, 0.7, 1.0])
+    t = 0.0
+    waypoints = [(coord(cell[0]), coord(cell[1]), coord(cell[2]), t)]
+    for _ in range(rng.randrange(0, 9)):
+        if rng.random() < 0.3:
+            t += rng.choice([0.5, 1.0, rng.uniform(0.05, 2.0)])
+        else:
+            step = [rng.choice((-1, 0, 1)) for _ in range(3)] if rng.random() < 0.5 else [0, 0, 0]
+            if step == [0, 0, 0]:
+                step[rng.randrange(3)] = rng.choice((-1, 1))
+            cell = [c + d for c, d in zip(cell, step)]
+            t += PAIR_STEP * math.sqrt(sum(d * d for d in step)) / speed
+        waypoints.append((coord(cell[0]), coord(cell[1]), coord(cell[2]), t))
+    return TimedPlan(agent, tuple(waypoints))
+
+
+def test_swept_pair_scan_matches_the_exhaustive_loop():
+    rng = random.Random(31)
+    conflicts = 0
+    for case in range(3000):
+        plan_a, plan_b = lattice_plan(rng, 0), lattice_plan(rng, 1)
+        body_a, body_b = rng.choice(PAIR_BODIES), rng.choice(PAIR_BODIES)
+        got = _pair_earliest(plan_a, plan_b, body_a, body_b)
+        want = pair_earliest_reference(plan_a, plan_b, body_a, body_b)
+        assert (got is None) == (want is None), case
+        if got is None:
+            continue
+        conflicts += 1
+        assert got.action_i is want.action_i and got.action_j is want.action_j, case
+        assert bits((got.unsafe.lo, got.unsafe.hi)) == bits((want.unsafe.lo, want.unsafe.hi)), case
+    # both outcomes must be common
+    assert 600 <= conflicts <= 2400, conflicts

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from mapflight.geometry3d import CylinderBody, Interval
 from mapflight.sipp import Constraint, build_safe_intervals, sipp_plan
-from mapflight.world import AgentSpec, GridWorld, neighbors
-from oracles import plan_satisfies_constraints
+from mapflight.world import CONNECTIVITY_STEPS, AgentSpec, GridWorld, neighbors
+from oracles import plan_satisfies_constraints, sipp_reference
 
 BODY = CylinderBody(0.25, 1.0)
 INF = math.inf
@@ -256,3 +256,72 @@ class TestAgainstTimeExpandedOracle:
             assert want <= plan.end_time + self.DT + 1e-9
             checked += 1
         assert checked >= 15  # most random instances must be solvable
+
+
+def waypoint_bits(plan):
+    return None if plan is None else [[v.hex() for v in wp] for wp in plan.waypoints]
+
+
+class TestAgainstTheReferenceSearch:
+    """The vertex-indexed search must return exactly the plans of the earlier
+    cell-keyed search, compared by float.hex, on fixed-seed tables."""
+
+    def random_case(self, rng, connectivity):
+        dims = rng.choice([(4, 4, 2), (5, 3, 2), (3, 3, 3)])
+        cells = [(i, j, k) for i in range(dims[0]) for j in range(dims[1]) for k in range(dims[2])]
+        obstacles = frozenset(rng.sample(cells, rng.randrange(0, 4)))
+        world = GridWorld(dims, rng.choice([0.5, 0.3, 1.0]), obstacles, connectivity)
+        free = [c for c in cells if c not in obstacles]
+        start, goal = rng.sample(free, 2)
+        agent = AgentSpec(0, start, goal, BODY, rng.choice([0.5, 0.8, 1.3]))
+
+        def some_time():
+            # lattice times make ties and touching windows; the rest are arbitrary floats
+            return rng.randrange(0, 24) * 0.25 if rng.random() < 0.5 else rng.uniform(0.0, 6.0)
+
+        constraints = []
+        for _ in range(rng.randrange(0, 14)):
+            cell = rng.choice(free)
+            lo = some_time()
+            hi = lo + rng.choice([0.25, 0.5, 1.0, rng.uniform(0.01, 3.0)])
+            nbrs = neighbors(world, cell)
+            if nbrs and rng.random() < 0.45:
+                constraints.append(move_c(cell, rng.choice(nbrs), lo, hi))
+                continue
+            constraints.append(wait_c(cell, lo, hi))
+            if rng.random() < 0.4:
+                # a touching ban: the instant hi stays safe as [hi, hi]
+                constraints.append(wait_c(cell, hi, hi + rng.uniform(0.1, 2.0)))
+            elif rng.random() < 0.1:
+                constraints.append(wait_c(cell, hi, INF))  # parked for good
+        if rng.random() < 0.25:
+            constraints.append(wait_c(start, 0.0, rng.uniform(0.1, 2.0)))  # covers the start at t = 0
+        if rng.random() < 0.3:
+            # every departure from the start banned for a while: the plan must wait
+            until = rng.uniform(0.1, 2.0)
+            constraints.extend(move_c(start, nbr, 0.0, until) for nbr in neighbors(world, start))
+        if rng.random() < 0.25:
+            lo = rng.uniform(0.0, 3.0)
+            constraints.append(wait_c(goal, lo, lo + rng.uniform(1.0, 6.0)))  # an early arrival cannot stay
+        if rng.random() < 0.1:
+            constraints.append(wait_c(goal, some_time(), INF))  # no unbounded goal interval
+        return world, agent, constraints
+
+    @pytest.mark.parametrize("connectivity", sorted(CONNECTIVITY_STEPS))
+    def test_plans_match_bit_for_bit(self, connectivity):
+        rng = random.Random(f"sipp-{connectivity}")
+        found = unreachable = waited = 0
+        for case in range(80):
+            world, agent, constraints = self.random_case(rng, connectivity)
+            table = build_safe_intervals(constraints, 0)
+            plan = sipp_plan(world, agent, table)
+            want = sipp_reference(world, agent, table)
+            assert waypoint_bits(plan) == waypoint_bits(want), (case, constraints)
+            if plan is None:
+                unreachable += 1
+                continue
+            found += 1
+            positions = [wp[:3] for wp in plan.waypoints]
+            waited += len(set(positions)) < len(positions)
+        # the cases must reach both outcomes, and plans that wait
+        assert found >= 40 and unreachable >= 3 and waited >= 10, (found, unreachable, waited)
