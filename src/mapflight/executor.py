@@ -25,7 +25,7 @@ DEFAULT_BOX_HALF_WIDTH = 0.10
 
 
 def _require_finite_vec(v: Vec3, what: str) -> None:
-    if len(v) != 3 or any(not math.isfinite(c) for c in v):
+    if len(v) != 3 or not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
         raise ValueError(f"{what} must be three finite numbers, got {v!r}")
 
 

@@ -3,16 +3,28 @@ Gaussian localization noise from seeded per-vehicle substreams, 10 ms pose
 logging, and tracking-error metrics.
 
 A pose log is one numpy structured array (`POSE_DTYPE`), one row per agent per
-logged tick, and the error series is another (`ERROR_DTYPE`); the metrics and
-the CSV writers read their columns.
+logged tick, tick-major, then agent; the error series is another
+(`ERROR_DTYPE`) in the same order. The metrics and the CSV writers read their
+columns, and `error_metrics` takes its per-agent figures from the (ticks, N)
+columns, so it rejects a log laid out any other way.
 
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
 advances them together, one array update per tick (`_Fleet.step`). The seeded
-repetitions of a batch fly as one fleet on one clock (`run_executions`).
-Localization noise is drawn in blocks of ticks from each vehicle's own seeded
-stream. Every array operation applies, element by element and in the same
-order, the float operations of the one-vehicle update, so pose logs are
-byte-identical for a fixed (plans, method, seed, config).
+repetitions of a batch fly as one fleet on one clock (`run_executions`). The
+bookkeeping is batched too:
+
+  * each vehicle keeps its next due time (next resume or first arrival), and a
+    wake tick visits only the vehicles that are due, in row order;
+  * the commands that arrive on one tick are activated together, one array
+    update per command kind (`_Fleet.activate`);
+  * poses are logged into fixed blocks of logged ticks, and each run's records
+    are cut from its rows of those blocks;
+  * localization noise is drawn in blocks of ticks from each vehicle's own
+    seeded stream, for the runs still flying only.
+
+Every array operation applies, element by element and in the same order, the
+float operations of the one-vehicle update, so pose logs are byte-identical
+for a fixed (plans, method, seed, config).
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -109,6 +122,13 @@ class SimConfig:
 # length never changes a log.
 _NOISE_BLOCK = 64
 
+# Logged ticks per pose-log block: a (block, rows, 3) array each of actual and
+# estimated positions, and a (block, N, 3) one of planned positions. Each run's
+# records are cut from the blocks. A fixed block keeps every array far below
+# the 4 MB from which numpy asks for huge pages, whatever the wall cap; over
+# the bundled bench batches, 16 left a lower peak RSS than 32 or 64.
+_LOG_BLOCK = 16
+
 
 def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapsed: np.ndarray,
             rate: float) -> np.ndarray:
@@ -122,8 +142,8 @@ class _Fleet:
 
     `step` is the one implementation of the vehicle dynamics: the simulation
     loop calls it once per tick for every vehicle of every run in a batch.
-    `activate` stores a command as it was sent; `step` limits every commanded
-    velocity, setpoint or feedback, to max_speed.
+    `activate` stores a tick's arrived commands as they were sent; `step`
+    limits every commanded velocity, setpoint or feedback, to max_speed.
     """
 
     def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
@@ -141,24 +161,45 @@ class _Fleet:
         self.target = np.zeros((n, 3))
         self.tracking = np.zeros(n, dtype=bool)
         self.goto = np.zeros(n, dtype=bool)
+        self.n_tracking = 0  # rows set in `tracking` and in `goto`
+        self.n_goto = 0
         self.anchor = np.zeros((n, 3))
         self.duration = np.ones(n)
         self.activated = np.zeros(n)
 
-    def activate(self, i: int, command: Command, activated: float) -> None:
-        """Make `command` row i's active command; a goto is refined from the
-        row's position now, starting at time `activated`."""
-        self.goto[i] = isinstance(command, HighLevelGoto)
-        if isinstance(command, VelocitySetpoint):
-            self.tracking[i] = False
-            self.velocity[i] = command.velocity
-            return
-        self.tracking[i] = True
-        self.target[i] = command.target
-        if isinstance(command, HighLevelGoto):
-            self.anchor[i] = self.pos[i]
-            self.duration[i] = command.duration
-            self.activated[i] = activated
+    def activate(self, arrivals: Sequence[tuple[int, Command]], activated: float) -> None:
+        """Make each (row, command) of one tick its row's active command, one
+        array update per command kind; a row appears at most once. A goto is
+        refined from the row's position now, starting at time `activated`."""
+        velocity, position, goto = [], [], []
+        for arrival in arrivals:
+            command = arrival[1]
+            if isinstance(command, VelocitySetpoint):
+                velocity.append(arrival)
+            elif isinstance(command, HighLevelGoto):
+                goto.append(arrival)
+            else:
+                position.append(arrival)
+        if velocity:
+            rows = [row for row, _ in velocity]
+            self.tracking[rows] = False
+            self.goto[rows] = False
+            self.velocity[rows] = [command.velocity for _, command in velocity]
+        if position:
+            rows = [row for row, _ in position]
+            self.tracking[rows] = True
+            self.goto[rows] = False
+            self.target[rows] = [command.target for _, command in position]
+        if goto:
+            rows = [row for row, _ in goto]
+            self.tracking[rows] = True
+            self.goto[rows] = True
+            self.target[rows] = [command.target for _, command in goto]
+            self.anchor[rows] = self.pos[rows]
+            self.duration[rows] = [command.duration for _, command in goto]
+            self.activated[rows] = activated
+        self.n_tracking = np.count_nonzero(self.tracking)
+        self.n_goto = np.count_nonzero(self.goto)
 
     def step(self, now: float) -> None:
         """Advance every row one tick with the exact flow of the first-order velocity lag.
@@ -170,17 +211,15 @@ class _Fleet:
         earlier states.
         """
         n = len(self.pos)
-        n_tracking = np.count_nonzero(self.tracking)
         commanded = self.velocity
-        if n_tracking:
+        if self.n_tracking:
             target = self.target
-            n_goto = np.count_nonzero(self.goto)
-            if n_goto:
+            if self.n_goto:
                 target = _refine(self.anchor, self.target, self.duration, now - self.activated, self.rate)
-                if n_goto < n:
+                if self.n_goto < n:
                     target = np.where(self.goto[:, None], target, self.target)
             feedback = self.gain * (target - self.pos)
-            commanded = feedback if n_tracking == n else np.where(self.tracking[:, None], feedback, commanded)
+            commanded = feedback if self.n_tracking == n else np.where(self.tracking[:, None], feedback, commanded)
         sq = commanded * commanded
         norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
         over = norm > self.max_speed
@@ -224,9 +263,11 @@ class PoseLog:
 class _Vehicle(VehicleEndpoint):
     """One fleet row as its executor sees it, and that executor's schedule.
 
-    `now` and `estimates` are set before each resume. A sent command is due
-    `latency` after `now`; `now` never decreases, so `pending` is in due order
-    as well as in send order.
+    `now` and `estimates` (every row's estimated position, as lists) are set
+    before each resume. A sent command is due `latency` after `now`; `now`
+    never decreases, so `pending` is in due order as well as in send order.
+    `due` is the earlier of the next resume and the first pending arrival:
+    the loop leaves the vehicle alone until then.
     """
 
     row: int
@@ -236,8 +277,9 @@ class _Vehicle(VehicleEndpoint):
     gen: Optional[Iterator[float]] = None  # the executor, made on this endpoint
     next_resume: float = 0.0
     done: bool = False
+    due: float = 0.0
     now: float = 0.0
-    estimates: Optional[np.ndarray] = None
+    estimates: Optional[list] = None
     pending: list[tuple[float, Command]] = field(default_factory=list)  # (due, command)
 
     def send(self, command: Command) -> None:
@@ -246,7 +288,7 @@ class _Vehicle(VehicleEndpoint):
             self.command_sink.append((self.agent, command))
 
     def estimated_position(self) -> Vec3:
-        return tuple(self.estimates[self.row].tolist())  # type: ignore[return-value]
+        return tuple(self.estimates[self.row])  # type: ignore[index,return-value]
 
     def clock(self) -> float:
         return self.now
@@ -269,10 +311,16 @@ class _Run:
     index: int
     seed: int
     vehicles: list[_Vehicle]
+    rngs: list[np.random.Generator]  # the vehicles' noise streams
     n_done: int = 0
     completed: bool = False
     end_time: float = 0.0
-    n_logged: int = 0  # leading entries of the shared pose log that belong to this run
+    n_logged: int = 0  # leading logged ticks that belong to this run
+
+    @property
+    def rows(self) -> slice:
+        n = len(self.vehicles)
+        return slice(self.index * n, self.index * n + n)
 
 
 def run_execution(
@@ -285,12 +333,13 @@ def run_execution(
     """Lockstep execution of all plans under one method.
 
     Per tick: localize every vehicle, resume due executors on the shared clock,
-    activate each vehicle's newest arrived command, then step the vehicle
-    dynamics. A command arrives `latency` after it is sent and replaces the
-    active one; `_Fleet.step` limits every commanded velocity to max_speed.
-    Poses are logged every log_period. The run terminates when
-    every executor has finished and every vehicle sits inside the VLL box of its
-    goal, or is marked failed at the wall cap of 2 x makespan + 10 s.
+    activate each vehicle's newest arrived command (all of the tick's arrivals
+    in one `_Fleet.activate`), then step the vehicle dynamics. A command
+    arrives `latency` after it is sent and replaces the active one;
+    `_Fleet.step` limits every commanded velocity to max_speed. Poses are
+    logged every log_period. The run terminates when every executor has
+    finished and every vehicle sits inside the VLL box of its goal, or is
+    marked failed at the wall cap of 2 x makespan + 10 s.
 
     Vehicle state lives in (N, 3) float64 arrays stepped together by one
     kernel (`_Fleet.step`); only the executors, which wake once per command
@@ -353,10 +402,9 @@ def _execute(
         if cruise is None:
             cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
         cruise_speeds.append(cruise)
-    rngs: list[np.random.Generator] = []
     runs: list[_Run] = []
     for r, run_config in enumerate(configs):
-        rngs.extend(np.random.default_rng(s) for s in np.random.SeedSequence(run_config.seed).spawn(n_agents))
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(run_config.seed).spawn(n_agents)]
         vehicles = []
         for i, (plan, cruise) in enumerate(zip(plan_list, cruise_speeds)):
             vehicle = _Vehicle(r * n_agents + i, plan.agent, config.latency, command_sink)
@@ -369,9 +417,9 @@ def _execute(
                 cruise_speed=cruise,
             )
             vehicles.append(vehicle)
-        runs.append(_Run(r, run_config.seed, vehicles))
+        runs.append(_Run(r, run_config.seed, vehicles, rngs))
 
-    rows = len(rngs)
+    rows = len(runs) * n_agents
     fleet = _Fleet([p.start_position for p in plan_list] * len(runs), [(0.0, 0.0, 0.0)] * rows, config, config.tick)
     goals = np.array([p.goal_position for p in plan_list] * len(runs), dtype=np.float64)
     makespan = max(p.end_time for p in plan_list)
@@ -381,28 +429,39 @@ def _execute(
     noise = np.empty((rows, _NOISE_BLOCK, 3))  # one contiguous block per vehicle stream
     offsets = np.empty((_NOISE_BLOCK, rows, 3))  # noise_sigma * noise, one (rows, 3) slab per tick
 
-    logged: list[tuple[float, np.ndarray, np.ndarray, list[Vec3]]] = []  # (t, actual, estimated, planned)
+    times: list[float] = []  # the logged ticks
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (actual, estimated, planned) per _LOG_BLOCK
     active = runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
     n = 0
-    wake = 0.0  # earliest executor resume or command activation still to come
+    wake = 0.0  # earliest `due` of the active runs' vehicles
     while True:
         t = n * config.tick
         k = n % _NOISE_BLOCK
         if k == 0:
-            for block, rng in zip(noise, rngs):
-                rng.standard_normal(out=block)
+            # an ended run's rows are never read again, so its streams stop here
+            for run in active:
+                for block, rng in zip(noise[run.rows], run.rngs):
+                    rng.standard_normal(out=block)
             np.multiply(noise.transpose(1, 0, 2), config.noise_sigma, out=offsets)
         estimated = fleet.pos + offsets[k]
         if n % steps_per_log == 0:
-            logged.append((t, fleet.pos, estimated, [p.position_at(t) for p in plan_list]))
+            j = len(times) % _LOG_BLOCK
+            if j == 0:
+                blocks.append((np.empty((_LOG_BLOCK, rows, 3)), np.empty((_LOG_BLOCK, rows, 3)),
+                               np.empty((_LOG_BLOCK, n_agents, 3))))
+            actual_block, estimated_block, planned_block = blocks[-1]
+            actual_block[j] = fleet.pos
+            estimated_block[j] = estimated
+            planned_block[j] = [p.position_at(t) for p in plan_list]
+            times.append(t)
         if ready:
             inside = (np.abs(fleet.pos - goals) <= box).reshape(len(runs), -1).all(axis=1)
             for run in ready:
                 if inside[run.index]:
                     run.completed = True
                     run.end_time = t
-                    run.n_logged = len(logged)
+                    run.n_logged = len(times)
             ready = [run for run in ready if not run.completed]
             active = [run for run in active if not run.completed]
             if not active:
@@ -410,57 +469,66 @@ def _execute(
         if t > cap:
             for run in active:
                 run.end_time = t
-                run.n_logged = len(logged)
+                run.n_logged = len(times)
             break
 
-        if wake <= t + _EPS:
+        due_by = t + _EPS
+        if wake <= due_by:
             wake = math.inf
+            estimates = estimated.tolist()
+            arrivals: list[tuple[int, Command]] = []
             for run in active:
                 for v in run.vehicles:
-                    guard = 0
-                    v.now, v.estimates = t, estimated
-                    while not v.done and v.next_resume <= t + _EPS:
-                        try:
-                            delay = next(v.gen)
-                        except StopIteration:
-                            v.done = True
-                            run.n_done += 1
-                            if run.n_done == n_agents:
-                                ready.append(run)
-                            break
-                        v.next_resume = t + max(delay, 1e-9)
-                        guard += 1
-                        if guard > 100000:
-                            raise RuntimeError(f"agent {v.agent}: executor yields no forward progress")
-                    # the due commands are a prefix of pending; its last one is the newest
-                    arrived = bisect_right(v.pending, t + _EPS, key=lambda entry: entry[0])
-                    if arrived:
-                        fleet.activate(v.row, v.pending[arrived - 1][1], t)
-                        del v.pending[:arrived]
-                    if v.pending:
-                        wake = min(wake, v.pending[0][0])
-                    if not v.done:
-                        wake = min(wake, v.next_resume)
+                    if v.due <= due_by:
+                        guard = 0
+                        v.now, v.estimates = t, estimates
+                        while not v.done and v.next_resume <= due_by:
+                            try:
+                                delay = next(v.gen)
+                            except StopIteration:
+                                v.done = True
+                                run.n_done += 1
+                                if run.n_done == n_agents:
+                                    ready.append(run)
+                                break
+                            v.next_resume = t + max(delay, 1e-9)
+                            guard += 1
+                            if guard > 100000:
+                                raise RuntimeError(f"agent {v.agent}: executor yields no forward progress")
+                        # the due commands are a prefix of pending; its last one is the newest
+                        arrived = bisect_right(v.pending, due_by, key=itemgetter(0))
+                        if arrived:
+                            arrivals.append((v.row, v.pending[arrived - 1][1]))
+                            del v.pending[:arrived]
+                        v.due = v.pending[0][0] if v.pending else math.inf
+                        if not v.done and v.next_resume < v.due:
+                            v.due = v.next_resume
+                    if v.due < wake:
+                        wake = v.due
+            if arrivals:
+                fleet.activate(arrivals, t)
         fleet.step(t)
         n += 1
 
     agents = [p.agent for p in plan_list]
-    planned = np.array([p for _, _, _, p in logged])  # (ticks, N, 3), the same for every run
-    return (_pose_log(run, logged, planned, agents, name, config.log_period) for run in runs)
+    return (_pose_log(run, times, blocks, agents, name, config.log_period) for run in runs)
 
 
-def _pose_log(run: _Run, logged: list, planned: np.ndarray, agents: list[int], method: str,
+def _pose_log(run: _Run, times: list[float], blocks: list, agents: list[int], method: str,
               log_period: float) -> PoseLog:
-    """The run's POSE_DTYPE records, one row per agent per logged tick, filled
-    column by column from its rows of the logged per-tick arrays."""
-    rows = slice(run.index * len(agents), (run.index + 1) * len(agents))
-    ticks = logged[: run.n_logged]
-    records = np.empty(len(ticks) * len(agents), dtype=POSE_DTYPE)
-    records["t"] = np.repeat([t for t, _, _, _ in ticks], len(agents))
-    records["agent"] = np.tile(agents, len(ticks))
-    records["actual"] = np.concatenate([pos[rows] for _, pos, _, _ in ticks])
-    records["estimated"] = np.concatenate([est[rows] for _, _, est, _ in ticks])
-    records["planned"] = planned[: len(ticks)].reshape(-1, 3)
+    """The run's POSE_DTYPE records, one row per agent per logged tick, cut
+    block by block from its rows of the logged arrays."""
+    ticks = run.n_logged
+    records = np.empty(ticks * len(agents), dtype=POSE_DTYPE)
+    records["t"] = np.repeat(times[:ticks], len(agents))
+    records["agent"] = np.tile(agents, ticks)
+    grid = records.reshape(ticks, len(agents))  # a view, one row per logged tick
+    actual_out, estimated_out, planned_out = grid["actual"], grid["estimated"], grid["planned"]
+    for lo, (actual, estimated, planned) in zip(range(0, ticks, _LOG_BLOCK), blocks):
+        m = min(_LOG_BLOCK, ticks - lo)
+        actual_out[lo : lo + m] = actual[:m, run.rows]
+        estimated_out[lo : lo + m] = estimated[:m, run.rows]
+        planned_out[lo : lo + m] = planned[:m]
     return PoseLog(
         records=records,
         method=method,
@@ -517,22 +585,36 @@ def _mean(values) -> float:
 
 
 def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
-    """Per-record Euclidean error between the basis position and the planned one."""
+    """Per-record Euclidean error between the basis position and the planned one.
+
+    The records must be tick-major, then agent, with the same agents in the
+    same order at every logged tick (as `run_execution` writes them); the
+    per-agent figures are then the columns of the (ticks, N) errors, and a log
+    laid out otherwise raises ValueError.
+    """
     if basis not in (BASIS_ACTUAL, BASIS_ESTIMATED):
         raise ValueError(f"unknown basis {basis!r}")
     r = log.records
     if not len(r):
         raise ValueError("empty pose log")
+    agents = r["agent"]
+    ticks = np.count_nonzero(agents == agents[0])  # the first agent is logged once per tick
+    n_agents = len(r) // ticks
+    first = agents[:n_agents]
+    if (ticks * n_agents != len(r) or len(set(first.tolist())) < n_agents
+            or not (agents.reshape(ticks, n_agents) == first).all()):
+        raise ValueError("pose log records must be tick-major, then agent, with the same agents at every tick")
     offset = r["actual" if basis == BASIS_ACTUAL else "estimated"] - r["planned"]
     series = np.empty(len(r), dtype=ERROR_DTYPE)
-    series["t"], series["agent"] = r["t"], r["agent"]
+    series["t"], series["agent"] = r["t"], agents
     # math.hypot of the differences is math.dist bit for bit (one CPython routine);
     # a numpy norm differs from both by an ulp on some poses
     series["error"] = list(map(math.hypot, *offset.T.tolist()))
-    errors, agents = series["error"], series["agent"]
-    per_agent = {}
-    for agent in np.unique(agents).tolist():
-        agent_errors = errors[agents == agent]
-        per_agent[agent] = AgentError(agent_errors.max().item(), _mean(agent_errors))
+    errors = series["error"]
+    columns = errors.reshape(ticks, n_agents)
+    # a running sum down each column adds left to right, as _mean does
+    means = (np.cumsum(columns, axis=0)[-1] / ticks).tolist()
+    per_agent = {agent: AgentError(hi, mean)
+                 for agent, hi, mean in sorted(zip(first.tolist(), columns.max(axis=0).tolist(), means))}
     aggregate = AgentError(errors.max().item(), _mean(errors))
     return ErrorReport(basis, log.method, log.seed, per_agent, aggregate, series)

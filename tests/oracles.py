@@ -25,6 +25,14 @@ rewritten ones must reproduce bit for bit:
     table per neighbour.
   * pair_earliest_reference — the exhaustive double loop over two plans'
     motions, testing every pair that overlaps in time.
+
+And two are the simulator's earlier per-row bookkeeping, which the batched
+code must reproduce bit for bit:
+
+  * activate_reference — one fleet row's command activation, written field by
+    field, row after row.
+  * per_agent_errors_reference — each agent's max and mean error, read
+    through a boolean mask of the error series.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from mapflight.executor import HighLevelGoto, VelocitySetpoint
 from mapflight.geometry3d import Conflict, cylinder_unsafe_interval, plan_motions
 from mapflight.plan import TimedPlan
 from mapflight.world import move_duration, neighbors
@@ -686,3 +695,38 @@ def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
             if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best
+
+
+# ---------------------------------------------------------------------------
+# earlier simulator bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def activate_reference(fleet, arrivals, activated: float) -> None:
+    """Activate each (row, command) of one tick on a `flightsim._Fleet`, one
+    row at a time, then recount the tracking and goto rows its `step` reads."""
+    for i, command in arrivals:
+        fleet.goto[i] = isinstance(command, HighLevelGoto)
+        if isinstance(command, VelocitySetpoint):
+            fleet.tracking[i] = False
+            fleet.velocity[i] = command.velocity
+            continue
+        fleet.tracking[i] = True
+        fleet.target[i] = command.target
+        if isinstance(command, HighLevelGoto):
+            fleet.anchor[i] = fleet.pos[i]
+            fleet.duration[i] = command.duration
+            fleet.activated[i] = activated
+    fleet.n_tracking = np.count_nonzero(fleet.tracking)
+    fleet.n_goto = np.count_nonzero(fleet.goto)
+
+
+def per_agent_errors_reference(series) -> dict[int, tuple[float, float]]:
+    """{agent: (max error, mean error)} of an ERROR_DTYPE series, whatever its
+    row order; each mean is a running sum, left to right, over the agent's rows."""
+    errors, agents = series["error"], series["agent"]
+    out = {}
+    for agent in np.unique(agents).tolist():
+        agent_errors = errors[agents == agent]
+        out[agent] = (agent_errors.max().item(), np.cumsum(agent_errors)[-1].item() / len(agent_errors))
+    return out

@@ -1,6 +1,7 @@
 """Command generation: interpolated setpoints, per-segment gotos, box-chasing."""
 
 import math
+import re
 
 import pytest
 
@@ -192,10 +193,31 @@ class TestMakeExecutor:
             make_executor("teleport", TWO_SEGMENTS, ScriptedEndpoint())
 
 
+def _with(k, bad):
+    vec = [0.5, -0.5, 1.0]
+    vec[k] = bad
+    return tuple(vec)
+
+
+BAD_VECTORS = [_with(k, bad) for k in range(3) for bad in (math.nan, math.inf, -math.inf)]
+BAD_VECTORS += [(), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+
+MAKERS = {
+    "goto": ("target", lambda v: HighLevelGoto(v, duration=1.0, issue_time=0.0)),
+    "position": ("target", lambda v: PositionSetpoint(v, issue_time=0.0)),
+    "velocity": ("velocity", lambda v: VelocitySetpoint(v, issue_time=0.0)),
+}
+
+
 class TestCommands:
     def test_validation(self):
         with pytest.raises(ValueError, match="duration"):
             HighLevelGoto((0.0, 0.0, 0.0), duration=0.0, issue_time=0.0)
-        with pytest.raises(ValueError, match="three finite numbers"):
-            PositionSetpoint((0.0, math.nan, 0.0), issue_time=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    @pytest.mark.parametrize("vec", BAD_VECTORS, ids=repr)
+    def test_vectors_must_be_three_finite_numbers(self, kind, vec):
+        what, make = MAKERS[kind]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be three finite numbers, got {vec!r}')}$"):
+            make(vec)
 

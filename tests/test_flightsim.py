@@ -6,13 +6,16 @@ import math
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from mapflight import flightsim
+from mapflight.ccbs import ccbs_solve
 from mapflight.executor import HighLevelGoto, PositionSetpoint, VelocitySetpoint
 from mapflight.flightsim import (
     BASIS_ACTUAL,
     BASIS_ESTIMATED,
+    METHODS,
     POSE_DTYPE,
     PoseLog,
     SimConfig,
@@ -24,6 +27,7 @@ from mapflight.flightsim import (
     run_executions,
 )
 from mapflight.plan import TimedPlan, load_plans
+from mapflight.world import load_instance
 
 REST = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))  # (position, velocity)
 
@@ -33,7 +37,7 @@ def one_tick(state, command, dt, config, now=0.0, anchor=None, activated=None):
     the command is activated while the row sits at `anchor` (default: the state)."""
     fleet = _Fleet([state[0] if anchor is None else anchor], [state[1]], config, dt)
     if command is not None:
-        fleet.activate(0, command, command.issue_time if activated is None else activated)
+        fleet.activate([(0, command)], command.issue_time if activated is None else activated)
     fleet.pos = np.array([state[0]], dtype=np.float64)
     fleet.step(now)
     return tuple(fleet.pos[0].tolist()), tuple(fleet.vel[0].tolist())
@@ -231,6 +235,51 @@ class TestRefineGoto:
         assert got[0] == pytest.approx(0.75) and got[1] == pytest.approx(0.25)
 
 
+FLEET_FIELDS = ("pos", "vel", "velocity", "target", "tracking", "goto", "anchor", "duration", "activated",
+                "n_tracking", "n_goto")
+
+
+def fleet_bits(fleet):
+    return {name: [x.hex() if isinstance(x, float) else x for x in np.ravel(getattr(fleet, name)).tolist()]
+            for name in FLEET_FIELDS}
+
+
+def test_batched_activation_matches_the_row_by_row_oracle():
+    """Random ticks that mix all three command kinds, in no row order, each
+    followed by a few steps; the fleets must agree bit for bit throughout."""
+    rng = np.random.default_rng(5)
+    cfg = SimConfig()
+    rows = 12
+    start = rng.uniform(0.0, 2.0, (rows, 3)).tolist()
+    batched = _Fleet(start, [(0.0, 0.0, 0.0)] * rows, cfg, cfg.tick)
+    reference = _Fleet(start, [(0.0, 0.0, 0.0)] * rows, cfg, cfg.tick)
+    kinds_seen = set()
+    n = 0
+    for _ in range(60):
+        t = n * cfg.tick
+        arrivals = []
+        for row in rng.permutation(rows)[: rng.integers(0, rows + 1)].tolist():
+            xyz = tuple(rng.uniform(-3.0, 3.0, 3).tolist())  # velocities beyond max_speed included
+            kind = rng.integers(3)
+            if kind == 0:
+                command = VelocitySetpoint(xyz, issue_time=t)
+            elif kind == 1:
+                command = PositionSetpoint(xyz, issue_time=t)
+            else:
+                command = HighLevelGoto(xyz, duration=rng.uniform(0.01, 0.5), issue_time=t)
+            kinds_seen.add(type(command))
+            arrivals.append((row, command))
+        batched.activate(arrivals, t)
+        oracles.activate_reference(reference, arrivals, t)
+        assert fleet_bits(batched) == fleet_bits(reference)
+        for _ in range(rng.integers(1, 4)):
+            batched.step(n * cfg.tick)
+            reference.step(n * cfg.tick)
+            n += 1
+        assert fleet_bits(batched) == fleet_bits(reference)
+    assert len(kinds_seen) == 3
+
+
 class TestLocalize:
     """The localization noise run_execution adds to every logged pose."""
 
@@ -362,6 +411,21 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match="empty pose log"):
             error_metrics(empty)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0.0, 0), (0.01, 0), (0.0, 1), (0.01, 1)],  # agent-major
+            [(0.0, 0), (0.0, 1), (0.01, 1), (0.01, 0)],  # agents reordered at a tick
+            [(0.0, 0), (0.0, 1), (0.01, 0)],  # an agent missing at a tick
+            [(0.0, 0), (0.0, 1), (0.0, 1), (0.01, 0), (0.01, 1), (0.01, 1)],  # an agent twice at each tick
+        ],
+    )
+    def test_records_that_are_not_tick_major_raise(self, rows):
+        records = np.array([(t, agent, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)) for t, agent in rows],
+                           dtype=POSE_DTYPE)
+        with pytest.raises(ValueError, match="tick-major"):
+            error_metrics(PoseLog(records, "bll", 0, 0.01, True, 0.01))
+
     def test_errors_are_math_dist_and_means_run_left_to_right(self):
         log = run_execution(straight_plans(), "vll", SimConfig(seed=3))
         rep = error_metrics(log, BASIS_ESTIMATED)
@@ -457,6 +521,40 @@ def test_batched_runs_equal_per_seed_runs(scenario, method):
         assert error_metrics(log).to_json_dict("") == error_metrics(alone).to_json_dict("")
     if method == "vll":  # vll steers on noisy estimates, so its runs end at different ticks
         assert len({log.end_time for log in batched}) > 1
+
+
+@pytest.mark.parametrize("log_block,noise_block", [(1, 1), (5, 3)])
+def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block):
+    # vll runs end at different ticks, so ended runs are cut from part-filled blocks
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    configs = [SimConfig(seed=seed) for seed in range(3)]
+    want = [csv_digest(log) for log in run_executions(planset.plans, "vll", configs, speeds=planset.speeds)]
+    monkeypatch.setattr(flightsim, "_LOG_BLOCK", log_block)
+    monkeypatch.setattr(flightsim, "_NOISE_BLOCK", noise_block)
+    assert [csv_digest(log) for log in run_executions(planset.plans, "vll", configs, speeds=planset.speeds)] == want
+
+
+@pytest.fixture(scope="module")
+def bundled_plans(scenario_dir):
+    """{scenario: (plans, speeds)} for every bundled scenario, solved once."""
+    out = {}
+    for path in sorted(scenario_dir.glob("*.json")):
+        world, agents = load_instance(path)
+        out[path.stem] = (ccbs_solve(world, agents).solution.plans, {a.id: a.speed for a in agents})
+    assert len(out) == 5
+    return out
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_per_agent_columns_equal_the_mask_oracle(bundled_plans, method):
+    for plans, speeds in bundled_plans.values():
+        for log in run_executions(plans, method, [SimConfig(seed=seed) for seed in range(2)], speeds=speeds):
+            for basis in (BASIS_ACTUAL, BASIS_ESTIMATED):
+                report = error_metrics(log, basis)
+                want = oracles.per_agent_errors_reference(report.series)
+                got = {agent: (e.max_error.hex(), e.avg_error.hex()) for agent, e in report.per_agent.items()}
+                assert got == {agent: (hi.hex(), mean.hex()) for agent, (hi, mean) in sorted(want.items())}
+                assert list(got) == sorted(want)
 
 
 def test_batched_runs_reject_bad_configs():
