@@ -46,7 +46,7 @@ from .executor import (
     VelocitySetpoint,
     make_executor,
 )
-from .geometry3d import Vec3
+from .geometry3d import Vec3, is_finite_number
 from .plan import TimedPlan
 from .world import DEFAULT_SPEED
 
@@ -56,11 +56,6 @@ BASIS_ACTUAL = "actual-vs-planned"
 BASIS_ESTIMATED = "estimated-vs-planned"
 
 _EPS = 1e-9
-
-
-def _is_finite_number(v) -> bool:
-    """An int or float, not a bool, and finite."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -84,11 +79,11 @@ class SimConfig:
         for name in ("tick", "log_period", "tau", "gain", "max_speed", "command_period",
                      "vll_box_half_width", "goto_refine_rate"):
             v = getattr(self, name)
-            if not (_is_finite_number(v) and v > 0):
+            if not (is_finite_number(v) and v > 0):
                 raise ValueError(f"{name} must be a positive number, got {v!r}")
         for name in ("noise_sigma", "latency"):
             v = getattr(self, name)
-            if not (_is_finite_number(v) and v >= 0):
+            if not (is_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -100,11 +95,11 @@ class SimConfig:
                 f"log_period {self.log_period!r} must be an integer multiple of tick {self.tick!r}"
             )
         v = self.vll_cruise_speed
-        if v is not None and not (_is_finite_number(v) and v > 0):
+        if v is not None and not (is_finite_number(v) and v > 0):
             raise ValueError(f"vll_cruise_speed must be None or a finite number > 0, got {v!r}")
         for name in ("arena_min", "arena_max"):
             v = getattr(self, name)
-            if not (isinstance(v, (tuple, list)) and len(v) == 3 and all(_is_finite_number(c) for c in v)):
+            if not (isinstance(v, (tuple, list)) and len(v) == 3 and all(is_finite_number(c) for c in v)):
                 raise ValueError(f"{name} must be three finite numbers, got {v!r}")
             object.__setattr__(self, name, tuple(float(c) for c in v))
         if any(lo >= hi for lo, hi in zip(self.arena_min, self.arena_max)):

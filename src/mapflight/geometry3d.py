@@ -25,6 +25,16 @@ TANGENCY_EPS = 1e-12
 _CLEAR_TOL = 1e-9
 
 
+def is_finite_number(v) -> bool:
+    """An int or float, not a bool, whose float value is finite (an int too large for a float is not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Interval:
     """Time interval [lo, hi] in seconds; hi may be +inf for open-ended windows."""
@@ -106,10 +116,11 @@ class CylinderBody:
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be > 0, got {self.radius!r}")
-        if not (self.height > 0.0 and math.isfinite(self.height)):
-            raise ValueError(f"height must be > 0, got {self.height!r}")
+        for name in ("radius", "height"):
+            v = getattr(self, name)
+            if not (is_finite_number(v) and v > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)

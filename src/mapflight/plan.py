@@ -1,7 +1,9 @@
 """Timed waypoint plans: the shared contract between planner, validator, and simulator.
 
 A plan file is self-contained: it echoes each agent's body and speed so the
-execution side can run plans produced by external solvers.
+execution side can run plans produced by external solvers. Each value rule lives
+in the constructor of the type it constrains; `load_plans` keeps the file's shape
+and the rules no type owns (unique agent ids, JSON-number waypoints, the speed).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from . import geometry3d
-from .geometry3d import CylinderBody, Vec3
+from .geometry3d import CylinderBody, Vec3, is_finite_number
 from .world import DEFAULT_HEIGHT, DEFAULT_RADIUS, DEFAULT_SPEED, AgentSpec, Cell, GridWorld
 
 Waypoint = tuple[float, float, float, float]
@@ -23,6 +25,8 @@ Waypoint = tuple[float, float, float, float]
 _SPEED_RTOL = 1e-9
 _ENDPOINT_ATOL = 1e-9
 _SAMPLING_GUARD = 1e-9
+# Time step of the validator's sampled sweep, s.
+_SAMPLING_DT = 1e-3
 # How far past the later plan end the sampled sweep runs; parked agents that
 # statically overlap are guaranteed to show inside this pad.
 _PARK_PAD = 1.0
@@ -44,18 +48,21 @@ class TimedPlan:
     waypoints: tuple[Waypoint, ...]
 
     def __post_init__(self) -> None:
-        wps = tuple(tuple(float(v) for v in wp) for wp in self.waypoints)
+        try:
+            wps = tuple(tuple(float(v) for v in wp) for wp in self.waypoints)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"agent {self.agent}: waypoints must be rows of finite numbers ({exc})") from exc
         if not wps:
             raise ValueError(f"agent {self.agent}: plan needs at least one waypoint")
         for n, wp in enumerate(wps):
             if len(wp) != 4 or any(not math.isfinite(v) for v in wp):
                 raise ValueError(f"agent {self.agent}: waypoint {n} must be four finite numbers, got {wp!r}")
         if wps[0][3] != 0.0:
-            raise ValueError(f"agent {self.agent}: waypoint 0 must have t = 0, got t = {wps[0][3]!r}")
+            raise ValueError(f"agent {self.agent}: first waypoint must have t = 0, got t = {wps[0][3]!r}")
         for n in range(1, len(wps)):
             if wps[n][3] <= wps[n - 1][3]:
                 raise ValueError(
-                    f"agent {self.agent}: waypoint {n} time {wps[n][3]!r} not after waypoint {n - 1} time {wps[n - 1][3]!r}"
+                    f"agent {self.agent}: waypoint {n} time {wps[n][3]!r} not after previous {wps[n - 1][3]!r}"
                 )
         object.__setattr__(self, "waypoints", wps)
         object.__setattr__(self, "_times", tuple(wp[3] for wp in wps))
@@ -196,17 +203,14 @@ def validate(
     plans: Iterable[TimedPlan],
     agents: Iterable[AgentSpec],
     world: Optional[GridWorld],
-    sampling_dt: float = 1e-3,
 ) -> ValidationReport:
     """Dual conflict check (analytic + sampled) plus static and kinematic checks.
 
     The analytic check is the solver's own pair test (`geometry3d._pair_earliest`),
     so planner and validator judge the cylinder the same way. The sampled check
     is independent of it: it never evaluates the quadratic, only positions on a
-    uniform grid at sampling_dt.
+    uniform grid every _SAMPLING_DT seconds.
     """
-    if not sampling_dt > 0:
-        raise ValueError(f"sampling_dt must be > 0, got {sampling_dt!r}")
     plan_list = sorted(plans, key=lambda p: p.agent)
     spec_map = {a.id: a for a in agents}
     plan_ids = [p.agent for p in plan_list]
@@ -273,7 +277,7 @@ def validate(
             found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
             analytic_hit = None if found is None else found.unsafe
 
-            ts = np.arange(0.0, horizon + 0.5 * sampling_dt, sampling_dt)
+            ts = np.arange(0.0, horizon + 0.5 * _SAMPLING_DT, _SAMPLING_DT)
             axa = _sample_axes(pa, ts)
             axb = _sample_axes(pb, ts)
             planar = np.hypot(axa[0] - axb[0], axa[1] - axb[1])
@@ -337,6 +341,11 @@ def save_plans(plans: Iterable[TimedPlan], agents: Iterable[AgentSpec], path) ->
 
 
 def load_plans(path) -> PlanSet:
+    """The plans (sorted by agent) of a plan file, with their echoed bodies and speeds.
+
+    Checks the file's shape and the rules no type owns; a constructor's
+    ValueError comes back as a PlanFormatError naming `plans[n]`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -369,31 +378,18 @@ def load_plans(path) -> PlanSet:
         wps_raw = raw["waypoints"]
         if not isinstance(wps_raw, list) or not wps_raw:
             raise PlanFormatError(f"{where}.waypoints", "expected a non-empty list")
-        waypoints: list[Waypoint] = []
-        last_t = None
         for m, wp in enumerate(wps_raw):
-            loc = f"{where}.waypoints[{m}]"
-            if (
-                not isinstance(wp, list)
-                or len(wp) != 4
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in wp)
-            ):
-                raise PlanFormatError(loc, f"expected [x, y, z, t] numbers, got {wp!r}")
-            t = float(wp[3])
-            if m == 0 and t != 0.0:
-                raise PlanFormatError(loc, f"first waypoint must have t = 0, got {t!r}")
-            if last_t is not None and t <= last_t:
-                raise PlanFormatError(loc, f"timestamp {t!r} not after previous {last_t!r}")
-            last_t = t
-            waypoints.append((float(wp[0]), float(wp[1]), float(wp[2]), t))
-        plans.append(TimedPlan(agent, tuple(waypoints)))
-        radius = raw.get("radius", DEFAULT_RADIUS)
-        height = raw.get("height", DEFAULT_HEIGHT)
+            # JSON numbers decode to int or float; true and false decode to bool
+            if not (isinstance(wp, list) and len(wp) == 4 and all(type(v) in (int, float) for v in wp)):
+                raise PlanFormatError(f"{where}.waypoints[{m}]", f"expected [x, y, z, t] numbers, got {wp!r}")
         speed = raw.get("speed", DEFAULT_SPEED)
-        for name, v in (("radius", radius), ("height", height), ("speed", speed)):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (v > 0 and math.isfinite(v)):
-                raise PlanFormatError(f"{where}.{name}", f"expected a positive number, got {v!r}")
-        bodies[agent] = CylinderBody(float(radius), float(height))
+        if not (is_finite_number(speed) and speed > 0):
+            raise PlanFormatError(f"{where}.speed", f"expected a positive finite number, got {speed!r}")
+        try:
+            plans.append(TimedPlan(agent, wps_raw))
+            bodies[agent] = CylinderBody(raw.get("radius", DEFAULT_RADIUS), raw.get("height", DEFAULT_HEIGHT))
+        except ValueError as exc:
+            raise PlanFormatError(where, str(exc)) from exc
         speeds[agent] = float(speed)
     plans.sort(key=lambda p: p.agent)
     return PlanSet(tuple(plans), bodies, speeds)

@@ -2,7 +2,8 @@
 
 Cells are integer triples (i, j, k); the vertex of cell (i, j, k) is embedded at
 ((i+0.5)*cell_size, (j+0.5)*cell_size, (k+0.5)*cell_size). Obstacle cells block
-their full volume.
+their full volume. Each value rule lives in the constructor of the type it
+constrains; `load_instance` keeps the file's shape and the cross-agent rules.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .geometry3d import CylinderBody, Vec3
+from .geometry3d import CylinderBody, Vec3, is_finite_number
 
 Cell = tuple[int, int, int]
 
@@ -51,6 +52,10 @@ CONNECTIVITY_STEPS: dict[str, list[Cell]] = {
 }
 
 
+def _is_cell(value) -> bool:
+    return isinstance(value, tuple) and len(value) == 3 and all(type(n) is int for n in value)
+
+
 class InstanceError(ValueError):
     """Instance file rejected; message carries the offending field path."""
 
@@ -67,18 +72,21 @@ class GridWorld:
     connectivity: str = DEFAULT_CONNECTIVITY
 
     def __post_init__(self) -> None:
-        if len(self.dims) != 3 or any((not isinstance(n, int)) or n < 1 for n in self.dims):
+        if not (_is_cell(self.dims) and min(self.dims) >= 1):
             raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
-        if not (isinstance(self.cell_size, (int, float)) and self.cell_size > 0 and math.isfinite(self.cell_size)):
-            raise ValueError(f"cell_size must be a positive number, got {self.cell_size!r}")
-        if self.connectivity not in CONNECTIVITY_STEPS:
+        if not (is_finite_number(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be a positive finite number, got {self.cell_size!r}")
+        if not (isinstance(self.connectivity, str) and self.connectivity in CONNECTIVITY_STEPS):
             raise ValueError(
-                f"unknown connectivity {self.connectivity!r}; expected one of {sorted(CONNECTIVITY_STEPS)}"
+                f"unknown value {self.connectivity!r} for connectivity; expected one of {sorted(CONNECTIVITY_STEPS)}"
             )
-        object.__setattr__(self, "obstacles", frozenset(tuple(c) for c in self.obstacles))
         for cell in self.obstacles:
+            if not _is_cell(cell):
+                raise ValueError(f"obstacle {cell!r} is not a cell of three integers")
             if not self.in_bounds(cell):
-                raise ValueError(f"obstacle {cell} outside grid dims {self.dims}")
+                raise ValueError(f"obstacle {cell} outside dims {self.dims}")
+        object.__setattr__(self, "cell_size", float(self.cell_size))
+        object.__setattr__(self, "obstacles", frozenset(self.obstacles))
 
     def in_bounds(self, cell: Cell) -> bool:
         nx, ny, nz = self.dims
@@ -114,10 +122,14 @@ class AgentSpec:
     speed: float = DEFAULT_SPEED
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.id, int) and self.id >= 0):
-            raise ValueError(f"agent id must be a non-negative integer, got {self.id!r}")
-        if not (self.speed > 0 and math.isfinite(self.speed)):
-            raise ValueError(f"agent {self.id}: speed must be > 0, got {self.speed!r}")
+        if not (isinstance(self.id, int) and is_finite_number(self.id) and self.id >= 0):
+            raise ValueError(f"agent id must be a non-negative integer that fits a float, got {self.id!r}")
+        for name in ("start", "goal"):
+            if not _is_cell(getattr(self, name)):
+                raise ValueError(f"agent {self.id}: {name} must be a cell of three integers, got {getattr(self, name)!r}")
+        if not (is_finite_number(self.speed) and self.speed > 0):
+            raise ValueError(f"agent {self.id}: speed must be a positive finite number, got {self.speed!r}")
+        object.__setattr__(self, "speed", float(self.speed))
 
 
 def move_duration(world: GridWorld, a: Cell, b: Cell, speed: float) -> float:
@@ -165,23 +177,9 @@ _GRID_KEYS = {"dims", "cell_size", "obstacles", "connectivity"}
 _AGENT_KEYS = {"id", "start", "goal", "radius", "height", "speed"}
 
 
-def _as_cell(value, where: str) -> Cell:
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or any(not isinstance(v, int) or isinstance(v, bool) for v in value)
-    ):
-        raise InstanceError(where, f"expected a cell [i, j, k] of three integers, got {value!r}")
-    return (value[0], value[1], value[2])
-
-
-def _as_positive_number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InstanceError(where, f"expected a number, got {value!r}")
-    v = float(value)
-    if not (v > 0 and math.isfinite(v)):
-        raise InstanceError(where, f"expected a positive finite number, got {value!r}")
-    return v
+def _tuple(value):
+    """A JSON list as a tuple; any other value unchanged, for its constructor to reject."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -191,7 +189,11 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
-    """Parse and fully validate an instance file."""
+    """The world and the agents (sorted by id) of an instance file.
+
+    Checks the file's shape and the rules that need the world or several agents;
+    a constructor's ValueError comes back as an InstanceError naming `grid` or `agents[n]`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -211,25 +213,18 @@ def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
     for key in ("dims", "cell_size"):
         if key not in grid:
             raise InstanceError("grid", f"missing required key {key!r}")
-    dims = _as_cell(grid["dims"], "grid.dims")
-    if any(n < 1 for n in dims):
-        raise InstanceError("grid.dims", f"all dims must be >= 1, got {list(dims)}")
-    cell_size = _as_positive_number(grid["cell_size"], "grid.cell_size")
     raw_obstacles = grid.get("obstacles", [])
     if not isinstance(raw_obstacles, list):
         raise InstanceError("grid.obstacles", f"expected a list, got {raw_obstacles!r}")
-    obstacles = []
-    for n, raw in enumerate(raw_obstacles):
-        cell = _as_cell(raw, f"grid.obstacles[{n}]")
-        if not all(0 <= c < d for c, d in zip(cell, dims)):
-            raise InstanceError(f"grid.obstacles[{n}]", f"cell {list(cell)} outside dims {list(dims)}")
-        obstacles.append(cell)
-    connectivity = grid.get("connectivity", DEFAULT_CONNECTIVITY)
-    if connectivity not in CONNECTIVITY_STEPS:
-        raise InstanceError(
-            "grid.connectivity", f"unknown value {connectivity!r}; expected one of {sorted(CONNECTIVITY_STEPS)}"
+    try:
+        world = GridWorld(
+            _tuple(grid["dims"]),
+            grid["cell_size"],
+            tuple(_tuple(cell) for cell in raw_obstacles),
+            grid.get("connectivity", DEFAULT_CONNECTIVITY),
         )
-    world = GridWorld(dims, cell_size, frozenset(obstacles), connectivity)
+    except ValueError as exc:
+        raise InstanceError("grid", str(exc)) from exc
 
     raw_agents = doc["agents"]
     if not isinstance(raw_agents, list) or not raw_agents:
@@ -243,22 +238,19 @@ def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
         for key in ("id", "start", "goal"):
             if key not in raw:
                 raise InstanceError(where, f"missing required key {key!r}")
-        if not isinstance(raw["id"], int) or isinstance(raw["id"], bool) or raw["id"] < 0:
-            raise InstanceError(f"{where}.id", f"expected a non-negative integer, got {raw['id']!r}")
-        agent_id = raw["id"]
-        start = _as_cell(raw["start"], f"{where}.start")
-        goal = _as_cell(raw["goal"], f"{where}.goal")
-        for name, cell in (("start", start), ("goal", goal)):
+        try:
+            body = CylinderBody(raw.get("radius", DEFAULT_RADIUS), raw.get("height", DEFAULT_HEIGHT))
+            spec = AgentSpec(raw["id"], _tuple(raw["start"]), _tuple(raw["goal"]), body, raw.get("speed", DEFAULT_SPEED))
+        except ValueError as exc:
+            raise InstanceError(where, str(exc)) from exc
+        for name, cell in (("start", spec.start), ("goal", spec.goal)):
             if not world.in_bounds(cell):
-                raise InstanceError(f"{where}.{name}", f"agent {agent_id}: cell {list(cell)} out of bounds")
+                raise InstanceError(f"{where}.{name}", f"agent {spec.id}: cell {list(cell)} out of bounds")
             if not world.is_free(cell):
-                raise InstanceError(f"{where}.{name}", f"agent {agent_id}: cell {list(cell)} is an obstacle")
-        if start == goal:
-            raise InstanceError(where, f"agent {agent_id}: start and goal must differ")
-        radius = _as_positive_number(raw.get("radius", DEFAULT_RADIUS), f"{where}.radius")
-        height = _as_positive_number(raw.get("height", DEFAULT_HEIGHT), f"{where}.height")
-        speed = _as_positive_number(raw.get("speed", DEFAULT_SPEED), f"{where}.speed")
-        agents.append(AgentSpec(agent_id, start, goal, CylinderBody(radius, height), speed))
+                raise InstanceError(f"{where}.{name}", f"agent {spec.id}: cell {list(cell)} is an obstacle")
+        if spec.start == spec.goal:
+            raise InstanceError(where, f"agent {spec.id}: start and goal must differ")
+        agents.append(spec)
 
     seen_ids: dict[int, int] = {}
     for n, spec in enumerate(agents):

@@ -145,6 +145,42 @@ class TestValidate:
         assert "do not match instance" in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400  # valid JSON, but too large for a float
+ONE_MOVE_PLANS = '{"plans": [{"agent": 0, "waypoints": [[0.25, 0.25, 0.25, 0], [0.75, 0.25, 0.25, 1.0]]}]}'
+ONE_AGENT_INSTANCE = '{"grid": {"dims": [3, 3, 1], "cell_size": 0.5}, "agents": [{"id": 0, "start": [0, 0, 0], "goal": [1, 0, 0]}]}'
+
+
+@pytest.mark.parametrize(
+    "command,text,needle",
+    [
+        ("simulate", ONE_MOVE_PLANS.replace("[0.75", "[NaN"), "plans[0]"),
+        ("simulate", ONE_MOVE_PLANS.replace("[0.75", "[Infinity"), "plans[0]"),
+        ("simulate", ONE_MOVE_PLANS.replace("[0.75", "[1e999"), "plans[0]"),
+        ("simulate", ONE_MOVE_PLANS.replace("[0.75", f"[{HUGE}"), "plans[0]"),
+        ("simulate", ONE_MOVE_PLANS.replace('"agent": 0', f'"agent": 0, "radius": {HUGE}'), "plans[0]"),
+        ("simulate", ONE_MOVE_PLANS.replace('"agent": 0', f'"agent": 0, "speed": {HUGE}'), "plans[0]"),
+        ("validate", ONE_AGENT_INSTANCE.replace('"cell_size": 0.5', '"connectivity": ["face-6"], "cell_size": 0.5'), "grid:"),
+        ("validate", ONE_AGENT_INSTANCE.replace('"cell_size": 0.5', f'"cell_size": {HUGE}'), "grid:"),
+        ("config", f'{{"tick": {HUGE}}}', "bad simulation config"),
+    ],
+    ids=["waypoint-nan", "waypoint-infinity", "waypoint-1e999", "waypoint-huge-int", "radius-huge-int",
+         "speed-huge-int", "connectivity-list", "cell-size-huge-int", "config-tick-huge-int"],
+)
+def test_malformed_values_exit_3_with_the_object_path(tmp_path, capsys, command, text, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    plans = tmp_path / "plans.json"
+    plans.write_text(ONE_MOVE_PLANS, encoding="utf-8")
+    out = str(tmp_path / "run")
+    argv = {
+        "simulate": ["simulate", "--plans", str(bad), "--method", "bll", "--out", out],
+        "validate": ["validate", "--instance", str(bad), "--plans", str(plans)],
+        "config": ["simulate", "--plans", str(plans), "--method", "bll", "--config", str(bad), "--out", out],
+    }[command]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert needle in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_writes_the_run_bundle(self, planned, tmp_path, capsys):
         _, plans = planned

@@ -13,6 +13,7 @@ from mapflight.geometry3d import (
     LinearMotion,
     cylinder_unsafe_interval,
     _pair_earliest,
+    is_finite_number,
     move_clear_delay,
     plan_motions,
 )
@@ -69,11 +70,32 @@ class TestLinearMotion:
             LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), -1.0, 1.0)
 
 
+HUGE_INT = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [(1, True), (-2.5, True), (0, True), (True, False), (False, False), (math.nan, False), (math.inf, False),
+     (-math.inf, False), pytest.param(HUGE_INT, False, id="huge-int"), pytest.param(-HUGE_INT, False, id="-huge-int"),
+     ("1.0", False), (None, False)],
+)
+def test_is_finite_number(value, expected):
+    assert is_finite_number(value) is expected
+
+
 class TestCylinderBody:
-    @pytest.mark.parametrize("radius,height", [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.0), (math.inf, 1.0)])
+    @pytest.mark.parametrize(
+        "radius,height",
+        [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.0), (math.inf, 1.0), (True, 1.0), ("a", 1.0),
+         pytest.param(HUGE_INT, 1.0, id="huge-int-1.0"), (0.5, True), (0.5, "a"), pytest.param(0.5, HUGE_INT, id="0.5-huge-int")],
+    )
     def test_rejects_degenerate_bodies(self, radius, height):
         with pytest.raises(ValueError):
             CylinderBody(radius, height)
+
+    def test_integer_sizes_become_floats(self):
+        body = CylinderBody(1, 2)
+        assert body == CylinderBody(1.0, 2.0) and type(body.radius) is float and type(body.height) is float
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ class TestTimedPlan:
             (((0.0, 0.0, 0.0, 0.5),), "must have t = 0"),
             (((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), "not after"),
             (((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0), (2.0, 0.0, 0.0, 1.0)), "not after"),
+            pytest.param(((0.0, 0.0, 10**400, 0.0),), "rows of finite numbers", id="huge-int"),
+            (((0.0, 0.0, None, 0.0),), "rows of finite numbers"),
         ],
     )
     def test_rejects_malformed_waypoints(self, wps, match):
@@ -98,10 +100,6 @@ class TestValidateBookkeeping:
             validate([self.straight_plan(7, 0.25)], [specs[0]], w)
         with pytest.raises(ValueError, match="without plans"):
             validate([self.straight_plan(0, 0.25)], specs, w)
-
-    def test_bad_sampling_dt_rejected(self):
-        with pytest.raises(ValueError, match="sampling_dt"):
-            validate([], [], None, sampling_dt=0.0)
 
 
 class TestValidateChecks:
@@ -248,7 +246,12 @@ class TestPlanFiles:
             (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0]]), r"expected \[x, y, z, t\]"),
             (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0, 1], [1, 0, 0, 2]]), "first waypoint must have t = 0"),
             (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0, 0], [1, 0, 0, 0]]), "not after previous"),
-            (lambda d: d["plans"][0].update(radius=-1), "positive number"),
+            (lambda d: d["plans"][0].update(radius=-1), "radius must be a positive finite number"),
+            (lambda d: d["plans"][0].update(height=True), "height must be a positive finite number"),
+            (lambda d: d["plans"][0].update(speed=10**400), "positive finite number"),
+            (lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, math.nan), "four finite numbers"),
+            (lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, 10**400), "rows of finite numbers"),
+            (lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, True), r"numbers, got \[True"),
         ],
     )
     def test_rejects_malformed_documents(self, tmp_path, mutate, match):

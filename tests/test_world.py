@@ -19,6 +19,8 @@ from mapflight.world import (
     save_instance,
 )
 
+HUGE_INT = 10**400  # a JSON integer too large for a float
+
 
 class TestGridWorld:
     def test_center_and_cell_roundtrip(self):
@@ -40,7 +42,21 @@ class TestGridWorld:
 
     @pytest.mark.parametrize(
         "dims,cell,conn",
-        [((0, 1, 1), 1.0, FACE_6), ((2, 2), 1.0, FACE_6), ((2, 2, 2), 0.0, FACE_6), ((2, 2, 2), 1.0, "bogus")],
+        [
+            ((0, 1, 1), 1.0, FACE_6),
+            ((2, 2), 1.0, FACE_6),
+            ((2, 2, 2), 0.0, FACE_6),
+            ((2, 2, 2), 1.0, "bogus"),
+            ((2, 2, 2), 1.0, [FACE_6]),
+            (True, 1.0, FACE_6),
+            ((True, 2, 2), 1.0, FACE_6),
+            ("abc", 1.0, FACE_6),
+            pytest.param(HUGE_INT, 1.0, FACE_6, id="huge-int-dims"),
+            ([2, 2, 2], 1.0, FACE_6),
+            ((2, 2, 2), True, FACE_6),
+            ((2, 2, 2), "0.5", FACE_6),
+            pytest.param((2, 2, 2), HUGE_INT, FACE_6, id="huge-int-cell-size"),
+        ],
     )
     def test_rejects_bad_construction(self, dims, cell, conn):
         with pytest.raises(ValueError):
@@ -49,6 +65,15 @@ class TestGridWorld:
     def test_rejects_out_of_bounds_obstacle(self):
         with pytest.raises(ValueError):
             GridWorld((2, 2, 1), 1.0, frozenset({(5, 0, 0)}))
+
+    @pytest.mark.parametrize("obstacle", [(0, 0), (0.0, 0, 0), (True, 0, 0), [0, 0, 0]])
+    def test_rejects_obstacles_that_are_not_cells(self, obstacle):
+        with pytest.raises(ValueError, match="not a cell of three integers"):
+            GridWorld((2, 2, 1), 1.0, (obstacle,))
+
+    def test_cell_size_becomes_a_float(self):
+        w = GridWorld((2, 2, 1), 1, [(1, 0, 0)])
+        assert type(w.cell_size) is float and w.obstacles == frozenset({(1, 0, 0)})
 
 
 class TestNeighbors:
@@ -91,10 +116,26 @@ class TestMoveDuration:
 class TestAgentSpec:
     def test_rejects_bad_fields(self):
         body = CylinderBody(0.25, 1.0)
-        with pytest.raises(ValueError):
-            AgentSpec(-1, (0, 0, 0), (1, 0, 0), body, 0.5)
-        with pytest.raises(ValueError):
-            AgentSpec(0, (0, 0, 0), (1, 0, 0), body, 0.0)
+        for agent_id, start, speed in [
+            (-1, (0, 0, 0), 0.5),
+            (True, (0, 0, 0), 0.5),
+            ("0", (0, 0, 0), 0.5),
+            (HUGE_INT, (0, 0, 0), 0.5),
+            (0, (0, 0), 0.5),
+            (0, [0, 0, 0], 0.5),
+            (0, (0, 0, True), 0.5),
+            (0, (0, 0, 0), 0.0),
+            (0, (0, 0, 0), True),
+            (0, (0, 0, 0), "0.5"),
+            (0, (0, 0, 0), HUGE_INT),
+        ]:
+            with pytest.raises(ValueError):
+                AgentSpec(agent_id, start, (1, 0, 0), body, speed)
+
+    def test_an_agent_may_start_at_its_goal(self):
+        # the instance file forbids it; generated instances and the solver allow it
+        spec = AgentSpec(0, (1, 0, 0), (1, 0, 0), CylinderBody(0.25, 1.0), 1)
+        assert spec.start == spec.goal and type(spec.speed) is float
 
 
 class TestInstanceFiles:
@@ -150,10 +191,16 @@ class TestInstanceFiles:
             (lambda d: d["grid"].update(cell_size=-1), "positive finite"),
             (lambda d: d["grid"].update(obstacles=[[9, 9, 9]]), "outside dims"),
             (lambda d: d["grid"].update(connectivity="hex"), "unknown value"),
+            (lambda d: d["grid"].update(connectivity=["face-6"]), r"unknown value \['face-6'\]"),
+            (lambda d: d["grid"].update(cell_size=HUGE_INT), "cell_size must be a positive finite number"),
+            (lambda d: d["grid"].update(obstacles=[[0, 0, True]]), "not a cell of three integers"),
+            (lambda d: d["agents"][0].update(radius=HUGE_INT), "radius must be a positive finite number"),
+            (lambda d: d["agents"][0].update(start=[0, 0]), "start must be a cell of three integers"),
             (lambda d: d["agents"][0].update(id=-3), "non-negative integer"),
             (lambda d: d["agents"][0].update(start=[9, 0, 0]), "out of bounds"),
             (lambda d: d["agents"][0].update(goal=[0, 0, 0]), "start and goal must differ"),
             (lambda d: d["agents"][0].update(speed=0), "positive finite"),
+            (lambda d: d["agents"][0].update(speed=True), "speed must be a positive finite number"),
             (lambda d: d["agents"][1].update(id=0), "duplicate agent id"),
             (lambda d: d["agents"][1].update(id=5), "contiguous"),
             (lambda d: d["agents"][1].update(start=[0, 0, 0]), "share start"),
