@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, ccbs_solve
 from .flightsim import METHODS, SimConfig, _mean, error_metrics, run_execution, run_executions
-from .plan import PlanFormatError, load_plans, save_plans, validate
-from .world import InstanceError, load_instance
+from .plan import load_plans, save_plans, validate
+from .world import InputError, check_keys, input_field, load_instance, read_json, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,10 +36,8 @@ EXIT_INVALID_PLAN = 6
 EXIT_SIM_FAILED = 7
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class UsageError(Exception):
+    """A bad command-line value: exit 2."""
 
 
 def _sha256(path: Path) -> str:
@@ -50,8 +48,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+# perfbench's fly-swarm workload writes errors.json through this name
+_write_json = write_json
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict, outputs: Sequence[str], extra: dict) -> None:
@@ -62,51 +60,21 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, outputs: Sequence
         "outputs": {name: _sha256(out_dir / name) for name in outputs},
     }
     manifest.update(extra)
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _load_instance(path: str):
-    try:
-        return load_instance(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"instance file not found: {path}", EXIT_BAD_INPUT) from exc
-    except InstanceError as exc:
-        raise CliError(f"invalid instance {path}: {exc}", EXIT_BAD_INPUT) from exc
-
-
-def _load_plans(path: str):
-    try:
-        return load_plans(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"plan file not found: {path}", EXIT_BAD_INPUT) from exc
-    except PlanFormatError as exc:
-        raise CliError(f"invalid plan file {path}: {exc}", EXIT_BAD_INPUT) from exc
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_config(path: Optional[str], seed: Optional[int]) -> SimConfig:
     kwargs: dict = {}
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise CliError(f"config file not found: {path}", EXIT_BAD_INPUT) from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file {path} is not valid JSON: {exc}", EXIT_BAD_INPUT) from exc
-        if not isinstance(raw, dict):
-            raise CliError(f"config file {path} must hold a JSON object", EXIT_BAD_INPUT)
-        allowed = {f.name for f in dataclasses.fields(SimConfig)}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise CliError(
-                f"config file {path} has unknown keys: {', '.join(sorted(unknown))}", EXIT_BAD_INPUT
-            )
+        raw = read_json(path)
+        with input_field(path, "top level"):
+            check_keys(raw, {f.name for f in dataclasses.fields(SimConfig)})
         kwargs.update(raw)
     if seed is not None:
         kwargs["seed"] = seed
-    try:
+    # with no config file, only --seed can hold a bad value
+    with input_field(path or "--seed", "bad simulation config"):
         return SimConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad simulation config: {exc}", EXIT_BAD_INPUT)
 
 
 def _config_hash(config: SimConfig) -> str:
@@ -118,12 +86,12 @@ def _solve_limits(args: argparse.Namespace) -> SolveLimits:
     try:
         return SolveLimits(max_wall_time=args.time_limit, max_expansions=args.expansions_limit)
     except ValueError as exc:
-        raise CliError(f"bad solver limits: {exc}", EXIT_USAGE) from exc
+        raise UsageError(f"bad solver limits: {exc}") from exc
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     limits = _solve_limits(args)
-    world, agents = _load_instance(args.instance)
+    world, agents = load_instance(args.instance)
     result = ccbs_solve(world, agents, limits)
     stats = result.stats
     print(
@@ -155,18 +123,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    world, agents = _load_instance(args.instance)
-    planset = _load_plans(args.plans)
-    try:
-        report = validate(planset.plans, agents, world)
-    except ValueError as exc:
-        raise CliError(f"plans do not match instance: {exc}", EXIT_BAD_INPUT)
+    world, agents = load_instance(args.instance)
+    planset = load_plans(args.plans)
+    report = validate(planset.plans, agents, world)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_INVALID_PLAN
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    planset = _load_plans(args.plans)
+    planset = load_plans(args.plans)
     config = _load_config(args.config, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,7 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = error_metrics(log)
     log.write_csv(out_dir / "poses.csv")
     (out_dir / "error_series.csv").write_text(report.series_csv(), encoding="utf-8")
-    _write_json(out_dir / "errors.json", report.to_json_dict(config_hash=_config_hash(config)))
+    write_json(out_dir / "errors.json", report.to_json_dict(config_hash=_config_hash(config)))
     _write_manifest(
         out_dir,
         "simulate",
@@ -204,17 +169,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
-        raise CliError(f"scenario directory not found: {scenario_dir}", EXIT_BAD_INPUT)
-    instance_paths = sorted(scenario_dir.glob("*.json"))
+        raise InputError(f"{scenario_dir}: scenario directory not found")
+    instance_paths = sorted(p for p in scenario_dir.glob("*.json") if p.is_file())
     if not instance_paths:
-        raise CliError(f"no instance files (*.json) in {scenario_dir}", EXIT_BAD_INPUT)
+        raise InputError(f"{scenario_dir}: no instance files (*.json)")
     base = _load_config(args.config, args.seed)
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
         if m not in METHODS:
-            raise CliError(f"unknown method {m!r}; expected subset of {','.join(METHODS)}", EXIT_USAGE)
+            raise UsageError(f"unknown method {m!r}; expected subset of {','.join(METHODS)}")
     if args.repetitions < 1:
-        raise CliError(f"repetitions must be >= 1, got {args.repetitions}", EXIT_USAGE)
+        raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
     limits = _solve_limits(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,8 +190,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in instance_paths:
         name = path.stem
         try:
-            world, agents = _load_instance(str(path))
-        except CliError as exc:
+            world, agents = load_instance(path)
+        except InputError as exc:
             failures.append({"scenario": name, "stage": "load", "error": str(exc)})
             print(f"{name}: FAILED to load ({exc})")
             continue
@@ -285,7 +250,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"mean_max={rows[-1]['mean_max_error']:.4f} m mean_avg={rows[-1]['mean_avg_error']:.4f} m"
             )
     summary = {"repetitions": args.repetitions, "methods": methods, "rows": rows, "failures": failures}
-    _write_json(out_dir / "bench.json", summary)
+    write_json(out_dir / "bench.json", summary)
     _write_manifest(
         out_dir,
         "bench",
@@ -348,9 +313,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_BAD_INPUT
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

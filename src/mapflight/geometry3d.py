@@ -48,13 +48,6 @@ class Interval:
         if math.isnan(self.hi) or self.hi < self.lo:
             raise ValueError(f"interval must satisfy lo <= hi, got [{self.lo!r}, {self.hi!r}]")
 
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.hi)
-
-    def contains(self, t: float) -> bool:
-        return self.lo <= t <= self.hi
-
 
 @dataclass(frozen=True)
 class LinearMotion:

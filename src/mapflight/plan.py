@@ -9,7 +9,6 @@ and the rules no type owns (unique agent ids, JSON-number waypoints, the speed).
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -18,7 +17,20 @@ import numpy as np
 
 from . import geometry3d
 from .geometry3d import CylinderBody, Vec3, is_finite_number
-from .world import DEFAULT_HEIGHT, DEFAULT_RADIUS, DEFAULT_SPEED, AgentSpec, Cell, GridWorld
+from .world import (
+    DEFAULT_HEIGHT,
+    DEFAULT_RADIUS,
+    DEFAULT_SPEED,
+    AgentSpec,
+    Cell,
+    GridWorld,
+    InputError,
+    check_keys,
+    input_field,
+    is_agent_id,
+    read_json,
+    write_json,
+)
 
 Waypoint = tuple[float, float, float, float]
 
@@ -32,14 +44,6 @@ _SAMPLING_DT = 1e-3
 _PARK_PAD = 1.0
 
 
-class PlanFormatError(ValueError):
-    """Plan file rejected; message carries the offending field path."""
-
-    def __init__(self, location: str, message: str):
-        self.location = location
-        super().__init__(f"{location}: {message}")
-
-
 @dataclass(frozen=True)
 class TimedPlan:
     """Ordered (x, y, z, t) waypoints; t strictly increasing, first t = 0."""
@@ -48,6 +52,8 @@ class TimedPlan:
     waypoints: tuple[Waypoint, ...]
 
     def __post_init__(self) -> None:
+        if not is_agent_id(self.agent):
+            raise ValueError(f"agent id must be a non-negative integer below 2**63, got {self.agent!r}")
         try:
             wps = tuple(tuple(float(v) for v in wp) for wp in self.waypoints)
         except (TypeError, OverflowError) as exc:
@@ -215,13 +221,13 @@ def validate(
     spec_map = {a.id: a for a in agents}
     plan_ids = [p.agent for p in plan_list]
     if len(set(plan_ids)) != len(plan_ids):
-        raise ValueError(f"duplicate plan agent ids: {plan_ids}")
+        raise InputError(f"plans do not match instance: duplicate plan agent ids: {plan_ids}")
     missing = [i for i in plan_ids if i not in spec_map]
     if missing:
-        raise ValueError(f"plans name agents absent from the instance: {missing}")
+        raise InputError(f"plans do not match instance: plans name agents absent from the instance: {missing}")
     unplanned = sorted(set(spec_map) - set(plan_ids))
     if unplanned:
-        raise ValueError(f"instance agents without plans: {unplanned}")
+        raise InputError(f"plans do not match instance: instance agents without plans: {unplanned}")
 
     violations: list[Violation] = []
 
@@ -335,61 +341,45 @@ def save_plans(plans: Iterable[TimedPlan], agents: Iterable[AgentSpec], path) ->
             for p in sorted(plans, key=lambda p: p.agent)
         ]
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
+
+
+_PLAN_KEYS = {"agent", "radius", "height", "speed", "waypoints"}
 
 
 def load_plans(path) -> PlanSet:
     """The plans (sorted by agent) of a plan file, with their echoed bodies and speeds.
 
     Checks the file's shape and the rules no type owns; a constructor's
-    ValueError comes back as a PlanFormatError naming `plans[n]`.
+    ValueError comes back as an InputError naming `plans[n]`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PlanFormatError(f"{path}:{exc.lineno}", f"not valid JSON: {exc.msg}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) != {"plans"}:
-        raise PlanFormatError("top level", "expected exactly one key 'plans'")
+        raise InputError(f"{path}: top level: expected exactly one key 'plans'")
     raw_plans = doc["plans"]
     if not isinstance(raw_plans, list) or not raw_plans:
-        raise PlanFormatError("plans", "expected a non-empty list")
+        raise InputError(f"{path}: plans: expected a non-empty list")
     plans: list[TimedPlan] = []
     bodies: dict[int, CylinderBody] = {}
     speeds: dict[int, float] = {}
-    allowed = {"agent", "radius", "height", "speed", "waypoints"}
     for n, raw in enumerate(raw_plans):
-        where = f"plans[{n}]"
-        if not isinstance(raw, dict):
-            raise PlanFormatError(where, "each plan must be an object")
-        unknown = set(raw) - allowed
-        if unknown:
-            raise PlanFormatError(where, f"unknown keys {sorted(unknown)}")
-        for key in ("agent", "waypoints"):
-            if key not in raw:
-                raise PlanFormatError(where, f"missing required key {key!r}")
-        agent = raw["agent"]
-        if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
-            raise PlanFormatError(f"{where}.agent", f"expected a non-negative integer, got {agent!r}")
-        if agent in bodies:
-            raise PlanFormatError(f"{where}.agent", f"duplicate agent id {agent}")
-        wps_raw = raw["waypoints"]
-        if not isinstance(wps_raw, list) or not wps_raw:
-            raise PlanFormatError(f"{where}.waypoints", "expected a non-empty list")
-        for m, wp in enumerate(wps_raw):
-            # JSON numbers decode to int or float; true and false decode to bool
-            if not (isinstance(wp, list) and len(wp) == 4 and all(type(v) in (int, float) for v in wp)):
-                raise PlanFormatError(f"{where}.waypoints[{m}]", f"expected [x, y, z, t] numbers, got {wp!r}")
-        speed = raw.get("speed", DEFAULT_SPEED)
-        if not (is_finite_number(speed) and speed > 0):
-            raise PlanFormatError(f"{where}.speed", f"expected a positive finite number, got {speed!r}")
-        try:
-            plans.append(TimedPlan(agent, wps_raw))
-            bodies[agent] = CylinderBody(raw.get("radius", DEFAULT_RADIUS), raw.get("height", DEFAULT_HEIGHT))
-        except ValueError as exc:
-            raise PlanFormatError(where, str(exc)) from exc
-        speeds[agent] = float(speed)
+        with input_field(path, f"plans[{n}]"):
+            check_keys(raw, _PLAN_KEYS, ("agent", "waypoints"))
+            wps_raw = raw["waypoints"]
+            if not isinstance(wps_raw, list) or not wps_raw:
+                raise ValueError("waypoints: expected a non-empty list")
+            for m, wp in enumerate(wps_raw):
+                # JSON numbers decode to int or float; true and false decode to bool
+                if not (isinstance(wp, list) and len(wp) == 4 and all(type(v) in (int, float) for v in wp)):
+                    raise ValueError(f"waypoints[{m}]: expected [x, y, z, t] numbers, got {wp!r}")
+            speed = raw.get("speed", DEFAULT_SPEED)
+            if not (is_finite_number(speed) and speed > 0):
+                raise ValueError(f"speed: expected a positive finite number, got {speed!r}")
+            plan = TimedPlan(raw["agent"], wps_raw)
+            if plan.agent in bodies:
+                raise ValueError(f"agent: duplicate agent id {plan.agent}")
+            bodies[plan.agent] = CylinderBody(raw.get("radius", DEFAULT_RADIUS), raw.get("height", DEFAULT_HEIGHT))
+        plans.append(plan)
+        speeds[plan.agent] = float(speed)
     plans.sort(key=lambda p: p.agent)
     return PlanSet(tuple(plans), bodies, speeds)

@@ -86,10 +86,6 @@ class SafeIntervalTable:
     def vertex_intervals(self, cell: Cell) -> tuple[Interval, ...]:
         return self.vertex_safe.get(cell, _FULL)
 
-    def earliest_departure(self, src: Cell, dst: Cell, t: float) -> float:
-        """Bump t forward past closed-left departure prohibitions on (src, dst)."""
-        return _past_blocks(self.move_blocks.get((src, dst), ()), t)
-
     def adding(self, constraint: Constraint) -> "SafeIntervalTable":
         """New table with one more prohibition; only the touched entry is rebuilt.
 

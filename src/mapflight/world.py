@@ -4,12 +4,15 @@ Cells are integer triples (i, j, k); the vertex of cell (i, j, k) is embedded at
 ((i+0.5)*cell_size, (j+0.5)*cell_size, (k+0.5)*cell_size). Obstacle cells block
 their full volume. Each value rule lives in the constructor of the type it
 constrains; `load_instance` keeps the file's shape and the cross-agent rules.
+Every input file is read through `read_json`, and every rejected one raises
+`InputError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -56,12 +59,9 @@ def _is_cell(value) -> bool:
     return isinstance(value, tuple) and len(value) == 3 and all(type(n) is int for n in value)
 
 
-class InstanceError(ValueError):
-    """Instance file rejected; message carries the offending field path."""
-
-    def __init__(self, location: str, message: str):
-        self.location = location
-        super().__init__(f"{location}: {message}")
+def is_agent_id(value) -> bool:
+    """An int, not a bool, in [0, 2**63): what the int64 agent columns of the pose log and error series hold."""
+    return type(value) is int and 0 <= value < 2**63
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ class AgentSpec:
     speed: float = DEFAULT_SPEED
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.id, int) and is_finite_number(self.id) and self.id >= 0):
-            raise ValueError(f"agent id must be a non-negative integer that fits a float, got {self.id!r}")
+        if not is_agent_id(self.id):
+            raise ValueError(f"agent id must be a non-negative integer below 2**63, got {self.id!r}")
         for name in ("start", "goal"):
             if not _is_cell(getattr(self, name)):
                 raise ValueError(f"agent {self.id}: {name} must be a cell of three integers, got {getattr(self, name)!r}")
@@ -170,8 +170,55 @@ def neighbors(world: GridWorld, cell: Cell) -> list[Cell]:
 
 
 # ---------------------------------------------------------------------------
-# instance files
+# input files
 # ---------------------------------------------------------------------------
+
+
+class InputError(ValueError):
+    """An input file was rejected; the message names the file and, for a bad value, its field path."""
+
+
+def read_json(path):
+    """The JSON document in a file; every way the file fails to open or decode is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise InputError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bytes that are not UTF-8, an integer past Python's digit
+        # limit, or arrays and objects nested past the recursion limit
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON with 2-space indents, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def input_field(path, where: str):
+    """Re-raise a ValueError from inside the block as an InputError naming the file and the field path `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"{path}: {where}: {exc}") from exc
+
+
+def check_keys(obj, allowed: set[str], required: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless `obj` is a JSON object with only `allowed` keys and all `required` ones."""
+    if not isinstance(obj, dict):
+        raise ValueError("must hold a JSON object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing required key {key!r}")
+
 
 _GRID_KEYS = {"dims", "cell_size", "obstacles", "connectivity"}
 _AGENT_KEYS = {"id", "start", "goal", "radius", "height", "speed"}
@@ -182,93 +229,64 @@ def _tuple(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InstanceError(where, f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
-
-
 def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
     """The world and the agents (sorted by id) of an instance file.
 
     Checks the file's shape and the rules that need the world or several agents;
-    a constructor's ValueError comes back as an InstanceError naming `grid` or `agents[n]`.
+    a constructor's ValueError comes back as an InputError naming `grid` or `agents[n]`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}:{exc.lineno}", f"not valid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise InstanceError(str(path), "top level must be an object")
-    _reject_unknown(doc, {"grid", "agents"}, "top level")
-    for key in ("grid", "agents"):
-        if key not in doc:
-            raise InstanceError("top level", f"missing required key {key!r}")
-
-    grid = doc["grid"]
-    if not isinstance(grid, dict):
-        raise InstanceError("grid", "must be an object")
-    _reject_unknown(grid, _GRID_KEYS, "grid")
-    for key in ("dims", "cell_size"):
-        if key not in grid:
-            raise InstanceError("grid", f"missing required key {key!r}")
-    raw_obstacles = grid.get("obstacles", [])
-    if not isinstance(raw_obstacles, list):
-        raise InstanceError("grid.obstacles", f"expected a list, got {raw_obstacles!r}")
-    try:
+    doc = read_json(path)
+    with input_field(path, "top level"):
+        check_keys(doc, {"grid", "agents"}, ("grid", "agents"))
+    with input_field(path, "grid"):
+        grid = doc["grid"]
+        check_keys(grid, _GRID_KEYS, ("dims", "cell_size"))
+        raw_obstacles = grid.get("obstacles", [])
+        if not isinstance(raw_obstacles, list):
+            raise ValueError(f"obstacles: expected a list, got {raw_obstacles!r}")
         world = GridWorld(
             _tuple(grid["dims"]),
             grid["cell_size"],
             tuple(_tuple(cell) for cell in raw_obstacles),
             grid.get("connectivity", DEFAULT_CONNECTIVITY),
         )
-    except ValueError as exc:
-        raise InstanceError("grid", str(exc)) from exc
 
     raw_agents = doc["agents"]
     if not isinstance(raw_agents, list) or not raw_agents:
-        raise InstanceError("agents", "expected a non-empty list")
+        raise InputError(f"{path}: agents: expected a non-empty list")
     agents: list[AgentSpec] = []
     for n, raw in enumerate(raw_agents):
-        where = f"agents[{n}]"
-        if not isinstance(raw, dict):
-            raise InstanceError(where, "each agent must be an object")
-        _reject_unknown(raw, _AGENT_KEYS, where)
-        for key in ("id", "start", "goal"):
-            if key not in raw:
-                raise InstanceError(where, f"missing required key {key!r}")
-        try:
+        with input_field(path, f"agents[{n}]"):
+            check_keys(raw, _AGENT_KEYS, ("id", "start", "goal"))
             body = CylinderBody(raw.get("radius", DEFAULT_RADIUS), raw.get("height", DEFAULT_HEIGHT))
             spec = AgentSpec(raw["id"], _tuple(raw["start"]), _tuple(raw["goal"]), body, raw.get("speed", DEFAULT_SPEED))
-        except ValueError as exc:
-            raise InstanceError(where, str(exc)) from exc
-        for name, cell in (("start", spec.start), ("goal", spec.goal)):
-            if not world.in_bounds(cell):
-                raise InstanceError(f"{where}.{name}", f"agent {spec.id}: cell {list(cell)} out of bounds")
-            if not world.is_free(cell):
-                raise InstanceError(f"{where}.{name}", f"agent {spec.id}: cell {list(cell)} is an obstacle")
-        if spec.start == spec.goal:
-            raise InstanceError(where, f"agent {spec.id}: start and goal must differ")
+            for name, cell in (("start", spec.start), ("goal", spec.goal)):
+                if not world.in_bounds(cell):
+                    raise ValueError(f"{name}: agent {spec.id}: cell {list(cell)} out of bounds")
+                if not world.is_free(cell):
+                    raise ValueError(f"{name}: agent {spec.id}: cell {list(cell)} is an obstacle")
+            if spec.start == spec.goal:
+                raise ValueError(f"agent {spec.id}: start and goal must differ")
         agents.append(spec)
 
-    seen_ids: dict[int, int] = {}
-    for n, spec in enumerate(agents):
-        if spec.id in seen_ids:
-            raise InstanceError(f"agents[{n}].id", f"duplicate agent id {spec.id} (also agents[{seen_ids[spec.id]}])")
-        seen_ids[spec.id] = n
-    agents.sort(key=lambda s: s.id)
-    if [s.id for s in agents] != list(range(len(agents))):
-        raise InstanceError("agents", f"ids must be contiguous from 0, got {[s.id for s in agents]}")
-    starts: dict[Cell, int] = {}
-    goals: dict[Cell, int] = {}
-    for spec in agents:
-        if spec.start in starts:
-            raise InstanceError("agents", f"agents {starts[spec.start]} and {spec.id} share start {list(spec.start)}")
-        if spec.goal in goals:
-            raise InstanceError("agents", f"agents {goals[spec.goal]} and {spec.id} share goal {list(spec.goal)}")
-        starts[spec.start] = spec.id
-        goals[spec.goal] = spec.id
+    with input_field(path, "agents"):
+        seen_ids: dict[int, int] = {}
+        for n, spec in enumerate(agents):
+            if spec.id in seen_ids:
+                raise ValueError(f"duplicate agent id {spec.id} (agents[{seen_ids[spec.id]}] and agents[{n}])")
+            seen_ids[spec.id] = n
+        agents.sort(key=lambda s: s.id)
+        if [s.id for s in agents] != list(range(len(agents))):
+            raise ValueError(f"ids must be contiguous from 0, got {[s.id for s in agents]}")
+        starts: dict[Cell, int] = {}
+        goals: dict[Cell, int] = {}
+        for spec in agents:
+            if spec.start in starts:
+                raise ValueError(f"agents {starts[spec.start]} and {spec.id} share start {list(spec.start)}")
+            if spec.goal in goals:
+                raise ValueError(f"agents {goals[spec.goal]} and {spec.id} share goal {list(spec.goal)}")
+            starts[spec.start] = spec.id
+            goals[spec.goal] = spec.id
     return world, agents
 
 
@@ -292,6 +310,4 @@ def save_instance(world: GridWorld, agents: Iterable[AgentSpec], path) -> None:
             for a in sorted(agents, key=lambda s: s.id)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -45,6 +45,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from mapflight import sipp
 from mapflight.executor import HighLevelGoto, VelocitySetpoint
 from mapflight.geometry3d import Conflict, cylinder_unsafe_interval, plan_motions
 from mapflight.plan import TimedPlan
@@ -603,7 +604,7 @@ def sipp_reference(world, agent, table):
 
     start_state: Optional[int] = None
     for idx, iv in enumerate(table.vertex_intervals(agent.start)):
-        if iv.contains(0.0):
+        if iv.lo <= 0.0 <= iv.hi:
             start_state = idx
             break
     if start_state is None:
@@ -626,7 +627,7 @@ def sipp_reference(world, agent, table):
         closed.add(key)
         g = -neg_g
         interval = table.vertex_intervals(cell)[ivl_idx]
-        if cell == agent.goal and interval.unbounded:
+        if cell == agent.goal and interval.hi == math.inf:
             goal_key = key
             break
         for nbr, dur, nbr_idx in expansion[cell]:
@@ -637,7 +638,7 @@ def sipp_reference(world, agent, table):
                 dep_max = min(interval.hi, target.hi - dur)
                 if dep_min > dep_max:
                     continue
-                tau = table.earliest_departure(cell, nbr, dep_min)
+                tau = sipp._past_blocks(table.move_blocks.get((cell, nbr), ()), dep_min)
                 if tau > dep_max:
                     continue
                 arrival = tau + dur

@@ -94,7 +94,7 @@ class TestPlan:
         bad.write_text("{oops", encoding="utf-8")
         code = main(["plan", "--instance", str(bad), "--out", str(tmp_path / "p.json")])
         assert code == EXIT_BAD_INPUT
-        assert "invalid instance" in capsys.readouterr().err
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err
 
     def test_unsolvable_instance(self, tmp_path, capsys):
         inst = write_json(tmp_path / "stacked.json", OVERLAPPING_GOALS)
@@ -148,6 +148,14 @@ class TestValidate:
 HUGE = "1" + "0" * 400  # valid JSON, but too large for a float
 ONE_MOVE_PLANS = '{"plans": [{"agent": 0, "waypoints": [[0.25, 0.25, 0.25, 0], [0.75, 0.25, 0.25, 1.0]]}]}'
 ONE_AGENT_INSTANCE = '{"grid": {"dims": [3, 3, 1], "cell_size": 0.5}, "agents": [{"id": 0, "start": [0, 0, 0], "goal": [1, 0, 0]}]}'
+DIRECTORY = None  # the input path names a directory
+# ways a file fails to read, whatever it was meant to hold
+READ_FAILURES = [
+    (DIRECTORY, "cannot read"),
+    (b"\xff" + ONE_MOVE_PLANS.encode("utf-8"), "not valid JSON"),
+    ("1" * 5001, "not valid JSON"),
+    ("[" * 100_000, "not valid JSON"),
+]
 
 
 @pytest.mark.parametrize(
@@ -162,13 +170,23 @@ ONE_AGENT_INSTANCE = '{"grid": {"dims": [3, 3, 1], "cell_size": 0.5}, "agents": 
         ("validate", ONE_AGENT_INSTANCE.replace('"cell_size": 0.5', '"connectivity": ["face-6"], "cell_size": 0.5'), "grid:"),
         ("validate", ONE_AGENT_INSTANCE.replace('"cell_size": 0.5', f'"cell_size": {HUGE}'), "grid:"),
         ("config", f'{{"tick": {HUGE}}}', "bad simulation config"),
-    ],
+        ("simulate", ONE_MOVE_PLANS.replace('"agent": 0', f'"agent": {2**63}'), "plans[0]: agent id"),
+        ("simulate", ONE_MOVE_PLANS.replace('"agent": 0', f'"agent": {10**19}'), "plans[0]: agent id"),
+        ("simulate", ONE_MOVE_PLANS.replace('"agent": 0', f'"agent": {HUGE}'), "plans[0]: agent id"),
+    ]
+    + [(command, text, needle) for command in ("validate", "simulate", "config") for text, needle in READ_FAILURES],
     ids=["waypoint-nan", "waypoint-infinity", "waypoint-1e999", "waypoint-huge-int", "radius-huge-int",
-         "speed-huge-int", "connectivity-list", "cell-size-huge-int", "config-tick-huge-int"],
+         "speed-huge-int", "connectivity-list", "cell-size-huge-int", "config-tick-huge-int",
+         "agent-2**63", "agent-10**19", "agent-huge-int"]
+    + [f"{kind}-{failure}" for kind in ("instance", "plans", "config")
+       for failure in ("directory", "not-utf8", "5001-digit-int", "deep-nesting")],
 )
 def test_malformed_values_exit_3_with_the_object_path(tmp_path, capsys, command, text, needle):
     bad = tmp_path / "bad.json"
-    bad.write_text(text, encoding="utf-8")
+    if text is DIRECTORY:
+        bad.mkdir()
+    else:
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     plans = tmp_path / "plans.json"
     plans.write_text(ONE_MOVE_PLANS, encoding="utf-8")
     out = str(tmp_path / "run")
@@ -178,7 +196,8 @@ def test_malformed_values_exit_3_with_the_object_path(tmp_path, capsys, command,
         "config": ["simulate", "--plans", str(plans), "--method", "bll", "--config", str(bad), "--out", out],
     }[command]
     assert main(argv) == EXIT_BAD_INPUT
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and needle in err
 
 
 class TestSimulate:
@@ -240,7 +259,7 @@ class TestSimulate:
     def test_missing_plans_file(self, tmp_path, capsys):
         code = main(["simulate", "--plans", str(tmp_path / "no.json"), "--method", "bll", "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_INPUT
-        assert "plan file not found" in capsys.readouterr().err
+        assert f"{tmp_path / 'no.json'}: file not found" in capsys.readouterr().err
 
 
 class TestBench:
@@ -324,4 +343,19 @@ class TestBench:
         assert [f["scenario"] for f in bench["failures"]] == ["stacked"]
         assert bench["failures"][0]["stage"] == "plan"
         # the solvable scenario still produced its row
+        assert [r["scenario"] for r in bench["rows"]] == ["method_comparison"]
+
+    def test_an_unreadable_scenario_is_a_load_failure_and_a_directory_is_skipped(self, tmp_path, scenario_dir):
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        shutil.copy(scenario_dir / "method_comparison.json", src / "method_comparison.json")
+        (src / "latin1.json").write_bytes(b"\xff" + json.dumps(SWAP_INSTANCE).encode("utf-8"))
+        (src / "nested.json").mkdir()
+        out = tmp_path / "out"
+        code = main(
+            ["bench", "--scenarios", str(src), "--methods", "bhl", "--repetitions", "1", "--out", str(out)]
+        )
+        assert code == EXIT_SIM_FAILED
+        bench = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        assert [(f["scenario"], f["stage"]) for f in bench["failures"]] == [("latin1", "load")]
         assert [r["scenario"] for r in bench["rows"]] == ["method_comparison"]

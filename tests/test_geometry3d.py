@@ -33,15 +33,6 @@ def shifted(motion: LinearMotion, dt: float) -> LinearMotion:
 
 
 class TestInterval:
-    def test_contains_is_closed(self):
-        iv = Interval(1.0, 2.0)
-        assert iv.contains(1.0) and iv.contains(2.0) and iv.contains(1.5)
-        assert not iv.contains(0.999) and not iv.contains(2.001)
-
-    def test_unbounded(self):
-        assert Interval(1.0, math.inf).unbounded
-        assert not Interval(1.0, 2.0).unbounded
-
     @pytest.mark.parametrize("lo,hi", [(-1.0, 2.0), (2.0, 1.0), (math.inf, math.inf), (0.0, math.nan)])
     def test_rejects_bad_bounds(self, lo, hi):
         with pytest.raises(ValueError):

@@ -9,14 +9,13 @@ import pytest
 
 from mapflight.geometry3d import CylinderBody
 from mapflight.plan import (
-    PlanFormatError,
     TimedPlan,
     load_plans,
     save_plans,
     segment_cells,
     validate,
 )
-from mapflight.world import AgentSpec, GridWorld
+from mapflight.world import AgentSpec, GridWorld, InputError
 
 BODY = CylinderBody(0.25, 1.0)
 
@@ -50,6 +49,12 @@ class TestTimedPlan:
     def test_rejects_malformed_waypoints(self, wps, match):
         with pytest.raises(ValueError, match=match):
             TimedPlan(0, wps)
+
+    @pytest.mark.parametrize("agent", [-1, True, 1.0, "0", 2**63, 10**19, 10**400])
+    def test_rejects_agent_ids_outside_int64(self, agent):
+        # the pose log and the error series store agent ids in int64 columns
+        with pytest.raises(ValueError, match="agent id must be a non-negative integer below 2"):
+            TimedPlan(agent, ((0.0, 0.0, 0.0, 0.0),))
 
     def test_hash_is_the_hash_of_agent_and_waypoints(self):
         # the hash is computed once; equal plans must still hash equal
@@ -230,7 +235,7 @@ class TestPlanFiles:
     def test_not_json(self, tmp_path):
         path = tmp_path / "plans.json"
         path.write_text("[", encoding="utf-8")
-        with pytest.raises(PlanFormatError, match="not valid JSON"):
+        with pytest.raises(InputError, match="not valid JSON"):
             load_plans(path)
 
     @pytest.mark.parametrize(
@@ -241,6 +246,7 @@ class TestPlanFiles:
             (lambda d: d["plans"][0].update(bogus=1), "unknown keys"),
             (lambda d: d["plans"][0].pop("agent"), "missing required key 'agent'"),
             (lambda d: d["plans"][0].update(agent=-1), "non-negative integer"),
+            (lambda d: d["plans"][0].update(agent=2**63), rf"plans\[0\]: agent id .* got {2**63}"),
             (lambda d: d["plans"].append(dict(d["plans"][0])), "duplicate agent id"),
             (lambda d: d["plans"][0].update(waypoints=[]), "non-empty list"),
             (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0]]), r"expected \[x, y, z, t\]"),
@@ -257,5 +263,5 @@ class TestPlanFiles:
     def test_rejects_malformed_documents(self, tmp_path, mutate, match):
         doc = self.base_doc()
         mutate(doc)
-        with pytest.raises(PlanFormatError, match=match):
+        with pytest.raises(InputError, match=match):
             load_plans(self.write(tmp_path, doc))

