@@ -17,12 +17,15 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import pickle
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, ccbs_solve
+from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, SolveResult, ccbs_solve
 from .flightsim import METHODS, SimConfig, _mean, error_metrics, run_execution, run_executions
 from .plan import load_plans, save_plans, validate
 from .world import InputError, check_keys, input_field, load_instance, read_json, write_json
@@ -161,11 +164,105 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the batch cannot fork workers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
+    """Batch indices split into k shares: heaviest first, each to the lightest share (the lowest on ties)."""
+    shares: list[list[int]] = [[] for _ in range(k)]
+    loads = [0.0] * k
+    for i in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += weights[i]
+    return shares
+
+
+def _fly_batch(plans, method: str, speeds: dict, configs: list[SimConfig]) -> list[tuple]:
+    """(completed, max_error, avg_error) of each run of one (scenario, method) batch."""
+    runs = []
+    # the repetitions fly as one fleet; logs arrive one run at a time
+    for log in run_executions(plans, method, configs, speeds=speeds):
+        aggregate = error_metrics(log).aggregate
+        runs.append((log.completed, aggregate.max_error, aggregate.avg_error))
+    return runs
+
+
+def _fly_share(jobs: list[tuple], share: list[int], write_fd: int) -> None:
+    """Body of a forked worker: fly its share, send the reply over `write_fd`, end the process.
+
+    It never returns. os._exit skips the exit handlers and the unflushed
+    stdio buffers the child shares with the parent.
+    """
+    code = 1
+    try:
+        try:
+            reply = ("ok", [_fly_batch(*jobs[i]) for i in share])
+        except Exception:
+            reply = ("error", traceback.format_exc())
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(reply, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fly_batches(jobs: list[tuple], weights: Sequence[float]) -> list[list[tuple]]:
+    """_fly_batch of every job, in job order, over up to one process per usable CPU.
+
+    The parent flies share 0. Each other share goes to a child it forks,
+    which never waits for input: it sends one reply over its own pipe and
+    exits, so it ends by itself even if the parent is killed. Every child is
+    reaped before this returns or raises. A fork, unlike a spawned worker,
+    inherits the imported modules and the solved plans, which a batch share
+    would otherwise pay for with a fresh import; the simulator makes no BLAS
+    call, so numpy's BLAS threads are never needed in a child.
+    """
+    shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
+    results: list = [None] * len(jobs)
+    children: list[tuple[int, int, list[int]]] = []  # (pid, read end, share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                for _, fd, _ in children:
+                    os.close(fd)
+                os.close(read_fd)
+                _fly_share(jobs, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        for i in shares[0]:
+            results[i] = _fly_batch(*jobs[i])
+        for pid, read_fd, share in children:
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError(f"bench worker {pid} ended without a reply")
+            status, payload = pickle.loads(data)
+            if status != "ok":
+                raise RuntimeError(f"bench worker {pid} failed:\n{payload}")
+            for i, runs in zip(share, payload):
+                results[i] = runs
+    finally:
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return results
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Batch plan + simulate every instance in a scenario directory.
 
     Per-scenario failures are recorded in the summary and the batch continues;
-    the exit status is nonzero if anything failed.
+    the exit status is nonzero if anything failed. Scenarios are loaded, solved
+    and validated one after another; their (scenario, method) batches are then
+    flown at the same time, one process per usable CPU, and reported in
+    scenario order, so the outputs do not depend on the process count.
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
@@ -183,57 +280,71 @@ def cmd_bench(args: argparse.Namespace) -> int:
     limits = _solve_limits(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repetitions)]
 
-    rows: list[dict] = []
-    failures: list[dict] = []
+    # each scenario either failed before flying, with its failure and line, or
+    # was solved and saved, and flies one batch per method
+    stopped: dict[str, tuple[dict, str]] = {}
+    solved: dict[str, tuple[list, SolveResult]] = {}
+    jobs: list[tuple] = []
+    weights: list[float] = []
     outputs = ["bench.json"]
     for path in instance_paths:
         name = path.stem
         try:
             world, agents = load_instance(path)
         except InputError as exc:
-            failures.append({"scenario": name, "stage": "load", "error": str(exc)})
-            print(f"{name}: FAILED to load ({exc})")
+            stopped[name] = ({"scenario": name, "stage": "load", "error": str(exc)}, f"{name}: FAILED to load ({exc})")
             continue
         result = ccbs_solve(world, agents, limits)
         if result.solution is None:
-            failures.append({"scenario": name, "stage": "plan", "error": f"{result.status}: {result.detail}"})
-            print(f"{name}: solver {result.status}")
+            stopped[name] = ({"scenario": name, "stage": "plan", "error": f"{result.status}: {result.detail}"},
+                             f"{name}: solver {result.status}")
             continue
         solution = result.solution
         report = validate(solution.plans, agents, world)
         if not report.ok:
-            failures.append({"scenario": name, "stage": "validate", "error": report.summary()})
-            print(f"{name}: solution failed validation")
+            stopped[name] = ({"scenario": name, "stage": "validate", "error": report.summary()},
+                             f"{name}: solution failed validation")
             continue
         plan_file = f"{name}_plans.json"
         save_plans(solution.plans, agents, out_dir / plan_file)
         outputs.append(plan_file)
+        solved[name] = (agents, result)
         speeds = {a.id: a.speed for a in agents}
-        configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repetitions)]
         for m in methods:
+            jobs.append((solution.plans, m, speeds, configs))
+            weights.append(len(agents) * solution.makespan)
+
+    flown = iter(_fly_batches(jobs, weights))
+    rows: list[dict] = []
+    failures: list[dict] = []
+    for path in instance_paths:
+        name = path.stem
+        if name in stopped:
+            failure, line = stopped[name]
+            failures.append(failure)
+            print(line)
+            continue
+        agents, result = solved[name]
+        for m in methods:
+            runs = next(flown)
             completed = 0
-            max_errors: list[float] = []
-            avg_errors: list[float] = []
-            # the repetitions fly as one fleet; logs arrive one run at a time
-            for config, log in zip(configs, run_executions(solution.plans, m, configs, speeds=speeds)):
-                errors = error_metrics(log)
-                if log.completed:
+            for config, (done, _, _) in zip(configs, runs):
+                if done:
                     completed += 1
                 else:
                     failures.append(
                         {"scenario": name, "stage": "simulate", "method": m, "seed": config.seed,
                          "error": "wall-time cap reached before all vehicles finished"}
                     )
-                max_errors.append(errors.aggregate.max_error)
-                avg_errors.append(errors.aggregate.avg_error)
             rows.append(
                 {
                     "scenario": name,
                     "method": m,
                     "agents": len(agents),
-                    "cost": solution.cost,
-                    "makespan": solution.makespan,
+                    "cost": result.solution.cost,
+                    "makespan": result.solution.makespan,
                     "solver_wall_time": result.stats.wall_time,
                     "solver_expansions": result.stats.expansions,
                     "solver_bypasses": result.stats.bypasses,
@@ -241,8 +352,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "solver_replans_reused": result.stats.replans_reused,
                     "runs": args.repetitions,
                     "success_rate": completed / args.repetitions,
-                    "mean_max_error": _mean(max_errors),
-                    "mean_avg_error": _mean(avg_errors),
+                    "mean_max_error": _mean([max_error for _, max_error, _ in runs]),
+                    "mean_avg_error": _mean([avg_error for _, _, avg_error in runs]),
                 }
             )
             print(

@@ -56,6 +56,8 @@ BASIS_ACTUAL = "actual-vs-planned"
 BASIS_ESTIMATED = "estimated-vs-planned"
 
 _EPS = 1e-9
+# a finer tick spends the whole run on bookkeeping; the tests fly down to 0.0025 s
+MIN_TICK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.tick < MIN_TICK:
+            raise ValueError(f"tick must be at least {MIN_TICK} s, got {self.tick!r}")
         if self.log_period < self.tick - _EPS:
             raise ValueError("log_period must be at least one tick")
         ratio = self.log_period / self.tick

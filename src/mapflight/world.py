@@ -28,6 +28,9 @@ DEFAULT_CONNECTIVITY = FACE_6
 DEFAULT_SPEED = 0.5
 DEFAULT_RADIUS = 0.25
 DEFAULT_HEIGHT = 1.0
+# one-cell move time cell_size / speed, s: outside it, plan times vanish below
+# or overflow the float spacing of the waypoint times
+MOVE_TIME_RANGE = (1e-3, 1e3)
 
 
 def _steps_face6() -> list[Cell]:
@@ -232,7 +235,8 @@ def _tuple(value):
 def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
     """The world and the agents (sorted by id) of an instance file.
 
-    Checks the file's shape and the rules that need the world or several agents;
+    Checks the file's shape and the rules that need the world or several agents,
+among them each agent's one-cell move time, which must lie in MOVE_TIME_RANGE;
     a constructor's ValueError comes back as an InputError naming `grid` or `agents[n]`.
     """
     doc = read_json(path)
@@ -267,6 +271,12 @@ def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
                     raise ValueError(f"{name}: agent {spec.id}: cell {list(cell)} is an obstacle")
             if spec.start == spec.goal:
                 raise ValueError(f"agent {spec.id}: start and goal must differ")
+            move_time = world.cell_size / spec.speed
+            if not MOVE_TIME_RANGE[0] <= move_time <= MOVE_TIME_RANGE[1]:
+                raise ValueError(
+                    f"agent {spec.id}: one-cell move time cell_size / speed = {move_time!r} s "
+                    f"is outside [{MOVE_TIME_RANGE[0]}, {MOVE_TIME_RANGE[1]}] s"
+                )
         agents.append(spec)
 
     with input_field(path, "agents"):

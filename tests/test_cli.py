@@ -1,11 +1,15 @@
 """End-to-end command line flows and their exit codes."""
 
+import contextlib
 import hashlib
 import json
+import os
 import shutil
+import signal
 
 import pytest
 
+from mapflight import cli
 from mapflight.ccbs import SolveLimits
 from mapflight.cli import (
     EXIT_BAD_INPUT,
@@ -359,3 +363,119 @@ class TestBench:
         bench = json.loads((out / "bench.json").read_text(encoding="utf-8"))
         assert [(f["scenario"], f["stage"]) for f in bench["failures"]] == [("latin1", "load")]
         assert [r["scenario"] for r in bench["rows"]] == ["method_comparison"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the block runs past `seconds`; a forked child does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestParallelFly:
+    """`bench` flies its batches over one process per usable CPU; nothing it reports may depend on how many."""
+
+    @pytest.fixture()
+    def mixed_dir(self, tmp_path, scenario_dir):
+        """Three solvable scenarios around an unreadable one; the slow config sends some vll runs to the wall cap."""
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        for name in ("method_comparison", "swarm_2", "swarm_4"):
+            shutil.copy(scenario_dir / f"{name}.json", src / f"{name}.json")
+        (src / "n_unreadable.json").write_text("{oops", encoding="utf-8")
+        config = write_json(tmp_path / "slow.json", {"max_speed": 0.2})
+        return src, config
+
+    def bench(self, monkeypatch, capsys, src, config, out, workers):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        with deadline(120):
+            code = main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "2",
+                         "--seed", "0", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote {out / 'bench.json'}"
+        summary = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        for row in summary["rows"]:
+            del row["solver_wall_time"]
+        plans = {p.name: p.read_bytes() for p in sorted(out.glob("*_plans.json"))}
+        return code, summary, lines[:-1], plans
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, capsys, tmp_path, mixed_dir):
+        src, config = mixed_dir
+        runs = [self.bench(monkeypatch, capsys, src, config, tmp_path / f"out{k}", k) for k in (1, 2, 3)]
+        assert_no_child_left()
+        code, summary, lines, plans = runs[0]
+        assert code == EXIT_SIM_FAILED
+        assert [(f["scenario"], f["stage"], f.get("method"), f.get("seed")) for f in summary["failures"]] == [
+            ("n_unreadable", "load", None, None),
+            ("swarm_2", "simulate", "vll", 1),
+            ("swarm_4", "simulate", "vll", 0),
+            ("swarm_4", "simulate", "vll", 1),
+        ]
+        assert [(r["scenario"], r["method"]) for r in summary["rows"]] == [
+            (name, m) for name in ("method_comparison", "swarm_2", "swarm_4") for m in ("bhl", "bll", "vll")
+        ]
+        assert lines[3].startswith("n_unreadable: FAILED to load") and len(lines) == 10
+        assert set(plans) == {"method_comparison_plans.json", "swarm_2_plans.json", "swarm_4_plans.json"}
+        for other in runs[1:]:
+            assert other == runs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_batch_fails_the_bench_and_leaves_no_child(self, monkeypatch, tmp_path, mixed_dir, workers):
+        src, config = mixed_dir
+        real = cli.run_executions
+
+        def run_executions(plans, method, configs, speeds=None):
+            if method == "vll":
+                raise RuntimeError("injected vll failure")
+            return real(plans, method, configs, speeds=speeds)
+
+        monkeypatch.setattr(cli, "run_executions", run_executions)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        with deadline(120), pytest.raises(RuntimeError, match="injected vll failure"):
+            main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
+                  "--out", str(tmp_path / "out")])
+        assert_no_child_left()
+
+    def test_shares_are_heaviest_first_to_the_lightest(self):
+        assert cli._shares([1.0, 5.0, 3.0, 3.0], 2) == [[1, 0], [2, 3]]
+        assert cli._shares([2.0, 2.0], 3) == [[0], [1], []]
+        assert cli._shares([], 1) == [[]]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["agents"][1].update(speed=1e300),
+        lambda d: d["agents"][1].update(speed=1e-300),
+        lambda d: d["grid"].update(cell_size=1e300),
+    ],
+    ids=["speed-1e300", "speed-1e-300", "cell-size-1e300"],
+)
+def test_a_move_time_out_of_range_is_malformed_input(tmp_path, scenario_dir, capsys, mutate):
+    doc = json.loads((scenario_dir / "swarm_2.json").read_text(encoding="utf-8"))
+    mutate(doc)
+    inst = write_json(tmp_path / "swarm_2.json", doc)
+    code = main(["plan", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
+    assert code == EXIT_BAD_INPUT
+    assert "one-cell move time" in capsys.readouterr().err
+
+
+def test_a_tick_below_the_floor_is_malformed_input(planned, tmp_path, capsys):
+    _, plans = planned
+    cfg = write_json(tmp_path / "cfg.json", {"tick": 1e-300})
+    code = main(["simulate", "--plans", str(plans), "--method", "bll", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == EXIT_BAD_INPUT
+    assert "tick must be at least" in capsys.readouterr().err

@@ -203,6 +203,9 @@ class TestInstanceFiles:
             (lambda d: d["agents"][0].update(goal=[0, 0, 0]), "start and goal must differ"),
             (lambda d: d["agents"][0].update(speed=0), "positive finite"),
             (lambda d: d["agents"][0].update(speed=True), "speed must be a positive finite number"),
+            (lambda d: d["agents"][0].update(speed=1e4), "one-cell move time"),
+            (lambda d: d["agents"][1].update(speed=1e-4), "one-cell move time"),
+            (lambda d: d["grid"].update(cell_size=1e4), "one-cell move time"),
             (lambda d: d["agents"][1].update(id=0), "duplicate agent id"),
             (lambda d: d["agents"][1].update(id=5), "contiguous"),
             (lambda d: d["agents"][1].update(start=[0, 0, 0]), "share start"),
@@ -215,6 +218,13 @@ class TestInstanceFiles:
         mutate(doc)
         with pytest.raises(InputError, match=match):
             load_instance(self.write(tmp_path, doc))
+
+    def test_move_times_inside_the_range_are_accepted(self, tmp_path):
+        doc = self.base_doc()
+        doc["agents"][0]["speed"] = 400.0  # 1.25 ms a cell
+        doc["agents"][1]["speed"] = 0.001  # 500 s a cell
+        _, agents = load_instance(self.write(tmp_path, doc))
+        assert [a.speed for a in agents] == [400.0, 0.001]
 
     def test_rejects_start_on_obstacle(self, tmp_path):
         doc = self.base_doc()
