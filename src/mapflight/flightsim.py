@@ -93,6 +93,8 @@ class SimConfig:
             raise ValueError(f"tick must be at least {MIN_TICK} s, got {self.tick!r}")
         if self.log_period < self.tick - _EPS:
             raise ValueError("log_period must be at least one tick")
+        if self.command_period < self.tick - _EPS:
+            raise ValueError("command_period must be at least one tick")
         ratio = self.log_period / self.tick
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(

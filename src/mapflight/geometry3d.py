@@ -49,12 +49,20 @@ class Interval:
             raise ValueError(f"interval must satisfy lo <= hi, got [{self.lo!r}, {self.hi!r}]")
 
 
+def _velocity(p0: Vec3, p1: Vec3, t0: float, t1: float) -> Vec3:
+    """The one velocity formula: displacement over duration, zero for a wait."""
+    if p0 == p1:
+        return (0.0, 0.0, 0.0)
+    inv = 1.0 / (t1 - t0)
+    return ((p1[0] - p0[0]) * inv, (p1[1] - p0[1]) * inv, (p1[2] - p0[2]) * inv)
+
+
 @dataclass(frozen=True)
 class LinearMotion:
-    """Straight-line motion from p0 at t0 to p1 at t1; a wait has p0 == p1.
+    """Straight-line motion from p0 at t0 to p1 at t1 > t0; a wait has p0 == p1.
 
     t1 = +inf is permitted only for waits (an agent parked forever).
-    `is_wait` and the velocity are computed once, at construction.
+    `is_wait` and `velocity` are computed once, at construction.
     """
 
     p0: Vec3
@@ -62,43 +70,21 @@ class LinearMotion:
     t0: float
     t1: float
     is_wait: bool = field(init=False, repr=False, compare=False)
-    _velocity: Vec3 = field(init=False, repr=False, compare=False)
+    velocity: Vec3 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in (*self.p0, *self.p1, self.t0):
             if not math.isfinite(v):
                 raise ValueError("motion endpoints and t0 must be finite")
-        if math.isnan(self.t1) or self.t1 < self.t0:
-            raise ValueError(f"motion must satisfy t0 <= t1, got [{self.t0!r}, {self.t1!r}]")
+        if not self.t1 > self.t0:
+            raise ValueError(f"motion must satisfy t0 < t1, got [{self.t0!r}, {self.t1!r}]")
         if self.t0 < 0.0:
             raise ValueError("motion cannot start before t = 0")
         is_wait = self.p0 == self.p1
         if math.isinf(self.t1) and not is_wait:
             raise ValueError("only a wait may have an infinite end time")
-        if is_wait or self.t1 == self.t0:
-            velocity = (0.0, 0.0, 0.0)
-        else:
-            inv = 1.0 / (self.t1 - self.t0)
-            velocity = (
-                (self.p1[0] - self.p0[0]) * inv,
-                (self.p1[1] - self.p0[1]) * inv,
-                (self.p1[2] - self.p0[2]) * inv,
-            )
         object.__setattr__(self, "is_wait", is_wait)
-        object.__setattr__(self, "_velocity", velocity)
-
-    def velocity(self) -> Vec3:
-        return self._velocity
-
-    def position_at(self, t: float) -> Vec3:
-        if self.is_wait or self.t1 == self.t0:
-            return self.p0
-        s = (t - self.t0) / (self.t1 - self.t0)
-        return (
-            self.p0[0] + (self.p1[0] - self.p0[0]) * s,
-            self.p0[1] + (self.p1[1] - self.p0[1]) * s,
-            self.p0[2] + (self.p1[2] - self.p0[2]) * s,
-        )
+        object.__setattr__(self, "velocity", _velocity(self.p0, self.p1, self.t0, self.t1))
 
 
 @dataclass(frozen=True)
@@ -125,19 +111,6 @@ class Conflict:
     agent_j: int
     action_j: LinearMotion
     unsafe: Interval
-
-
-def _require_valid(m: LinearMotion) -> None:
-    if m.t1 <= m.t0:
-        raise ValueError(f"degenerate motion: t0 = {m.t0!r}, t1 = {m.t1!r}")
-
-
-def _overlap_window(a: LinearMotion, b: LinearMotion) -> Optional[tuple[float, float]]:
-    lo = a.t0 if a.t0 > b.t0 else b.t0
-    hi = a.t1 if a.t1 < b.t1 else b.t1
-    if hi <= lo:
-        return None
-    return lo, hi
 
 
 def _solve_below(a2: float, b2: float, c2: float, span: float) -> Optional[tuple[float, float]]:
@@ -191,6 +164,55 @@ def _contact(dp: Vec3, dv: Vec3, span: float, r_sum: float, h_sum_half: float) -
     return lo, hi
 
 
+def _position_at(p0: Vec3, p1: Vec3, t0: float, t1: float, t: float) -> Vec3:
+    """Position at t on the move from p0 at t0 to p1 at t1, in fraction form."""
+    s = (t - t0) / (t1 - t0)
+    return (p0[0] + (p1[0] - p0[0]) * s, p0[1] + (p1[1] - p0[1]) * s, p0[2] + (p1[2] - p0[2]) * s)
+
+
+def _unsafe_window(
+    a: LinearMotion,
+    b: LinearMotion,
+    delay: float,
+    r_sum: float,
+    h_sum_half: float,
+) -> Optional[tuple[float, float]]:
+    """Open window where `a`, started `delay` later, is in contact with `b`, or None.
+
+    The one home of the window rule, for detection (delay 0) and the
+    clearing-delay probe alike. At a nonzero delay, `a` is treated exactly as
+    LinearMotion(a.p0, a.p1, a.t0 + delay, a.t1 + delay) would be, velocity
+    included; at delay 0 its stored velocity is used, which is the same value.
+    """
+    a0, a1 = (a.t0 + delay, a.t1 + delay) if delay else (a.t0, a.t1)
+    w0 = a0 if a0 > b.t0 else b.t0
+    w1 = a1 if a1 < b.t1 else b.t1
+    if w1 <= w0:
+        return None
+    va = _velocity(a.p0, a.p1, a0, a1) if delay else a.velocity
+    # A wait-move pair is timed from the move's own start, where the mover sits
+    # exactly at p0, so a graze is classified the same wherever the wait is cut.
+    if a.is_wait != b.is_wait:
+        ref = b.t0 if a.is_wait else a0
+    else:
+        ref = w0
+    pa = a.p0 if a.is_wait else _position_at(a.p0, a.p1, a0, a1, ref)
+    pb = b.p0 if b.is_wait else _position_at(b.p0, b.p1, b.t0, b.t1, ref)
+    vb = b.velocity
+    hit = _contact(
+        (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]),
+        (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]),
+        w1 - ref,
+        r_sum,
+        h_sum_half,
+    )
+    if hit is None:
+        return None
+    lo, hi = max(w0, ref + hit[0]), ref + hit[1]
+    # a sub-ulp window collapses once it is placed at ref
+    return (lo, hi) if lo < hi else None
+
+
 def cylinder_unsafe_interval(
     a: LinearMotion,
     b: LinearMotion,
@@ -198,32 +220,8 @@ def cylinder_unsafe_interval(
     body_b: CylinderBody,
 ) -> Optional[Interval]:
     """Maximal window where the two moving cylinders overlap (point contact is empty)."""
-    _require_valid(a)
-    _require_valid(b)
-    window = _overlap_window(a, b)
-    if window is None:
-        return None
-    w0, w1 = window
-    # A wait-move pair is timed from the move's own start, where the mover sits
-    # exactly at p0, so a graze is classified the same wherever the wait is cut.
-    if a.is_wait != b.is_wait:
-        ref = b.t0 if a.is_wait else a.t0
-    else:
-        ref = w0
-    pa, pb = a.position_at(ref), b.position_at(ref)
-    va, vb = a.velocity(), b.velocity()
-    hit = _contact(
-        (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]),
-        (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]),
-        w1 - ref,
-        body_a.radius + body_b.radius,
-        0.5 * (body_a.height + body_b.height),
-    )
-    if hit is None:
-        return None
-    lo, hi = max(w0, ref + hit[0]), ref + hit[1]
-    # a sub-ulp window collapses once it is placed at ref
-    return Interval(lo, hi) if lo < hi else None
+    hit = _unsafe_window(a, b, 0.0, body_a.radius + body_b.radius, 0.5 * (body_a.height + body_b.height))
+    return None if hit is None else Interval(*hit)
 
 
 def move_clear_delay(
@@ -235,40 +233,20 @@ def move_clear_delay(
     """Smallest delay of `action` that clears its conflict with `other`.
 
     Bisects on the safe side, so shifting by the returned value is always
-    conflict-free; exact to within _CLEAR_TOL. `other` must end at a finite
-    time: no delay clears an agent parked for good, so that raises ValueError.
+    conflict-free; exact to within _CLEAR_TOL. Each probe is detection's own
+    kernel on the delayed action. `other` must end at a finite time: no delay
+    clears an agent parked for good, so that raises ValueError.
     """
     if math.isinf(other.t1):
         raise ValueError("move_clear_delay needs `other` to end at a finite time")
-    p0a, va, t0a, t1a = action.p0, action.velocity(), action.t0, action.t1
-    p0b, vb, t0b, t1b = other.p0, other.velocity(), other.t0, other.t1
-    dv = (va[0] - vb[0], va[1] - vb[1], va[2] - vb[2])
     r_sum = body_a.radius + body_b.radius
     h_sum_half = 0.5 * (body_a.height + body_b.height)
-    other_waits = other.is_wait
-    dp0 = (p0a[0] - p0b[0], p0a[1] - p0b[1], p0a[2] - p0b[2])
 
     def collides(delta: float) -> bool:
-        w0 = max(t0a + delta, t0b)
-        w1 = min(t1a + delta, t1b)
-        if w1 <= w0:
-            return False
-        if other_waits:
-            # timed from the move's own start, as cylinder_unsafe_interval does
-            ref = t0a + delta
-            hit = _contact(dp0, dv, w1 - ref, r_sum, h_sum_half)
-            return hit is not None and max(w0, ref + hit[0]) < ref + hit[1]
-        sa = w0 - delta - t0a
-        sb = w0 - t0b
-        dp = (
-            (p0a[0] + va[0] * sa) - (p0b[0] + vb[0] * sb),
-            (p0a[1] + va[1] * sa) - (p0b[1] + vb[1] * sb),
-            (p0a[2] + va[2] * sa) - (p0b[2] + vb[2] * sb),
-        )
-        return _contact(dp, dv, w1 - w0, r_sum, h_sum_half) is not None
+        return _unsafe_window(action, other, delta, r_sum, h_sum_half) is not None
 
     lo = 0.0
-    hi = max(0.0, t1b - t0a) + _CLEAR_TOL  # past the other's window: disjoint in time
+    hi = max(0.0, other.t1 - action.t0) + _CLEAR_TOL  # past the other's window: disjoint in time
     while hi - lo > _CLEAR_TOL:
         mid = 0.5 * (lo + hi)
         if collides(mid):
@@ -282,7 +260,7 @@ def move_clear_delay(
     # reappearing as nanosecond overlaps that the conflict search must chip
     # away at indefinitely.
     snapped = hi
-    for cand in (t0b - t0a, t0b - t1a, t1b - t0a, t1b - t1a):
+    for cand in (other.t0 - action.t0, other.t0 - action.t1, other.t1 - action.t0, other.t1 - action.t1):
         if lo <= cand <= snapped and not collides(cand):
             snapped = cand
     return snapped

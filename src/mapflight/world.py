@@ -31,6 +31,9 @@ DEFAULT_HEIGHT = 1.0
 # one-cell move time cell_size / speed, s: outside it, plan times vanish below
 # or overflow the float spacing of the waypoint times
 MOVE_TIME_RANGE = (1e-3, 1e3)
+# grid cell ceiling: SIPP compiles every cell into its search graph, at about
+# 10 us and 1 KB a cell, so the ceiling bounds that at about 10 s and 1 GB
+MAX_CELLS = 2**20
 
 
 def _steps_face6() -> list[Cell]:
@@ -77,8 +80,13 @@ class GridWorld:
     def __post_init__(self) -> None:
         if not (_is_cell(self.dims) and min(self.dims) >= 1):
             raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
+        if math.prod(self.dims) > MAX_CELLS:
+            raise ValueError(f"dims {self.dims!r} hold more than {MAX_CELLS} cells")
         if not (is_finite_number(self.cell_size) and self.cell_size > 0):
             raise ValueError(f"cell_size must be a positive finite number, got {self.cell_size!r}")
+        if not math.isfinite(max(self.dims) * self.cell_size):
+            raise ValueError(f"the far corner dims * cell_size must be a finite float, "
+                             f"got dims {self.dims!r} and cell_size {self.cell_size!r}")
         if not (isinstance(self.connectivity, str) and self.connectivity in CONNECTIVITY_STEPS):
             raise ValueError(
                 f"unknown value {self.connectivity!r} for connectivity; expected one of {sorted(CONNECTIVITY_STEPS)}"

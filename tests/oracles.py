@@ -191,7 +191,7 @@ def is_wait_oracle(motion) -> bool:
 
 
 def velocity_oracle(motion) -> Vec3:
-    if is_wait_oracle(motion) or motion.t1 == motion.t0:
+    if is_wait_oracle(motion):
         return (0.0, 0.0, 0.0)
     inv = 1.0 / (motion.t1 - motion.t0)
     return (

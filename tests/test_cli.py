@@ -245,6 +245,7 @@ class TestSimulate:
             ({"tick": True, "log_period": True, "max_speed": True}, "tick must be a positive number"),
             ({"vll_cruise_speed": float("inf")}, "vll_cruise_speed must be None or a finite number"),
             ({"vll_cruise_speed": True}, "vll_cruise_speed must be None or a finite number"),
+            ({"command_period": 1e-9}, "command_period must be at least one tick"),
         ],
     )
     def test_bad_config_files(self, planned, tmp_path, capsys, doc, needle):
@@ -471,6 +472,29 @@ def test_a_move_time_out_of_range_is_malformed_input(tmp_path, scenario_dir, cap
     code = main(["plan", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
     assert code == EXIT_BAD_INPUT
     assert "one-cell move time" in capsys.readouterr().err
+
+
+def huge_dims(doc):
+    doc["grid"]["dims"][0] = 2**63
+
+
+def huge_cells(doc):
+    doc["grid"]["cell_size"] = 1e308
+    for agent in doc["agents"]:
+        agent["speed"] = 1e308  # keeps the one-cell move time at 1 s
+
+
+@pytest.mark.parametrize("mutate,needle", [(huge_dims, "cells"), (huge_cells, "far corner")],
+                         ids=["dims-2**63", "cell-size-1e308"])
+def test_a_grid_too_large_to_plan_is_malformed_input(tmp_path, scenario_dir, capsys, mutate, needle):
+    # both used to run on: the first built a search graph of 2**63 cells, the
+    # second overflowed the cell centres to inf and answered "cannot reach"
+    doc = json.loads((scenario_dir / "swarm_2.json").read_text(encoding="utf-8"))
+    mutate(doc)
+    inst = write_json(tmp_path / "swarm_2.json", doc)
+    code = main(["plan", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
+    assert code == EXIT_BAD_INPUT
+    assert needle in capsys.readouterr().err
 
 
 def test_a_tick_below_the_floor_is_malformed_input(planned, tmp_path, capsys):

@@ -83,6 +83,7 @@ class TestSimConfig:
             (dict(arena_min=(0.0, 0.0), arena_max=(1.0, 1.0)), "arena_min must be three finite numbers"),
             (dict(arena_max=(2.0, 2.0, math.inf)), "arena_max must be three finite numbers"),
             (dict(arena_max=(2.0, 2.0, True)), "arena_max must be three finite numbers"),
+            (dict(command_period=1e-9), "command_period must be at least one tick"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

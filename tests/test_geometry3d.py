@@ -5,14 +5,17 @@ import random
 
 import pytest
 
+from mapflight import geometry3d
 from mapflight.ccbs import conflict_table, earliest_conflict
 from mapflight.geometry3d import (
+    _CLEAR_TOL,
     CylinderBody,
     _contact,
     Interval,
     LinearMotion,
     cylinder_unsafe_interval,
     _pair_earliest,
+    _unsafe_window,
     is_finite_number,
     move_clear_delay,
     plan_motions,
@@ -43,11 +46,10 @@ class TestLinearMotion:
     def test_wait_detection_and_velocity(self):
         wait = LinearMotion((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0, 5.0)
         assert wait.is_wait
-        assert wait.velocity() == (0.0, 0.0, 0.0)
+        assert wait.velocity == (0.0, 0.0, 0.0)
         move = LinearMotion((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 1.0, 3.0)
         assert not move.is_wait
-        assert move.velocity() == (1.0, 0.0, 0.0)
-        assert move.position_at(2.0) == (1.0, 0.0, 0.0)
+        assert move.velocity == (1.0, 0.0, 0.0)
 
     def test_infinite_end_only_for_waits(self):
         LinearMotion((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0, math.inf)  # parked forever: fine
@@ -57,6 +59,8 @@ class TestLinearMotion:
     def test_rejects_reversed_times_and_negative_start(self):
         with pytest.raises(ValueError):
             LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0, 1.0)
+        with pytest.raises(ValueError, match="t0 < t1"):
+            LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0, 1.0)  # zero duration
         with pytest.raises(ValueError):
             LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), -1.0, 1.0)
 
@@ -258,9 +262,19 @@ class TestMoveClearDelay:
         with pytest.raises(ValueError, match="finite time"):
             move_clear_delay(action, parked, body, body)
 
-    def test_shifting_by_returned_delay_clears(self):
+    def test_shifting_by_returned_delay_clears(self, monkeypatch):
         # continuous motions, then lattice ones, where the snap candidates decide;
-        # on the lattice both a layer-overlapping and a layer-touching height
+        # on the lattice both a layer-overlapping and a layer-touching height.
+        # Each probe is detection on the delayed action, bit for bit, and a move's
+        # delay is the least that clears, within the bisection's width.
+        probes = []
+
+        def recording(a, b, delay, r_sum, h_sum_half):
+            window = _unsafe_window(a, b, delay, r_sum, h_sum_half)
+            probes.append((delay, window))
+            return window
+
+        monkeypatch.setattr(geometry3d, "_unsafe_window", recording)
         cases = [(random_pair, CylinderBody(0.5, 1.0), 200, 40),
                  (lattice_pair, CylinderBody(0.25, 1.0), 5000, 500),
                  (lattice_pair, CylinderBody(0.25, 0.5), 5000, 300)]
@@ -272,8 +286,17 @@ class TestMoveClearDelay:
                 if cylinder_unsafe_interval(a, b, body, body) is None:
                     continue
                 checked += 1
+                probes.clear()
                 delay = move_clear_delay(a, b, body, body)
+                probed = list(probes)
+                assert probed  # every probe goes through the kernel
+                for probe, window in probed:
+                    hit = cylinder_unsafe_interval(shifted(a, probe), b, body, body)
+                    assert bits(window) == bits(hit and (hit.lo, hit.hi)), (a, b, body, probe)
                 assert cylinder_unsafe_interval(shifted(a, delay), b, body, body) is None, (a, b, body, delay)
+                if not a.is_wait and delay >= 2 * _CLEAR_TOL:
+                    early = shifted(a, delay - 2 * _CLEAR_TOL)
+                    assert cylinder_unsafe_interval(early, b, body, body) is not None, (a, b, body, delay)
             assert checked >= least  # the generator must actually produce conflicts
 
 
@@ -427,12 +450,10 @@ def test_motion_fields_match_the_per_call_formulas():
     motions = []
     for _ in range(2000):
         motions += [*random_pair(rng), *lattice_pair(rng), random_motion(rng)]
-        p0 = (rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 1))
-        motions.append(LinearMotion(p0, (p0[0] + 0.5, p0[1], p0[2]), 1.0, 1.0))  # zero duration
     motions.append(LinearMotion((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 2.0, math.inf))
     for m in motions:
         assert m.is_wait == is_wait_oracle(m), m
-        assert bits(m.velocity()) == bits(velocity_oracle(m)), m
+        assert bits(m.velocity) == bits(velocity_oracle(m)), m
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from mapflight.world import (
     PLANAR_DIAG_10,
     AgentSpec,
     GridWorld,
+    MAX_CELLS,
     InputError,
     load_instance,
     move_duration,
@@ -61,6 +62,17 @@ class TestGridWorld:
     def test_rejects_bad_construction(self, dims, cell, conn):
         with pytest.raises(ValueError):
             GridWorld(dims, cell, connectivity=conn)
+
+    def test_rejects_more_cells_than_the_ceiling(self):
+        GridWorld((MAX_CELLS, 1, 1), 0.5)  # at the ceiling: fine
+        for dims in ((MAX_CELLS + 1, 1, 1), (2**63, 4, 2), (1024, 1024, 2)):
+            with pytest.raises(ValueError, match=f"more than {MAX_CELLS} cells"):
+                GridWorld(dims, 0.5)
+
+    def test_rejects_a_far_corner_beyond_the_float_range(self):
+        GridWorld((1, 1, 1), 1e308)  # a one-cell grid ends at 1e308: fine
+        with pytest.raises(ValueError, match="far corner"):
+            GridWorld((4, 4, 2), 1e308)
 
     def test_rejects_out_of_bounds_obstacle(self):
         with pytest.raises(ValueError):
