@@ -103,7 +103,6 @@ class Solution:
     plans: tuple[TimedPlan, ...]  # sorted by agent id
     cost: float
     makespan: float
-    stats: SolveStats
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ def ccbs_solve(
             cost = _sum_of_costs(plans)
             makespan = max(p.end_time for p in plans.values())
             ordered = tuple(plans[a] for a in sorted(plans))
-            return SolveResult(SOLVED, Solution(ordered, cost, makespan, stats), stats)
+            return SolveResult(SOLVED, Solution(ordered, cost, makespan), stats)
         for child in children:
             heapq.heappush(heap, (child.cost, child.n_constraints, next(seq), child))
             stats.generated += 1

@@ -80,19 +80,17 @@ class VehicleEndpoint(ABC):
 def bll_execute(plan: TimedPlan, endpoint: VehicleEndpoint, period: float = DEFAULT_COMMAND_PERIOD) -> Iterator[float]:
     """Stream linearly interpolated position setpoints, one segment at a time.
 
-    For each waypoint: the per-axis velocity from the previous waypoint is
-    v = delta / d, and while the clock has not reached the waypoint time the
-    setpoint x_l + v * t_r is sent, where t_r is the time since the previous
-    waypoint; then the previous waypoint advances.
+    For each motion of the plan, from x_l at t_l to x at t: the per-axis
+    velocity is v = (x - x_l) / (t - t_l), and while the clock has not reached
+    t the setpoint x_l + v * t_r is sent, where t_r is the time since t_l.
     """
     if not period > 0:
         raise ValueError(f"period must be > 0, got {period!r}")
-    wps = plan.waypoints
-    if endpoint.clock() >= wps[-1][3]:
+    if endpoint.clock() >= plan.end_time:
         warnings.warn(f"agent {plan.agent}: clock already past the final waypoint; nothing to execute")
         return
-    x_l, y_l, z_l, t_l = wps[0]
-    for x, y, z, t in wps[1:]:
+    for m in plan.motions[:-1]:
+        (x_l, y_l, z_l), (x, y, z), t_l, t = m.p0, m.p1, m.t0, m.t1
         d = t - t_l
         v_x = (x - x_l) / d
         v_y = (y - y_l) / d
@@ -106,22 +104,18 @@ def bll_execute(plan: TimedPlan, endpoint: VehicleEndpoint, period: float = DEFA
                 )
             )
             yield period
-        x_l, y_l, z_l, t_l = x, y, z, t
 
 
 def bhl_execute(plan: TimedPlan, endpoint: VehicleEndpoint) -> Iterator[float]:
     """Issue one HighLevelGoto per plan segment at the segment's start time."""
-    wps = plan.waypoints
-    if endpoint.clock() >= wps[-1][3]:
+    if endpoint.clock() >= plan.end_time:
         warnings.warn(f"agent {plan.agent}: clock already past the final waypoint; nothing to execute")
         return
-    for k in range(1, len(wps)):
-        x0, y0, z0, t0 = wps[k - 1]
-        x1, y1, z1, t1 = wps[k]
+    for m in plan.motions[:-1]:
         now = endpoint.clock()
-        if now < t0:
-            yield t0 - now
-        endpoint.send(HighLevelGoto((x1, y1, z1), duration=t1 - t0, issue_time=endpoint.clock()))
+        if now < m.t0:
+            yield m.t0 - now
+        endpoint.send(HighLevelGoto(m.p1, duration=m.t1 - m.t0, issue_time=endpoint.clock()))
 
 
 def vll_step(

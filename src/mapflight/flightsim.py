@@ -296,12 +296,9 @@ class _Vehicle(VehicleEndpoint):
 
 
 def _plan_speed(plan: TimedPlan) -> float:
-    for k in range(len(plan.waypoints) - 1):
-        x0, y0, z0, t0 = plan.waypoints[k]
-        x1, y1, z1, t1 = plan.waypoints[k + 1]
-        length = math.dist((x0, y0, z0), (x1, y1, z1))
-        if length > 0:
-            return length / (t1 - t0)
+    for m in plan.motions:
+        if not m.is_wait:
+            return math.dist(m.p0, m.p1) / (m.t1 - m.t0)
     return DEFAULT_SPEED
 
 

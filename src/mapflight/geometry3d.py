@@ -266,20 +266,6 @@ def move_clear_delay(
     return snapped
 
 
-@lru_cache(maxsize=32768)
-def plan_motions(plan: "TimedPlan") -> tuple[LinearMotion, ...]:
-    """Consecutive-waypoint motions of a plan, ending in a wait at the goal
-    that never ends: the agent parks there for good."""
-    wps = plan.waypoints
-    goal = (wps[-1][0], wps[-1][1], wps[-1][2])
-    return tuple(
-        LinearMotion((wps[k][0], wps[k][1], wps[k][2]),
-                     (wps[k + 1][0], wps[k + 1][1], wps[k + 1][2]),
-                     wps[k][3], wps[k + 1][3])
-        for k in range(len(wps) - 1)
-    ) + (LinearMotion(goal, goal, wps[-1][3], math.inf),)
-
-
 # Box gap beyond the contact thresholds at which a pair cannot touch. Contact
 # is strict `<`, so at this gap no rounding in the kernel can produce a hit.
 _BOX_MARGIN = 1e-9
@@ -302,8 +288,8 @@ def _pair_earliest(
     just the pairs that overlap in time, in the order of the full double loop.
     A pair whose axis-aligned boxes lie a margin apart skips the kernel.
     """
-    segs_i = plan_motions(plan_i)
-    segs_j = plan_motions(plan_j)
+    segs_i = plan_i.motions
+    segs_j = plan_j.motions
     gap_xy = body_i.radius + body_j.radius + _BOX_MARGIN
     gap_z = 0.5 * (body_i.height + body_j.height) + _BOX_MARGIN
 

@@ -3,7 +3,7 @@
 A plan file is self-contained: it echoes each agent's body and speed so the
 execution side can run plans produced by external solvers. Each value rule lives
 in the constructor of the type it constrains; `load_plans` keeps the file's shape
-and the rules no type owns (unique agent ids, JSON-number waypoints, the speed).
+and the rules no type owns (unique agent ids, the speed).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from . import geometry3d
-from .geometry3d import CylinderBody, Vec3, is_finite_number
+from .geometry3d import CylinderBody, LinearMotion, Vec3, is_finite_number
 from .world import (
     DEFAULT_HEIGHT,
     DEFAULT_RADIUS,
@@ -46,31 +46,44 @@ _PARK_PAD = 1.0
 
 @dataclass(frozen=True)
 class TimedPlan:
-    """Ordered (x, y, z, t) waypoints; t strictly increasing, first t = 0."""
+    """Ordered (x, y, z, t) waypoints, the first at t = 0, and the motions between them.
+
+    `motions` is built once, at construction: one LinearMotion per pair of
+    consecutive waypoints, then a wait at the goal that never ends (the agent
+    parks there for good). The motion constructor owns the finiteness and
+    time-order rules; the plan checks the row shape, the number type and t = 0.
+    """
 
     agent: int
     waypoints: tuple[Waypoint, ...]
+    motions: tuple[LinearMotion, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_agent_id(self.agent):
             raise ValueError(f"agent id must be a non-negative integer below 2**63, got {self.agent!r}")
-        try:
-            wps = tuple(tuple(float(v) for v in wp) for wp in self.waypoints)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"agent {self.agent}: waypoints must be rows of finite numbers ({exc})") from exc
+        wps = []
+        for n, row in enumerate(self.waypoints):
+            # four numbers, each an int or a float, not a bool
+            if not (isinstance(row, (tuple, list)) and len(row) == 4
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)):
+                raise ValueError(f"agent {self.agent}: waypoint {n}: expected [x, y, z, t] numbers, got {row!r}")
+            try:
+                wps.append(tuple(map(float, row)))
+            except OverflowError as exc:
+                raise ValueError(f"agent {self.agent}: waypoint {n}: an integer beyond the float range") from exc
         if not wps:
             raise ValueError(f"agent {self.agent}: plan needs at least one waypoint")
-        for n, wp in enumerate(wps):
-            if len(wp) != 4 or any(not math.isfinite(v) for v in wp):
-                raise ValueError(f"agent {self.agent}: waypoint {n} must be four finite numbers, got {wp!r}")
         if wps[0][3] != 0.0:
             raise ValueError(f"agent {self.agent}: first waypoint must have t = 0, got t = {wps[0][3]!r}")
-        for n in range(1, len(wps)):
-            if wps[n][3] <= wps[n - 1][3]:
-                raise ValueError(
-                    f"agent {self.agent}: waypoint {n} time {wps[n][3]!r} not after previous {wps[n - 1][3]!r}"
-                )
+        motions = []
+        for n, ((x0, y0, z0, t0), (x1, y1, z1, t1)) in enumerate(zip(wps, wps[1:] + [(*wps[-1][:3], math.inf)])):
+            try:
+                motions.append(LinearMotion((x0, y0, z0), (x1, y1, z1), t0, t1))
+            except ValueError as exc:
+                raise ValueError(f"agent {self.agent}: the motion from waypoint {n}: {exc}") from exc
+        wps = tuple(wps)
         object.__setattr__(self, "waypoints", wps)
+        object.__setattr__(self, "motions", tuple(motions))
         object.__setattr__(self, "_times", tuple(wp[3] for wp in wps))
         # plans key the solver's pair-test cache, so hash the waypoints once
         object.__setattr__(self, "_hash", hash((self.agent, wps)))
@@ -80,13 +93,11 @@ class TimedPlan:
 
     @property
     def start_position(self) -> Vec3:
-        x, y, z, _ = self.waypoints[0]
-        return (x, y, z)
+        return self.motions[0].p0
 
     @property
     def goal_position(self) -> Vec3:
-        x, y, z, _ = self.waypoints[-1]
-        return (x, y, z)
+        return self.motions[-1].p0
 
     @property
     def end_time(self) -> float:
@@ -94,17 +105,13 @@ class TimedPlan:
 
     def position_at(self, t: float) -> Vec3:
         """Piecewise-linear position; clamped to the start before 0 and parked after the end."""
-        wps = self.waypoints
         times = self._times  # type: ignore[attr-defined]
         if t <= times[0]:
             return self.start_position
         if t >= times[-1]:
             return self.goal_position
-        k = bisect.bisect_right(times, t) - 1
-        x0, y0, z0, t0 = wps[k]
-        x1, y1, z1, t1 = wps[k + 1]
-        s = (t - t0) / (t1 - t0)
-        return (x0 + (x1 - x0) * s, y0 + (y1 - y0) * s, z0 + (z1 - z0) * s)
+        m = self.motions[bisect.bisect_right(times, t) - 1]
+        return geometry3d._position_at(m.p0, m.p1, m.t0, m.t1, t)
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ def _sample_axes(plan: "TimedPlan", ts: np.ndarray) -> tuple[np.ndarray, np.ndar
 def validate(
     plans: Iterable[TimedPlan],
     agents: Iterable[AgentSpec],
-    world: Optional[GridWorld],
+    world: GridWorld,
 ) -> ValidationReport:
     """Dual conflict check (analytic + sampled) plus static and kinematic checks.
 
@@ -234,39 +241,35 @@ def validate(
     # endpoint + kinematic + static checks, per agent
     for plan in plan_list:
         spec = spec_map[plan.agent]
-        if world is not None:
-            start_c = world.center(spec.start)
-            goal_c = world.center(spec.goal)
-            if math.dist(plan.start_position, start_c) > _ENDPOINT_ATOL:
-                violations.append(
-                    Violation("endpoint", 0.0, agent=plan.agent,
-                              detail=f"first waypoint {plan.start_position} is not the start vertex {start_c}")
-                )
-            if math.dist(plan.goal_position, goal_c) > _ENDPOINT_ATOL:
-                violations.append(
-                    Violation("endpoint", plan.end_time, agent=plan.agent,
-                              detail=f"last waypoint {plan.goal_position} is not the goal vertex {goal_c}")
-                )
-        for k in range(len(plan.waypoints) - 1):
-            x0, y0, z0, t0 = plan.waypoints[k]
-            x1, y1, z1, t1 = plan.waypoints[k + 1]
-            length = math.dist((x0, y0, z0), (x1, y1, z1))
+        start_c = world.center(spec.start)
+        goal_c = world.center(spec.goal)
+        if math.dist(plan.start_position, start_c) > _ENDPOINT_ATOL:
+            violations.append(
+                Violation("endpoint", 0.0, agent=plan.agent,
+                          detail=f"first waypoint {plan.start_position} is not the start vertex {start_c}")
+            )
+        if math.dist(plan.goal_position, goal_c) > _ENDPOINT_ATOL:
+            violations.append(
+                Violation("endpoint", plan.end_time, agent=plan.agent,
+                          detail=f"last waypoint {plan.goal_position} is not the goal vertex {goal_c}")
+            )
+        for k, m in enumerate(plan.motions[:-1]):  # the goal park neither moves nor leaves its cell
+            length = math.dist(m.p0, m.p1)
             if length > 0.0:
-                seg_speed = length / (t1 - t0)
+                seg_speed = length / (m.t1 - m.t0)
                 if abs(seg_speed - spec.speed) > _SPEED_RTOL * max(seg_speed, spec.speed):
                     violations.append(
-                        Violation("kinematic", t0, agent=plan.agent,
+                        Violation("kinematic", m.t0, agent=plan.agent,
                                   detail=f"segment {k} speed {seg_speed!r} differs from agent speed {spec.speed!r}")
                     )
-            if world is not None:
-                for cell in segment_cells(world, (x0, y0, z0), (x1, y1, z1)):
-                    if not world.is_free(cell):
-                        label = "out of bounds" if not world.in_bounds(cell) else "an obstacle"
-                        violations.append(
-                            Violation("static", t0, agent=plan.agent,
-                                      detail=f"segment {k} touches cell {list(cell)} which is {label}")
-                        )
-                        break
+            for cell in segment_cells(world, m.p0, m.p1):
+                if not world.is_free(cell):
+                    label = "out of bounds" if not world.in_bounds(cell) else "an obstacle"
+                    violations.append(
+                        Violation("static", m.t0, agent=plan.agent,
+                                  detail=f"segment {k} touches cell {list(cell)} which is {label}")
+                    )
+                    break
 
     # pairwise checks: analytic intervals and an independent sampled sweep
     checked_pairs = 0
@@ -365,17 +368,12 @@ def load_plans(path) -> PlanSet:
     for n, raw in enumerate(raw_plans):
         with input_field(path, f"plans[{n}]"):
             check_keys(raw, _PLAN_KEYS, ("agent", "waypoints"))
-            wps_raw = raw["waypoints"]
-            if not isinstance(wps_raw, list) or not wps_raw:
+            if not isinstance(raw["waypoints"], list) or not raw["waypoints"]:
                 raise ValueError("waypoints: expected a non-empty list")
-            for m, wp in enumerate(wps_raw):
-                # JSON numbers decode to int or float; true and false decode to bool
-                if not (isinstance(wp, list) and len(wp) == 4 and all(type(v) in (int, float) for v in wp)):
-                    raise ValueError(f"waypoints[{m}]: expected [x, y, z, t] numbers, got {wp!r}")
             speed = raw.get("speed", DEFAULT_SPEED)
             if not (is_finite_number(speed) and speed > 0):
                 raise ValueError(f"speed: expected a positive finite number, got {speed!r}")
-            plan = TimedPlan(raw["agent"], wps_raw)
+            plan = TimedPlan(raw["agent"], raw["waypoints"])
             if plan.agent in bodies:
                 raise ValueError(f"agent: duplicate agent id {plan.agent}")
             bodies[plan.agent] = CylinderBody(raw.get("radius", DEFAULT_RADIUS), raw.get("height", DEFAULT_HEIGHT))

@@ -34,6 +34,10 @@ MOVE_TIME_RANGE = (1e-3, 1e3)
 # grid cell ceiling: SIPP compiles every cell into its search graph, at about
 # 10 us and 1 KB a cell, so the ceiling bounds that at about 10 s and 1 GB
 MAX_CELLS = 2**20
+# largest cell_size over an agent's radius or half height: far past it a contact
+# window lasts below the float spacing of its move's times, and detection misses
+# collisions; with MAX_CELLS it keeps the far corner within ~1e12 body sizes
+MAX_CELL_PER_BODY = 1e6
 
 
 def _steps_face6() -> list[Cell]:
@@ -244,7 +248,8 @@ def load_instance(path) -> tuple[GridWorld, list[AgentSpec]]:
     """The world and the agents (sorted by id) of an instance file.
 
     Checks the file's shape and the rules that need the world or several agents,
-among them each agent's one-cell move time, which must lie in MOVE_TIME_RANGE;
+    among them each agent's one-cell move time, which must lie in MOVE_TIME_RANGE,
+    and its radius and half height, which must be at least cell_size / MAX_CELL_PER_BODY;
     a constructor's ValueError comes back as an InputError naming `grid` or `agents[n]`.
     """
     doc = read_json(path)
@@ -285,6 +290,10 @@ among them each agent's one-cell move time, which must lie in MOVE_TIME_RANGE;
                     f"agent {spec.id}: one-cell move time cell_size / speed = {move_time!r} s "
                     f"is outside [{MOVE_TIME_RANGE[0]}, {MOVE_TIME_RANGE[1]}] s"
                 )
+            floor = world.cell_size / MAX_CELL_PER_BODY
+            for name, size in (("radius", body.radius), ("half height", 0.5 * body.height)):
+                if size < floor:
+                    raise ValueError(f"agent {spec.id}: {name} {size!r} m is below cell_size / {MAX_CELL_PER_BODY!r} = {floor!r} m")
         agents.append(spec)
 
     with input_field(path, "agents"):

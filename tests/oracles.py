@@ -24,7 +24,13 @@ rewritten ones must reproduce bit for bit:
   * sipp_reference — the cell-keyed SIPP search, querying the safe-interval
     table per neighbour.
   * pair_earliest_reference — the exhaustive double loop over two plans'
-    motions, testing every pair that overlaps in time.
+    motions, testing every pair that overlaps in time; the motions come from
+    its own waypoint loop, motions_reference.
+
+One is the plan's earlier constructor rules, which the motion-owned rules
+must reproduce, bool and str values aside:
+
+  * timed_plan_reference — the per-waypoint finiteness and time-order loops.
 
 And two are the simulator's earlier per-row bookkeeping, which the batched
 code must reproduce bit for bit:
@@ -47,7 +53,7 @@ import numpy as np
 
 from mapflight import sipp
 from mapflight.executor import HighLevelGoto, VelocitySetpoint
-from mapflight.geometry3d import Conflict, cylinder_unsafe_interval, plan_motions
+from mapflight.geometry3d import Conflict, LinearMotion, cylinder_unsafe_interval
 from mapflight.plan import TimedPlan
 from mapflight.world import move_duration, neighbors
 
@@ -672,14 +678,27 @@ def sipp_reference(world, agent, table):
     return TimedPlan(agent.id, tuple(waypoints))
 
 
+def motions_reference(plan) -> tuple[LinearMotion, ...]:
+    """Consecutive-waypoint motions of a plan, ending in a wait at the goal
+    that never ends: the agent parks there for good."""
+    wps = plan.waypoints
+    goal = (wps[-1][0], wps[-1][1], wps[-1][2])
+    return tuple(
+        LinearMotion((wps[k][0], wps[k][1], wps[k][2]),
+                     (wps[k + 1][0], wps[k + 1][1], wps[k + 1][2]),
+                     wps[k][3], wps[k + 1][3])
+        for k in range(len(wps) - 1)
+    ) + (LinearMotion(goal, goal, wps[-1][3], math.inf),)
+
+
 def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
     """Earliest conflict between two plans, goal parking included, or None.
 
     Ties on the window start go to the earlier action of plan_i, then of
     plan_j.
     """
-    segs_i = plan_motions(plan_i)
-    segs_j = plan_motions(plan_j)
+    segs_i = motions_reference(plan_i)
+    segs_j = motions_reference(plan_j)
 
     best = None
     for si in segs_i:
@@ -696,6 +715,32 @@ def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
             if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best
+
+
+# ---------------------------------------------------------------------------
+# earlier plan rules
+# ---------------------------------------------------------------------------
+
+
+def timed_plan_reference(agent: int, waypoints) -> tuple[tuple[float, float, float, float], ...]:
+    """The waypoints as `TimedPlan` once normalized them, or ValueError under its
+    earlier rules: rows of four values that float() accepts and that are
+    finite, at least one row, the first at t = 0, times strictly increasing."""
+    try:
+        wps = tuple(tuple(float(v) for v in wp) for wp in waypoints)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"agent {agent}: waypoints must be rows of finite numbers ({exc})") from exc
+    if not wps:
+        raise ValueError(f"agent {agent}: plan needs at least one waypoint")
+    for n, wp in enumerate(wps):
+        if len(wp) != 4 or any(not math.isfinite(v) for v in wp):
+            raise ValueError(f"agent {agent}: waypoint {n} must be four finite numbers, got {wp!r}")
+    if wps[0][3] != 0.0:
+        raise ValueError(f"agent {agent}: first waypoint must have t = 0, got t = {wps[0][3]!r}")
+    for n in range(1, len(wps)):
+        if wps[n][3] <= wps[n - 1][3]:
+            raise ValueError(f"agent {agent}: waypoint {n} time {wps[n][3]!r} not after previous {wps[n - 1][3]!r}")
+    return wps
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,12 @@ class TestSolved:
 
     def test_solution_invariants(self):
         world, agents = swap_instance()
-        sol = ccbs_solve(world, agents).solution
+        res = ccbs_solve(world, agents)
+        sol = res.solution
         assert [p.agent for p in sol.plans] == [0, 1]
         assert sol.cost == pytest.approx(sum(p.end_time for p in sol.plans))
         assert sol.makespan == pytest.approx(max(p.end_time for p in sol.plans))
-        assert sol.stats.generated >= 1
+        assert res.stats.generated >= 1
 
     def test_conflict_free_instance_solves_at_the_root(self):
         world = GridWorld((4, 4, 1), 0.5)

@@ -497,6 +497,20 @@ def test_a_grid_too_large_to_plan_is_malformed_input(tmp_path, scenario_dir, cap
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [5e19, 1e75])
+def test_a_cell_too_large_for_its_bodies_is_malformed_input(tmp_path, capsys, scale):
+    # a head-on swap whose cells and speed grow together, the one-cell move time
+    # held at 1 s: at 5e19 the solver returned plans the validator rejected
+    # (exit 6), and at 1e75 both missed the collision (exit 0)
+    doc = {"grid": {"dims": [4, 4, 1], "cell_size": scale},
+           "agents": [{"id": 0, "start": [0, 0, 0], "goal": [2, 0, 0], "speed": scale},
+                      {"id": 1, "start": [2, 0, 0], "goal": [0, 0, 0], "speed": scale}]}
+    inst = write_json(tmp_path / "swap.json", doc)
+    code = main(["plan", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
+    assert code == EXIT_BAD_INPUT
+    assert "agents[0]: agent 0: radius 0.25 m is below cell_size" in capsys.readouterr().err
+
+
 def test_a_tick_below_the_floor_is_malformed_input(planned, tmp_path, capsys):
     _, plans = planned
     cfg = write_json(tmp_path / "cfg.json", {"tick": 1e-300})

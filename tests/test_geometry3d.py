@@ -18,11 +18,17 @@ from mapflight.geometry3d import (
     _unsafe_window,
     is_finite_number,
     move_clear_delay,
-    plan_motions,
 )
 from mapflight.plan import TimedPlan
 
-from oracles import contact_oracle, is_wait_oracle, pair_earliest_reference, unsafe_interval_oracle, velocity_oracle
+from oracles import (
+    contact_oracle,
+    is_wait_oracle,
+    motions_reference,
+    pair_earliest_reference,
+    unsafe_interval_oracle,
+    velocity_oracle,
+)
 
 
 def shifted(motion: LinearMotion, dt: float) -> LinearMotion:
@@ -348,11 +354,10 @@ class TestPlanMotions:
     def test_motions_and_parked_suffix(self):
         # the last motion is the goal park: a wait from the plan's end that never ends
         plan = TimedPlan(0, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 2.0)))
-        motions = plan_motions(plan)
+        motions = plan.motions
         assert [(m.t0, m.t1, m.is_wait) for m in motions] == [(0.0, 1.0, False), (1.0, 2.0, True), (2.0, math.inf, True)]
         assert motions[-1].p0 == (1.0, 0.0, 0.0)
-        assert plan_motions(plan) is motions  # one cached list per plan
-        assert plan_motions(TimedPlan(1, ((0.0, 0.0, 0.0, 0.0),))) == (
+        assert TimedPlan(1, ((0.0, 0.0, 0.0, 0.0),)).motions == (
             LinearMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, math.inf),
         )
 
@@ -363,7 +368,7 @@ class TestPlanMotions:
         plan_b = TimedPlan(1, ((1.3, 0.0, 0.5, 0.0),))
         found = _pair_earliest(plan_a, plan_b, body, body)
         assert found is not None and found.unsafe == Interval(0.0, math.inf)
-        assert (found.action_i, found.action_j) == (plan_motions(plan_a)[-1], plan_motions(plan_b)[-1])
+        assert (found.action_i, found.action_j) == (plan_a.motions[-1], plan_b.motions[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +495,18 @@ def lattice_plan(rng: random.Random, agent: int) -> TimedPlan:
     return TimedPlan(agent, tuple(waypoints))
 
 
+def motion_bits(m: LinearMotion):
+    return bits((*m.p0, *m.p1, m.t0, m.t1, *m.velocity)), m.is_wait
+
+
 def test_swept_pair_scan_matches_the_exhaustive_loop():
     rng = random.Random(31)
     conflicts = 0
     for case in range(3000):
         plan_a, plan_b = lattice_plan(rng, 0), lattice_plan(rng, 1)
+        for plan in (plan_a, plan_b):
+            # a plan's own motions are those of the reference's waypoint loop, bit for bit
+            assert [motion_bits(m) for m in plan.motions] == [motion_bits(m) for m in motions_reference(plan)], case
         body_a, body_b = rng.choice(PAIR_BODIES), rng.choice(PAIR_BODIES)
         got = _pair_earliest(plan_a, plan_b, body_a, body_b)
         want = pair_earliest_reference(plan_a, plan_b, body_a, body_b)
@@ -502,7 +514,8 @@ def test_swept_pair_scan_matches_the_exhaustive_loop():
         if got is None:
             continue
         conflicts += 1
-        assert got.action_i is want.action_i and got.action_j is want.action_j, case
+        assert motion_bits(got.action_i) == motion_bits(want.action_i), case
+        assert motion_bits(got.action_j) == motion_bits(want.action_j), case
         assert bits((got.unsafe.lo, got.unsafe.hi)) == bits((want.unsafe.lo, want.unsafe.hi)), case
     # both outcomes must be common
     assert 600 <= conflicts <= 2400, conflicts

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 
 import pytest
 
@@ -16,6 +17,8 @@ from mapflight.plan import (
     validate,
 )
 from mapflight.world import AgentSpec, GridWorld, InputError
+
+from oracles import motions_reference, timed_plan_reference
 
 BODY = CylinderBody(0.25, 1.0)
 
@@ -36,19 +39,72 @@ class TestTimedPlan:
     @pytest.mark.parametrize(
         "wps,match",
         [
+            # an explicit id keeps the name a case had when its match was an earlier message
             ((), "at least one waypoint"),
-            (((0.0, 0.0, 0.0),), "four finite numbers"),
-            (((0.0, 0.0, math.inf, 0.0),), "four finite numbers"),
+            pytest.param(((0.0, 0.0, 0.0),), r"waypoint 0: expected \[x, y, z, t\] numbers",
+                         id="wps1-four finite numbers"),
+            pytest.param(((0.0, 0.0, math.inf, 0.0),), "motion from waypoint 0: motion endpoints and t0 must be finite",
+                         id="wps2-four finite numbers"),
             (((0.0, 0.0, 0.0, 0.5),), "must have t = 0"),
-            (((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), "not after"),
-            (((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0), (2.0, 0.0, 0.0, 1.0)), "not after"),
-            pytest.param(((0.0, 0.0, 10**400, 0.0),), "rows of finite numbers", id="huge-int"),
-            (((0.0, 0.0, None, 0.0),), "rows of finite numbers"),
+            pytest.param(((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), r"motion from waypoint 0: .* t0 < t1",
+                         id="wps4-not after"),
+            pytest.param(((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0), (2.0, 0.0, 0.0, 1.0)),
+                         r"motion from waypoint 1: .* t0 < t1", id="wps5-not after"),
+            pytest.param(((0.0, 0.0, 10**400, 0.0),), "beyond the float range", id="huge-int"),
+            pytest.param(((0.0, 0.0, None, 0.0),), r"expected \[x, y, z, t\] numbers, got \(0.0, 0.0, None",
+                         id="wps7-rows of finite numbers"),
+            # float() takes these; the number rule does not
+            pytest.param(((0.0, 0.0, True, 0.0),), r"expected \[x, y, z, t\] numbers, got \(0.0, 0.0, True", id="bool"),
+            pytest.param(((0.0, 0.0, "1.5", 0.0),), r"expected \[x, y, z, t\] numbers, got \(0.0, 0.0, '1.5'", id="str"),
+            pytest.param(((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, math.inf)), "only a wait may have an infinite end time",
+                         id="move-to-inf"),
         ],
     )
     def test_rejects_malformed_waypoints(self, wps, match):
         with pytest.raises(ValueError, match=match):
             TimedPlan(0, wps)
+
+    def test_rejects_what_the_earlier_rules_rejected_and_bool_and_str(self):
+        # fixed-seed mutations of valid plans, fed to the constructor and to the
+        # earlier per-waypoint loops alike
+        rng = random.Random(19)
+        bad_values = [math.nan, math.inf, -math.inf, 10**400, True, False, "1.5", "x"]
+        outcomes = {True: 0, False: 0}
+        for case in range(3000):
+            t = 0
+            wps = []
+            for _ in range(rng.randrange(1, 5)):
+                wps.append([rng.choice([rng.uniform(-2.0, 2.0), rng.randrange(-2, 3), -0.0]) for _ in range(3)] + [t])
+                t += rng.choice([1, 0.5, rng.uniform(0.01, 2.0)])
+            row = rng.randrange(len(wps))
+            kind = rng.randrange(7)
+            if kind == 0:
+                wps[row][rng.randrange(4)] = rng.choice(bad_values)
+            elif kind == 1:
+                wps[row] = rng.choice([wps[row][:3], wps[row] + [0.0], []])
+            elif kind == 2 and row > 0:
+                wps[row][3] = wps[row - 1][3] - rng.choice([0.0, 0.5, 1e-9])
+            elif kind == 3:
+                wps[0][3] = rng.choice([0.5, -0.5, 1e-300, -0.0])
+            elif kind == 4:
+                wps = []
+            try:
+                want = timed_plan_reference(0, wps)
+            except ValueError:
+                want = None
+            try:
+                plan = TimedPlan(0, wps)
+            except ValueError:
+                plan = None
+            if any(isinstance(v, (bool, str)) for wp in wps for v in wp):
+                assert plan is None, (case, wps)
+                continue
+            assert (plan is None) == (want is None), (case, wps)
+            if plan is not None:
+                assert [[float.hex(v) for v in wp] for wp in plan.waypoints] == [[float.hex(v) for v in wp] for wp in want]
+                assert plan.motions == motions_reference(plan)
+            outcomes[plan is None] += 1
+        assert min(outcomes.values()) >= 1000, outcomes
 
     @pytest.mark.parametrize("agent", [-1, True, 1.0, "0", 2**63, 10**19, 10**400])
     def test_rejects_agent_ids_outside_int64(self, agent):
@@ -159,37 +215,30 @@ class TestValidateChecks:
         assert kinds == ["endpoint"]
         assert "goal vertex" in report.violations[0].detail
 
-    def test_world_none_skips_static_and_endpoint_checks(self):
-        plans = [
-            TimedPlan(0, ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0))),
-            TimedPlan(1, ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 2.0))),
-        ]
-        specs = [spec(0, (0, 0, 0), (2, 0, 0)), spec(1, (2, 0, 0), (0, 0, 0))]
-        report = validate(plans, specs, None)
-        assert [v.kind for v in report.violations] == ["pairwise"]
-
     def test_parked_goal_is_protected(self):
         # agent 0 reaches its goal at t = 1 and parks; agent 1 flies through
         # that spot at t = 3 — the parked tail must still count as occupied
+        w = GridWorld((2, 5, 1), 0.5)
         plans = [
-            TimedPlan(0, ((0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 1.0))),
-            TimedPlan(1, ((0.5, 2.0, 0.0, 0.0), (0.5, 0.0, 0.0, 4.0))),
+            TimedPlan(0, ((0.25, 0.25, 0.25, 0.0), (0.75, 0.25, 0.25, 1.0))),
+            TimedPlan(1, ((0.75, 2.25, 0.25, 0.0), (0.75, 0.25, 0.25, 4.0))),
         ]
         specs = [
             spec(0, (0, 0, 0), (1, 0, 0)),
             spec(1, (1, 4, 0), (1, 0, 0)),
         ]
-        report = validate(plans, specs, None)
-        assert not report.ok
-        assert report.violations[0].kind == "pairwise"
-        assert report.violations[0].time > 1.0
+        report = validate(plans, specs, w)
+        assert [(v.kind, v.pair) for v in report.violations] == [("pairwise", (0, 1))]
+        # the gap to the parked agent drops below 0.5 m at t = 3
+        assert report.violations[0].time == pytest.approx(3.0, abs=1e-6)
 
     def test_overlapping_parked_goals_are_reported_once(self):
         # both agents sit 0.3 m apart from t = 0 for good: the analytic window
         # never ends, and the validator measures it only up to its own horizon
-        plans = [TimedPlan(0, ((0.25, 0.25, 0.5, 0.0),)), TimedPlan(1, ((0.55, 0.25, 0.5, 0.0),))]
+        w = GridWorld((2, 1, 1), 0.3)
+        plans = [TimedPlan(0, ((0.15, 0.15, 0.15, 0.0),)), TimedPlan(1, ((0.45, 0.15, 0.15, 0.0),))]
         specs = [spec(0, (0, 0, 0), (0, 0, 0)), spec(1, (1, 0, 0), (1, 0, 0))]
-        report = validate(plans, specs, None)
+        report = validate(plans, specs, w)
         assert [(v.kind, v.pair, v.time) for v in report.violations] == [("pairwise", (0, 1), 0.0)]
         assert report.violations[0].min_separation_found == pytest.approx(0.3)
 
@@ -251,12 +300,16 @@ class TestPlanFiles:
             (lambda d: d["plans"][0].update(waypoints=[]), "non-empty list"),
             (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0]]), r"expected \[x, y, z, t\]"),
             (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0, 1], [1, 0, 0, 2]]), "first waypoint must have t = 0"),
-            (lambda d: d["plans"][0].update(waypoints=[[0, 0, 0, 0], [1, 0, 0, 0]]), "not after previous"),
+            pytest.param(lambda d: d["plans"][0].update(waypoints=[[0, 0, 0, 0], [1, 0, 0, 0]]),
+                         r"plans\[0\]: agent 0: the motion from waypoint 0: .* t0 < t1",
+                         id="<lambda>-not after previous"),
             (lambda d: d["plans"][0].update(radius=-1), "radius must be a positive finite number"),
             (lambda d: d["plans"][0].update(height=True), "height must be a positive finite number"),
             (lambda d: d["plans"][0].update(speed=10**400), "positive finite number"),
-            (lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, math.nan), "four finite numbers"),
-            (lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, 10**400), "rows of finite numbers"),
+            pytest.param(lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, math.nan), "endpoints and t0 must be finite",
+                         id="<lambda>-four finite numbers"),
+            pytest.param(lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, 10**400),
+                         "waypoint 1: an integer beyond the float range", id="<lambda>-rows of finite numbers"),
             (lambda d: d["plans"][0]["waypoints"][1].__setitem__(0, True), r"numbers, got \[True"),
         ],
     )

@@ -12,6 +12,7 @@ from mapflight.world import (
     PLANAR_DIAG_10,
     AgentSpec,
     GridWorld,
+    MAX_CELL_PER_BODY,
     MAX_CELLS,
     InputError,
     load_instance,
@@ -193,6 +194,18 @@ class TestInstanceFiles:
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(InputError, match="not valid JSON"):
             load_instance(path)
+
+    @pytest.mark.parametrize("key,half", [("radius", 1.0), ("height", 0.5)])
+    def test_rejects_a_body_too_small_for_its_cells(self, tmp_path, key, half):
+        # the floor is cell_size / MAX_CELL_PER_BODY on the radius and on the half height
+        floor = 0.5 / MAX_CELL_PER_BODY
+        doc = self.base_doc()
+        doc["agents"][1][key] = floor / half
+        load_instance(self.write(tmp_path, doc))  # at the floor: fine
+        doc["agents"][1][key] = math.nextafter(floor, 0.0) / half
+        name = "radius" if key == "radius" else "half height"
+        with pytest.raises(InputError, match=rf"agents\[1\]: agent 1: {name} .* is below cell_size / {MAX_CELL_PER_BODY!r}"):
+            load_instance(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize(
         "mutate,match",
