@@ -5,11 +5,16 @@ conflict is forbidden from departing inside [t0, t_safe) computed against the
 other action as originally timed; the wait side is forbidden from occupying
 its vertex during the window in which the other action passes through it.
 
+Each expansion branches on a prioritised conflict: a cardinal one (both
+children cost more or have no plan) first, then a semi-cardinal one (exactly
+one child does), then the earliest. The node's conflicts are classified in
+earliest-conflict order, stopping at the first cardinal one.
+
 Each node keeps a table of its conflicting agent pairs, so a child re-tests
 only the pairs of the agent it replans. A child that costs no more and has
 fewer conflicting pairs than its node is adopted in place of branching
 (bypass), which keeps the solution optimal. Sibling subtrees share their
-parents' tables and branch on the same conflicts again, so each solve keeps
+parents' tables and classify the same conflicts again, so each solve keeps
 its branches by conflict and its replans by (parent table, constraint), and
 derives each distinct one once.
 """
@@ -63,18 +68,23 @@ class SolveLimits:
 class SolveStats:
     """Work counters of one solve.
 
-    expansions: conflicts resolved, one per `branch` call, whether the result
-        was pushed as children or adopted in place by a bypass; this is what
+    expansions: conflicts resolved, whether the result was pushed as
+        children or adopted in place by a bypass; this is what
         `SolveLimits.max_expansions` bounds.
+    cardinal, semi_cardinal: expansions whose conflict was cardinal (both
+        children cost more than the node or have no plan) or semi-cardinal
+        (exactly one does); the rest resolved the node's earliest conflict.
     generated: conflict-tree nodes pushed on the open list, the root included;
         a child adopted by a bypass is not pushed and not counted.
     bypasses: conflicts resolved in place by adopting a child's plan.
-    replans: `sipp_plan` calls made, the root plans included.
-    replans_reused: children whose (parent table, constraint) was replanned
-        before in this solve, so they reuse that table and plan instead.
-    branches_reused: expansions whose conflict was branched on before in
-        this solve, so they reuse its two constraints; expansions minus this
-        is the number of `branch` calls.
+    replans: `sipp_plan` calls made, the root plans and the replans that
+        classify a conflict included.
+    replans_reused: classified children whose (parent table, constraint) was
+        replanned before in this solve, so they reuse that table and plan
+        instead; a branched-on conflict reuses its classified children.
+    branches_reused: classified conflicts whose constraints were derived
+        before in this solve; classifications minus this is the number of
+        `branch` calls.
     lower_bound: at LIMIT_EXCEEDED, a proven lower bound on the optimal
         sum of costs: the cost of the node being expanded at the expansion
         limit, the smallest key on the open list at the wall limit; else None.
@@ -85,6 +95,8 @@ class SolveStats:
     """
 
     expansions: int = 0
+    cardinal: int = 0
+    semi_cardinal: int = 0
     generated: int = 0
     bypasses: int = 0
     replans: int = 0
@@ -156,6 +168,10 @@ def replanned_table(
     return out
 
 
+def _earliest_key(c: Conflict) -> tuple[float, int, int, float, float]:
+    return (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0)
+
+
 def earliest_conflict(table: ConflictTable) -> Optional[Conflict]:
     """The table's conflict that starts first, or None for a conflict-free node.
 
@@ -163,7 +179,7 @@ def earliest_conflict(table: ConflictTable) -> Optional[Conflict]:
     """
     if not table:
         return None
-    return min(table.values(), key=lambda c: (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0))
+    return min(table.values(), key=_earliest_key)
 
 
 def _side_constraint(
@@ -275,6 +291,29 @@ def ccbs_solve(
         stats.wall_time = clock() - started
         return SolveResult(LIMIT_EXCEEDED, None, stats, f"{what} limit reached; cost lower bound {bound!r}")
 
+    def constraints_of(conflict: Conflict) -> tuple[Constraint, Constraint]:
+        constraints = branches.get(conflict)
+        if constraints is None:
+            t = clock()
+            constraints = branches[conflict] = branch(conflict, world, bodies)
+            stats.branch_s += clock() - t
+        else:
+            stats.branches_reused += 1
+        return constraints
+
+    def replanned(parent: SafeIntervalTable, c: Constraint) -> tuple[SafeIntervalTable, Optional[TimedPlan]]:
+        cached = replans.get((id(parent), c))
+        if cached is not None:
+            stats.replans_reused += 1
+            return cached[1], cached[2]
+        table = parent.adding(c)
+        t = clock()
+        newp = sipp_plan(world, by_id[c.agent], table)
+        stats.sipp_s += clock() - t
+        replans[(id(parent), c)] = (parent, table, newp)
+        stats.replans += 1
+        return table, newp
+
     while heap:
         stats.wall_time = clock() - started
         if stats.wall_time > limits.max_wall_time:
@@ -286,28 +325,23 @@ def ccbs_solve(
             if stats.expansions >= limits.max_expansions:
                 return at_limit("expansion", node.cost)
             stats.expansions += 1
+            # classify in earliest order: the rank is how many children cost
+            # more than the node or have no plan (2 cardinal, 1 semi-cardinal);
+            # keep the first conflict of the highest rank, and stop at rank 2
+            rank, sides = -1, []
+            for conflict in sorted(conflicts.values(), key=_earliest_key):
+                classified = [(c, *replanned(node.tables[c.agent], c)) for c in constraints_of(conflict)]
+                r = sum(newp is None or newp.end_time > plans[c.agent].end_time for c, _, newp in classified)
+                if r > rank:
+                    rank, sides = r, classified
+                    if r == 2:
+                        break
+            if rank == 2:
+                stats.cardinal += 1
+            elif rank == 1:
+                stats.semi_cardinal += 1
             children, bypass = [], None
-            conflict = earliest_conflict(conflicts)
-            constraints = branches.get(conflict)
-            if constraints is None:
-                t = clock()
-                constraints = branches[conflict] = branch(conflict, world, bodies)
-                stats.branch_s += clock() - t
-            else:
-                stats.branches_reused += 1
-            for c in constraints:
-                parent = node.tables[c.agent]
-                cached = replans.get((id(parent), c))
-                if cached is None:
-                    table = parent.adding(c)
-                    t = clock()
-                    newp = sipp_plan(world, by_id[c.agent], table)
-                    stats.sipp_s += clock() - t
-                    replans[(id(parent), c)] = (parent, table, newp)
-                    stats.replans += 1
-                else:
-                    _, table, newp = cached
-                    stats.replans_reused += 1
+            for c, table, newp in sides:
                 if newp is None:
                     continue
                 child_plans = dict(plans)

@@ -98,8 +98,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     result = ccbs_solve(world, agents, limits)
     stats = result.stats
     print(
-        f"solver: {result.status} expansions={stats.expansions} "
-        f"generated={stats.generated} bypasses={stats.bypasses} replans={stats.replans} "
+        f"solver: {result.status} expansions={stats.expansions} cardinal={stats.cardinal} "
+        f"semi_cardinal={stats.semi_cardinal} generated={stats.generated} bypasses={stats.bypasses} "
+        f"replans={stats.replans} "
         f"replans_reused={stats.replans_reused} branches_reused={stats.branches_reused} "
         f"peak_open={stats.peak_open} sipp={stats.sipp_s:.3f}s detect={stats.detect_s:.3f}s "
         f"branch={stats.branch_s:.3f}s wall={stats.wall_time:.3f}s"

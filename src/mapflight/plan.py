@@ -44,6 +44,12 @@ _SAMPLING_DT = 1e-3
 _PARK_PAD = 1.0
 
 
+def _are_numbers(x, y, z, t) -> bool:
+    """Each value an int or a float, not a bool."""
+    return (isinstance(x, (int, float)) and isinstance(y, (int, float)) and isinstance(z, (int, float))
+            and isinstance(t, (int, float)) and bool not in (type(x), type(y), type(z), type(t)))
+
+
 @dataclass(frozen=True)
 class TimedPlan:
     """Ordered (x, y, z, t) waypoints, the first at t = 0, and the motions between them.
@@ -61,30 +67,32 @@ class TimedPlan:
     def __post_init__(self) -> None:
         if not is_agent_id(self.agent):
             raise ValueError(f"agent id must be a non-negative integer below 2**63, got {self.agent!r}")
-        wps = []
+        wps, points = [], []
         for n, row in enumerate(self.waypoints):
-            # four numbers, each an int or a float, not a bool
-            if not (isinstance(row, (tuple, list)) and len(row) == 4
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)):
+            if not (isinstance(row, (tuple, list)) and len(row) == 4 and _are_numbers(*row)):
                 raise ValueError(f"agent {self.agent}: waypoint {n}: expected [x, y, z, t] numbers, got {row!r}")
+            x, y, z, t = row
             try:
-                wps.append(tuple(map(float, row)))
+                point = (float(x), float(y), float(z))
+                wps.append((*point, float(t)))
             except OverflowError as exc:
                 raise ValueError(f"agent {self.agent}: waypoint {n}: an integer beyond the float range") from exc
+            points.append(point)
         if not wps:
             raise ValueError(f"agent {self.agent}: plan needs at least one waypoint")
-        if wps[0][3] != 0.0:
-            raise ValueError(f"agent {self.agent}: first waypoint must have t = 0, got t = {wps[0][3]!r}")
+        times = [wp[3] for wp in wps]
+        if times[0] != 0.0:
+            raise ValueError(f"agent {self.agent}: first waypoint must have t = 0, got t = {times[0]!r}")
         motions = []
-        for n, ((x0, y0, z0, t0), (x1, y1, z1, t1)) in enumerate(zip(wps, wps[1:] + [(*wps[-1][:3], math.inf)])):
+        for n, (p0, p1, t0, t1) in enumerate(zip(points, points[1:] + points[-1:], times, times[1:] + [math.inf])):
             try:
-                motions.append(LinearMotion((x0, y0, z0), (x1, y1, z1), t0, t1))
+                motions.append(LinearMotion(p0, p1, t0, t1))
             except ValueError as exc:
                 raise ValueError(f"agent {self.agent}: the motion from waypoint {n}: {exc}") from exc
         wps = tuple(wps)
         object.__setattr__(self, "waypoints", wps)
         object.__setattr__(self, "motions", tuple(motions))
-        object.__setattr__(self, "_times", tuple(wp[3] for wp in wps))
+        object.__setattr__(self, "_times", tuple(times))
         # plans key the solver's pair-test cache, so hash the waypoints once
         object.__setattr__(self, "_hash", hash((self.agent, wps)))
 

@@ -148,9 +148,28 @@ def _search_graph(world: GridWorld, speed: float) -> _SearchGraph:
 
 @lru_cache(maxsize=256)
 def _heuristic(world: GridWorld, goal: Cell, speed: float) -> tuple[float, ...]:
-    """Straight-line lower bound on time to the goal, per vertex index."""
-    goal_center = world.center(goal)
-    return tuple(math.dist(center, goal_center) / speed for center in _search_graph(world, speed).centers)
+    """Shortest time to the goal on the free graph, constraints ignored, per
+    vertex index; inf where the goal cannot be reached.
+
+    A plan under constraints only waits or detours more, so this is an
+    admissible and consistent bound. Moves are symmetric (the same neighbours,
+    the same `move_duration` both ways), so one backward Dijkstra from the
+    goal over the successor lists computes it.
+    """
+    succ = _search_graph(world, speed).succ
+    h = [math.inf] * len(succ)
+    goal_v = world.vertex_index(goal)
+    h[goal_v] = 0.0
+    heap = [(0.0, goal_v)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > h[v]:
+            continue
+        for w, dur in succ[v]:
+            if d + dur < h[w]:
+                h[w] = d + dur
+                heapq.heappush(heap, (h[w], w))
+    return tuple(h)
 
 
 def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> Optional[TimedPlan]:
@@ -184,6 +203,10 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
             blocks.setdefault(v, {})[w] = spans
 
     start, goal = index[agent.start], index[agent.goal]
+    if h[start] == inf:
+        # moves are symmetric, so every state reachable from the start has a
+        # finite h too, and none with h = inf is ever pushed
+        return None
     for start_m, (lo, hi) in enumerate(safe.get(start, ((0.0, inf),))):
         if lo <= 0.0 <= hi:
             break

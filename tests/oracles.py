@@ -17,12 +17,14 @@ with the implementation:
   * joint_astar_oracle — exhaustive joint A* over all agents on a coarser tick
     grid, minimizing sum of individual arrival times, with pairwise swept
     cylinder collision checks each tick.
+  * shortest_time_oracle — Bellman–Ford over every connectivity's moves, each
+    move enumerated from its step box: the shortest time to a goal per cell.
 
 Two more are the solver's earlier kernels, kept as written, which the
 rewritten ones must reproduce bit for bit:
 
   * sipp_reference — the cell-keyed SIPP search, querying the safe-interval
-    table per neighbour.
+    table per neighbour, guided by shortest_time_oracle.
   * pair_earliest_reference — the exhaustive double loop over two plans'
     motions, testing every pair that overlaps in time; the motions come from
     its own waypoint loop, motions_reference.
@@ -221,6 +223,42 @@ def _free_neighbors(dims: Cell, obstacles: frozenset, cell: Cell) -> list[Cell]:
         if all(0 <= c < n for c, n in zip(nbr, dims)) and nbr not in obstacles:
             out.append(nbr)
     return out
+
+
+def _free_moves(world, cell: Cell, speed: float) -> list[tuple[Cell, float]]:
+    """(neighbour, move time) of every move out of a free cell: any step in
+    {-1, 0, 1}^3 that the connectivity allows, whose whole step box is free."""
+    out = []
+    for step in itertools.product((-1, 0, 1), repeat=3):
+        changed = sum(d != 0 for d in step)
+        if changed == 0 or world.connectivity == "face-6" and changed > 1:
+            continue
+        if world.connectivity == "face+planar-diag-10" and (changed > 2 or changed == 2 and step[2] != 0):
+            continue
+        box = itertools.product(*((c,) if d == 0 else (c, c + d) for c, d in zip(cell, step)))
+        if all(all(0 <= c < n for c, n in zip(b, world.dims)) and b not in world.obstacles for b in box):
+            nbr = (cell[0] + step[0], cell[1] + step[1], cell[2] + step[2])
+            out.append((nbr, math.dist(world.center(cell), world.center(nbr)) / speed))
+    return out
+
+
+def shortest_time_oracle(world, goal: Cell, speed: float) -> dict[Cell, float]:
+    """Shortest time from each free cell to the goal, constraints ignored; inf
+    where the goal cannot be reached. Bellman–Ford: relax every move until
+    nothing changes."""
+    free = [c for c in itertools.product(*(range(n) for n in world.dims)) if c not in world.obstacles]
+    moves = {c: _free_moves(world, c, speed) for c in free}
+    dist = {c: math.inf for c in free}
+    dist[goal] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for cell in free:
+            for nbr, dur in moves[cell]:
+                if dur + dist[nbr] < dist[cell]:
+                    dist[cell] = dur + dist[nbr]
+                    changed = True
+    return dist
 
 
 def _bfs_distances(dims: Cell, obstacles: frozenset, goal: Cell) -> dict[Cell, int]:
@@ -584,15 +622,6 @@ def _expansion_map(world, speed: float) -> dict:
     return out
 
 
-def _heuristic_map(world, goal: Cell, speed: float) -> dict:
-    """Straight-line lower bound on time to the goal, per free cell."""
-    goal_center = world.center(goal)
-    return {
-        cell: math.dist(world.center(cell), goal_center) / speed
-        for cell in _expansion_map(world, speed)
-    }
-
-
 def sipp_reference(world, agent, table):
     """Minimum-arrival plan from start to goal under one agent's safe-interval
     table; None iff the goal is unreachable.
@@ -606,7 +635,7 @@ def sipp_reference(world, agent, table):
         raise ValueError(f"agent {agent.id}: goal {agent.goal} is not a free cell")
     speed = agent.speed
     expansion = _expansion_map(world, speed)
-    h = _heuristic_map(world, agent.goal, speed)
+    h = shortest_time_oracle(world, agent.goal, speed)
 
     start_state: Optional[int] = None
     for idx, iv in enumerate(table.vertex_intervals(agent.start)):

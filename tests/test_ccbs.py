@@ -27,6 +27,7 @@ from mapflight.geometry3d import (
     cylinder_unsafe_interval,
 )
 from mapflight.plan import TimedPlan, validate
+from mapflight.sipp import build_safe_intervals, sipp_plan
 from mapflight.world import AgentSpec, GridWorld, load_instance, neighbors
 
 from test_geometry3d import LATTICE_TIMES
@@ -271,6 +272,63 @@ class TestBypass:
         assert res.stats.generated < 2 * res.stats.expansions + 1
 
 
+class TestPrioritisedConflicts:
+    def instance(self):
+        """Two pairs that never meet. In the open 3x3 block, agents 0 and 1
+        conflict at t = 0.5, and each can go round at no extra cost. In the
+        walled corridor, agent 2 crosses agent 3's one-cell passage at t = 1.0,
+        where one of them must wait."""
+        walls = frozenset((x, y, 0) for x in range(5, 12) for y in (0, 2) if x != 8)
+        world = GridWorld((12, 3, 1), 0.5, walls)
+        agents = [
+            AgentSpec(0, (0, 2, 0), (1, 1, 0), BODY, 0.5),
+            AgentSpec(1, (0, 0, 0), (1, 2, 0), BODY, 0.5),
+            AgentSpec(2, (6, 1, 0), (10, 1, 0), BODY, 0.5),
+            AgentSpec(3, (8, 0, 0), (8, 2, 0), BODY, 0.5),
+        ]
+        return world, agents
+
+    def test_a_later_cardinal_conflict_is_branched_on_first(self, monkeypatch):
+        world, agents = self.instance()
+        bodies = {a.id: a.body for a in agents}
+        root = {a.id: sipp_plan(world, a, build_safe_intervals((), a.id)) for a in agents}
+        early, late = sorted(conflict_table(root, bodies).values(), key=lambda c: c.unsafe.lo)
+        assert (early.agent_i, early.agent_j, early.unsafe.lo) == (0, 1, 0.5)
+        assert (late.agent_i, late.agent_j, late.unsafe.lo) == (2, 3, 1.0)
+
+        def child_costs(conflict):
+            constraints = branch(conflict, world, bodies)
+            plans = [sipp_plan(world, agents[c.agent], build_safe_intervals([c], c.agent)) for c in constraints]
+            return [p.end_time - root[c.agent].end_time for c, p in zip(constraints, plans)]
+
+        assert child_costs(early) == [0.0, 0.0]  # non-cardinal
+        assert min(child_costs(late)) > 0.0  # cardinal
+
+        calls, nodes = [], []
+        node_type = ccbs.CTNode
+
+        def counted(conflict, world, bodies):
+            calls.append(conflict)
+            return branch(conflict, world, bodies)
+
+        def recorded(*fields):
+            nodes.append(node_type(*fields))
+            return nodes[-1]
+
+        monkeypatch.setattr(ccbs, "branch", counted)
+        monkeypatch.setattr(ccbs, "CTNode", recorded)
+        res = ccbs_solve(world, agents, SolveLimits(max_wall_time=math.inf, max_expansions=1))
+        # classified in earliest order up to the first cardinal conflict
+        assert calls == [early, late]
+        # the one expansion pushed the cardinal conflict's two children, and
+        # the cheaper of them already proves a higher bound than the root's
+        assert (res.stats.expansions, res.stats.cardinal, res.stats.semi_cardinal) == (1, 1, 0)
+        want = [(c.agent, build_safe_intervals([c], c.agent)) for c in branch(late, world, bodies)]
+        got = [(a, child.tables[a]) for child in nodes[1:] for a in child.tables if child.tables[a] != nodes[0].tables[a]]
+        assert got == want
+        assert res.stats.lower_bound > nodes[0].cost
+
+
 def _random_plan(rng: random.Random, world: GridWorld, agent: int) -> TimedPlan:
     """Random walk over cell centers with random continuous waits."""
     cell = (rng.randrange(world.dims[0]), rng.randrange(world.dims[1]), rng.randrange(world.dims[2]))
@@ -363,8 +421,8 @@ def test_costs_are_the_same_on_every_python():
     assert res.status == SOLVED and float.hex(res.solution.cost) == "0x1.cb504f334e3b8p+5"
     world, agents = load_instance(PLAN_GRID / "grid_015.json")
     res = ccbs_solve(world, agents, SolveLimits(max_wall_time=3600.0, max_expansions=200))
-    assert res.status == LIMIT_EXCEEDED and repr(res.stats.lower_bound) == "116.82842712559693"
-    assert res.detail == "expansion limit reached; cost lower bound 116.82842712559693"
+    assert res.status == LIMIT_EXCEEDED and repr(res.stats.lower_bound) == "117.82842712559693"
+    assert res.detail == "expansion limit reached; cost lower bound 117.82842712559693"
 
 
 STEPS_26 = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
@@ -466,36 +524,46 @@ class TestGolden:
     that claims to expand the same conflict tree must reproduce every count."""
 
     FUZZ = {
-        0: (LIMIT_EXCEEDED, None, 25, 27, 12),
-        1: (LIMIT_EXCEEDED, None, 25, 41, 5),
-        2: (LIMIT_EXCEEDED, None, 25, 29, 11),
-        3: (LIMIT_EXCEEDED, None, 25, 27, 12),
-        4: (LIMIT_EXCEEDED, None, 25, 29, 11),
-        5: (SOLVED, 67.0, 10, 13, 4),
-        6: (LIMIT_EXCEEDED, None, 25, 41, 5),
-        7: (LIMIT_EXCEEDED, None, 25, 31, 10),
-        8: (LIMIT_EXCEEDED, None, 25, 41, 5),
-        9: (LIMIT_EXCEEDED, None, 25, 29, 11),
-        10: (SOLVED, 111.0, 17, 19, 8),
-        11: (SOLVED, 109.0, 8, 9, 4),
+        0: (LIMIT_EXCEEDED, None, 25, 35, 8),
+        1: (LIMIT_EXCEEDED, None, 25, 31, 10),
+        2: (LIMIT_EXCEEDED, None, 25, 35, 8),
+        3: (LIMIT_EXCEEDED, None, 25, 33, 9),
+        4: (LIMIT_EXCEEDED, None, 25, 31, 10),
+        5: (SOLVED, 67.0, 12, 17, 4),
+        6: (LIMIT_EXCEEDED, None, 25, 37, 7),
+        7: (LIMIT_EXCEEDED, None, 25, 41, 5),
+        8: (LIMIT_EXCEEDED, None, 25, 43, 4),
+        9: (LIMIT_EXCEEDED, None, 25, 33, 9),
+        10: (SOLVED, 111.0, 12, 17, 4),
+        11: (SOLVED, 109.0, 7, 9, 3),
     }
 
     def test_dense_instance(self):
         world, agents = TestEightAgents().instance()
         res = ccbs_solve(world, agents)
-        assert _summary(res) == (SOLVED, round(25.414213562798462, 9), 57, 67, 24)
+        assert _summary(res) == (SOLVED, round(25.414213562798462, 9), 18, 21, 8)
 
     def test_bundled_ring_scenario(self, scenario_dir):
         world, agents = load_instance(scenario_dir / "swarm_8.json")
         res = ccbs_solve(world, agents)
-        assert _summary(res) == (SOLVED, round(25.656854251193845, 9), 124, 249, 0)
+        assert _summary(res) == (SOLVED, round(25.656854251193845, 9), 146, 283, 5)
 
-    def test_each_distinct_replan_runs_once(self):
+    def test_each_distinct_replan_runs_once(self, monkeypatch):
+        planned = []
+
+        def counted(world, agent, table):
+            planned.append((agent.id, sorted(table.vertex_safe.items()), sorted(table.move_blocks.items())))
+            return sipp_plan(world, agent, table)
+
+        monkeypatch.setattr(ccbs, "sipp_plan", counted)
         world, agents = TestEightAgents().instance()
         stats = ccbs_solve(world, agents).stats
-        assert stats.replans < 2 * stats.expansions
-        # 8 root plans and 103 children, of which 64 repeat an earlier replan
-        assert (stats.replans, stats.replans_reused) == (47, 64)
+        # no agent is ever planned twice under equal tables
+        assert len(planned) == stats.replans
+        assert all(planned.index(key) == n for n, key in enumerate(planned))
+        # 8 root plans and 108 children looked up, classified or branched on,
+        # of which 70 repeat an earlier replan
+        assert (stats.replans, stats.replans_reused) == (46, 70)
 
     def test_fuzz_seeds_at_their_budget(self):
         for seed, want in self.FUZZ.items():
@@ -517,6 +585,8 @@ def test_plan_grid_counters_at_a_small_budget():
             res.detail,
             None if res.solution is None else res.solution.cost.hex(),
             st.expansions,
+            st.cardinal,
+            st.semi_cardinal,
             st.generated,
             st.bypasses,
             st.replans,
@@ -524,7 +594,7 @@ def test_plan_grid_counters_at_a_small_budget():
             None if st.lower_bound is None else float(st.lower_bound).hex(),
         ])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "379bffc9f91d576c958ca1ca14dd03b64ba497953d8fa52b8e282513469b50f3", rows
+    assert digest == "5756e4afe6baa0f0a9f278558e95fcee7c14493dca9c8cb33f545e58d72fa017", rows
 
 
 def test_each_distinct_conflict_is_branched_once(scenario_dir, monkeypatch):
@@ -535,12 +605,14 @@ def test_each_distinct_conflict_is_branched_once(scenario_dir, monkeypatch):
         return branch(conflict, world, bodies)
 
     monkeypatch.setattr(ccbs, "branch", counted)
-    cases = [(TestEightAgents().instance(), 57, 40), (load_instance(scenario_dir / "swarm_8.json"), 124, 104)]
-    for (world, agents), expansions, reused in cases:
+    # (expansions, branches_reused, branch calls): classification looks up the
+    # constraints of conflicts that are never branched on, too
+    cases = [(TestEightAgents().instance(), (18, 34, 20)), (load_instance(scenario_dir / "swarm_8.json"), (146, 203, 20))]
+    for (world, agents), want in cases:
         calls.clear()
         stats = ccbs_solve(world, agents).stats
-        assert (stats.expansions, stats.branches_reused) == (expansions, reused)
-        assert len(calls) == len(set(calls)) == expansions - reused
+        assert (stats.expansions, stats.branches_reused, len(calls)) == want
+        assert len(calls) == len(set(calls))
 
 
 def test_solver_timers_are_parts_of_the_wall_time():
@@ -562,5 +634,5 @@ def test_solver_timers_are_parts_of_the_wall_time():
         if status != NO_SOLUTION:
             assert st.sipp_s > 0.0 and st.detect_s > 0.0 and st.branch_s > 0.0, st
             assert 1 <= st.peak_open <= st.generated, st
-    # the dense instance's open list peaks at 34 of its 67 generated nodes
-    assert ccbs_solve(*TestEightAgents().instance()).stats.peak_open == 34
+    # the dense instance's open list peaks at 11 of its 21 generated nodes
+    assert ccbs_solve(*TestEightAgents().instance()).stats.peak_open == 11

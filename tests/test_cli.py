@@ -10,7 +10,7 @@ import signal
 import pytest
 
 from mapflight import cli
-from mapflight.ccbs import SolveLimits
+from mapflight.ccbs import SolveLimits, ccbs_solve
 from mapflight.cli import (
     EXIT_BAD_INPUT,
     EXIT_INVALID_PLAN,
@@ -22,6 +22,7 @@ from mapflight.cli import (
     build_parser,
     main,
 )
+from mapflight.world import load_instance
 
 SWAP_INSTANCE = {
     "grid": {"dims": [4, 4, 1], "cell_size": 0.5},
@@ -87,6 +88,16 @@ class TestPlan:
         assert "solver: solved" in stdout and "cost=6.0" in stdout
         assert "replans=2 replans_reused=0 branches_reused=0" in stdout  # one root plan per agent
         assert "branches_reused=0 peak_open=1 sipp=" in stdout and " detect=" in stdout and " branch=" in stdout
+        assert "expansions=0 cardinal=0 semi_cardinal=0 generated=1 " in stdout
+
+    def test_prints_the_prioritised_conflict_counts(self, tmp_path, capsys):
+        instance = write_json(tmp_path / "swap.json", SWAP_INSTANCE)
+        code = main(["plan", "--instance", str(instance), "--out", str(tmp_path / "plans.json")])
+        assert code == EXIT_OK
+        stats = ccbs_solve(*load_instance(instance)).stats
+        assert stats.cardinal + stats.semi_cardinal > 0
+        assert (f"expansions={stats.expansions} cardinal={stats.cardinal} semi_cardinal={stats.semi_cardinal} "
+                in capsys.readouterr().out)
 
     def test_missing_instance(self, tmp_path, capsys):
         code = main(["plan", "--instance", str(tmp_path / "nope.json"), "--out", str(tmp_path / "p.json")])
@@ -332,7 +343,7 @@ class TestBench:
         for row in rows:
             del row["solver_wall_time"]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert digest == "3d340a36b8c2fe3fc2d329b91a94e70cb5d35e0cb3d7fcdc3c3354b4220ebb15"
+        assert digest == "bc2bf43849d61dd7c349490d2bcbc56216f2e7ed97d3082d83b528edf8732e61"
 
     def test_failures_are_recorded_and_the_batch_continues(self, tmp_path, scenario_dir, capsys):
         src = tmp_path / "scenarios"

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from mapflight.geometry3d import CylinderBody
@@ -63,6 +64,12 @@ class TestTimedPlan:
     def test_rejects_malformed_waypoints(self, wps, match):
         with pytest.raises(ValueError, match=match):
             TimedPlan(0, wps)
+
+    def test_a_float_subclass_is_a_number(self):
+        wps = ((0.25, 0.25, 0.75, 0.0), (0.75, 0.25, 0.75, 1.0))
+        plan = TimedPlan(0, tuple(tuple(np.float64(v) for v in wp) for wp in wps))
+        assert plan == TimedPlan(0, wps)
+        assert all(type(v) is float for wp in plan.waypoints for v in wp)
 
     def test_rejects_what_the_earlier_rules_rejected_and_bool_and_str(self):
         # fixed-seed mutations of valid plans, fed to the constructor and to the

@@ -265,9 +265,48 @@ def waypoint_bits(plan):
     return None if plan is None else [[v.hex() for v in wp] for wp in plan.waypoints]
 
 
+class TestExactHeuristic:
+    """`_heuristic` is the shortest time to the goal on the free graph."""
+
+    @pytest.mark.parametrize("connectivity", sorted(CONNECTIVITY_STEPS))
+    def test_matches_the_shortest_time_oracle(self, connectivity):
+        rng = random.Random(f"heuristic-{connectivity}")
+        unreachable = 0
+        for _ in range(12):
+            dims = rng.choice([(5, 4, 2), (4, 4, 3), (6, 3, 1)])
+            cells = [(i, j, k) for i in range(dims[0]) for j in range(dims[1]) for k in range(dims[2])]
+            # dense enough to wall off pockets that cannot reach the goal
+            obstacles = frozenset(rng.sample(cells, len(cells) * rng.choice([0, 3, 5]) // 10))
+            world = GridWorld(dims, rng.choice([0.5, 0.3, 1.0]), obstacles, connectivity)
+            free = [c for c in cells if c not in obstacles]
+            goal = rng.choice(free)
+            speed = rng.choice([0.5, 0.8, 1.3])
+            h = sipp._heuristic(world, goal, speed)
+            want = oracles.shortest_time_oracle(world, goal, speed)
+            reach = {goal}
+            frontier = [goal]
+            while frontier:
+                for nbr in neighbors(world, frontier.pop()):
+                    if nbr not in reach:
+                        reach.add(nbr)
+                        frontier.append(nbr)
+            for cell in cells:
+                got = h[world.vertex_index(cell)]
+                assert got == want.get(cell, INF), (cell, got, want.get(cell))
+                assert (got == INF) == (cell not in reach), cell
+            unreachable += len(free) - len(reach)
+            # consistent on every move, in floats
+            graph = sipp._search_graph(world, speed)
+            for v, moves in enumerate(graph.succ):
+                for w, dur in moves:
+                    assert h[v] <= dur + h[w], (v, w)
+        assert unreachable > 0
+
+
 class TestAgainstTheReferenceSearch:
     """The vertex-indexed search must return exactly the plans of the earlier
-    cell-keyed search, compared by float.hex, on fixed-seed tables."""
+    cell-keyed search, guided by the same exact heuristic, compared by
+    float.hex, on fixed-seed tables."""
 
     def random_case(self, rng, connectivity):
         dims = rng.choice([(4, 4, 2), (5, 3, 2), (3, 3, 3)])
