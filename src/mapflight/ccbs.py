@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
 import operator
 import time
 from dataclasses import dataclass
@@ -172,16 +171,6 @@ def _earliest_key(c: Conflict) -> tuple[float, int, int, float, float]:
     return (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0)
 
 
-def earliest_conflict(table: ConflictTable) -> Optional[Conflict]:
-    """The table's conflict that starts first, or None for a conflict-free node.
-
-    Tie-break on equal start: (agent_i, agent_j, action_i.t0, action_j.t0).
-    """
-    if not table:
-        return None
-    return min(table.values(), key=_earliest_key)
-
-
 def _side_constraint(
     agent: int,
     action: LinearMotion,
@@ -198,12 +187,9 @@ def _side_constraint(
         probe = LinearMotion(action.p0, action.p0, other.t0, other.t1)
         return Constraint(agent, src, dst, cylinder_unsafe_interval(probe, other, body_a, body_b))
 
-    t0 = action.t0
-    if math.isinf(other.t1):
-        # delaying the move only deepens the overlap with an agent parked for good
-        return Constraint(agent, src, dst, Interval(t0, math.inf))
+    # against an agent parked for good the delay is inf: the move is banned from t0 on
     delay = move_clear_delay(action, other, body_a, body_b)
-    return Constraint(agent, src, dst, Interval(t0, t0 + delay))
+    return Constraint(agent, src, dst, Interval(action.t0, action.t0 + delay))
 
 
 def branch(

@@ -13,8 +13,8 @@ advances them together, one array update per tick (`_Fleet.step`). The seeded
 repetitions of a batch fly as one fleet on one clock (`run_executions`). The
 bookkeeping is batched too:
 
-  * each vehicle keeps its next due time (next resume or first arrival), and a
-    wake tick visits only the vehicles that are due, in row order;
+  * executors wake only on a tick where some vehicle's next resume or command
+    arrival falls, and such a wake tick visits every active vehicle, in row order;
   * the commands that arrive on one tick are activated together, one array
     update per command kind (`_Fleet.activate`);
   * poses are logged into fixed blocks of logged ticks, and each run's records
@@ -267,8 +267,6 @@ class _Vehicle(VehicleEndpoint):
     `now` and `estimates` (every row's estimated position, as lists) are set
     before each resume. A sent command is due `latency` after `now`; `now`
     never decreases, so `pending` is in due order as well as in send order.
-    `due` is the earlier of the next resume and the first pending arrival:
-    the loop leaves the vehicle alone until then.
     """
 
     row: int
@@ -278,7 +276,6 @@ class _Vehicle(VehicleEndpoint):
     gen: Optional[Iterator[float]] = None  # the executor, made on this endpoint
     next_resume: float = 0.0
     done: bool = False
-    due: float = 0.0
     now: float = 0.0
     estimates: Optional[list] = None
     pending: list[tuple[float, Command]] = field(default_factory=list)  # (due, command)
@@ -432,7 +429,7 @@ def _execute(
     active = runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
     n = 0
-    wake = 0.0  # earliest `due` of the active runs' vehicles
+    wake = 0.0  # earliest next resume or command arrival of the active runs' vehicles
     while True:
         t = n * config.tick
         k = n % _NOISE_BLOCK
@@ -477,32 +474,30 @@ def _execute(
             arrivals: list[tuple[int, Command]] = []
             for run in active:
                 for v in run.vehicles:
-                    if v.due <= due_by:
-                        guard = 0
-                        v.now, v.estimates = t, estimates
-                        while not v.done and v.next_resume <= due_by:
-                            try:
-                                delay = next(v.gen)
-                            except StopIteration:
-                                v.done = True
-                                run.n_done += 1
-                                if run.n_done == n_agents:
-                                    ready.append(run)
-                                break
-                            v.next_resume = t + max(delay, 1e-9)
-                            guard += 1
-                            if guard > 100000:
-                                raise RuntimeError(f"agent {v.agent}: executor yields no forward progress")
-                        # the due commands are a prefix of pending; its last one is the newest
-                        arrived = bisect_right(v.pending, due_by, key=itemgetter(0))
-                        if arrived:
-                            arrivals.append((v.row, v.pending[arrived - 1][1]))
-                            del v.pending[:arrived]
-                        v.due = v.pending[0][0] if v.pending else math.inf
-                        if not v.done and v.next_resume < v.due:
-                            v.due = v.next_resume
-                    if v.due < wake:
-                        wake = v.due
+                    guard = 0
+                    v.now, v.estimates = t, estimates
+                    while not v.done and v.next_resume <= due_by:
+                        try:
+                            delay = next(v.gen)
+                        except StopIteration:
+                            v.done = True
+                            run.n_done += 1
+                            if run.n_done == n_agents:
+                                ready.append(run)
+                            break
+                        v.next_resume = t + max(delay, 1e-9)
+                        guard += 1
+                        if guard > 100000:
+                            raise RuntimeError(f"agent {v.agent}: executor yields no forward progress")
+                    # the due commands are a prefix of pending; its last one is the newest
+                    arrived = bisect_right(v.pending, due_by, key=itemgetter(0))
+                    if arrived:
+                        arrivals.append((v.row, v.pending[arrived - 1][1]))
+                        del v.pending[:arrived]
+                    if v.pending and v.pending[0][0] < wake:
+                        wake = v.pending[0][0]
+                    if not v.done and v.next_resume < wake:
+                        wake = v.next_resume
             if arrivals:
                 fleet.activate(arrivals, t)
         fleet.step(t)

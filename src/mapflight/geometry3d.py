@@ -62,7 +62,9 @@ class LinearMotion:
     """Straight-line motion from p0 at t0 to p1 at t1 > t0; a wait has p0 == p1.
 
     t1 = +inf is permitted only for waits (an agent parked forever).
-    `is_wait` and `velocity` are computed once, at construction.
+    `is_wait`, `velocity` and `box`, the axis-aligned bounding box
+    (x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) that the pair scan filters on, are
+    computed once, at construction.
     """
 
     p0: Vec3
@@ -71,6 +73,7 @@ class LinearMotion:
     t1: float
     is_wait: bool = field(init=False, repr=False, compare=False)
     velocity: Vec3 = field(init=False, repr=False, compare=False)
+    box: tuple[float, float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in (*self.p0, *self.p1, self.t0):
@@ -85,6 +88,11 @@ class LinearMotion:
             raise ValueError("only a wait may have an infinite end time")
         object.__setattr__(self, "is_wait", is_wait)
         object.__setattr__(self, "velocity", _velocity(self.p0, self.p1, self.t0, self.t1))
+        (ax, ay, az), (bx, by, bz) = self.p0, self.p1
+        x = (ax, bx) if ax < bx else (bx, ax)
+        y = (ay, by) if ay < by else (by, ay)
+        z = (az, bz) if az < bz else (bz, az)
+        object.__setattr__(self, "box", (*x, *y, *z))
 
 
 @dataclass(frozen=True)
@@ -234,11 +242,11 @@ def move_clear_delay(
 
     Bisects on the safe side, so shifting by the returned value is always
     conflict-free; exact to within _CLEAR_TOL. Each probe is detection's own
-    kernel on the delayed action. `other` must end at a finite time: no delay
-    clears an agent parked for good, so that raises ValueError.
+    kernel on the delayed action. No delay clears an agent parked for good
+    (`other` ends at inf): that returns inf.
     """
     if math.isinf(other.t1):
-        raise ValueError("move_clear_delay needs `other` to end at a finite time")
+        return math.inf
     r_sum = body_a.radius + body_b.radius
     h_sum_half = 0.5 * (body_a.height + body_b.height)
 
@@ -302,29 +310,15 @@ def _pair_earliest(
             break
         while segs_j[first].t1 <= t0:  # stops at the latest at the park, which ends at inf
             first += 1
-        (ax, ay, az), (bx, by, bz) = si.p0, si.p1
-        x_lo, x_hi = (ax, bx) if ax < bx else (bx, ax)
-        y_lo, y_hi = (ay, by) if ay < by else (by, ay)
-        z_lo, z_hi = (az, bz) if az < bz else (bz, az)
+        xi_lo, xi_hi, yi_lo, yi_hi, zi_lo, zi_hi = si.box
         for k in range(first, n_j):
             sj = segs_j[k]
             if sj.t0 >= t1 or (best is not None and sj.t0 > best.unsafe.lo):
                 break
-            (cx, cy, cz), (dx, dy, dz) = sj.p0, sj.p1
-            if cx < dx:
-                if cx - x_hi >= gap_xy or x_lo - dx >= gap_xy:
-                    continue
-            elif dx - x_hi >= gap_xy or x_lo - cx >= gap_xy:
-                continue
-            if cy < dy:
-                if cy - y_hi >= gap_xy or y_lo - dy >= gap_xy:
-                    continue
-            elif dy - y_hi >= gap_xy or y_lo - cy >= gap_xy:
-                continue
-            if cz < dz:
-                if cz - z_hi >= gap_z or z_lo - dz >= gap_z:
-                    continue
-            elif dz - z_hi >= gap_z or z_lo - cz >= gap_z:
+            xj_lo, xj_hi, yj_lo, yj_hi, zj_lo, zj_hi = sj.box
+            if (xj_lo - xi_hi >= gap_xy or xi_lo - xj_hi >= gap_xy
+                    or yj_lo - yi_hi >= gap_xy or yi_lo - yj_hi >= gap_xy
+                    or zj_lo - zi_hi >= gap_z or zi_lo - zj_hi >= gap_z):
                 continue
             hit = cylinder_unsafe_interval(si, sj, body_i, body_j)
             if hit is None:

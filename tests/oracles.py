@@ -27,7 +27,13 @@ rewritten ones must reproduce bit for bit:
     table per neighbour, guided by shortest_time_oracle.
   * pair_earliest_reference — the exhaustive double loop over two plans'
     motions, testing every pair that overlaps in time; the motions come from
-    its own waypoint loop, motions_reference.
+    its own waypoint loop, motions_reference, and box_oracle restates the
+    bounding box that the scan once derived from each pair's endpoints.
+
+One is a solver helper that only the tests read:
+
+  * earliest_conflict — the entry of a solver conflict table that comes
+    first in the solver's earliest-conflict order.
 
 One is the plan's earlier constructor rules, which the motion-owned rules
 must reproduce, bool and str values aside:
@@ -744,6 +750,23 @@ def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
             if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best
+
+
+def box_oracle(motion) -> tuple[float, ...]:
+    """(x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) of a motion, per axis its two
+    endpoint coordinates in order; on a tie, such as 0.0 against -0.0, p1's
+    value comes first, as the scan's inline rule had it."""
+    return tuple(v for a, b in zip(motion.p0, motion.p1) for v in sorted((b, a)))
+
+
+def earliest_conflict(table) -> Optional[Conflict]:
+    """The table's conflict that starts first, or None for a conflict-free node.
+
+    Tie-break on equal start: (agent_i, agent_j, action_i.t0, action_j.t0).
+    """
+    if not table:
+        return None
+    return min(table.values(), key=lambda c: (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mapflight import ccbs
+from mapflight import ccbs, geometry3d
 from mapflight.ccbs import (
     LIMIT_EXCEEDED,
     NO_SOLUTION,
@@ -572,9 +572,21 @@ class TestGolden:
             assert _summary(res) == want, seed
 
 
-def test_plan_grid_counters_at_a_small_budget():
+def test_plan_grid_counters_at_a_small_budget(monkeypatch):
     # Every counter of the 32 committed plan-grid solves at 20 expansions,
     # bit for bit: a change that claims the same conflict trees must keep it.
+    # The pair scan's kernel calls, from a cold scan cache, are pinned too: a
+    # box filter that skips a different set of pairs fails even where the
+    # conflicts still match.
+    kernel_calls = 0
+
+    def counted(*args):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return cylinder_unsafe_interval(*args)
+
+    monkeypatch.setattr(geometry3d, "cylinder_unsafe_interval", counted)
+    geometry3d._pair_earliest.cache_clear()
     rows = []
     for k in range(32):
         world, agents = load_instance(PLAN_GRID / f"grid_{k:03d}.json")
@@ -595,6 +607,7 @@ def test_plan_grid_counters_at_a_small_budget():
         ])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "5756e4afe6baa0f0a9f278558e95fcee7c14493dca9c8cb33f545e58d72fa017", rows
+    assert kernel_calls == 11493
 
 
 def test_each_distinct_conflict_is_branched_once(scenario_dir, monkeypatch):

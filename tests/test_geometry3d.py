@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mapflight import geometry3d
-from mapflight.ccbs import conflict_table, earliest_conflict
+from mapflight.ccbs import conflict_table
 from mapflight.geometry3d import (
     _CLEAR_TOL,
     CylinderBody,
@@ -22,7 +22,9 @@ from mapflight.geometry3d import (
 from mapflight.plan import TimedPlan
 
 from oracles import (
+    box_oracle,
     contact_oracle,
+    earliest_conflict,
     is_wait_oracle,
     motions_reference,
     pair_earliest_reference,
@@ -259,14 +261,13 @@ class TestMoveClearDelay:
         delay = move_clear_delay(action, other, body, body)
         assert delay == 1.0
 
-    def test_an_other_that_never_ends_is_rejected(self):
+    def test_an_other_that_never_ends_needs_an_endless_delay(self):
         # no delay clears an agent parked for good: its window never closes,
-        # so a bisection over [0, inf] could never narrow
+        # so the delay is inf rather than a bisection over [0, inf]
         action = LinearMotion((0.25, 0.25, 0.25), (0.75, 0.25, 0.25), 0.0, 1.0)
         parked = LinearMotion((0.75, 0.25, 0.25), (0.75, 0.25, 0.25), 0.5, math.inf)
         body = CylinderBody(0.25, 1.0)
-        with pytest.raises(ValueError, match="finite time"):
-            move_clear_delay(action, parked, body, body)
+        assert move_clear_delay(action, parked, body, body) == math.inf
 
     def test_shifting_by_returned_delay_clears(self, monkeypatch):
         # continuous motions, then lattice ones, where the snap candidates decide;
@@ -501,12 +502,15 @@ def motion_bits(m: LinearMotion):
 
 def test_swept_pair_scan_matches_the_exhaustive_loop():
     rng = random.Random(31)
-    conflicts = 0
+    conflicts = signed_zero_boxes = 0
     for case in range(3000):
         plan_a, plan_b = lattice_plan(rng, 0), lattice_plan(rng, 1)
         for plan in (plan_a, plan_b):
             # a plan's own motions are those of the reference's waypoint loop, bit for bit
             assert [motion_bits(m) for m in plan.motions] == [motion_bits(m) for m in motions_reference(plan)], case
+            # and each box is its motion's ordered endpoints, waits and the park included
+            assert [bits(m.box) for m in plan.motions] == [bits(box_oracle(m)) for m in plan.motions], case
+            signed_zero_boxes += sum(v == 0.0 and math.copysign(1.0, v) < 0.0 for m in plan.motions for v in m.box)
         body_a, body_b = rng.choice(PAIR_BODIES), rng.choice(PAIR_BODIES)
         got = _pair_earliest(plan_a, plan_b, body_a, body_b)
         want = pair_earliest_reference(plan_a, plan_b, body_a, body_b)
@@ -517,5 +521,6 @@ def test_swept_pair_scan_matches_the_exhaustive_loop():
         assert motion_bits(got.action_i) == motion_bits(want.action_i), case
         assert motion_bits(got.action_j) == motion_bits(want.action_j), case
         assert bits((got.unsafe.lo, got.unsafe.hi)) == bits((want.unsafe.lo, want.unsafe.hi)), case
-    # both outcomes must be common
+    # both outcomes must be common, and boxes must meet -0.0
     assert 600 <= conflicts <= 2400, conflicts
+    assert signed_zero_boxes >= 1000, signed_zero_boxes

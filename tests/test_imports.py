@@ -1,6 +1,8 @@
-"""Every top-level import of the package and of the tests is read somewhere.
+"""Every top-level import of the package and of the tests is read somewhere,
+and every top-level def or class of the package is read somewhere in it.
 
-No linter runs on this code, so this scan stands in for the unused-import rule.
+No linter runs on this code, so these scans stand in for the unused-import
+and dead-code rules.
 """
 
 import ast
@@ -9,7 +11,17 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((REPO_ROOT / "src" / "mapflight").glob("*.py")) + sorted((REPO_ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((REPO_ROOT / "src" / "mapflight").glob("*.py"))
+SOURCES = PACKAGE + sorted((REPO_ROOT / "tests").glob("*.py"))
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's `__all__`."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,11 +37,27 @@ def unused_imports(source: str) -> list[str]:
             bound.extend((alias.asname or alias.name).split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.extend(alias.asname or alias.name for alias in node.names)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return [name for name in bound if name not in read]
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level def or class that no module of `sources` reads.
+
+    A name counts as read when it appears anywhere in the sources as a name or
+    as an attribute, or is listed in an `__all__`.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        read |= exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in read]
 
 
 def test_the_scan_sees_unused_and_used_names():
@@ -41,3 +69,15 @@ def test_the_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_unread_and_read_definitions():
+    sources = {
+        "a": "def dead(): pass\ndef called(): pass\nclass Listed: pass\n__all__ = ['Listed']\nx = called\n",
+        "b": "import a\ndef _helper(): pass\nclass Typed: pass\ny: Typed = a.attr_read()\ndef attr_read(): _helper()\n",
+    }
+    assert unread_definitions(sources) == ["a.dead"]
+
+
+def test_every_top_level_definition_is_read():
+    assert unread_definitions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
