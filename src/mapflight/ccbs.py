@@ -264,10 +264,9 @@ def ccbs_solve(
     stats.generated = 1
     stats.peak_open = 1
     heap: list[tuple[float, int, int, CTNode]] = [(root.cost, 0, next(seq), root)]
-    # (id of the parent table, constraint) -> (parent table, new table, plan);
-    # sipp_plan is pure, so a repeated replan is looked up, not rerun. The
-    # parent table is kept in the value so its id cannot be reused.
-    replans: dict[tuple[int, Constraint], tuple[SafeIntervalTable, SafeIntervalTable, Optional[TimedPlan]]] = {}
+    # (parent table, constraint) -> (new table, plan); sipp_plan is pure, so
+    # a repeated replan is looked up, not rerun
+    replans: dict[tuple[SafeIntervalTable, Constraint], tuple[SafeIntervalTable, Optional[TimedPlan]]] = {}
     # conflict -> its two constraints; branch is pure, and the world and
     # bodies are fixed for the solve
     branches: dict[Conflict, tuple[Constraint, Constraint]] = {}
@@ -288,15 +287,15 @@ def ccbs_solve(
         return constraints
 
     def replanned(parent: SafeIntervalTable, c: Constraint) -> tuple[SafeIntervalTable, Optional[TimedPlan]]:
-        cached = replans.get((id(parent), c))
+        cached = replans.get((parent, c))
         if cached is not None:
             stats.replans_reused += 1
-            return cached[1], cached[2]
+            return cached
         table = parent.adding(c)
         t = clock()
         newp = sipp_plan(world, by_id[c.agent], table)
         stats.sipp_s += clock() - t
-        replans[(id(parent), c)] = (parent, table, newp)
+        replans[(parent, c)] = table, newp
         stats.replans += 1
         return table, newp
 

@@ -276,6 +276,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; expected subset of {','.join(METHODS)}")
+        if methods.count(m) > 1:
+            raise UsageError(f"method {m!r} is listed more than once")
     if args.repetitions < 1:
         raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
     limits = _solve_limits(args)

@@ -242,7 +242,6 @@ class PoseLog:
     records: np.ndarray  # POSE_DTYPE rows, tick-major, then agent
     method: str
     seed: int
-    log_period: float
     completed: bool
     end_time: float
 
@@ -504,11 +503,10 @@ def _execute(
         n += 1
 
     agents = [p.agent for p in plan_list]
-    return (_pose_log(run, times, blocks, agents, name, config.log_period) for run in runs)
+    return (_pose_log(run, times, blocks, agents, name) for run in runs)
 
 
-def _pose_log(run: _Run, times: list[float], blocks: list, agents: list[int], method: str,
-              log_period: float) -> PoseLog:
+def _pose_log(run: _Run, times: list[float], blocks: list, agents: list[int], method: str) -> PoseLog:
     """The run's POSE_DTYPE records, one row per agent per logged tick, cut
     block by block from its rows of the logged arrays."""
     ticks = run.n_logged
@@ -526,7 +524,6 @@ def _pose_log(run: _Run, times: list[float], blocks: list, agents: list[int], me
         records=records,
         method=method,
         seed=run.seed,
-        log_period=log_period,
         completed=run.completed,
         end_time=run.end_time,
     )

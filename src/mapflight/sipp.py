@@ -21,7 +21,7 @@ from .geometry3d import Interval, Vec3
 from .plan import TimedPlan
 from .world import AgentSpec, Cell, GridWorld, move_duration, neighbors
 
-_FULL = (Interval(0.0, math.inf),)
+_FULL = ((0.0, math.inf),)
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,21 @@ def _insert_span(
     return tuple(before) + ((lo, hi),) + tuple(after)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafeIntervalTable:
-    """Per-vertex safe intervals and per-move departure prohibitions for one
-    agent's constraints.
+    """Per-vertex safe intervals [lo, hi] and per-move departure prohibitions
+    [lo, hi) for one agent's constraints, both as sorted (lo, hi) float pairs.
 
     Entries are kept per key so `adding` can rebuild just the one entry a new
     constraint touches; the conflict tree leans on that. `adding` is the only
-    way prohibitions enter a table.
+    way prohibitions enter a table. A table compares and hashes by identity,
+    so it can key a cache: two builds of the same constraints are two keys.
     """
 
-    vertex_safe: dict[Cell, tuple[Interval, ...]]
+    vertex_safe: dict[Cell, tuple[tuple[float, float], ...]]
     move_blocks: dict[tuple[Cell, Cell], tuple[tuple[float, float], ...]]
 
-    def vertex_intervals(self, cell: Cell) -> tuple[Interval, ...]:
+    def vertex_intervals(self, cell: Cell) -> tuple[tuple[float, float], ...]:
         return self.vertex_safe.get(cell, _FULL)
 
     def adding(self, constraint: Constraint) -> "SafeIntervalTable":
@@ -97,15 +98,15 @@ class SafeIntervalTable:
         if constraint.is_wait:
             # the open ban (lo, hi) leaves the closed ends of what it cuts,
             # so an instant between two touching bans stays as [lo, lo]
-            kept: list[Interval] = []
-            for iv in self.vertex_intervals(constraint.src):
-                if iv.hi <= lo or iv.lo >= hi:
-                    kept.append(iv)
+            kept: list[tuple[float, float]] = []
+            for s_lo, s_hi in self.vertex_intervals(constraint.src):
+                if s_hi <= lo or s_lo >= hi:
+                    kept.append((s_lo, s_hi))
                     continue
-                if iv.lo <= lo:
-                    kept.append(Interval(iv.lo, lo))
-                if hi <= iv.hi and not math.isinf(hi):
-                    kept.append(Interval(hi, iv.hi))
+                if s_lo <= lo:
+                    kept.append((s_lo, lo))
+                if hi <= s_hi and not math.isinf(hi):
+                    kept.append((hi, s_hi))
             vertex_safe = dict(self.vertex_safe)
             vertex_safe[constraint.src] = tuple(kept)
             return SafeIntervalTable(vertex_safe, self.move_blocks)
@@ -191,11 +192,7 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
     inf = math.inf
 
     # the table by vertex index; an entry off the free cells is never reached
-    safe: dict[int, tuple[tuple[float, float], ...]] = {}
-    for cell, intervals in table.vertex_safe.items():
-        v = index.get(cell)
-        if v is not None:
-            safe[v] = tuple((iv.lo, iv.hi) for iv in intervals)
+    safe = {index[cell]: spans for cell, spans in table.vertex_safe.items() if cell in index}
     blocks: dict[int, dict[int, tuple[tuple[float, float], ...]]] = {}
     for (src, dst), spans in table.move_blocks.items():
         v, w = index.get(src), index.get(dst)
@@ -207,7 +204,7 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
         # moves are symmetric, so every state reachable from the start has a
         # finite h too, and none with h = inf is ever pushed
         return None
-    for start_m, (lo, hi) in enumerate(safe.get(start, ((0.0, inf),))):
+    for start_m, (lo, hi) in enumerate(safe.get(start, _FULL)):
         if lo <= 0.0 <= hi:
             break
     else:

@@ -644,8 +644,8 @@ def sipp_reference(world, agent, table):
     h = shortest_time_oracle(world, agent.goal, speed)
 
     start_state: Optional[int] = None
-    for idx, iv in enumerate(table.vertex_intervals(agent.start)):
-        if iv.lo <= 0.0 <= iv.hi:
+    for idx, (lo, hi) in enumerate(table.vertex_intervals(agent.start)):
+        if lo <= 0.0 <= hi:
             start_state = idx
             break
     if start_state is None:
@@ -667,16 +667,16 @@ def sipp_reference(world, agent, table):
             continue
         closed.add(key)
         g = -neg_g
-        interval = table.vertex_intervals(cell)[ivl_idx]
-        if cell == agent.goal and interval.hi == math.inf:
+        _, hi = table.vertex_intervals(cell)[ivl_idx]
+        if cell == agent.goal and hi == math.inf:
             goal_key = key
             break
         for nbr, dur, nbr_idx in expansion[cell]:
-            for m, target in enumerate(table.vertex_intervals(nbr)):
+            for m, (t_lo, t_hi) in enumerate(table.vertex_intervals(nbr)):
                 if (nbr, m) in closed:
                     continue
-                dep_min = max(g, target.lo - dur)
-                dep_max = min(interval.hi, target.hi - dur)
+                dep_min = max(g, t_lo - dur)
+                dep_max = min(hi, t_hi - dur)
                 if dep_min > dep_max:
                     continue
                 tau = sipp._past_blocks(table.move_blocks.get((cell, nbr), ()), dep_min)

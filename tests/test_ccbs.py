@@ -324,8 +324,11 @@ class TestPrioritisedConflicts:
         # the cheaper of them already proves a higher bound than the root's
         assert (res.stats.expansions, res.stats.cardinal, res.stats.semi_cardinal) == (1, 1, 0)
         want = [(c.agent, build_safe_intervals([c], c.agent)) for c in branch(late, world, bodies)]
-        got = [(a, child.tables[a]) for child in nodes[1:] for a in child.tables if child.tables[a] != nodes[0].tables[a]]
-        assert got == want
+        got = [(a, child.tables[a]) for child in nodes[1:] for a in child.tables
+               if child.tables[a] is not nodes[0].tables[a]]
+        # tables compare by identity, so compare what they hold
+        assert [(a, t.vertex_safe, t.move_blocks) for a, t in got] == \
+            [(a, t.vertex_safe, t.move_blocks) for a, t in want]
         assert res.stats.lower_bound > nodes[0].cost
 
 

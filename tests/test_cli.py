@@ -292,6 +292,14 @@ class TestBench:
         )
         assert code == EXIT_USAGE
 
+    def test_repeated_method(self, tmp_path, scenario_dir, capsys):
+        # a repeated method would fly the same batch twice and write duplicate rows
+        out = tmp_path / "out"
+        code = main(["bench", "--scenarios", str(scenario_dir), "--methods", "bll,bll", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "'bll' is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_repetitions(self, tmp_path, scenario_dir):
         code = main(
             ["bench", "--scenarios", str(scenario_dir), "--repetitions", "0", "--out", str(tmp_path / "out")]

@@ -390,7 +390,7 @@ class TestErrorMetrics:
             ],
             dtype=POSE_DTYPE,
         )
-        return PoseLog(records, "bll", 0, 0.01, True, 0.01)
+        return PoseLog(records, "bll", 0, True, 0.01)
 
     def test_actual_basis(self):
         rep = error_metrics(self.make_log(), BASIS_ACTUAL)
@@ -408,7 +408,7 @@ class TestErrorMetrics:
         for basis in ("wishful", "actual", "estimated"):  # the bases have no short aliases
             with pytest.raises(ValueError, match="unknown basis"):
                 error_metrics(self.make_log(), basis)
-        empty = PoseLog(np.empty(0, dtype=POSE_DTYPE), "bll", 0, 0.01, True, 0.0)
+        empty = PoseLog(np.empty(0, dtype=POSE_DTYPE), "bll", 0, True, 0.0)
         with pytest.raises(ValueError, match="empty pose log"):
             error_metrics(empty)
 
@@ -425,7 +425,7 @@ class TestErrorMetrics:
         records = np.array([(t, agent, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)) for t, agent in rows],
                            dtype=POSE_DTYPE)
         with pytest.raises(ValueError, match="tick-major"):
-            error_metrics(PoseLog(records, "bll", 0, 0.01, True, 0.01))
+            error_metrics(PoseLog(records, "bll", 0, True, 0.01))
 
     def test_errors_are_math_dist_and_means_run_left_to_right(self):
         log = run_execution(straight_plans(), "vll", SimConfig(seed=3))

@@ -1,5 +1,6 @@
 """Every top-level import of the package and of the tests is read somewhere,
-and every top-level def or class of the package is read somewhere in it.
+and every top-level def or class of the package, and every method or property
+of its classes, is read somewhere in it.
 
 No linter runs on this code, so these scans stand in for the unused-import
 and dead-code rules.
@@ -42,22 +43,34 @@ def unused_imports(source: str) -> list[str]:
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each top-level def or class that no module of `sources` reads.
+    """`module.name` of each top-level def or class, and `module.Class.name` of
+    each method or property other than a dunder, that no module of `sources` reads.
 
-    A name counts as read when it appears anywhere in the sources as a name or
-    as an attribute, or is listed in an `__all__`.
+    A top-level name counts as read when it appears anywhere in the sources as a
+    name or as an attribute, or is listed in an `__all__`. A method or property
+    counts as read only when it appears as an attribute.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read: set[str] = set()
+    names: set[str] = set()
+    attributes: set[str] = set()
     for tree in trees.values():
-        read |= exported(tree)
+        names |= exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in read]
+                attributes.add(node.attr)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    read = names | attributes
+    unread: list[str] = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)) and node.name not in read:
+                unread.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{module}.{node.name}.{m.name}" for m in node.body if isinstance(m, functions)
+                           and not (m.name.startswith("__") and m.name.endswith("__")) and m.name not in attributes]
+    return unread
 
 
 def test_the_scan_sees_unused_and_used_names():
@@ -77,6 +90,22 @@ def test_the_scan_sees_unread_and_read_definitions():
         "b": "import a\ndef _helper(): pass\nclass Typed: pass\ny: Typed = a.attr_read()\ndef attr_read(): _helper()\n",
     }
     assert unread_definitions(sources) == ["a.dead"]
+
+
+def test_the_scan_sees_unread_and_read_methods():
+    source = (
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def called(self): pass\n"
+        "    @property\n"
+        "    def shown(self): pass\n"
+        "    def dead(self): pass\n"
+        "    def named(self): pass\n"
+        "    @property\n"
+        "    def unshown(self): pass\n"
+        "c = C()\nc.called()\nprint(c.shown, named)\n"
+    )
+    assert unread_definitions({"a": source}) == ["a.C.dead", "a.C.named", "a.C.unshown"]
 
 
 def test_every_top_level_definition_is_read():

@@ -36,7 +36,7 @@ class TestSafeIntervalTable:
 
     def test_unconstrained_is_fully_safe(self):
         table = build_safe_intervals([], 0)
-        assert table.vertex_intervals((2, 2, 0)) == (Interval(0.0, INF),)
+        assert table.vertex_intervals((2, 2, 0)) == ((0.0, INF),)
         assert table.move_blocks.get(self.EDGE, ()) == ()
 
     def test_touching_move_bans_fuse(self):
@@ -49,27 +49,23 @@ class TestSafeIntervalTable:
         # two remains legal and survives as a zero-length interval
         cs = [wait_c((1, 0, 0), 1.0, 2.0), wait_c((1, 0, 0), 2.0, 3.0)]
         table = build_safe_intervals(cs, 0)
-        assert table.vertex_intervals((1, 0, 0)) == (
-            Interval(0.0, 1.0),
-            Interval(2.0, 2.0),
-            Interval(3.0, INF),
-        )
+        assert table.vertex_intervals((1, 0, 0)) == ((0.0, 1.0), (2.0, 2.0), (3.0, INF))
 
     def test_overlapping_vertex_bans_fuse(self):
         cs = [wait_c((1, 0, 0), 1.0, 2.5), wait_c((1, 0, 0), 2.0, 3.0)]
         table = build_safe_intervals(cs, 0)
-        assert table.vertex_intervals((1, 0, 0)) == (Interval(0.0, 1.0), Interval(3.0, INF))
+        assert table.vertex_intervals((1, 0, 0)) == ((0.0, 1.0), (3.0, INF))
 
     def test_zero_length_ban_between_touching_bans_adds_nothing(self):
         cell = (1, 0, 0)
         cs = [wait_c(cell, 1.0, 2.0), wait_c(cell, 2.0, 2.0), wait_c(cell, 2.0, 3.0)]
         table = build_safe_intervals(cs, 0)
-        assert table.vertex_intervals(cell) == (Interval(0.0, 1.0), Interval(2.0, 2.0), Interval(3.0, INF))
+        assert table.vertex_intervals(cell) == ((0.0, 1.0), (2.0, 2.0), (3.0, INF))
 
     def test_zero_length_bans_leave_the_table_unchanged(self):
         cell = (1, 0, 0)
         table = build_safe_intervals([wait_c(cell, 2.0, 2.0), wait_c(cell, 2.0, 2.0)], 0)
-        assert table.vertex_intervals(cell) == (Interval(0.0, INF),)
+        assert table.vertex_intervals(cell) == ((0.0, INF),)
         empty = build_safe_intervals([], 0)
         for c in (wait_c(cell, 2.0, 2.0), move_c(*self.EDGE, 2.0, 2.0)):
             assert empty.adding(c) is empty
@@ -124,10 +120,10 @@ class TestSafeIntervalTable:
             for cell in cells:
                 bans = [c.interval for c in cs if c.is_wait and c.src == cell]
                 for t in probes:
-                    safe = any(iv.lo <= t <= iv.hi for iv in table.vertex_intervals(cell))
+                    safe = any(lo <= t <= hi for lo, hi in table.vertex_intervals(cell))
                     assert safe == (not any(b.lo < t < b.hi for b in bans)), (cs, cell, t)
                 ivs = table.vertex_intervals(cell)
-                assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:])), (cs, cell, ivs)
+                assert all(a[1] < b[0] for a, b in zip(ivs, ivs[1:])), (cs, cell, ivs)
             for src, dst in edges:
                 bans = [c.interval for c in cs if not c.is_wait and (c.src, c.dst) == (src, dst)]
                 for t in probes:
@@ -137,7 +133,16 @@ class TestSafeIntervalTable:
                 assert all(a[1] < b[0] for a, b in zip(blocks, blocks[1:])), (cs, (src, dst), blocks)
             shuffled = list(cs)
             rng.shuffle(shuffled)
-            assert build_safe_intervals(shuffled, 0) == table
+            again = build_safe_intervals(shuffled, 0)
+            assert (again.vertex_safe, again.move_blocks) == (table.vertex_safe, table.move_blocks)
+
+    def test_a_table_is_a_key_by_identity(self):
+        cs = [wait_c((1, 0, 0), 1.0, 2.0), move_c(*self.EDGE, 1.0, 3.0)]
+        a, b = build_safe_intervals(cs, 0), build_safe_intervals(cs, 0)
+        assert (a.vertex_safe, a.move_blocks) == (b.vertex_safe, b.move_blocks)
+        cache = {a: "a", b: "b"}
+        assert len(cache) == 2 and cache[a] == "a" and cache[b] == "b"
+        assert a != b
 
     def test_rejects_foreign_agent_constraints(self):
         with pytest.raises(ValueError, match="targets agent 3"):
