@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 from .ccbs import SolveLimits, SolveResult, Solution, ccbs_solve
 from .flightsim import ErrorReport, PoseLog, SimConfig, error_metrics, run_execution, run_executions
-from .geometry3d import CylinderBody, Interval, LinearMotion, cylinder_unsafe_interval
+from .geometry3d import CylinderBody, LinearMotion, cylinder_unsafe_interval
 from .plan import TimedPlan, ValidationReport, load_plans, save_plans, validate
-from .sipp import Constraint, build_safe_intervals, sipp_plan
+from .sipp import Constraint, sipp_plan
 from .world import AgentSpec, GridWorld, load_instance, neighbors, save_instance
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "CylinderBody",
     "ErrorReport",
     "GridWorld",
-    "Interval",
     "LinearMotion",
     "PoseLog",
     "SimConfig",
@@ -37,7 +36,6 @@ __all__ = [
     "Solution",
     "TimedPlan",
     "ValidationReport",
-    "build_safe_intervals",
     "ccbs_solve",
     "cylinder_unsafe_interval",
     "error_metrics",

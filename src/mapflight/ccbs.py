@@ -32,7 +32,6 @@ from typing import Iterable, Mapping, Optional
 from .geometry3d import (
     Conflict,
     CylinderBody,
-    Interval,
     LinearMotion,
     _contact,
     _pair_earliest,
@@ -40,7 +39,7 @@ from .geometry3d import (
     move_clear_delay,
 )
 from .plan import TimedPlan
-from .sipp import Constraint, SafeIntervalTable, build_safe_intervals, sipp_plan
+from .sipp import Constraint, SafeIntervalTable, sipp_plan
 from .world import AgentSpec, GridWorld
 
 SOLVED = "solved"
@@ -168,7 +167,7 @@ def replanned_table(
 
 
 def _earliest_key(c: Conflict) -> tuple[float, int, int, float, float]:
-    return (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0)
+    return (c.unsafe[0], c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0)
 
 
 def _side_constraint(
@@ -183,13 +182,13 @@ def _side_constraint(
     if action.is_wait:
         if other.is_wait:
             # static vs static: the vertex is unsafe exactly while the other sits there
-            return Constraint(agent, src, dst, Interval(other.t0, other.t1))
+            return Constraint(agent, src, dst, (other.t0, other.t1))
         probe = LinearMotion(action.p0, action.p0, other.t0, other.t1)
         return Constraint(agent, src, dst, cylinder_unsafe_interval(probe, other, body_a, body_b))
 
     # against an agent parked for good the delay is inf: the move is banned from t0 on
     delay = move_clear_delay(action, other, body_a, body_b)
-    return Constraint(agent, src, dst, Interval(action.t0, action.t0 + delay))
+    return Constraint(agent, src, dst, (action.t0, action.t0 + delay))
 
 
 def branch(
@@ -244,7 +243,7 @@ def ccbs_solve(
                 return SolveResult(NO_SOLUTION, None, stats,
                                    f"agents {a.id} and {b.id} have goals with overlapping bodies")
 
-    root_tables = {a.id: build_safe_intervals((), a.id) for a in agent_list}
+    root_tables = {a.id: SafeIntervalTable({}, {}) for a in agent_list}
     root_plans: dict[int, TimedPlan] = {}
     stats.replans = len(agent_list)
     for a in agent_list:

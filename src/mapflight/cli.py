@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -85,6 +86,18 @@ def _config_hash(config: SimConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _prepare_out(path: str, is_dir: bool) -> Path:
+    """The --out directory, or the --out file's parent, made before any work; an unusable one is a UsageError."""
+    out = Path(path)
+    try:
+        (out if is_dir else out.parent).mkdir(parents=True, exist_ok=True)
+        if not is_dir and out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from exc
+    return out
+
+
 def _solve_limits(args: argparse.Namespace) -> SolveLimits:
     try:
         return SolveLimits(max_wall_time=args.time_limit, max_expansions=args.expansions_limit)
@@ -95,6 +108,7 @@ def _solve_limits(args: argparse.Namespace) -> SolveLimits:
 def cmd_plan(args: argparse.Namespace) -> int:
     limits = _solve_limits(args)
     world, agents = load_instance(args.instance)
+    out = _prepare_out(args.out, is_dir=False)
     result = ccbs_solve(world, agents, limits)
     stats = result.stats
     print(
@@ -118,8 +132,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print("solver output failed independent validation:")
         print(report.summary())
         return EXIT_INVALID_PLAN
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_plans(solution.plans, agents, out)
     print(f"cost={solution.cost!r} makespan={solution.makespan!r}")
     print(f"wrote {out}")
@@ -137,8 +149,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     planset = load_plans(args.plans)
     config = _load_config(args.config, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out(args.out, is_dir=True)
     log = run_execution(planset.plans, args.method, config, speeds=planset.speeds)
     report = error_metrics(log)
     log.write_csv(out_dir / "poses.csv")
@@ -272,7 +283,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not instance_paths:
         raise InputError(f"{scenario_dir}: no instance files (*.json)")
     base = _load_config(args.config, args.seed)
-    methods = args.methods.split(",") if args.methods else list(METHODS)
+    methods = args.methods.split(",") if args.methods is not None else list(METHODS)
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; expected subset of {','.join(METHODS)}")
@@ -281,8 +292,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
         raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
     limits = _solve_limits(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out(args.out, is_dir=True)
     configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repetitions)]
 
     # each scenario either failed before flying, with its failure and line, or

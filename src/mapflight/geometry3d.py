@@ -35,20 +35,6 @@ def is_finite_number(v) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Time interval [lo, hi] in seconds; hi may be +inf for open-ended windows."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lo) or self.lo < 0.0:
-            raise ValueError(f"interval lo must be finite and >= 0, got {self.lo!r}")
-        if math.isnan(self.hi) or self.hi < self.lo:
-            raise ValueError(f"interval must satisfy lo <= hi, got [{self.lo!r}, {self.hi!r}]")
-
-
 def _velocity(p0: Vec3, p1: Vec3, t0: float, t1: float) -> Vec3:
     """The one velocity formula: displacement over duration, zero for a wait."""
     if p0 == p1:
@@ -112,13 +98,13 @@ class CylinderBody:
 
 @dataclass(frozen=True)
 class Conflict:
-    """Earliest pairwise collision between two plan actions."""
+    """Earliest pairwise collision between two plan actions, over the kernel's window `unsafe` = (lo, hi)."""
 
     agent_i: int
     action_i: LinearMotion
     agent_j: int
     action_j: LinearMotion
-    unsafe: Interval
+    unsafe: tuple[float, float]
 
 
 def _solve_below(a2: float, b2: float, c2: float, span: float) -> Optional[tuple[float, float]]:
@@ -226,10 +212,10 @@ def cylinder_unsafe_interval(
     b: LinearMotion,
     body_a: CylinderBody,
     body_b: CylinderBody,
-) -> Optional[Interval]:
-    """Maximal window where the two moving cylinders overlap (point contact is empty)."""
-    hit = _unsafe_window(a, b, 0.0, body_a.radius + body_b.radius, 0.5 * (body_a.height + body_b.height))
-    return None if hit is None else Interval(*hit)
+) -> Optional[tuple[float, float]]:
+    """Maximal open window (lo, hi) where the two moving cylinders overlap, or
+    None (point contact is empty): the kernel's pair, as it computed it."""
+    return _unsafe_window(a, b, 0.0, body_a.radius + body_b.radius, 0.5 * (body_a.height + body_b.height))
 
 
 def move_clear_delay(
@@ -306,14 +292,14 @@ def _pair_earliest(
     n_j = len(segs_j)
     for si in segs_i:
         t0, t1 = si.t0, si.t1
-        if best is not None and t0 > best.unsafe.lo:
+        if best is not None and t0 > best.unsafe[0]:
             break
         while segs_j[first].t1 <= t0:  # stops at the latest at the park, which ends at inf
             first += 1
         xi_lo, xi_hi, yi_lo, yi_hi, zi_lo, zi_hi = si.box
         for k in range(first, n_j):
             sj = segs_j[k]
-            if sj.t0 >= t1 or (best is not None and sj.t0 > best.unsafe.lo):
+            if sj.t0 >= t1 or (best is not None and sj.t0 > best.unsafe[0]):
                 break
             xj_lo, xj_hi, yj_lo, yj_hi, zj_lo, zj_hi = sj.box
             if (xj_lo - xi_hi >= gap_xy or xi_lo - xj_hi >= gap_xy
@@ -323,6 +309,6 @@ def _pair_earliest(
             hit = cylinder_unsafe_interval(si, sj, body_i, body_j)
             if hit is None:
                 continue
-            if best is None or (hit.lo, t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
+            if best is None or (hit[0], t0, sj.t0) < (best.unsafe[0], best.action_i.t0, best.action_j.t0):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best

@@ -307,8 +307,7 @@ def validate(
 
             if analytic_hit is not None or sampled_time is not None:
                 if analytic_hit is not None:
-                    lo = analytic_hit.lo
-                    hi = min(analytic_hit.hi, horizon)
+                    lo, hi = analytic_hit[0], min(analytic_hit[1], horizon)
                     min_sep = _pair_min_separation(pa, pb, r_sum, h_half, lo, hi)
                     earliest = lo if sampled_time is None else min(lo, sampled_time)
                 else:

@@ -15,9 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .geometry3d import Interval, Vec3
+from .geometry3d import Vec3
 from .plan import TimedPlan
 from .world import AgentSpec, Cell, GridWorld, move_duration, neighbors
 
@@ -27,12 +27,17 @@ _FULL = ((0.0, math.inf),)
 @dataclass(frozen=True)
 class Constraint:
     """Prohibition on one agent's move from src to dst (a wait when src == dst)
-    over one time interval."""
+    over one window `interval` = (lo, hi) in seconds, lo finite and 0 <= lo <= hi."""
 
     agent: int
     src: Cell
     dst: Cell
-    interval: Interval
+    interval: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        lo, hi = self.interval
+        if not (math.isfinite(lo) and 0.0 <= lo <= hi):  # a NaN hi fails too
+            raise ValueError(f"interval must satisfy 0 <= lo <= hi with lo finite, got {self.interval!r}")
 
     @property
     def is_wait(self) -> bool:
@@ -92,7 +97,7 @@ class SafeIntervalTable:
 
         A ban whose interval is empty (hi <= lo) forbids nothing and returns self.
         """
-        lo, hi = constraint.interval.lo, constraint.interval.hi
+        lo, hi = constraint.interval
         if hi <= lo:
             return self
         if constraint.is_wait:
@@ -114,16 +119,6 @@ class SafeIntervalTable:
         move_blocks = dict(self.move_blocks)
         move_blocks[key] = _insert_span(self.move_blocks.get(key, ()), (lo, hi))
         return SafeIntervalTable(self.vertex_safe, move_blocks)
-
-
-def build_safe_intervals(constraints: Iterable[Constraint], agent: int) -> SafeIntervalTable:
-    """The empty table with `adding` applied to each of one agent's constraints in turn."""
-    table = SafeIntervalTable({}, {})
-    for c in constraints:
-        if c.agent != agent:
-            raise ValueError(f"constraint targets agent {c.agent}, expected {agent}")
-        table = table.adding(c)
-    return table
 
 
 class _SearchGraph(NamedTuple):

@@ -30,10 +30,12 @@ rewritten ones must reproduce bit for bit:
     its own waypoint loop, motions_reference, and box_oracle restates the
     bounding box that the scan once derived from each pair's endpoints.
 
-One is a solver helper that only the tests read:
+Two are solver helpers that only the tests read:
 
   * earliest_conflict — the entry of a solver conflict table that comes
     first in the solver's earliest-conflict order.
+  * build_safe_intervals — one agent's safe-interval table built from a
+    constraint list, one `SafeIntervalTable.adding` at a time.
 
 One is the plan's earlier constructor rules, which the motion-owned rules
 must reproduce, bool and str values aside:
@@ -314,8 +316,8 @@ def timed_astar_oracle(
     for c in constraints:
         if c.agent != agent.id:
             continue
-        lo = tick_of(c.interval.lo)
-        hi = math.inf if math.isinf(c.interval.hi) else tick_of(c.interval.hi)
+        lo = tick_of(c.interval[0])
+        hi = math.inf if math.isinf(c.interval[1]) else tick_of(c.interval[1])
         if hi is not math.inf:
             horizon_pad += hi - lo
         if c.is_wait:
@@ -392,7 +394,7 @@ def plan_satisfies_constraints(plan, constraints: Iterable, world) -> bool:
     for c in constraints:
         if c.agent != plan.agent:
             continue
-        lo, hi = c.interval.lo, c.interval.hi
+        lo, hi = c.interval
         if c.is_wait:
             for cell, t_in, t_out in spans:
                 if cell != c.src:
@@ -737,17 +739,17 @@ def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
 
     best = None
     for si in segs_i:
-        if best is not None and si.t0 > best.unsafe.lo:
+        if best is not None and si.t0 > best.unsafe[0]:
             break
         for sj in segs_j:
-            if best is not None and sj.t0 > best.unsafe.lo:
+            if best is not None and sj.t0 > best.unsafe[0]:
                 break
             if si.t1 <= sj.t0 or sj.t1 <= si.t0:
                 continue
             hit = cylinder_unsafe_interval(si, sj, body_i, body_j)
             if hit is None:
                 continue
-            if best is None or (hit.lo, si.t0, sj.t0) < (best.unsafe.lo, best.action_i.t0, best.action_j.t0):
+            if best is None or (hit[0], si.t0, sj.t0) < (best.unsafe[0], best.action_i.t0, best.action_j.t0):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best
 
@@ -766,7 +768,17 @@ def earliest_conflict(table) -> Optional[Conflict]:
     """
     if not table:
         return None
-    return min(table.values(), key=lambda c: (c.unsafe.lo, c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0))
+    return min(table.values(), key=lambda c: (c.unsafe[0], c.agent_i, c.agent_j, c.action_i.t0, c.action_j.t0))
+
+
+def build_safe_intervals(constraints: Iterable, agent: int) -> sipp.SafeIntervalTable:
+    """The empty table with `adding` applied to each of one agent's constraints in turn."""
+    table = sipp.SafeIntervalTable({}, {})
+    for c in constraints:
+        if c.agent != agent:
+            raise ValueError(f"constraint targets agent {c.agent}, expected {agent}")
+        table = table.adding(c)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@ from mapflight.flightsim import (
     error_metrics,
     run_execution,
 )
-from mapflight.geometry3d import CylinderBody, Interval, cylinder_unsafe_interval
+from mapflight.geometry3d import CylinderBody, cylinder_unsafe_interval
 from mapflight.plan import validate
-from mapflight.sipp import Constraint, build_safe_intervals, sipp_plan
+from mapflight.sipp import Constraint, sipp_plan
 from mapflight.world import AgentSpec, GridWorld, load_instance, neighbors
-from oracles import plan_satisfies_constraints
+from oracles import build_safe_intervals, plan_satisfies_constraints
 from test_geometry3d import random_motion
 
 BODY = CylinderBody(0.25, 1.0)
@@ -108,13 +108,13 @@ def test_01_unsafe_interval_endpoints_match_sampling_oracle():
             if want is not None:
                 # the strict direction: anything the oracle can see must be caught
                 assert got is not None, f"false-safe: oracle found {want}, implementation found none"
-                assert got.lo == pytest.approx(want[0], abs=1e-6)
-                assert got.hi == pytest.approx(want[1], abs=1e-6)
-                worst = max(worst, abs(got.lo - want[0]), abs(got.hi - want[1]))
+                assert got[0] == pytest.approx(want[0], abs=1e-6)
+                assert got[1] == pytest.approx(want[1], abs=1e-6)
+                worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
                 conflicts += 1
             elif got is not None:
                 # sub-sampling-width slivers are legitimate analytic findings
-                assert got.hi - got.lo < 2e-4, f"oracle missed a wide window {got}"
+                assert got[1] - got[0] < 2e-4, f"oracle missed a wide window {got}"
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"batch took {elapsed:.1f} s"
         assert conflicts >= 100  # the batch must actually exercise overlaps
@@ -141,9 +141,9 @@ def _random_single_agent_instance(rng, dt):
         cell = rng.choice(free)
         nbrs = neighbors(world, cell)
         if nbrs and rng.random() < 0.5:
-            constraints.append(Constraint(0, cell, rng.choice(nbrs), Interval(lo, hi)))
+            constraints.append(Constraint(0, cell, rng.choice(nbrs), (lo, hi)))
         else:
-            constraints.append(Constraint(0, cell, cell, Interval(lo, hi)))
+            constraints.append(Constraint(0, cell, cell, (lo, hi)))
     return world, agent, constraints
 
 

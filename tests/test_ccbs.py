@@ -22,14 +22,14 @@ from mapflight.ccbs import (
 from mapflight.geometry3d import (
     Conflict,
     CylinderBody,
-    Interval,
     LinearMotion,
     cylinder_unsafe_interval,
 )
 from mapflight.plan import TimedPlan, validate
-from mapflight.sipp import build_safe_intervals, sipp_plan
+from mapflight.sipp import sipp_plan
 from mapflight.world import AgentSpec, GridWorld, load_instance, neighbors
 
+from oracles import build_safe_intervals
 from test_geometry3d import LATTICE_TIMES
 
 BODY = CylinderBody(0.25, 1.0)
@@ -292,9 +292,9 @@ class TestPrioritisedConflicts:
         world, agents = self.instance()
         bodies = {a.id: a.body for a in agents}
         root = {a.id: sipp_plan(world, a, build_safe_intervals((), a.id)) for a in agents}
-        early, late = sorted(conflict_table(root, bodies).values(), key=lambda c: c.unsafe.lo)
-        assert (early.agent_i, early.agent_j, early.unsafe.lo) == (0, 1, 0.5)
-        assert (late.agent_i, late.agent_j, late.unsafe.lo) == (2, 3, 1.0)
+        early, late = sorted(conflict_table(root, bodies).values(), key=lambda c: c.unsafe[0])
+        assert (early.agent_i, early.agent_j, early.unsafe[0]) == (0, 1, 0.5)
+        assert (late.agent_i, late.agent_j, late.unsafe[0]) == (2, 3, 1.0)
 
         def child_costs(conflict):
             constraints = branch(conflict, world, bodies)
@@ -381,14 +381,14 @@ def test_grazing_contact_branches_on_the_detected_window():
     # wait side must forbid in full
     move = LinearMotion(GRAZE_MOVE.p0, (5.25, 4.24, 0.25), 2.0, 3.0)
     unsafe = cylinder_unsafe_interval(GRAZE_WAIT, move, BODY, BODY)
-    assert unsafe is not None and unsafe.hi == 3.0
+    assert unsafe is not None and unsafe[1] == 3.0
     world = GridWorld((12, 12, 2), 0.5)
     c_wait, c_move = branch(Conflict(0, GRAZE_WAIT, 1, move, unsafe), world, {0: BODY, 1: BODY})
     assert c_wait.agent == 0 and c_wait.is_wait
     assert c_wait.src == world.cell_at(GRAZE_WAIT.p0)
-    assert c_wait.interval.lo <= unsafe.lo and c_wait.interval.hi == unsafe.hi
+    assert c_wait.interval[0] <= unsafe[0] and c_wait.interval[1] == unsafe[1]
     assert c_move.agent == 1 and not c_move.is_wait
-    assert c_move.interval.lo == 2.0 and c_move.interval.hi > 2.0
+    assert c_move.interval[0] == 2.0 and c_move.interval[1] > 2.0
 
 
 def test_branching_against_a_parked_agent_bans_for_good():
@@ -404,13 +404,13 @@ def test_branching_against_a_parked_agent_bans_for_good():
     unsafe = cylinder_unsafe_interval(move, parked, body, body)
     c_move, _ = branch(Conflict(0, move, 1, parked, unsafe), world, bodies)
     # delaying the move never clears a body that stays forever
-    assert (c_move.src, c_move.dst, c_move.interval) == ((0, 0, 0), (1, 0, 0), Interval(4.0, math.inf))
+    assert (c_move.src, c_move.dst, c_move.interval) == ((0, 0, 0), (1, 0, 0), (4.0, math.inf))
 
     wait = LinearMotion(here, here, 2.0, 6.0)
     unsafe = cylinder_unsafe_interval(wait, parked, body, body)
     c_wait, c_parked = branch(Conflict(0, wait, 1, parked, unsafe), world, bodies)
-    assert (c_wait.src, c_wait.dst, c_wait.interval) == ((1, 0, 0), (1, 0, 0), Interval(3.0, math.inf))
-    assert (c_parked.src, c_parked.interval) == ((2, 0, 0), Interval(2.0, 6.0))
+    assert (c_wait.src, c_wait.dst, c_wait.interval) == ((1, 0, 0), (1, 0, 0), (3.0, math.inf))
+    assert (c_parked.src, c_parked.interval) == ((2, 0, 0), (2.0, 6.0))
 
 
 PLAN_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "plan_grid"
@@ -459,17 +459,17 @@ def test_fuzz_wait_move_grazes_are_classified_once():
             if not t0 < start < wait.t1:
                 continue
             late = cylinder_unsafe_interval(LinearMotion(wait.p0, wait.p1, start, wait.t1), move, body, body)
-            if full is not None and full.hi <= start:
+            if full is not None and full[1] <= start:
                 ok = late is None
             else:
-                ok = late == (None if full is None else Interval(max(full.lo, start), full.hi))
+                ok = late == (None if full is None else (max(full[0], start), full[1]))
             if not ok:
                 reclassified.append((wait, start, move, body, full, late))
         if full is None:
             continue
         detected += 1
         c_wait, _ = branch(Conflict(0, wait, 1, move, full), world, {0: body, 1: body})
-        if not (c_wait.interval.lo <= full.lo and full.hi <= c_wait.interval.hi):
+        if not (c_wait.interval[0] <= full[0] and full[1] <= c_wait.interval[1]):
             uncovered.append((wait, move, body, full, c_wait.interval))
     assert detected >= 1000  # the generator must actually produce conflicts
     assert not reclassified, (len(reclassified), reclassified[:3])

@@ -134,6 +134,18 @@ class TestPlan:
         assert code == EXIT_USAGE and not out.exists()
         assert "bad solver limits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,message", [("dir", "Is a directory"), ("file/x.json", "File exists")])
+    def test_an_unusable_out_is_a_usage_error_before_the_solve(self, tmp_path, scenario_dir, capsys,
+                                                                where, message):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        code = main(["plan", "--instance", str(scenario_dir / "method_comparison.json"),
+                     "--out", str(tmp_path / where)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "cannot write --out" in captured.err and message in captured.err
+        assert "solver:" not in captured.out
+
 
 class TestValidate:
     def test_good_plans_pass(self, planned, capsys):
@@ -277,6 +289,13 @@ class TestSimulate:
         assert code == EXIT_BAD_INPUT
         assert f"{tmp_path / 'no.json'}: file not found" in capsys.readouterr().err
 
+    def test_an_existing_file_as_out_is_a_usage_error(self, planned, tmp_path, capsys):
+        _, plans = planned
+        code = main(["simulate", "--plans", str(plans), "--method", "bll", "--out", str(plans)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "cannot write --out" in err and "File exists" in err
+
 
 class TestBench:
     def test_empty_directory(self, tmp_path, capsys):
@@ -291,6 +310,21 @@ class TestBench:
             ["bench", "--scenarios", str(scenario_dir), "--methods", "warp", "--out", str(tmp_path / "out")]
         )
         assert code == EXIT_USAGE
+
+    def test_an_empty_method_list_is_a_usage_error(self, tmp_path, scenario_dir, capsys):
+        out = tmp_path / "out"
+        code = main(["bench", "--scenarios", str(scenario_dir), "--methods", "", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown method ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_existing_file_as_out_is_a_usage_error(self, tmp_path, scenario_dir, capsys):
+        out = tmp_path / "out"
+        out.write_text("", encoding="utf-8")
+        code = main(["bench", "--scenarios", str(scenario_dir), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "cannot write --out" in err and "File exists" in err
 
     def test_repeated_method(self, tmp_path, scenario_dir, capsys):
         # a repeated method would fly the same batch twice and write duplicate rows

@@ -11,7 +11,6 @@ from mapflight.geometry3d import (
     _CLEAR_TOL,
     CylinderBody,
     _contact,
-    Interval,
     LinearMotion,
     cylinder_unsafe_interval,
     _pair_earliest,
@@ -39,15 +38,8 @@ def shifted(motion: LinearMotion, dt: float) -> LinearMotion:
 
 
 # ---------------------------------------------------------------------------
-# Interval / LinearMotion / CylinderBody contracts
+# LinearMotion / CylinderBody contracts
 # ---------------------------------------------------------------------------
-
-
-class TestInterval:
-    @pytest.mark.parametrize("lo,hi", [(-1.0, 2.0), (2.0, 1.0), (math.inf, math.inf), (0.0, math.nan)])
-    def test_rejects_bad_bounds(self, lo, hi):
-        with pytest.raises(ValueError):
-            Interval(lo, hi)
 
 
 class TestLinearMotion:
@@ -115,8 +107,8 @@ class TestXYUnsafeInterval:
         b = LinearMotion((4.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 4.0)
         hit = cylinder_unsafe_interval(a, b, TALL, TALL)
         assert hit is not None
-        assert hit.lo == pytest.approx(1.5, abs=1e-12)
-        assert hit.hi == pytest.approx(2.5, abs=1e-12)
+        assert hit[0] == pytest.approx(1.5, abs=1e-12)
+        assert hit[1] == pytest.approx(2.5, abs=1e-12)
 
     def test_parallel_far_apart(self):
         a = LinearMotion((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), 0.0, 4.0)
@@ -126,7 +118,7 @@ class TestXYUnsafeInterval:
     def test_two_overlapping_waits(self):
         a = LinearMotion((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 1.0)
         b = LinearMotion((0.5, 0.0, 0.0), (0.5, 0.0, 0.0), 0.0, 1.0)
-        assert cylinder_unsafe_interval(a, b, TALL, TALL) == Interval(0.0, 1.0)
+        assert cylinder_unsafe_interval(a, b, TALL, TALL) == (0.0, 1.0)
 
     def test_exact_touch_is_safe(self):
         # parallel lanes exactly r_sum apart: grazing, strict inequality says safe
@@ -154,13 +146,13 @@ class TestZUnsafeInterval:
         b = LinearMotion((5.0, 5.0, 2.0), (5.0, 5.0, 2.0), 0.0, 2.0)
         hit = cylinder_unsafe_interval(a, b, WIDE, WIDE)
         assert hit is not None
-        assert hit.lo == pytest.approx(1.4, abs=1e-12)
-        assert hit.hi == pytest.approx(2.0, abs=1e-12)
+        assert hit[0] == pytest.approx(1.4, abs=1e-12)
+        assert hit[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_same_level_hover(self):
         a = LinearMotion((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 0.0, 5.0)
         b = LinearMotion((1.0, 0.0, 1.0), (1.0, 0.0, 1.0), 0.0, 5.0)
-        assert cylinder_unsafe_interval(a, b, WIDE, WIDE) == Interval(0.0, 5.0)
+        assert cylinder_unsafe_interval(a, b, WIDE, WIDE) == (0.0, 5.0)
 
     def test_far_apart_levels(self):
         a = LinearMotion((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 2.0)
@@ -180,8 +172,8 @@ class TestCylinderUnsafeInterval:
         body = CylinderBody(0.5, 1.0)
         hit = cylinder_unsafe_interval(a, b, body, body)
         assert hit is not None
-        assert hit.lo == pytest.approx(1.5, abs=1e-12)
-        assert hit.hi == pytest.approx(2.5, abs=1e-12)
+        assert hit[0] == pytest.approx(1.5, abs=1e-12)
+        assert hit[1] == pytest.approx(2.5, abs=1e-12)
 
     def test_vertical_separation_suppresses_planar_overlap(self):
         a = LinearMotion((0.0, 0.0, 0.0), (4.0, 0.0, 0.0), 0.0, 4.0)
@@ -205,8 +197,8 @@ class TestCylinderUnsafeInterval:
         base = cylinder_unsafe_interval(a, b, body, body)
         later = cylinder_unsafe_interval(shifted(a, 2.0), shifted(b, 2.0), body, body)
         assert base is not None and later is not None
-        assert later.lo == pytest.approx(base.lo + 2.0, abs=1e-9)
-        assert later.hi == pytest.approx(base.hi + 2.0, abs=1e-9)
+        assert later[0] == pytest.approx(base[0] + 2.0, abs=1e-9)
+        assert later[1] == pytest.approx(base[1] + 2.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +291,7 @@ class TestMoveClearDelay:
                 assert probed  # every probe goes through the kernel
                 for probe, window in probed:
                     hit = cylinder_unsafe_interval(shifted(a, probe), b, body, body)
-                    assert bits(window) == bits(hit and (hit.lo, hit.hi)), (a, b, body, probe)
+                    assert bits(window) == bits(hit), (a, b, body, probe)
                 assert cylinder_unsafe_interval(shifted(a, delay), b, body, body) is None, (a, b, body, delay)
                 if not a.is_wait and delay >= 2 * _CLEAR_TOL:
                     early = shifted(a, delay - 2 * _CLEAR_TOL)
@@ -328,7 +320,7 @@ class TestFirstConflict:
         assert conflict is not None
         assert (conflict.agent_i, conflict.agent_j) == (0, 1)
         # |3.5 + (6.5 - 3.5 - t) - 2.5| < 1.2 from t = 2.8 onward
-        assert conflict.unsafe.lo == pytest.approx(2.8, abs=1e-9)
+        assert conflict.unsafe[0] == pytest.approx(2.8, abs=1e-9)
 
     def test_adjacent_parks_at_exact_touch_are_safe(self):
         plan_a = TimedPlan(0, ((0.5, 0.5, 0.5, 0.0), (2.5, 0.5, 0.5, 2.0)))
@@ -368,7 +360,7 @@ class TestPlanMotions:
         plan_a = TimedPlan(0, ((1.0, 0.0, 0.5, 0.0),))
         plan_b = TimedPlan(1, ((1.3, 0.0, 0.5, 0.0),))
         found = _pair_earliest(plan_a, plan_b, body, body)
-        assert found is not None and found.unsafe == Interval(0.0, math.inf)
+        assert found is not None and found.unsafe == (0.0, math.inf)
         assert (found.action_i, found.action_j) == (plan_a.motions[-1], plan_b.motions[-1])
 
 
@@ -395,12 +387,12 @@ def assert_matches_oracle(a: LinearMotion, b: LinearMotion, body_a: CylinderBody
     if want is not None:
         # no false-safe: an overlap the oracle can see must be reported
         assert got is not None, f"false-safe: oracle found {want}, implementation found none"
-        assert got.lo == pytest.approx(want[0], abs=1e-6)
-        assert got.hi == pytest.approx(want[1], abs=1e-6)
+        assert got[0] == pytest.approx(want[0], abs=1e-6)
+        assert got[1] == pytest.approx(want[1], abs=1e-6)
     elif got is not None:
         # windows narrower than the oracle's sampling step are legitimate;
         # they must still be genuine overlaps at their midpoint
-        assert got.hi - got.lo < 2e-4, f"oracle missed a wide window {got}"
+        assert got[1] - got[0] < 2e-4, f"oracle missed a wide window {got}"
 
 
 def test_randomized_pairs_match_oracle():
@@ -520,7 +512,7 @@ def test_swept_pair_scan_matches_the_exhaustive_loop():
         conflicts += 1
         assert motion_bits(got.action_i) == motion_bits(want.action_i), case
         assert motion_bits(got.action_j) == motion_bits(want.action_j), case
-        assert bits((got.unsafe.lo, got.unsafe.hi)) == bits((want.unsafe.lo, want.unsafe.hi)), case
+        assert bits(got.unsafe) == bits(want.unsafe), case
     # both outcomes must be common, and boxes must meet -0.0
     assert 600 <= conflicts <= 2400, conflicts
     assert signed_zero_boxes >= 1000, signed_zero_boxes

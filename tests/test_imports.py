@@ -1,6 +1,6 @@
 """Every top-level import of the package and of the tests is read somewhere,
-and every top-level def or class of the package, and every method or property
-of its classes, is read somewhere in it.
+and every top-level def, class or assigned constant of the package, and every
+method or property of its classes, is read somewhere in it.
 
 No linter runs on this code, so these scans stand in for the unused-import
 and dead-code rules.
@@ -73,6 +73,46 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     return unread
 
 
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each name that a top-level assignment binds, dunders
+    aside, that no module of `sources` reads.
+
+    A constant counts as read only when it is loaded as a name, appears as an
+    attribute, or is listed in an `__all__`; its own assignment does not count.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        read |= exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread: list[str] = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            bound = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            unread += [f"{module}.{name}" for name in bound
+                       if not (name.startswith("__") and name.endswith("__")) and name not in read]
+    return unread
+
+
+# constants that only code outside the package reads, each with the reason it stays
+READ_OUTSIDE_THE_PACKAGE = {
+    # perfbench/worker.py writes errors.json through it; it goes when the
+    # benchmark harness stops reading it (ROADMAP item 1)
+    "cli._write_json",
+}
+
+
 def test_the_scan_sees_unused_and_used_names():
     source = "import os\nimport a.b\nfrom x import y, z as w\nfrom __future__ import annotations\n" \
              "__all__ = ['y']\nprint(a)\n"
@@ -110,3 +150,17 @@ def test_the_scan_sees_unread_and_read_methods():
 
 def test_every_top_level_definition_is_read():
     assert unread_definitions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def test_the_scan_sees_unread_and_read_constants():
+    sources = {
+        "a": "__version__ = '1'\nDEAD = 1\nLOADED = 2\nLISTED: int = 3\nA, (B, C) = 4, (5, 6)\n"
+             "d = {}\nd['k'] = LOADED\n__all__ = ['LISTED']\n",
+        "b": "import a\nprint(a.B, C)\n",
+    }
+    assert unread_constants(sources) == ["a.DEAD", "a.A"]
+
+
+def test_every_top_level_constant_is_read():
+    unread = unread_constants({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert [name for name in unread if name not in READ_OUTSIDE_THE_PACKAGE] == []

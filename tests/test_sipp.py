@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from mapflight import sipp
-from mapflight.geometry3d import CylinderBody, Interval
-from mapflight.sipp import Constraint, build_safe_intervals, sipp_plan
+from mapflight.geometry3d import CylinderBody
+from mapflight.sipp import Constraint, sipp_plan
 from mapflight.world import CONNECTIVITY_STEPS, AgentSpec, GridWorld, neighbors
-from oracles import plan_satisfies_constraints, sipp_reference
+from oracles import build_safe_intervals, plan_satisfies_constraints, sipp_reference
 
 BODY = CylinderBody(0.25, 1.0)
 INF = math.inf
@@ -24,11 +24,18 @@ def corridor():
 
 
 def move_c(src, dst, lo, hi, agent=0):
-    return Constraint(agent, src, dst, Interval(lo, hi))
+    return Constraint(agent, src, dst, (lo, hi))
 
 
 def wait_c(cell, lo, hi, agent=0):
-    return Constraint(agent, cell, cell, Interval(lo, hi))
+    return Constraint(agent, cell, cell, (lo, hi))
+
+
+class TestConstraint:
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 2.0), (2.0, 1.0), (INF, INF), (0.0, math.nan)])
+    def test_rejects_bad_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="interval must satisfy"):
+            wait_c((0, 0, 0), lo, hi)
 
 
 class TestSafeIntervalTable:
@@ -121,14 +128,14 @@ class TestSafeIntervalTable:
                 bans = [c.interval for c in cs if c.is_wait and c.src == cell]
                 for t in probes:
                     safe = any(lo <= t <= hi for lo, hi in table.vertex_intervals(cell))
-                    assert safe == (not any(b.lo < t < b.hi for b in bans)), (cs, cell, t)
+                    assert safe == (not any(b[0] < t < b[1] for b in bans)), (cs, cell, t)
                 ivs = table.vertex_intervals(cell)
                 assert all(a[1] < b[0] for a, b in zip(ivs, ivs[1:])), (cs, cell, ivs)
             for src, dst in edges:
                 bans = [c.interval for c in cs if not c.is_wait and (c.src, c.dst) == (src, dst)]
                 for t in probes:
                     free = sipp._past_blocks(table.move_blocks.get((src, dst), ()), t) == t
-                    assert free == (not any(b.lo <= t < b.hi for b in bans)), (cs, (src, dst), t)
+                    assert free == (not any(b[0] <= t < b[1] for b in bans)), (cs, (src, dst), t)
                 blocks = table.move_blocks.get((src, dst), ())
                 assert all(a[1] < b[0] for a, b in zip(blocks, blocks[1:])), (cs, (src, dst), blocks)
             shuffled = list(cs)
@@ -242,9 +249,9 @@ class TestAgainstTimeExpandedOracle:
             cell = rng.choice(free)
             nbrs = [n for n in neighbors(world, cell)]
             if nbrs and rng.random() < 0.5:
-                constraints.append(Constraint(0, cell, rng.choice(nbrs), Interval(lo, hi)))
+                constraints.append(Constraint(0, cell, rng.choice(nbrs), (lo, hi)))
             else:
-                constraints.append(Constraint(0, cell, cell, Interval(lo, hi)))
+                constraints.append(Constraint(0, cell, cell, (lo, hi)))
         return world, agent, constraints
 
     def test_arrival_times_match_brute_force(self):
