@@ -1,6 +1,7 @@
 """Timed plans: interpolation, dual-check validation, plan file round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -248,6 +249,83 @@ class TestValidateChecks:
         report = validate(plans, specs, w)
         assert [(v.kind, v.pair, v.time) for v in report.violations] == [("pairwise", (0, 1), 0.0)]
         assert report.violations[0].min_separation_found == pytest.approx(0.3)
+
+
+def colliding_plan_sets(n_sets=400, seed=24):
+    """Fixed-seed random walks of 2-4 agents on a 4x4x2 grid at three scales,
+    with mixed radii (one a hair over a quarter cell, for sub-millisecond
+    grazes) and start delays; most of the sets collide."""
+    rng = random.Random(seed)
+    steps = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
+    cells = [(i, j, k) for i in range(4) for j in range(4) for k in range(2)]
+    for n in range(n_sets):
+        scale = (1.0, 1e-3, 2.0**-10)[n % 3]
+        world = GridWorld((4, 4, 2), 0.5 * scale)
+        plans, specs = [], []
+        for aid in range(rng.randint(2, 4)):
+            speed = rng.choice([0.5, 0.8, 1.3]) * scale
+            body = CylinderBody(rng.choice([0.1, 0.2, 0.25, 0.25 + 1e-8, 0.3]) * scale, rng.choice([0.4, 1.0]) * scale)
+            start = cell = rng.choice(cells)
+            x, y, z = world.center(cell)
+            t = 0.0
+            wps = [(x, y, z, t)]
+            delay = rng.choice([0.0, 0.0, 0.5, 1.7])
+            if delay:
+                t += delay
+                wps.append((x, y, z, t))
+            for _ in range(rng.randint(1, 6)):
+                cell = rng.choice([c for c in (tuple(a + b for a, b in zip(cell, s)) for s in steps) if world.in_bounds(c)])
+                p = world.center(cell)
+                t += math.dist((x, y, z), p) / speed
+                x, y, z = p
+                wps.append((x, y, z, t))
+            plans.append(TimedPlan(aid, tuple(wps)))
+            specs.append(AgentSpec(aid, start, cell, body, speed))
+        yield plans, specs, world
+
+
+class TestPinnedReports:
+    """The validator's reports, bit for bit: a refactor of either check must
+    leave every time, pair, separation and detail where it was."""
+
+    # sha256 over the fixed-seed corpus, recorded before the pair check was
+    # folded onto one sampling helper
+    CORPUS_SHA256 = "1eba4d9415463c14bd08a7cf3a0ab2f8c366779b142ec91be299d5fda3c404f8"
+
+    def test_fixed_seed_corpus_reports_are_pinned(self):
+        digest = hashlib.sha256()
+        failing = pairwise = analytic = 0
+        for plans, specs, world in colliding_plan_sets():
+            report = validate(plans, specs, world)
+            failing += not report.ok
+            digest.update(repr(report.checked_pairs).encode())
+            for v in report.violations:
+                pairwise += v.kind == "pairwise"
+                analytic += v.detail == "(analytic)"
+                sep = None if v.min_separation_found is None else v.min_separation_found.hex()
+                digest.update(repr((v.kind, v.time.hex(), v.pair, v.agent, sep, v.detail)).encode())
+        assert (failing, pairwise, analytic) == (315, 632, 13)
+        assert digest.hexdigest() == self.CORPUS_SHA256
+
+    def test_overlap_shorter_than_a_sampling_step_is_caught_analytically(self):
+        # agent 1 passes the parked agent 0 at a planar gap of 0.5 m, 1e-7 m
+        # inside r_sum, at t = 1.0005: the overlap lasts about 0.63 ms and sits
+        # between two 1 ms samples, so only the analytic check sees it
+        w = GridWorld((3, 2, 1), 0.5)
+        plans = [
+            TimedPlan(0, ((0.75, 0.25, 0.25, 0.0),)),
+            TimedPlan(1, ((0.25, 0.75, 0.25, 0.0), (0.25, 0.75, 0.25, 0.5005), (1.25, 0.75, 0.25, 1.5005))),
+        ]
+        r_sum = 0.25 + (0.25 + 1e-7)
+        specs = [spec(0, (1, 0, 0), (1, 0, 0), 1.0, CylinderBody(0.25, 1.0)),
+                 spec(1, (0, 1, 0), (2, 1, 0), 1.0, CylinderBody(0.25 + 1e-7, 1.0))]
+        report = validate(plans, specs, w)
+        assert [(v.kind, v.pair, v.detail) for v in report.violations] == [("pairwise", (0, 1), "(analytic)")]
+        v = report.violations[0]
+        half = math.sqrt(r_sum**2 - 0.25)
+        assert 2 * half < 1e-3
+        assert v.time == pytest.approx(1.0005 - half, abs=1e-9)
+        assert v.min_separation_found < r_sum
 
 
 class TestPlanFiles:
