@@ -9,6 +9,7 @@ and the rules no type owns (unique agent ids, the speed).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -198,26 +199,15 @@ def segment_cells(world: GridWorld, p: Vec3, q: Vec3) -> list[Cell]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_min_separation(
-    pa: "TimedPlan", pb: "TimedPlan", r_sum: float, h_half: float, t0: float, t1: float
-) -> float:
-    """Min planar distance while violating, on a dense grid over [t0, t1]."""
-    ts = np.linspace(t0, t1, 1001)
-    axa = _sample_axes(pa, ts)
-    axb = _sample_axes(pb, ts)
-    planar = np.hypot(axa[0] - axb[0], axa[1] - axb[1])
-    dz = np.abs(axa[2] - axb[2])
-    mask = (planar < r_sum) & (dz < h_half)
-    return float((planar[mask] if mask.any() else planar).min())
+def _gaps(wa: np.ndarray, wb: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planar distance and vertical gap between two plans at the times ts.
 
-
-def _sample_axes(plan: "TimedPlan", ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    times = np.array([wp[3] for wp in plan.waypoints])
-    xs = np.array([wp[0] for wp in plan.waypoints])
-    ys = np.array([wp[1] for wp in plan.waypoints])
-    zs = np.array([wp[2] for wp in plan.waypoints])
-    # np.interp clamps outside the waypoint range: start-hold and goal-parking
-    return np.interp(ts, times, xs), np.interp(ts, times, ys), np.interp(ts, times, zs)
+    wa and wb are waypoint columns x, y, z, t; np.interp clamps outside the
+    waypoint range: start-hold and goal-parking.
+    """
+    xa, ya, za = (np.interp(ts, wa[3], axis) for axis in wa[:3])
+    xb, yb, zb = (np.interp(ts, wb[3], axis) for axis in wb[:3])
+    return np.hypot(xa - xb, ya - yb), np.abs(za - zb)
 
 
 def validate(
@@ -280,44 +270,42 @@ def validate(
                     break
 
     # pairwise checks: analytic intervals and an independent sampled sweep
-    checked_pairs = 0
-    for a_idx in range(len(plan_list)):
-        for b_idx in range(a_idx + 1, len(plan_list)):
-            pa, pb = plan_list[a_idx], plan_list[b_idx]
-            body_a = spec_map[pa.agent].body
-            body_b = spec_map[pb.agent].body
-            r_sum = body_a.radius + body_b.radius
-            h_half = 0.5 * (body_a.height + body_b.height)
-            checked_pairs += 1
-            horizon = max(pa.end_time, pb.end_time) + _PARK_PAD
+    columns = {plan.agent: np.array(plan.waypoints).T for plan in plan_list}
+    for pa, pb in itertools.combinations(plan_list, 2):
+        body_a = spec_map[pa.agent].body
+        body_b = spec_map[pb.agent].body
+        r_sum = body_a.radius + body_b.radius
+        h_half = 0.5 * (body_a.height + body_b.height)
+        horizon = max(pa.end_time, pb.end_time) + _PARK_PAD
+        wa, wb = columns[pa.agent], columns[pb.agent]
 
-            found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
-            analytic_hit = None if found is None else found.unsafe
+        found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
 
-            ts = np.arange(0.0, horizon + 0.5 * _SAMPLING_DT, _SAMPLING_DT)
-            axa = _sample_axes(pa, ts)
-            axb = _sample_axes(pb, ts)
-            planar = np.hypot(axa[0] - axb[0], axa[1] - axb[1])
-            dz = np.abs(axa[2] - axb[2])
-            # guard keeps exact-touching trajectories (legal) from tripping on
-            # rounding noise; genuine penetrations at this sampling resolution
-            # run orders of magnitude deeper
-            mask = (planar < r_sum - _SAMPLING_GUARD) & (dz < h_half - _SAMPLING_GUARD)
-            sampled_time = float(ts[np.argmax(mask)]) if mask.any() else None
+        ts = np.arange(0.0, horizon + 0.5 * _SAMPLING_DT, _SAMPLING_DT)
+        planar, dz = _gaps(wa, wb, ts)
+        # guard keeps exact-touching trajectories (legal) from tripping on
+        # rounding noise; genuine penetrations at this sampling resolution
+        # run orders of magnitude deeper
+        mask = (planar < r_sum - _SAMPLING_GUARD) & (dz < h_half - _SAMPLING_GUARD)
+        sampled_time = float(ts[np.argmax(mask)]) if mask.any() else None
 
-            if analytic_hit is not None or sampled_time is not None:
-                if analytic_hit is not None:
-                    lo, hi = analytic_hit[0], min(analytic_hit[1], horizon)
-                    min_sep = _pair_min_separation(pa, pb, r_sum, h_half, lo, hi)
-                    earliest = lo if sampled_time is None else min(lo, sampled_time)
-                else:
-                    min_sep = float(planar[mask].min())
-                    earliest = sampled_time
-                violations.append(
-                    Violation("pairwise", earliest, pair=(pa.agent, pb.agent),
-                              min_separation_found=min_sep,
-                              detail="(analytic)" if sampled_time is None else "")
-                )
+        if found is not None:
+            # the min separation comes from a dense grid over the analytic window
+            lo, hi = found.unsafe
+            ts = np.linspace(lo, min(hi, horizon), 1001)
+            planar, dz = _gaps(wa, wb, ts)
+            mask = (planar < r_sum) & (dz < h_half)
+            earliest = lo if sampled_time is None else min(lo, sampled_time)
+        elif sampled_time is not None:
+            earliest = sampled_time
+        else:
+            continue
+        violations.append(
+            Violation("pairwise", earliest, pair=(pa.agent, pb.agent),
+                      min_separation_found=float((planar[mask] if mask.any() else planar).min()),
+                      detail="(analytic)" if sampled_time is None else "")
+        )
+    checked_pairs = len(plan_list) * (len(plan_list) - 1) // 2
 
     violations.sort(key=lambda v: (v.time, v.kind, v.pair or (-1, -1), v.agent if v.agent is not None else -1))
     return ValidationReport(ok=not violations, violations=tuple(violations), checked_pairs=checked_pairs)
