@@ -383,6 +383,9 @@ def _execute(
     plan_list = sorted(plans, key=lambda p: p.agent)
     if not plan_list:
         raise ValueError("no plans to execute")
+    agent_ids = [p.agent for p in plan_list]
+    if len(set(agent_ids)) != len(agent_ids):
+        raise ValueError(f"duplicate plan agent ids: {agent_ids}")
     if not configs:
         raise ValueError("no configs to execute")
     config = configs[0]

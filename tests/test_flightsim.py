@@ -317,6 +317,18 @@ class TestRunExecution:
         with pytest.raises(ValueError, match="no plans"):
             run_execution([], "bll")
 
+    def test_rejects_two_plans_for_one_agent(self):
+        # both plans once flew, and error_metrics read the log as one agent
+        # logged twice per tick
+        plans = [
+            TimedPlan(0, ((0.25, 0.25, 0.25, 0.0), (1.25, 0.25, 0.25, 2.0))),
+            TimedPlan(0, ((0.25, 1.25, 0.25, 0.0), (1.25, 1.25, 0.25, 2.0))),
+        ]
+        with pytest.raises(ValueError, match="duplicate plan agent ids"):
+            run_execution(plans, "bll")
+        with pytest.raises(ValueError, match="duplicate plan agent ids"):
+            run_executions(plans, "vll", [SimConfig(seed=0), SimConfig(seed=1)])
+
     def test_logging_cadence_is_exact(self):
         log = run_execution(straight_plans(), "bll", SimConfig(seed=3))
         assert len(log.records)
