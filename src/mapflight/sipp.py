@@ -122,10 +122,9 @@ class SafeIntervalTable:
 
 
 class _SearchGraph(NamedTuple):
-    """One world's free cells as vertex indices (`GridWorld.vertex_index`)."""
+    """One world's cells by vertex index; `GridWorld.vertex_index` is the one cell-to-index map."""
 
     centers: tuple[Vec3, ...]  # the center of the cell at each vertex index, obstacles included
-    index: dict[Cell, int]  # vertex index of each free cell
     succ: tuple[tuple[tuple[int, float], ...], ...]  # (successor index, move duration); () off the free cells
 
 
@@ -133,13 +132,12 @@ class _SearchGraph(NamedTuple):
 def _search_graph(world: GridWorld, speed: float) -> _SearchGraph:
     nx, ny, nz = world.dims
     cells = tuple((i, j, k) for i in range(nx) for j in range(ny) for k in range(nz))  # vertex_index order
-    index = {cell: v for v, cell in enumerate(cells) if world.is_free(cell)}
     succ = tuple(
-        tuple((index[nbr], move_duration(world, cell, nbr, speed)) for nbr in neighbors(world, cell))
-        if cell in index else ()
+        tuple((world.vertex_index(nbr), move_duration(world, cell, nbr, speed)) for nbr in neighbors(world, cell))
+        if world.is_free(cell) else ()
         for cell in cells
     )
-    return _SearchGraph(tuple(world.center(cell) for cell in cells), index, succ)
+    return _SearchGraph(tuple(world.center(cell) for cell in cells), succ)
 
 
 @lru_cache(maxsize=256)
@@ -181,20 +179,19 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
     if not world.is_free(agent.goal):
         raise ValueError(f"agent {agent.id}: goal {agent.goal} is not a free cell")
     speed = agent.speed
-    centers, index, succ = _search_graph(world, speed)
+    centers, succ = _search_graph(world, speed)
     h = _heuristic(world, agent.goal, speed)
     n_vertices = len(centers)
     inf = math.inf
 
     # the table by vertex index; an entry off the free cells is never reached
-    safe = {index[cell]: spans for cell, spans in table.vertex_safe.items() if cell in index}
+    safe = {world.vertex_index(cell): spans for cell, spans in table.vertex_safe.items() if world.is_free(cell)}
     blocks: dict[int, dict[int, tuple[tuple[float, float], ...]]] = {}
     for (src, dst), spans in table.move_blocks.items():
-        v, w = index.get(src), index.get(dst)
-        if v is not None and w is not None:
-            blocks.setdefault(v, {})[w] = spans
+        if world.is_free(src) and world.is_free(dst):
+            blocks.setdefault(world.vertex_index(src), {})[world.vertex_index(dst)] = spans
 
-    start, goal = index[agent.start], index[agent.goal]
+    start, goal = world.vertex_index(agent.start), world.vertex_index(agent.goal)
     if h[start] == inf:
         # moves are symmetric, so every state reachable from the start has a
         # finite h too, and none with h = inf is ever pushed

@@ -40,28 +40,21 @@ MAX_CELLS = 2**20
 MAX_CELL_PER_BODY = 1e6
 
 
-def _steps_face6() -> list[Cell]:
-    return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-
-
-def _steps_planar10() -> list[Cell]:
-    return _steps_face6() + [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)]
-
-
-def _steps_full26() -> list[Cell]:
-    return [
+# `neighbors` yields a cell's neighbours in its list's order, which SIPP's
+# successor lists keep
+CONNECTIVITY_STEPS: dict[str, list[Cell]] = {
+    FACE_6: [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    PLANAR_DIAG_10: [
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+        (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+    ],
+    FULL_26: [
         (dx, dy, dz)
         for dx in (-1, 0, 1)
         for dy in (-1, 0, 1)
         for dz in (-1, 0, 1)
         if (dx, dy, dz) != (0, 0, 0)
-    ]
-
-
-CONNECTIVITY_STEPS: dict[str, list[Cell]] = {
-    FACE_6: _steps_face6(),
-    PLANAR_DIAG_10: _steps_planar10(),
-    FULL_26: _steps_full26(),
+    ],
 }
 
 
@@ -148,9 +141,7 @@ class AgentSpec:
 
 
 def move_duration(world: GridWorld, a: Cell, b: Cell, speed: float) -> float:
-    pa = world.center(a)
-    pb = world.center(b)
-    return math.dist(pa, pb) / speed
+    return math.dist(world.center(a), world.center(b)) / speed
 
 
 def _diagonal_box_free(world: GridWorld, cell: Cell, step: Cell) -> bool:
@@ -159,12 +150,7 @@ def _diagonal_box_free(world: GridWorld, cell: Cell, step: Cell) -> bool:
     xs = (cell[0],) if step[0] == 0 else (cell[0], cell[0] + step[0])
     ys = (cell[1],) if step[1] == 0 else (cell[1], cell[1] + step[1])
     zs = (cell[2],) if step[2] == 0 else (cell[2], cell[2] + step[2])
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                if not world.is_free((x, y, z)):
-                    return False
-    return True
+    return all(world.is_free((x, y, z)) for x in xs for y in ys for z in zs)
 
 
 def neighbors(world: GridWorld, cell: Cell) -> list[Cell]:
