@@ -200,11 +200,8 @@ def segment_cells(world: GridWorld, p: Vec3, q: Vec3) -> list[Cell]:
 
 
 def _gaps(wa: np.ndarray, wb: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Planar distance and vertical gap between two plans at the times ts.
-
-    wa and wb are waypoint columns x, y, z, t; np.interp clamps outside the
-    waypoint range: start-hold and goal-parking.
-    """
+    """Planar distance and vertical gap at the times ts of two plans' waypoint columns x, y, z, t."""
+    # np.interp clamps outside the waypoint range: start-hold and goal-parking
     xa, ya, za = (np.interp(ts, wa[3], axis) for axis in wa[:3])
     xb, yb, zb = (np.interp(ts, wb[3], axis) for axis in wb[:3])
     return np.hypot(xa - xb, ya - yb), np.abs(za - zb)

@@ -40,8 +40,7 @@ MAX_CELLS = 2**20
 MAX_CELL_PER_BODY = 1e6
 
 
-# `neighbors` yields a cell's neighbours in its list's order, which SIPP's
-# successor lists keep
+# a list's order is the order of `neighbors` and of SIPP's successor lists
 CONNECTIVITY_STEPS: dict[str, list[Cell]] = {
     FACE_6: [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
     PLANAR_DIAG_10: [
@@ -141,7 +140,9 @@ class AgentSpec:
 
 
 def move_duration(world: GridWorld, a: Cell, b: Cell, speed: float) -> float:
-    return math.dist(world.center(a), world.center(b)) / speed
+    pa = world.center(a)
+    pb = world.center(b)
+    return math.dist(pa, pb) / speed
 
 
 def _diagonal_box_free(world: GridWorld, cell: Cell, step: Cell) -> bool:
