@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mapflight import ccbs, geometry3d
+from mapflight import ccbs, geometry3d, sipp
 from mapflight.ccbs import (
     LIMIT_EXCEEDED,
     NO_SOLUTION,
@@ -237,6 +237,28 @@ class TestLimits:
         res = ccbs_solve(world, agents, SolveLimits(max_expansions=300))
         assert res.status == LIMIT_EXCEEDED
         assert res.detail.startswith("expansion limit reached; cost lower bound ")
+
+
+def test_chipping_swap_counters_at_a_small_budget():
+    # The head-on swap with 0.25 m bodies in 10 m cells: each branch delays a
+    # move by only the short contact window, so the search chips toward the
+    # side-step and piles bans on one move: they cover 3 disjoint windows at
+    # this budget and 5 at 20,000 expansions, against at most 2 on the
+    # benchmark inputs. Every counter and the bound are pinned.
+    for cache in (geometry3d._pair_earliest, sipp._search_graph, sipp._heuristic):
+        cache.cache_clear()
+    world = GridWorld((4, 4, 1), 10.0)
+    agents = [
+        AgentSpec(0, (0, 0, 0), (2, 0, 0), BODY, 10.0),
+        AgentSpec(1, (2, 0, 0), (0, 0, 0), BODY, 10.0),
+    ]
+    res = ccbs_solve(world, agents, SolveLimits(max_wall_time=math.inf, max_expansions=2000))
+    st = res.stats
+    assert res.status == LIMIT_EXCEEDED
+    counters = (st.expansions, st.generated, st.bypasses, st.replans, st.replans_reused, st.branches_reused)
+    assert counters == (2000, 4001, 0, 1885, 2117, 1888)
+    assert (st.cardinal, st.semi_cardinal) == (1272, 728)
+    assert st.lower_bound.hex() == (4.600000009540697).hex()
 
 
 class TestBundledScenarios:

@@ -133,10 +133,14 @@ class TestSafeIntervalTable:
                 assert all(a[1] < b[0] for a, b in zip(ivs, ivs[1:])), (cs, cell, ivs)
             for src, dst in edges:
                 bans = [c.interval for c in cs if not c.is_wait and (c.src, c.dst) == (src, dst)]
-                for t in probes:
-                    free = sipp._past_blocks(table.move_blocks.get((src, dst), ()), t) == t
-                    assert free == (not any(b[0] <= t < b[1] for b in bans)), (cs, (src, dst), t)
                 blocks = table.move_blocks.get((src, dst), ())
+                for t in probes:
+                    r = sipp._past_blocks(blocks, t)
+                    assert (r == t) == (not any(b[0] <= t < b[1] for b in bans)), (cs, (src, dst), t)
+                    # r is the earliest legal departure: not banned, and every probe before it is
+                    assert not any(b[0] <= r < b[1] for b in bans), (cs, (src, dst), t, r)
+                    skipped = [p for p in probes if t <= p < r]
+                    assert all(any(b[0] <= p < b[1] for b in bans) for p in skipped), (cs, (src, dst), t, r)
                 assert all(a[1] < b[0] for a, b in zip(blocks, blocks[1:])), (cs, (src, dst), blocks)
             shuffled = list(cs)
             rng.shuffle(shuffled)
