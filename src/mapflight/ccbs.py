@@ -231,17 +231,12 @@ def ccbs_solve(
     started = clock()
 
     # permanent conflicts no branching can fix
-    for x in range(len(agent_list)):
-        for y in range(x + 1, len(agent_list)):
-            a, b = agent_list[x], agent_list[y]
-            if _static_overlap(world.center(a.start), world.center(b.start), a.body, b.body):
+    for a, b in itertools.combinations(agent_list, 2):
+        for label, cell_a, cell_b in (("start with", a.start, b.start), ("have goals with", a.goal, b.goal)):
+            if _static_overlap(world.center(cell_a), world.center(cell_b), a.body, b.body):
                 stats.wall_time = clock() - started
                 return SolveResult(NO_SOLUTION, None, stats,
-                                   f"agents {a.id} and {b.id} start with overlapping bodies")
-            if _static_overlap(world.center(a.goal), world.center(b.goal), a.body, b.body):
-                stats.wall_time = clock() - started
-                return SolveResult(NO_SOLUTION, None, stats,
-                                   f"agents {a.id} and {b.id} have goals with overlapping bodies")
+                                   f"agents {a.id} and {b.id} {label} overlapping bodies")
 
     root_tables = {a.id: SafeIntervalTable({}, {}) for a in agent_list}
     root_plans: dict[int, TimedPlan] = {}

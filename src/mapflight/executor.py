@@ -118,29 +118,6 @@ def bhl_execute(plan: TimedPlan, endpoint: VehicleEndpoint) -> Iterator[float]:
         endpoint.send(HighLevelGoto(m.p1, duration=m.t1 - m.t0, issue_time=endpoint.clock()))
 
 
-def vll_step(
-    estimated: Vec3,
-    target_waypoint: tuple[float, float, float, float],
-    box_half_width: float,
-    cruise_speed: float,
-    now: float = 0.0,
-) -> tuple[Command, bool]:
-    """One VLL decision: inside the waypoint's closed box -> stop and advance;
-    otherwise steer toward the waypoint at cruise speed."""
-    if not box_half_width > 0:
-        raise ValueError(f"box_half_width must be > 0, got {box_half_width!r}")
-    if not cruise_speed > 0:
-        raise ValueError(f"cruise_speed must be > 0, got {cruise_speed!r}")
-    dx = target_waypoint[0] - estimated[0]
-    dy = target_waypoint[1] - estimated[1]
-    dz = target_waypoint[2] - estimated[2]
-    if abs(dx) <= box_half_width and abs(dy) <= box_half_width and abs(dz) <= box_half_width:
-        return VelocitySetpoint((0.0, 0.0, 0.0), issue_time=now), True
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-    scale = cruise_speed / norm
-    return VelocitySetpoint((dx * scale, dy * scale, dz * scale), issue_time=now), False
-
-
 def vll_execute(
     plan: TimedPlan,
     endpoint: VehicleEndpoint,
@@ -148,18 +125,25 @@ def vll_execute(
     period: float = DEFAULT_COMMAND_PERIOD,
     box_half_width: float = DEFAULT_BOX_HALF_WIDTH,
 ) -> Iterator[float]:
-    """Chase waypoints in plan order; geometry, not the schedule, paces progress."""
+    """Chase waypoints in plan order at cruise speed, each until inside its closed
+    per-axis box; geometry, not the schedule, paces progress."""
     if not period > 0:
         raise ValueError(f"period must be > 0, got {period!r}")
-    for n, wp in enumerate(plan.waypoints):
+    if not box_half_width > 0:
+        raise ValueError(f"box_half_width must be > 0, got {box_half_width!r}")
+    if not cruise_speed > 0:
+        raise ValueError(f"cruise_speed must be > 0, got {cruise_speed!r}")
+    for n, (x, y, z, _) in enumerate(plan.waypoints):
         while True:
-            command, advanced = vll_step(
-                endpoint.estimated_position(), wp, box_half_width, cruise_speed, now=endpoint.clock()
-            )
-            if advanced:
+            e_x, e_y, e_z = endpoint.estimated_position()
+            dx = x - e_x
+            dy = y - e_y
+            dz = z - e_z
+            if abs(dx) <= box_half_width and abs(dy) <= box_half_width and abs(dz) <= box_half_width:
                 log.debug("agent %d reached waypoint %d at t=%.3f", plan.agent, n, endpoint.clock())
                 break
-            endpoint.send(command)
+            scale = cruise_speed / math.sqrt(dx * dx + dy * dy + dz * dz)
+            endpoint.send(VelocitySetpoint((dx * scale, dy * scale, dz * scale), issue_time=endpoint.clock()))
             yield period
     endpoint.send(VelocitySetpoint((0.0, 0.0, 0.0), issue_time=endpoint.clock()))
 

@@ -100,6 +100,9 @@ class SimConfig:
             raise ValueError(
                 f"log_period {self.log_period!r} must be an integer multiple of tick {self.tick!r}"
             )
+        if abs(self.log_period - round(self.log_period, 3)) > _EPS:
+            # the logs write t to the millisecond, so a finer period would repeat or shift times
+            raise ValueError(f"log_period must be a whole number of milliseconds, got {self.log_period!r}")
         v = self.vll_cruise_speed
         if v is not None and not (is_finite_number(v) and v > 0):
             raise ValueError(f"vll_cruise_speed must be None or a finite number > 0, got {v!r}")

@@ -45,7 +45,9 @@ class Constraint:
 
 
 def _past_blocks(blocks: tuple[tuple[float, float], ...], t: float) -> float:
-    """t bumped forward past sorted closed-left blocks [lo, hi)."""
+    """t bumped forward past closed-left blocks [lo, hi) sorted by lo, which may
+    touch or overlap: t only grows, so a block passed with lo <= t never holds
+    t again, and the first with lo > t ends the walk, as later ones start later."""
     for lo, hi in blocks:
         if lo <= t < hi:
             t = hi
@@ -54,31 +56,12 @@ def _past_blocks(blocks: tuple[tuple[float, float], ...], t: float) -> float:
     return t
 
 
-def _insert_span(
-    blocks: tuple[tuple[float, float], ...],
-    span: tuple[float, float],
-) -> tuple[tuple[float, float], ...]:
-    """Insert one span into sorted disjoint blocks, fusing those it overlaps or touches."""
-    lo, hi = span
-    before: list[tuple[float, float]] = []
-    after: list[tuple[float, float]] = []
-    for b_lo, b_hi in blocks:
-        if b_hi < lo:
-            before.append((b_lo, b_hi))
-        elif b_lo > hi:
-            after.append((b_lo, b_hi))
-        else:
-            if b_lo < lo:
-                lo = b_lo
-            if b_hi > hi:
-                hi = b_hi
-    return tuple(before) + ((lo, hi),) + tuple(after)
-
-
 @dataclass(frozen=True, eq=False)
 class SafeIntervalTable:
     """Per-vertex safe intervals [lo, hi] and per-move departure prohibitions
-    [lo, hi) for one agent's constraints, both as sorted (lo, hi) float pairs.
+    [lo, hi) for one agent's constraints, both as (lo, hi) float pairs sorted
+    by lo. Safe intervals are disjoint; a move keeps its bans as added, so they
+    may touch or overlap.
 
     Entries are kept per key so `adding` can rebuild just the one entry a new
     constraint touches; the conflict tree leans on that. `adding` is the only
@@ -117,7 +100,7 @@ class SafeIntervalTable:
             return SafeIntervalTable(vertex_safe, self.move_blocks)
         key = (constraint.src, constraint.dst)
         move_blocks = dict(self.move_blocks)
-        move_blocks[key] = _insert_span(self.move_blocks.get(key, ()), (lo, hi))
+        move_blocks[key] = tuple(sorted((*self.move_blocks.get(key, ()), (lo, hi))))
         return SafeIntervalTable(self.vertex_safe, move_blocks)
 
 

@@ -269,6 +269,7 @@ class TestSimulate:
             ({"vll_cruise_speed": float("inf")}, "vll_cruise_speed must be None or a finite number"),
             ({"vll_cruise_speed": True}, "vll_cruise_speed must be None or a finite number"),
             ({"command_period": 1e-9}, "command_period must be at least one tick"),
+            ({"tick": 0.0005, "log_period": 0.0005}, "log_period must be a whole number of milliseconds"),
         ],
     )
     def test_bad_config_files(self, planned, tmp_path, capsys, doc, needle):

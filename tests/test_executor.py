@@ -14,7 +14,6 @@ from mapflight.executor import (
     bll_execute,
     make_executor,
     vll_execute,
-    vll_step,
 )
 from mapflight.plan import TimedPlan
 
@@ -114,36 +113,44 @@ class TestBhl:
 
 
 class TestVllStep:
-    WP = (2.0, 0.0, 0.0, 7.0)
+    """One VLL step: the first resume of vll_execute, against a vehicle that does not move."""
+
+    PLAN = TimedPlan(0, ((2.0, 0.0, 0.0, 0.0),))
+
+    def first_commands(self, position, plan=PLAN, box_half_width=0.1, cruise_speed=0.5, start=0.0):
+        ep = ScriptedEndpoint(start=start, position=position)
+        steps = vll_execute(plan, ep, cruise_speed, period=0.25, box_half_width=box_half_width)
+        assert next(steps, None) in (0.25, None)
+        return ep.sent
 
     def test_steers_at_cruise_speed_toward_the_waypoint(self):
-        cmd, advanced = vll_step((0.5, 0.0, 0.0), self.WP, 0.1, 0.5, now=3.0)
-        assert not advanced
-        assert cmd == VelocitySetpoint((0.5, 0.0, 0.0), issue_time=3.0)
+        sent = self.first_commands((0.5, 0.0, 0.0), start=3.0)
+        assert sent == [VelocitySetpoint((0.5, 0.0, 0.0), issue_time=3.0)]
 
     def test_diagonal_direction_is_normalized(self):
-        cmd, advanced = vll_step((1.0, 1.0, 0.0), (2.0, 2.0, 0.0, 0.0), 0.1, 1.0)
-        assert not advanced
+        plan = TimedPlan(0, ((2.0, 2.0, 0.0, 0.0),))
+        [cmd] = self.first_commands((1.0, 1.0, 0.0), plan=plan, cruise_speed=1.0)
         assert math.hypot(*cmd.velocity) == pytest.approx(1.0)
         assert cmd.velocity[0] == pytest.approx(cmd.velocity[1])
 
     def test_box_boundary_is_inside(self):
-        # |dx| equal to the half-width counts as arrived (closed box)
-        cmd, advanced = vll_step((1.75, 0.0, 0.0), self.WP, 0.25, 0.5)
-        assert advanced and cmd.velocity == (0.0, 0.0, 0.0)
-        _, advanced = vll_step((1.7, 0.0, 0.0), self.WP, 0.25, 0.5)
-        assert not advanced
+        # |dx| equal to the half-width counts as arrived (closed box): the
+        # one waypoint is reached, and only the final stop is sent
+        sent = self.first_commands((1.75, 0.0, 0.0), box_half_width=0.25)
+        assert sent == [VelocitySetpoint((0.0, 0.0, 0.0), issue_time=0.0)]
+        [cmd] = self.first_commands((1.7, 0.0, 0.0), box_half_width=0.25)
+        assert cmd.velocity == (0.5, 0.0, 0.0)
 
     def test_box_is_per_axis(self):
-        # inside on x but outside on z: not arrived
-        _, advanced = vll_step((2.0, 0.0, 0.3), self.WP, 0.25, 0.5)
-        assert not advanced
+        # inside on x but outside on z: not arrived, so it steers down
+        [cmd] = self.first_commands((2.0, 0.0, 0.3), box_half_width=0.25)
+        assert cmd.velocity == (0.0, 0.0, -0.5)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="box_half_width"):
-            vll_step((0.0, 0.0, 0.0), self.WP, 0.0, 0.5)
-        with pytest.raises(ValueError, match="cruise_speed"):
-            vll_step((0.0, 0.0, 0.0), self.WP, 0.1, 0.0)
+        with pytest.raises(ValueError, match="box_half_width must be > 0"):
+            self.first_commands((0.0, 0.0, 0.0), box_half_width=0.0)
+        with pytest.raises(ValueError, match="cruise_speed must be > 0"):
+            self.first_commands((0.0, 0.0, 0.0), cruise_speed=0.0)
 
 
 class TestVllExecute:

@@ -84,6 +84,9 @@ class TestSimConfig:
             (dict(arena_max=(2.0, 2.0, math.inf)), "arena_max must be three finite numbers"),
             (dict(arena_max=(2.0, 2.0, True)), "arena_max must be three finite numbers"),
             (dict(command_period=1e-9), "command_period must be at least one tick"),
+            # the logs write t to the millisecond: 0.5 ms would repeat times, 1.5 ms shift them
+            (dict(tick=0.0005, log_period=0.0005), "whole number of milliseconds"),
+            (dict(tick=0.0005, log_period=0.0015), "whole number of milliseconds"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

@@ -46,10 +46,11 @@ class TestSafeIntervalTable:
         assert table.vertex_intervals((2, 2, 0)) == ((0.0, INF),)
         assert table.move_blocks.get(self.EDGE, ()) == ()
 
-    def test_touching_move_bans_fuse(self):
-        cs = [move_c(*self.EDGE, 1.0, 2.0), move_c(*self.EDGE, 2.0, 3.0)]
+    def test_touching_move_bans_block_departure_through_both(self):
+        cs = [move_c(*self.EDGE, 2.0, 3.0), move_c(*self.EDGE, 1.0, 2.0)]
         table = build_safe_intervals(cs, 0)
-        assert table.move_blocks[self.EDGE] == ((1.0, 3.0),)
+        assert table.move_blocks[self.EDGE] == ((1.0, 2.0), (2.0, 3.0))
+        assert sipp._past_blocks(table.move_blocks[self.EDGE], 1.0) == 3.0
 
     def test_touching_vertex_bans_keep_the_instant(self):
         # occupancy prohibitions are open, so the instant t = 2 between the
@@ -141,7 +142,6 @@ class TestSafeIntervalTable:
                     assert not any(b[0] <= r < b[1] for b in bans), (cs, (src, dst), t, r)
                     skipped = [p for p in probes if t <= p < r]
                     assert all(any(b[0] <= p < b[1] for b in bans) for p in skipped), (cs, (src, dst), t, r)
-                assert all(a[1] < b[0] for a, b in zip(blocks, blocks[1:])), (cs, (src, dst), blocks)
             shuffled = list(cs)
             rng.shuffle(shuffled)
             again = build_safe_intervals(shuffled, 0)
