@@ -607,3 +607,38 @@ def test_command_link_hashes(latency, method):
                         command_sink=sink)
     got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (log.to_csv(), repr(sink)))
     assert got == LINK_GOLDEN[(latency, method)]
+
+
+FLY_SWARM = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "fly_swarm.plans.json"
+
+# sha256 of to_csv(), of json.dumps(error_metrics(log).to_json_dict(""), sort_keys=True)
+# and of error_metrics(log).series_csv() for the 12-agent benchmark plan: logs of about
+# 19k records, so the pins cross many row blocks of the CSV writers and of error_metrics.
+LONG_GOLDEN = {
+    ("bll", 0): ("697d9360c71beec87afd7912b504aacfc2e03db4246a4a95673e8b4459276d7c",
+                 "d6ebce37c1afabc224eab090d853fba5e30468283e6aa99e05d259a5bb2b5a77",
+                 "74634e7929927691baa5fab59d914ec4adeabf60eaa95d0959d7a4fa96533d8e"),
+    ("vll", 1): ("c3eba2c6fd54eefb4f886cb00717126a9769aae9cc651574bda9d8d8ad318bdf",
+                 "a0371b7660d12e0fb0cdf782af7a59cb72f5b157f4b69fcb0ed3bc4fcedfc92b",
+                 "1331e33e1b753486f725a932688a9150c0fcab00b994435c5f940ec3ca090a2d"),
+}
+
+
+@pytest.fixture(scope="module")
+def long_logs():
+    """{(method, seed): PoseLog} of the benchmark plan, flown once."""
+    planset = load_plans(FLY_SWARM)
+    return {(method, seed): run_execution(planset.plans, method, SimConfig(seed=seed), speeds=planset.speeds)
+            for method, seed in LONG_GOLDEN}
+
+
+@pytest.mark.parametrize("method,seed", sorted(LONG_GOLDEN))
+def test_long_log_hashes(long_logs, tmp_path, method, seed):
+    log = long_logs[(method, seed)]
+    report = error_metrics(log)
+    doc = json.dumps(report.to_json_dict(""), sort_keys=True)
+    text = log.to_csv()
+    got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in (text, doc, report.series_csv()))
+    assert got == LONG_GOLDEN[(method, seed)]
+    log.write_csv(tmp_path / "poses.csv")
+    assert (tmp_path / "poses.csv").read_bytes() == text.encode()
