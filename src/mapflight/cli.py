@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, SolveResult, ccbs_solve
-from .flightsim import METHODS, SimConfig, _mean, error_metrics, run_execution, run_executions
+from .flightsim import METHODS, SimConfig, _mean, check_flight_size, error_metrics, run_execution, run_executions
 from .plan import load_plans, save_plans, validate
 from .world import InputError, check_keys, input_field, load_instance, read_json, write_json
 
@@ -201,6 +201,7 @@ def _fly_batch(plans, method: str, speeds: dict, configs: list[SimConfig]) -> li
     for log in run_executions(plans, method, configs, speeds=speeds):
         aggregate = error_metrics(log).aggregate
         runs.append((log.completed, aggregate.max_error, aggregate.avg_error))
+        del log  # so that its records are freed before the next run's are built
     return runs
 
 
@@ -323,6 +324,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         plan_file = f"{name}_plans.json"
         save_plans(solution.plans, agents, out_dir / plan_file)
         outputs.append(plan_file)
+        try:
+            check_flight_size(solution.plans, base, len(configs))
+        except InputError as exc:
+            stopped[name] = ({"scenario": name, "stage": "simulate", "error": str(exc)},
+                             f"{name}: FAILED to simulate ({exc})")
+            continue
         solved[name] = (agents, result)
         speeds = {a.id: a.speed for a in agents}
         for m in methods:

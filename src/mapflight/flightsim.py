@@ -48,7 +48,7 @@ from .executor import (
 )
 from .geometry3d import Vec3, is_finite_number
 from .plan import TimedPlan
-from .world import DEFAULT_SPEED
+from .world import DEFAULT_SPEED, InputError
 
 METHODS = ("bhl", "bll", "vll")
 
@@ -58,6 +58,11 @@ BASIS_ESTIMATED = "estimated-vs-planned"
 _EPS = 1e-9
 # a finer tick spends the whole run on bookkeeping; the tests fly down to 0.0025 s
 MIN_TICK = 1e-4
+# Fleet rows x logged ticks up to the wall cap that one flight may log. A
+# row-tick takes 48 bytes of logged arrays and its record 88 bytes, so the limit
+# stands for about 200 MB and 370 MB; each bundled scenario flown 13 times is at
+# least 20 times below it.
+MAX_LOG_RECORDS = 2**22
 
 
 @dataclass(frozen=True)
@@ -127,11 +132,19 @@ class SimConfig:
 _NOISE_BLOCK = 64
 
 # Logged ticks per pose-log block: a (block, rows, 3) array each of actual and
-# estimated positions, and a (block, N, 3) one of planned positions. Each run's
-# records are cut from the blocks. A fixed block keeps every array far below
-# the 4 MB from which numpy asks for huge pages, whatever the wall cap; over
-# the bundled bench batches, 16 left a lower peak RSS than 32 or 64.
+# estimated positions, logged tick by tick, and a (block, N, 3) one of planned
+# positions, filled once after the flight. Each run's records are cut from the
+# blocks. A fixed block keeps every array far below the 4 MB from which numpy
+# asks for huge pages, whatever the wall cap; over the bundled bench batches, 16
+# left a lower peak RSS than 32 or 64.
 _LOG_BLOCK = 16
+# Blocks filled per positions_at call, so that each call's arrays are bounded too.
+_PLANNED_BLOCKS = 64
+
+# Records per row block of the CSV writers and of error_metrics' per-record
+# hypot: the Python strings and floats of one block are all that is alive at
+# once, so their memory is bounded by the block, not by the run length.
+_ROW_BLOCK = 2048
 
 
 def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapsed: np.ndarray,
@@ -248,18 +261,49 @@ class PoseLog:
     completed: bool
     end_time: float
 
+    def _csv_chunks(self) -> Iterator[str]:
+        """poses.csv as text chunks: the header, then one chunk per row block."""
+        yield "t,agent,ax,ay,az,ex,ey,ez,px,py,pz\n"
+        for b in _row_blocks(self.records):
+            # floats go through tolist() so that repr prints 0.1, not np.float64(0.1)
+            a = map(repr, b["actual"].ravel().tolist())
+            e = map(repr, b["estimated"].ravel().tolist())
+            p = iter(_distinct_reprs(b["planned"]))
+            yield "".join([f"{prefix}{ax},{ay},{az},{ex},{ey},{ez},{px},{py},{pz}\n"
+                           for prefix, ax, ay, az, ex, ey, ez, px, py, pz
+                           in zip(_row_prefixes(b), a, a, a, e, e, e, p, p, p)])
+
     def to_csv(self) -> str:
-        r = self.records
-        # floats go through tolist() so that repr prints 0.1, not np.float64(0.1)
-        xyz = np.concatenate([r["actual"], r["estimated"], r["planned"]], axis=1).tolist()
-        lines = ["t,agent,ax,ay,az,ex,ey,ez,px,py,pz"]
-        lines += [f"{t:.3f},{agent}," + ",".join(map(repr, row))
-                  for t, agent, row in zip(r["t"].tolist(), r["agent"].tolist(), xyz)]
-        return "\n".join(lines) + "\n"
+        """poses.csv as one string: a header, then one line per record, every float as its repr."""
+        return "".join(self._csv_chunks())
 
     def write_csv(self, path) -> None:
+        """Write to_csv()'s text one row block at a time."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._csv_chunks())
+
+
+def _row_blocks(records: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most _ROW_BLOCK records."""
+    return (records[lo : lo + _ROW_BLOCK] for lo in range(0, len(records), _ROW_BLOCK))
+
+
+def _row_prefixes(block: np.ndarray) -> list[str]:
+    """The `t,agent,` prefix of each record of a block, t to the millisecond;
+    each distinct t (told apart by its bits) and agent id is formatted once."""
+    t_bits, t_index = np.unique(block["t"].view(np.int64), return_inverse=True)
+    agents, agent_index = np.unique(block["agent"], return_inverse=True)
+    ts = np.array([f"{t:.3f}," for t in t_bits.view(np.float64).tolist()], dtype=object)
+    ids = np.array([f"{agent}," for agent in agents.tolist()], dtype=object)
+    return (ts[t_index.ravel()] + ids[agent_index.ravel()]).tolist()
+
+
+def _distinct_reprs(x: np.ndarray) -> list[str]:
+    """repr of each float of x, flattened in C order; each distinct value is
+    formatted once, told apart by its bits, so -0.0 stays -0.0."""
+    bits, index = np.unique(x.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return strings[index.ravel()].tolist()
 
 
 @dataclass
@@ -292,6 +336,25 @@ class _Vehicle(VehicleEndpoint):
 
     def clock(self) -> float:
         return self.now
+
+
+def _wall_cap(plans: Iterable[TimedPlan]) -> float:
+    """Simulated time at which a run that has not finished is marked failed: 2 x makespan + 10 s."""
+    return 2.0 * max(p.end_time for p in plans) + 10.0
+
+
+def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int = 1) -> None:
+    """Raise InputError if `runs` seeded runs of the plans, flown as one fleet,
+    could log more than MAX_LOG_RECORDS pose records: fleet rows x logged ticks
+    up to the wall cap. run_executions checks this before its first tick."""
+    cap = _wall_cap(plans)
+    rows = runs * len(plans)
+    size = rows * (cap / config.log_period + 2)  # the ticks at 0 and past the cap are logged too
+    if size > MAX_LOG_RECORDS:
+        raise InputError(
+            f"a flight of {rows} vehicle rows up to its wall cap of {cap:.6g} s would log up to "
+            f"{size:.3g} pose records, more than MAX_LOG_RECORDS = {MAX_LOG_RECORDS}"
+        )
 
 
 def _plan_speed(plan: TimedPlan) -> float:
@@ -394,6 +457,7 @@ def _execute(
     config = configs[0]
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("configs of one batch may differ only in seed")
+    check_flight_size(plan_list, config, len(configs))
 
     n_agents = len(plan_list)
     cruise_speeds = []
@@ -422,8 +486,7 @@ def _execute(
     rows = len(runs) * n_agents
     fleet = _Fleet([p.start_position for p in plan_list] * len(runs), [(0.0, 0.0, 0.0)] * rows, config, config.tick)
     goals = np.array([p.goal_position for p in plan_list] * len(runs), dtype=np.float64)
-    makespan = max(p.end_time for p in plan_list)
-    cap = 2.0 * makespan + 10.0
+    cap = _wall_cap(plan_list)
     steps_per_log = config.log_every_ticks
     box = config.vll_box_half_width
     noise = np.empty((rows, _NOISE_BLOCK, 3))  # one contiguous block per vehicle stream
@@ -450,10 +513,9 @@ def _execute(
             if j == 0:
                 blocks.append((np.empty((_LOG_BLOCK, rows, 3)), np.empty((_LOG_BLOCK, rows, 3)),
                                np.empty((_LOG_BLOCK, n_agents, 3))))
-            actual_block, estimated_block, planned_block = blocks[-1]
+            actual_block, estimated_block, _ = blocks[-1]
             actual_block[j] = fleet.pos
             estimated_block[j] = estimated
-            planned_block[j] = [p.position_at(t) for p in plan_list]
             times.append(t)
         if ready:
             inside = (np.abs(fleet.pos - goals) <= box).reshape(len(runs), -1).all(axis=1)
@@ -508,6 +570,14 @@ def _execute(
         fleet.step(t)
         n += 1
 
+    # the planned positions are the same for every run, so they are computed once
+    span = _PLANNED_BLOCKS * _LOG_BLOCK
+    for lo in range(0, len(times), span):
+        ts = times[lo : lo + span]
+        for i, plan in enumerate(plan_list):
+            positions = plan.positions_at(ts)
+            for j, (_, _, planned) in zip(range(0, len(ts), _LOG_BLOCK), blocks[lo // _LOG_BLOCK :]):
+                planned[: len(ts) - j, i] = positions[j : j + _LOG_BLOCK]
     agents = [p.agent for p in plan_list]
     return (_pose_log(run, times, blocks, agents, name) for run in runs)
 
@@ -569,9 +639,12 @@ class ErrorReport:
         }
 
     def series_csv(self) -> str:
-        lines = ["t,agent,error"]
-        lines += [f"{t:.3f},{agent},{err!r}" for t, agent, err in self.series.tolist()]
-        return "\n".join(lines) + "\n"
+        """error_series.csv: a header, then one line per record, built one row block at a time."""
+        chunks = ["t,agent,error\n"]
+        for b in _row_blocks(self.series):
+            chunks.append("".join([f"{prefix}{error!r}\n"
+                                   for prefix, error in zip(_row_prefixes(b), b["error"].tolist())]))
+        return "".join(chunks)
 
 
 def _mean(values) -> float:
@@ -586,7 +659,9 @@ def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
     The records must be tick-major, then agent, with the same agents in the
     same order at every logged tick (as `run_execution` writes them); the
     per-agent figures are then the columns of the (ticks, N) errors, and a log
-    laid out otherwise raises ValueError.
+    laid out otherwise raises ValueError. Each error is math.hypot of the
+    record's offsets, one row block at a time, so the Python floats it needs
+    are bounded by the block.
     """
     if basis not in (BASIS_ACTUAL, BASIS_ESTIMATED):
         raise ValueError(f"unknown basis {basis!r}")
@@ -600,13 +675,15 @@ def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
     if (ticks * n_agents != len(r) or len(set(first.tolist())) < n_agents
             or not (agents.reshape(ticks, n_agents) == first).all()):
         raise ValueError("pose log records must be tick-major, then agent, with the same agents at every tick")
-    offset = r["actual" if basis == BASIS_ACTUAL else "estimated"] - r["planned"]
+    column = "actual" if basis == BASIS_ACTUAL else "estimated"
     series = np.empty(len(r), dtype=ERROR_DTYPE)
     series["t"], series["agent"] = r["t"], agents
-    # math.hypot of the differences is math.dist bit for bit (one CPython routine);
-    # a numpy norm differs from both by an ulp on some poses
-    series["error"] = list(map(math.hypot, *offset.T.tolist()))
     errors = series["error"]
+    for lo in range(0, len(r), _ROW_BLOCK):
+        b = r[lo : lo + _ROW_BLOCK]
+        # math.hypot of the differences is math.dist bit for bit (one CPython routine);
+        # a numpy norm differs from both by an ulp on some poses
+        errors[lo : lo + len(b)] = list(map(math.hypot, *(b[column] - b["planned"]).T.tolist()))
     columns = errors.reshape(ticks, n_agents)
     # a running sum down each column adds left to right, as _mean does
     means = (np.cumsum(columns, axis=0)[-1] / ticks).tolist()

@@ -8,7 +8,6 @@ and the rules no type owns (unique agent ids, the speed).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -93,7 +92,6 @@ class TimedPlan:
         wps = tuple(wps)
         object.__setattr__(self, "waypoints", wps)
         object.__setattr__(self, "motions", tuple(motions))
-        object.__setattr__(self, "_times", tuple(times))
         # plans key the solver's pair-test cache, so hash the waypoints once
         object.__setattr__(self, "_hash", hash((self.agent, wps)))
 
@@ -112,15 +110,23 @@ class TimedPlan:
     def end_time(self) -> float:
         return self.waypoints[-1][3]
 
-    def position_at(self, t: float) -> Vec3:
-        """Piecewise-linear position; clamped to the start before 0 and parked after the end."""
-        times = self._times  # type: ignore[attr-defined]
-        if t <= times[0]:
-            return self.start_position
-        if t >= times[-1]:
-            return self.goal_position
-        m = self.motions[bisect.bisect_right(times, t) - 1]
-        return geometry3d._position_at(m.p0, m.p1, m.t0, m.t1, t)
+    def positions_at(self, ts) -> np.ndarray:
+        """Piecewise-linear positions at the times `ts`, shape (len(ts), 3): held at
+        the start up to t = 0 and parked at the goal from the end time on.
+
+        Inside the plan each row is `geometry3d._position_at` of the segment the
+        time falls in, the same float operations element by element.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        wps = np.array(self.waypoints)  # one row (x, y, z, t) per waypoint
+        times, points = wps[:, 3], wps[:, :3]
+        out = np.where((ts <= times[0])[:, None], points[0], points[-1])
+        inside = (ts > times[0]) & (ts < times[-1])
+        t = ts[inside]
+        k = np.searchsorted(times, t, side="right") - 1
+        s = (t - times[k]) / (times[k + 1] - times[k])
+        out[inside] = points[k] + (points[k + 1] - points[k]) * s[:, None]
+        return out
 
 
 @dataclass(frozen=True)

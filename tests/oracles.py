@@ -37,10 +37,13 @@ Two are solver helpers that only the tests read:
   * build_safe_intervals — one agent's safe-interval table built from a
     constraint list, one `SafeIntervalTable.adding` at a time.
 
-One is the plan's earlier constructor rules, which the motion-owned rules
-must reproduce, bool and str values aside:
+Two are the plan's earlier forms, which the current code must reproduce:
 
-  * timed_plan_reference — the per-waypoint finiteness and time-order loops.
+  * timed_plan_reference — the per-waypoint finiteness and time-order loops of
+    the constructor, which the motion-owned rules reproduce, bool and str
+    values aside.
+  * position_at — the scalar position lookup, one time at a time, which
+    `TimedPlan.positions_at` must reproduce bit for bit.
 
 And two are the simulator's earlier per-row bookkeeping, which the batched
 code must reproduce bit for bit:
@@ -53,6 +56,7 @@ code must reproduce bit for bit:
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -61,7 +65,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from mapflight import sipp
+from mapflight import geometry3d, sipp
 from mapflight.executor import HighLevelGoto, VelocitySetpoint
 from mapflight.geometry3d import Conflict, LinearMotion, cylinder_unsafe_interval
 from mapflight.plan import TimedPlan
@@ -805,6 +809,17 @@ def timed_plan_reference(agent: int, waypoints) -> tuple[tuple[float, float, flo
         if wps[n][3] <= wps[n - 1][3]:
             raise ValueError(f"agent {agent}: waypoint {n} time {wps[n][3]!r} not after previous {wps[n - 1][3]!r}")
     return wps
+
+
+def position_at(plan, t: float) -> Vec3:
+    """Piecewise-linear position; clamped to the start before 0 and parked after the end."""
+    times = [wp[3] for wp in plan.waypoints]
+    if t <= times[0]:
+        return plan.start_position
+    if t >= times[-1]:
+        return plan.goal_position
+    m = plan.motions[bisect.bisect_right(times, t) - 1]
+    return geometry3d._position_at(m.p0, m.p1, m.t0, m.t1, t)
 
 
 # ---------------------------------------------------------------------------

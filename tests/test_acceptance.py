@@ -316,7 +316,7 @@ def test_05_interpolated_setpoints_equal_the_plan(scenario_dir):
             run_execution(solution.plans, "bll", config, speeds=agent_speeds(agents), command_sink=sink)
             assert sink
             for agent, cmd in sink:
-                want = plans[agent].position_at(cmd.issue_time)
+                (want,) = plans[agent].positions_at([cmd.issue_time]).tolist()
                 gap = max(abs(a - b) for a, b in zip(cmd.target, want))
                 assert gap <= 1e-12, f"agent {agent} at t={cmd.issue_time}: off by {gap:.2e}"
             total += len(sink)

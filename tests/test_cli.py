@@ -571,3 +571,35 @@ def test_a_tick_below_the_floor_is_malformed_input(planned, tmp_path, capsys):
     code = main(["simulate", "--plans", str(plans), "--method", "bll", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == EXIT_BAD_INPUT
     assert "tick must be at least" in capsys.readouterr().err
+
+
+def test_a_flight_past_the_log_limit_is_malformed_input(tmp_path, scenario_dir, capsys):
+    # swarm_2's plan with agent 0 parked until t = 1e12 once ticked on for good
+    plans = tmp_path / "plans.json"
+    assert main(["plan", "--instance", str(scenario_dir / "swarm_2.json"), "--out", str(plans)]) == EXIT_OK
+    doc = json.loads(plans.read_text(encoding="utf-8"))
+    waypoints = doc["plans"][0]["waypoints"]
+    waypoints.append([*waypoints[-1][:3], 1e12])
+    write_json(plans, doc)
+    capsys.readouterr()
+    with deadline(10):
+        code = main(["simulate", "--plans", str(plans), "--method", "bll", "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_INPUT
+    assert "more than MAX_LOG_RECORDS = 4194304" in capsys.readouterr().err
+
+
+def test_a_batch_past_the_log_limit_is_a_simulate_failure(tmp_path, scenario_dir, capsys):
+    # 1,200 runs of two agents to swarm_2's 18 s wall cap would log about 4.3 M records
+    src = tmp_path / "scenarios"
+    src.mkdir()
+    shutil.copy(scenario_dir / "swarm_2.json", src / "swarm_2.json")
+    out = tmp_path / "out"
+    with deadline(30):
+        code = main(["bench", "--scenarios", str(src), "--methods", "bll", "--repetitions", "1200", "--out", str(out)])
+    assert code == EXIT_SIM_FAILED
+    bench = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+    assert bench["rows"] == []
+    [failure] = bench["failures"]
+    assert (failure["scenario"], failure["stage"]) == ("swarm_2", "simulate")
+    assert "MAX_LOG_RECORDS" in failure["error"]
+    assert "swarm_2: FAILED to simulate" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,15 @@ from mapflight.flightsim import (
     SimConfig,
     _Fleet,
     _mean,
+    MAX_LOG_RECORDS,
     _refine,
+    check_flight_size,
     error_metrics,
     run_execution,
     run_executions,
 )
 from mapflight.plan import TimedPlan, load_plans
-from mapflight.world import load_instance
+from mapflight.world import InputError, load_instance
 
 REST = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))  # (position, velocity)
 
@@ -642,3 +645,45 @@ def test_long_log_hashes(long_logs, tmp_path, method, seed):
     assert got == LONG_GOLDEN[(method, seed)]
     log.write_csv(tmp_path / "poses.csv")
     assert (tmp_path / "poses.csv").read_bytes() == text.encode()
+
+
+def test_write_csv_memory_is_bounded_by_the_row_block(long_logs, tmp_path):
+    log = long_logs[("vll", 1)]
+    tracemalloc.start()
+    try:
+        log.write_csv(tmp_path / "poses.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building the whole 19k-record file as one string took about 16 MB
+    assert peak <= 4 * 2**20
+
+
+def test_a_flight_past_the_log_limit_is_refused_before_its_first_tick(monkeypatch):
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    plan = planset.plans[0]
+    long = TimedPlan(plan.agent, plan.waypoints + ((*plan.goal_position, 1e12),))
+    plans = [long, *planset.plans[1:]]
+
+    def no_fleet(*args, **kwargs):
+        raise AssertionError("the fleet was built")
+
+    monkeypatch.setattr(flightsim, "_Fleet", no_fleet)
+    with pytest.raises(InputError, match=f"more than MAX_LOG_RECORDS = {MAX_LOG_RECORDS}"):
+        run_execution(plans, "bll", SimConfig())
+    with pytest.raises(InputError, match="MAX_LOG_RECORDS"):
+        check_flight_size(plans, SimConfig())
+    # the limit counts every run of a batch: 13 runs of swarm_4 log about 83k records at most
+    check_flight_size(planset.plans, SimConfig(), runs=13)
+    with pytest.raises(InputError, match="MAX_LOG_RECORDS"):
+        check_flight_size(planset.plans, SimConfig(), runs=13 * 60)
+
+
+def test_every_committed_flight_is_far_below_the_log_limit(bundled_plans):
+    """Each bundled scenario as `bench` flies it (13 runs), each plan fixture and the
+    benchmark plan log at most a twentieth of MAX_LOG_RECORDS."""
+    flights = [(plans, 13) for plans, _ in bundled_plans.values()]
+    flights += [(load_plans(path).plans, 13) for path in sorted(FIXTURES.glob("*.plans.json"))]
+    flights.append((load_plans(FLY_SWARM).plans, 1))
+    for plans, runs in flights:
+        check_flight_size(plans, SimConfig(), runs=20 * runs)

@@ -105,11 +105,14 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
     return unread
 
 
-# constants that only code outside the package reads, each with the reason it stays
+# names that only code outside the package reads, each with the reason it stays
 READ_OUTSIDE_THE_PACKAGE = {
     # perfbench/worker.py writes errors.json through it; it goes when the
     # benchmark harness stops reading it (ROADMAP item 1)
     "cli._write_json",
+    # the golden log pins hash the whole poses.csv text; the package writes
+    # the same chunks one row block at a time through write_csv
+    "flightsim.PoseLog.to_csv",
 }
 
 
@@ -149,7 +152,8 @@ def test_the_scan_sees_unread_and_read_methods():
 
 
 def test_every_top_level_definition_is_read():
-    assert unread_definitions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+    unread = unread_definitions({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert [name for name in unread if name not in READ_OUTSIDE_THE_PACKAGE] == []
 
 
 def test_the_scan_sees_unread_and_read_constants():

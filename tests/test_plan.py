@@ -20,7 +20,7 @@ from mapflight.plan import (
 )
 from mapflight.world import AgentSpec, GridWorld, InputError
 
-from oracles import motions_reference, timed_plan_reference
+from oracles import motions_reference, position_at, timed_plan_reference
 
 BODY = CylinderBody(0.25, 1.0)
 
@@ -32,11 +32,34 @@ def spec(aid, start, goal, speed=0.5, body=BODY):
 class TestTimedPlan:
     def test_interpolation_and_clamping(self):
         p = TimedPlan(0, ((0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 4.0), (2.0, 2.0, 0.0, 8.0)))
-        assert p.position_at(2.0) == pytest.approx((1.0, 0.0, 0.0))
-        assert p.position_at(6.0) == pytest.approx((2.0, 1.0, 0.0))
-        assert p.position_at(-1.0) == pytest.approx((0.0, 0.0, 0.0))  # held at start
-        assert p.position_at(99.0) == pytest.approx((2.0, 2.0, 0.0))  # parked at goal
+        got = p.positions_at([2.0, 6.0, -1.0, 99.0])
+        assert got.shape == (4, 3)
+        assert got[0].tolist() == pytest.approx([1.0, 0.0, 0.0])
+        assert got[1].tolist() == pytest.approx([2.0, 1.0, 0.0])
+        assert got[2].tolist() == pytest.approx([0.0, 0.0, 0.0])  # held at start
+        assert got[3].tolist() == pytest.approx([2.0, 2.0, 0.0])  # parked at goal
         assert p.end_time == 8.0
+
+    def test_positions_at_is_the_scalar_lookup_bit_for_bit(self):
+        rng = random.Random(26)
+        coordinate = lambda: rng.choice((-0.0, 0.0, rng.uniform(-3.0, 3.0), rng.uniform(0.0, 1e-3)))
+        for agent in range(60):
+            point, t = (coordinate(), coordinate(), coordinate()), 0.0
+            wps = [(*point, t)]
+            for _ in range(rng.randrange(6)):
+                t += rng.choice((rng.uniform(1e-3, 3.0), 0.1, 1 / 3))
+                if rng.random() < 0.6:  # else wait where it is
+                    point = (coordinate(), coordinate(), coordinate())
+                wps.append((*point, t))
+            plan = TimedPlan(agent, tuple(wps))
+            times = [wp[3] for wp in wps]
+            ts = times + [(a + b) / 2 for a, b in zip(times, times[1:])]
+            ts += [-1.0, -0.0, -1e-300, times[-1] + 1e-9, times[-1] + 5.0, 1e12]
+            ts += [rng.uniform(-0.5, times[-1] + 0.5) for _ in range(20)]
+            got = plan.positions_at(ts)
+            assert got.shape == (len(ts), 3)
+            for t, row in zip(ts, got.tolist()):
+                assert [v.hex() for v in row] == [v.hex() for v in position_at(plan, t)], (agent, t)
 
     @pytest.mark.parametrize(
         "wps,match",
