@@ -5,8 +5,9 @@ logging, and tracking-error metrics.
 A pose log is one numpy structured array (`POSE_DTYPE`), one row per agent per
 logged tick, tick-major, then agent; the error series is another
 (`ERROR_DTYPE`) in the same order. The metrics and the CSV writers read their
-columns, and `error_metrics` takes its per-agent figures from the (ticks, N)
-columns, so it rejects a log laid out any other way.
+columns in row blocks, and `error_metrics` takes its per-agent figures from the
+(ticks, N) columns, so it rejects a log laid out any other way. A flight that
+could log more than MAX_LOG_RECORDS records is refused before its first tick.
 
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
 advances them together, one array update per tick (`_Fleet.step`). The seeded
@@ -18,7 +19,8 @@ bookkeeping is batched too:
   * the commands that arrive on one tick are activated together, one array
     update per command kind (`_Fleet.activate`);
   * poses are logged into fixed blocks of logged ticks, and each run's records
-    are cut from its rows of those blocks;
+    are cut from its rows of those blocks; the planned positions, the same for
+    every run, are filled in once after the last tick (`TimedPlan.positions_at`);
   * localization noise is drawn in blocks of ticks from each vehicle's own
     seeded stream, for the runs still flying only.
 
@@ -343,7 +345,7 @@ def _wall_cap(plans: Iterable[TimedPlan]) -> float:
     return 2.0 * max(p.end_time for p in plans) + 10.0
 
 
-def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int = 1) -> None:
+def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int) -> None:
     """Raise InputError if `runs` seeded runs of the plans, flown as one fleet,
     could log more than MAX_LOG_RECORDS pose records: fleet rows x logged ticks
     up to the wall cap. run_executions checks this before its first tick."""

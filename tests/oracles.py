@@ -45,13 +45,15 @@ Two are the plan's earlier forms, which the current code must reproduce:
   * position_at — the scalar position lookup, one time at a time, which
     `TimedPlan.positions_at` must reproduce bit for bit.
 
-And two are the simulator's earlier per-row bookkeeping, which the batched
-code must reproduce bit for bit:
+And four are the simulator's earlier per-row code, which the batched code
+must reproduce bit for bit:
 
   * activate_reference — one fleet row's command activation, written field by
     field, row after row.
   * per_agent_errors_reference — each agent's max and mean error, read
     through a boolean mask of the error series.
+  * pose_csv_reference and series_csv_reference — the CSV text formatted one
+    record at a time.
 """
 
 from __future__ import annotations
@@ -855,3 +857,18 @@ def per_agent_errors_reference(series) -> dict[int, tuple[float, float]]:
         agent_errors = errors[agents == agent]
         out[agent] = (agent_errors.max().item(), np.cumsum(agent_errors)[-1].item() / len(agent_errors))
     return out
+
+
+def pose_csv_reference(records) -> str:
+    """poses.csv of POSE_DTYPE records, one line per record, every float as its repr."""
+    lines = ["t,agent,ax,ay,az,ex,ey,ez,px,py,pz"]
+    columns = (records[name].tolist() for name in ("t", "agent", "actual", "estimated", "planned"))
+    for t, agent, actual, estimated, planned in zip(*columns):
+        lines.append(f"{t:.3f},{agent}," + ",".join(map(repr, (*actual, *estimated, *planned))))
+    return "\n".join(lines) + "\n"
+
+
+def series_csv_reference(series) -> str:
+    """error_series.csv of ERROR_DTYPE rows, one line per row."""
+    lines = ["t,agent,error"] + [f"{t:.3f},{agent},{error!r}" for t, agent, error in series.tolist()]
+    return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from mapflight.flightsim import (
     BASIS_ACTUAL,
     BASIS_ESTIMATED,
     METHODS,
+    ErrorReport,
     POSE_DTYPE,
     PoseLog,
     SimConfig,
@@ -647,6 +648,29 @@ def test_long_log_hashes(long_logs, tmp_path, method, seed):
     assert (tmp_path / "poses.csv").read_bytes() == text.encode()
 
 
+@pytest.mark.parametrize("row_block", [1, 3, 2048])
+def test_csv_writers_equal_the_per_record_format(monkeypatch, tmp_path, row_block):
+    # repeated, negative-zero, tiny and non-finite values, in no particular record order
+    rng = np.random.default_rng(26)
+    pool = np.array([0.0, -0.0, 0.1, 1 / 3, -2.5, 1e-300, 5e-324, 1e16, np.inf, -np.inf, np.nan])
+    records = np.empty(40, dtype=POSE_DTYPE)
+    records["t"] = rng.choice([0.0, -0.0, 0.01, 0.0105, 2.5, 1e-4], 40)
+    records["agent"] = rng.choice([0, 3, 7, 2**62], 40)
+    for column in ("actual", "estimated", "planned"):
+        records[column] = np.where(rng.random((40, 3)) < 0.5, rng.choice(pool, (40, 3)), rng.standard_normal((40, 3)))
+    log = PoseLog(records, "bll", 0, True, 0.0)
+    series = np.empty(40, dtype=flightsim.ERROR_DTYPE)
+    series["t"], series["agent"], series["error"] = records["t"], records["agent"], records["planned"][:, 0]
+    report = ErrorReport(BASIS_ACTUAL, "bll", 0, {}, None, series)
+    monkeypatch.setattr(flightsim, "_ROW_BLOCK", row_block)
+    assert log.to_csv() == oracles.pose_csv_reference(records)
+    log.write_csv(tmp_path / "poses.csv")
+    assert (tmp_path / "poses.csv").read_text(encoding="utf-8") == oracles.pose_csv_reference(records)
+    assert report.series_csv() == oracles.series_csv_reference(series)
+    empty = PoseLog(records[:0], "bll", 0, True, 0.0)
+    assert empty.to_csv() == oracles.pose_csv_reference(records[:0])
+
+
 def test_write_csv_memory_is_bounded_by_the_row_block(long_logs, tmp_path):
     log = long_logs[("vll", 1)]
     tracemalloc.start()
@@ -672,7 +696,7 @@ def test_a_flight_past_the_log_limit_is_refused_before_its_first_tick(monkeypatc
     with pytest.raises(InputError, match=f"more than MAX_LOG_RECORDS = {MAX_LOG_RECORDS}"):
         run_execution(plans, "bll", SimConfig())
     with pytest.raises(InputError, match="MAX_LOG_RECORDS"):
-        check_flight_size(plans, SimConfig())
+        check_flight_size(plans, SimConfig(), runs=1)
     # the limit counts every run of a batch: 13 runs of swarm_4 log about 83k records at most
     check_flight_size(planset.plans, SimConfig(), runs=13)
     with pytest.raises(InputError, match="MAX_LOG_RECORDS"):
