@@ -576,9 +576,10 @@ def _execute(
     span = _PLANNED_BLOCKS * _LOG_BLOCK
     for lo in range(0, len(times), span):
         ts = times[lo : lo + span]
+        chunk = blocks[lo // _LOG_BLOCK : lo // _LOG_BLOCK + _PLANNED_BLOCKS]
         for i, plan in enumerate(plan_list):
             positions = plan.positions_at(ts)
-            for j, (_, _, planned) in zip(range(0, len(ts), _LOG_BLOCK), blocks[lo // _LOG_BLOCK :]):
+            for j, (_, _, planned) in zip(range(0, len(ts), _LOG_BLOCK), chunk):
                 planned[: len(ts) - j, i] = positions[j : j + _LOG_BLOCK]
     agents = [p.agent for p in plan_list]
     return (_pose_log(run, times, blocks, agents, name) for run in runs)
