@@ -1,5 +1,6 @@
 """Conflict-tree search over continuous-time plans: optimality, failure modes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -674,3 +675,29 @@ def test_solver_timers_are_parts_of_the_wall_time():
             assert 1 <= st.peak_open <= st.generated, st
     # the dense instance's open list peaks at 11 of its 21 generated nodes
     assert ccbs_solve(*TestEightAgents().instance()).stats.peak_open == 11
+
+
+SOLVE_TIMES = ("wall_time", "sipp_s", "detect_s", "branch_s")
+DENSE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "plan_dense.json"
+
+
+def test_solver_digest_is_pinned():
+    # Status, detail, every SolveStats counter, the bound and every waypoint as
+    # float hex over the 32 plan-grid inputs at 200 expansions, plan_dense and
+    # the plateau inputs grid_009/grid_026 at 3,000, with no wall limit: a
+    # change that claims the same solves must keep every bit of them.
+    cases = [(PLAN_GRID / f"grid_{k:03d}.json", 200) for k in range(32)]
+    cases += [(DENSE, 3000), (PLAN_GRID / "grid_009.json", 3000), (PLAN_GRID / "grid_026.json", 3000)]
+    rows = []
+    for path, budget in cases:
+        world, agents = load_instance(path)
+        res = ccbs_solve(world, agents, SolveLimits(max_wall_time=math.inf, max_expansions=budget))
+        st = res.stats
+        counters = [getattr(st, f.name) for f in dataclasses.fields(st)
+                    if f.name not in SOLVE_TIMES and f.name != "lower_bound"]
+        plans = [] if res.solution is None else [
+            [p.agent, [[v.hex() for v in wp] for wp in p.waypoints]] for p in res.solution.plans]
+        bound = None if st.lower_bound is None else float(st.lower_bound).hex()
+        rows.append([path.stem, budget, res.status, res.detail, counters, bound, plans])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "6a8c991ef3210279a0ec1d50c9ea0e28eb5ab9eb5d1e0ba4573a7240fbef80a4", rows
