@@ -149,6 +149,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     planset = load_plans(args.plans)
     config = _load_config(args.config, args.seed)
+    check_flight_size(planset.plans, config, 1)  # a refused flight leaves no --out behind
     out_dir = _prepare_out(args.out, is_dir=True)
     log = run_execution(planset.plans, args.method, config, speeds=planset.speeds)
     report = error_metrics(log)

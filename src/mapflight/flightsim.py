@@ -348,7 +348,8 @@ def _wall_cap(plans: Iterable[TimedPlan]) -> float:
 def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int) -> None:
     """Raise InputError if `runs` seeded runs of the plans, flown as one fleet,
     could log more than MAX_LOG_RECORDS pose records: fleet rows x logged ticks
-    up to the wall cap. run_executions checks this before its first tick."""
+    up to the wall cap. run_executions checks this before its first tick, and
+    `mapflight simulate` before it makes --out."""
     cap = _wall_cap(plans)
     rows = runs * len(plans)
     size = rows * (cap / config.log_period + 2)  # the ticks at 0 and past the cap are logged too

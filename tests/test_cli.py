@@ -586,6 +586,7 @@ def test_a_flight_past_the_log_limit_is_malformed_input(tmp_path, scenario_dir, 
         code = main(["simulate", "--plans", str(plans), "--method", "bll", "--out", str(tmp_path / "run")])
     assert code == EXIT_BAD_INPUT
     assert "more than MAX_LOG_RECORDS = 4194304" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before --out is made
 
 
 def test_a_batch_past_the_log_limit_is_a_simulate_failure(tmp_path, scenario_dir, capsys):
