@@ -24,6 +24,9 @@ TANGENCY_EPS = 1e-12
 # Bisection width of move_clear_delay, s.
 _CLEAR_TOL = 1e-9
 
+# Width of the kernel-verified bracket below a clear time-alignment candidate, s.
+_BRACKET_WIDTH = _CLEAR_TOL / 16
+
 
 def is_finite_number(v) -> bool:
     """An int or float, not a bool, whose float value is finite (an int too large for a float is not)."""
@@ -218,6 +221,29 @@ def cylinder_unsafe_interval(
     return _unsafe_window(a, b, 0.0, body_a.radius + body_b.radius, 0.5 * (body_a.height + body_b.height))
 
 
+def _clearing_bisection(collides, hi: float, candidates: list[float]) -> float:
+    """Bisect [0, hi] down to _CLEAR_TOL on the safe side, then snap.
+
+    The clearing boundary often sits exactly where the shifted window starts
+    or stops touching the other's window. Snapping to the least candidate that
+    lands in the final bracket and is judged clear keeps downstream departure
+    times exact, so grazing contacts stay zero-measure instead of reappearing
+    as nanosecond overlaps that the conflict search must chip away at
+    indefinitely. `candidates` is ascending, so the first clear one is the least.
+    """
+    lo = 0.0
+    while hi - lo > _CLEAR_TOL:
+        mid = 0.5 * (lo + hi)
+        if collides(mid):
+            lo = mid
+        else:
+            hi = mid
+    for cand in candidates:
+        if lo <= cand <= hi and not collides(cand):
+            return cand
+    return hi
+
+
 def move_clear_delay(
     action: LinearMotion,
     other: LinearMotion,
@@ -226,10 +252,19 @@ def move_clear_delay(
 ) -> float:
     """Smallest delay of `action` that clears its conflict with `other`.
 
-    Bisects on the safe side, so shifting by the returned value is always
-    conflict-free; exact to within _CLEAR_TOL. Each probe is detection's own
-    kernel on the delayed action. No delay clears an agent parked for good
-    (`other` ends at inf): that returns inf.
+    A bisection on the safe side, exact to within _CLEAR_TOL, then a snap to a
+    time-alignment candidate (`other.t0 - action.t0`, ...). Every kernel probe
+    is detection's own window rule on the delayed action. The candidates are
+    tried first, in ascending order. At the first one, c, that the kernel
+    judges clear, a kernel hit at c - _BRACKET_WIDTH verifies a bracket round
+    the boundary: the bisection and the snap then answer every probe at or
+    below c - _BRACKET_WIDTH as a hit and every probe at or above c as clear,
+    and only probes inside the bracket reach the kernel. Where the kernel hits
+    on a prefix of delays, as the bisection assumes, this is the plain
+    bisection's float. The result is always one the kernel judged clear: one
+    past c is probed again, and if that probe hits, or no candidate verifies a
+    bracket, the plain bisection runs. No delay clears an agent parked for
+    good (`other` ends at inf): that returns inf.
     """
     if math.isinf(other.t1):
         return math.inf
@@ -239,25 +274,18 @@ def move_clear_delay(
     def collides(delta: float) -> bool:
         return _unsafe_window(action, other, delta, r_sum, h_sum_half) is not None
 
-    lo = 0.0
     hi = max(0.0, other.t1 - action.t0) + _CLEAR_TOL  # past the other's window: disjoint in time
-    while hi - lo > _CLEAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if collides(mid):
-            lo = mid
-        else:
-            hi = mid
-    # The clearing boundary often sits exactly where the shifted window starts
-    # or stops touching the other's window. Snapping to such a value (when it
-    # lands in the bisection bracket and is verified safe) keeps downstream
-    # departure times exact, so grazing contacts stay zero-measure instead of
-    # reappearing as nanosecond overlaps that the conflict search must chip
-    # away at indefinitely.
-    snapped = hi
-    for cand in (other.t0 - action.t0, other.t0 - action.t1, other.t1 - action.t0, other.t1 - action.t1):
-        if lo <= cand <= snapped and not collides(cand):
-            snapped = cand
-    return snapped
+    candidates = sorted({other.t0 - action.t0, other.t0 - action.t1, other.t1 - action.t0, other.t1 - action.t1})
+    for c in candidates:
+        # the bisection takes delay 0 as a hit and never probes it, so a bracket lies above 0
+        if c > _BRACKET_WIDTH and not collides(c):
+            below = c - _BRACKET_WIDTH
+            if collides(below):
+                delay = _clearing_bisection(lambda d: d <= below or (d < c and collides(d)), hi, candidates)
+                if delay <= c or not collides(delay):
+                    return delay
+            break
+    return _clearing_bisection(collides, hi, candidates)
 
 
 # Box gap beyond the contact thresholds at which a pair cannot touch. Contact

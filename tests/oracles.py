@@ -20,7 +20,7 @@ with the implementation:
   * shortest_time_oracle — Bellman–Ford over every connectivity's moves, each
     move enumerated from its step box: the shortest time to a goal per cell.
 
-Two more are the solver's earlier kernels, kept as written, which the
+Three more are the solver's earlier kernels, kept as written, which the
 rewritten ones must reproduce bit for bit:
 
   * sipp_reference — the cell-keyed SIPP search, querying the safe-interval
@@ -29,6 +29,9 @@ rewritten ones must reproduce bit for bit:
     motions, testing every pair that overlaps in time; the motions come from
     its own waypoint loop, motions_reference, and box_oracle restates the
     bounding box that the scan once derived from each pair's endpoints.
+  * move_clear_delay_reference — the clearing delay by a plain bisection
+    from [0, past the other's end], every probe a kernel call, then the snap
+    to a time-alignment candidate.
 
 Two are solver helpers that only the tests read:
 
@@ -759,6 +762,34 @@ def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
                 best = Conflict(plan_i.agent, si, plan_j.agent, sj, hit)
     return best
 
+
+
+def move_clear_delay_reference(action, other, body_a, body_b) -> float:
+    """Smallest delay of `action` that clears its conflict with `other`, by a
+    plain bisection to within _CLEAR_TOL on the safe side, then a snap to the
+    least time-alignment candidate in the final bracket that the kernel
+    judges clear; inf against a park that never ends."""
+    if math.isinf(other.t1):
+        return math.inf
+    r_sum = body_a.radius + body_b.radius
+    h_sum_half = 0.5 * (body_a.height + body_b.height)
+
+    def collides(delta: float) -> bool:
+        return geometry3d._unsafe_window(action, other, delta, r_sum, h_sum_half) is not None
+
+    lo = 0.0
+    hi = max(0.0, other.t1 - action.t0) + geometry3d._CLEAR_TOL
+    while hi - lo > geometry3d._CLEAR_TOL:
+        mid = 0.5 * (lo + hi)
+        if collides(mid):
+            lo = mid
+        else:
+            hi = mid
+    snapped = hi
+    for cand in (other.t0 - action.t0, other.t0 - action.t1, other.t1 - action.t0, other.t1 - action.t1):
+        if lo <= cand <= snapped and not collides(cand):
+            snapped = cand
+    return snapped
 
 def box_oracle(motion) -> tuple[float, ...]:
     """(x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) of a motion, per axis its two

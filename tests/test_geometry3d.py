@@ -26,6 +26,7 @@ from oracles import (
     earliest_conflict,
     is_wait_oracle,
     motions_reference,
+    move_clear_delay_reference,
     pair_earliest_reference,
     unsafe_interval_oracle,
     velocity_oracle,
@@ -297,6 +298,75 @@ class TestMoveClearDelay:
                     early = shifted(a, delay - 2 * _CLEAR_TOL)
                     assert cylinder_unsafe_interval(early, b, body, body) is not None, (a, b, body, delay)
             assert checked >= least  # the generator must actually produce conflicts
+
+
+CLEARING_RADII = (0.25, 0.15, 0.5)  # with heights 1.0, 0.5 and 1.0
+
+
+def clearing_corpus(scale: float, draws: int = 1500):
+    """Fixed-seed conflicting (action, other, body) triples, random and lattice
+    pairs under each body, every length scaled by `scale` and every time kept."""
+
+    def scaled(m):
+        return LinearMotion(tuple(v * scale for v in m.p0), tuple(v * scale for v in m.p1), m.t0, m.t1)
+
+    rng = random.Random(7)
+    for _ in range(draws):
+        for make_pair in (random_pair, lattice_pair):
+            a, b = make_pair(rng)
+            a, b = scaled(a), scaled(b)
+            for radius, height in zip(CLEARING_RADII, (1.0, 0.5, 1.0)):
+                body = CylinderBody(radius * scale, height * scale)
+                if cylinder_unsafe_interval(a, b, body, body) is not None:
+                    yield a, b, body
+
+
+class TestClearingBracket:
+    """move_clear_delay against the plain bisection it brackets, move_clear_delay_reference."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-4])
+    def test_equals_the_plain_bisection_bit_for_bit(self, scale):
+        pairs = 0
+        for a, b, body in clearing_corpus(scale):
+            pairs += 1
+            want = move_clear_delay_reference(a, b, body, body)
+            assert move_clear_delay(a, b, body, body).hex() == want.hex(), (a, b, body)
+        assert pairs > 2500
+
+    @pytest.mark.parametrize("scale", [3.0, 1e-2])
+    def test_keeps_the_contract_where_the_kernel_is_not_monotone(self, scale):
+        # Off the binary scales the kernel's verdict is not always monotone in
+        # the delay, so the value may differ from the plain bisection's. It
+        # always clears. For a move, 2 * _CLEAR_TOL less collides, unless the
+        # plain bisection misses that too (the same value) or the conflict is
+        # a graze under _CLEAR_TOL long, whose hits are rounding noise.
+        for a, b, body in clearing_corpus(scale):
+            delay = move_clear_delay(a, b, body, body)
+            assert cylinder_unsafe_interval(shifted(a, delay), b, body, body) is None, (a, b, body, delay)
+            if a.is_wait or delay < 2 * _CLEAR_TOL:
+                continue
+            if cylinder_unsafe_interval(shifted(a, delay - 2 * _CLEAR_TOL), b, body, body) is None:
+                lo, hi = cylinder_unsafe_interval(a, b, body, body)
+                assert delay == move_clear_delay_reference(a, b, body, body) or hi - lo < _CLEAR_TOL, (a, b, body)
+
+    def test_kernel_probes_are_pinned(self, monkeypatch):
+        # the saving itself: kernel windows over the scale-1 corpus, the plain
+        # bisection's count beside it
+        probes = 0
+
+        def counted(*args):
+            nonlocal probes
+            probes += 1
+            return _unsafe_window(*args)
+
+        monkeypatch.setattr(geometry3d, "_unsafe_window", counted)
+        counts = []
+        for clearing_delay in (move_clear_delay, move_clear_delay_reference):
+            probes = 0
+            for a, b, body in clearing_corpus(1.0):
+                clearing_delay(a, b, body, body)
+            counts.append(probes)
+        assert counts == [64588, 91242]
 
 
 # ---------------------------------------------------------------------------
