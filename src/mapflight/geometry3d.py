@@ -226,7 +226,7 @@ def _clearing_bisection(collides, hi: float, candidates: list[float]) -> float:
 
     The clearing boundary often sits exactly where the shifted window starts
     or stops touching the other's window. Snapping to the least candidate that
-    lands in the final bracket and is judged clear keeps downstream departure
+    lands in the final [lo, hi] and is judged clear keeps downstream departure
     times exact, so grazing contacts stay zero-measure instead of reappearing
     as nanosecond overlaps that the conflict search must chip away at
     indefinitely. `candidates` is ascending, so the first clear one is the least.
