@@ -261,8 +261,9 @@ def move_clear_delay(
     below c - _BRACKET_WIDTH as a hit and every probe at or above c as clear,
     and only probes inside the bracket reach the kernel. Where the kernel hits
     on a prefix of delays, as the bisection assumes, this is the plain
-    bisection's float. The result is always one the kernel judged clear: one
-    past c is probed again, and if that probe hits, or no candidate verifies a
+    bisection's float. The result is still one the kernel judged clear: the
+    snap meets c itself whenever the bisection ends at or past it, so the
+    result is c or a probe inside the bracket. Where no candidate verifies a
     bracket, the plain bisection runs. No delay clears an agent parked for
     good (`other` ends at inf): that returns inf.
     """
@@ -281,9 +282,7 @@ def move_clear_delay(
         if c > _BRACKET_WIDTH and not collides(c):
             below = c - _BRACKET_WIDTH
             if collides(below):
-                delay = _clearing_bisection(lambda d: d <= below or (d < c and collides(d)), hi, candidates)
-                if delay <= c or not collides(delay):
-                    return delay
+                return _clearing_bisection(lambda d: d <= below or (d < c and collides(d)), hi, candidates)
             break
     return _clearing_bisection(collides, hi, candidates)
 

@@ -349,6 +349,23 @@ class TestClearingBracket:
                 lo, hi = cylinder_unsafe_interval(a, b, body, body)
                 assert delay == move_clear_delay_reference(a, b, body, body) or hi - lo < _CLEAR_TOL, (a, b, body)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-4, 3.0, 1e-2])
+    def test_returns_a_delay_the_kernel_judged_clear(self, scale, monkeypatch):
+        # answered probes never decide the result: it is a kernel verdict
+        clear = set()
+
+        def recording(a, b, delay, r_sum, h_sum_half):
+            window = _unsafe_window(a, b, delay, r_sum, h_sum_half)
+            if window is None:
+                clear.add(delay)
+            return window
+
+        monkeypatch.setattr(geometry3d, "_unsafe_window", recording)
+        for a, b, body in clearing_corpus(scale):
+            clear.clear()
+            delay = move_clear_delay(a, b, body, body)
+            assert delay in clear, (a, b, body, delay)
+
     def test_kernel_probes_are_pinned(self, monkeypatch):
         # the saving itself: kernel windows over the scale-1 corpus, the plain
         # bisection's count beside it
