@@ -763,11 +763,10 @@ def pair_earliest_reference(plan_i, plan_j, body_i, body_j):
     return best
 
 
-
 def move_clear_delay_reference(action, other, body_a, body_b) -> float:
     """Smallest delay of `action` that clears its conflict with `other`, by a
     plain bisection to within _CLEAR_TOL on the safe side, then a snap to the
-    least time-alignment candidate in the final bracket that the kernel
+    least time-alignment candidate in the final [lo, hi] that the kernel
     judges clear; inf against a park that never ends."""
     if math.isinf(other.t1):
         return math.inf
@@ -790,6 +789,7 @@ def move_clear_delay_reference(action, other, body_a, body_b) -> float:
         if lo <= cand <= snapped and not collides(cand):
             snapped = cand
     return snapped
+
 
 def box_oracle(motion) -> tuple[float, ...]:
     """(x_lo, x_hi, y_lo, y_hi, z_lo, z_hi) of a motion, per axis its two

@@ -300,7 +300,7 @@ class TestMoveClearDelay:
             assert checked >= least  # the generator must actually produce conflicts
 
 
-CLEARING_RADII = (0.25, 0.15, 0.5)  # with heights 1.0, 0.5 and 1.0
+CLEARING_BODIES = ((0.25, 1.0), (0.15, 0.5), (0.5, 1.0))  # (radius, height)
 
 
 def clearing_corpus(scale: float, draws: int = 1500):
@@ -315,7 +315,7 @@ def clearing_corpus(scale: float, draws: int = 1500):
         for make_pair in (random_pair, lattice_pair):
             a, b = make_pair(rng)
             a, b = scaled(a), scaled(b)
-            for radius, height in zip(CLEARING_RADII, (1.0, 0.5, 1.0)):
+            for radius, height in CLEARING_BODIES:
                 body = CylinderBody(radius * scale, height * scale)
                 if cylinder_unsafe_interval(a, b, body, body) is not None:
                     yield a, b, body
@@ -369,6 +369,7 @@ class TestClearingBracket:
     def test_kernel_probes_are_pinned(self, monkeypatch):
         # the saving itself: kernel windows over the scale-1 corpus, the plain
         # bisection's count beside it
+        corpus = list(clearing_corpus(1.0))
         probes = 0
 
         def counted(*args):
@@ -380,10 +381,10 @@ class TestClearingBracket:
         counts = []
         for clearing_delay in (move_clear_delay, move_clear_delay_reference):
             probes = 0
-            for a, b, body in clearing_corpus(1.0):
+            for a, b, body in corpus:
                 clearing_delay(a, b, body, body)
             counts.append(probes)
-        assert counts == [64588, 91242]
+        assert counts == [55588, 82242]
 
 
 # ---------------------------------------------------------------------------
