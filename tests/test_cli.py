@@ -404,6 +404,29 @@ class TestBench:
         # the solvable scenario still produced its row
         assert [r["scenario"] for r in bench["rows"]] == ["method_comparison"]
 
+    def test_runs_past_the_wall_cap_are_failures_one_per_seed(self, tmp_path, scenario_dir, capsys):
+        # at 0.02 m/s no vehicle reaches its goal before swarm_2's 18 s wall cap
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        shutil.copy(scenario_dir / "swarm_2.json", src / "swarm_2.json")
+        config = write_json(tmp_path / "crawl.json", {"max_speed": 0.02})
+        out = tmp_path / "out"
+        code = main(["bench", "--scenarios", str(src), "--methods", "bhl,bll", "--repetitions", "3",
+                     "--seed", "5", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_SIM_FAILED
+        bench = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        assert bench["failures"] == [
+            {"scenario": "swarm_2", "stage": "simulate", "method": m, "seed": seed,
+             "error": "wall-time cap reached before all vehicles finished"}
+            for m in ("bhl", "bll") for seed in (5, 6, 7)
+        ]
+        assert [(r["method"], r["runs"], r["success_rate"]) for r in bench["rows"]] == [("bhl", 3, 0.0),
+                                                                                      ("bll", 3, 0.0)]
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "swarm_2 bhl: success 0/3 mean_max=1.5116 m mean_avg=1.2353 m",
+            "swarm_2 bll: success 0/3 mean_max=1.5120 m mean_avg=1.2356 m",
+        ]
+
     def test_an_unreadable_scenario_is_a_load_failure_and_a_directory_is_skipped(self, tmp_path, scenario_dir):
         src = tmp_path / "scenarios"
         src.mkdir()
