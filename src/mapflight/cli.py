@@ -27,7 +27,16 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, SolveResult, ccbs_solve
-from .flightsim import METHODS, SimConfig, _mean, check_flight_size, error_metrics, run_execution, run_executions
+from .flightsim import (
+    METHODS,
+    SEED_FREE_METHODS,
+    SimConfig,
+    _mean,
+    check_flight_size,
+    error_metrics,
+    run_execution,
+    run_executions,
+)
 from .plan import load_plans, save_plans, validate
 from .world import InputError, check_keys, input_field, load_instance, read_json, write_json
 
@@ -185,7 +194,10 @@ def _usable_cpus() -> int:
 
 
 def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
-    """Batch indices split into k shares: heaviest first, each to the lightest share (the lowest on ties)."""
+    """Batch indices split into k shares: heaviest first, each to the lightest share (the lowest on ties).
+
+    `cmd_bench` weighs a batch by agents x makespan x runs flown.
+    """
     shares: list[list[int]] = [[] for _ in range(k)]
     loads = [0.0] * k
     for i in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
@@ -195,15 +207,27 @@ def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
     return shares
 
 
-def _fly_batch(plans, method: str, speeds: dict, configs: list[SimConfig]) -> list[tuple]:
-    """(completed, max_error, avg_error) of each run of one (scenario, method) batch."""
+def _runs_flown(method: str, repetitions: int) -> int:
+    """Runs a batch flies: one for a method in SEED_FREE_METHODS, else every repetition."""
+    return 1 if method in SEED_FREE_METHODS else repetitions
+
+
+def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, repetitions: int) -> list[tuple]:
+    """(completed, max_error, avg_error) of each run of one (scenario, method) batch; run r has seed base.seed + r.
+
+    The first `_runs_flown` seeds fly as one fleet. A seed-free method flies
+    one run, which stands for every seed: its executors never read the
+    estimated pose, the only thing the seed moves.
+    """
+    flown = _runs_flown(method, repetitions)
+    configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(flown)]
     runs = []
-    # the repetitions fly as one fleet; logs arrive one run at a time
+    # logs arrive one run at a time
     for log in run_executions(plans, method, configs, speeds=speeds):
         aggregate = error_metrics(log).aggregate
         runs.append((log.completed, aggregate.max_error, aggregate.avg_error))
         del log  # so that its records are freed before the next run's are built
-    return runs
+    return runs * (repetitions // flown)
 
 
 def _fly_share(jobs: list[tuple], share: list[int], write_fd: int) -> None:
@@ -277,6 +301,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     and validated one after another; their (scenario, method) batches are then
     flown at the same time, one process per usable CPU, and reported in
     scenario order, so the outputs do not depend on the process count.
+
+    A batch of a method in SEED_FREE_METHODS flies its first seed only, and
+    that run is reported for every seed; a vll batch flies every seed. The
+    flight-size limit is checked for all repetitions, before any run's
+    config is made.
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
@@ -295,7 +324,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
     limits = _solve_limits(args)
     out_dir = _prepare_out(args.out, is_dir=True)
-    configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(args.repetitions)]
 
     # each scenario either failed before flying, with its failure and line, or
     # was solved and saved, and flies one batch per method
@@ -326,7 +354,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         save_plans(solution.plans, agents, out_dir / plan_file)
         outputs.append(plan_file)
         try:
-            check_flight_size(solution.plans, base, len(configs))
+            check_flight_size(solution.plans, base, args.repetitions)
         except InputError as exc:
             stopped[name] = ({"scenario": name, "stage": "simulate", "error": str(exc)},
                              f"{name}: FAILED to simulate ({exc})")
@@ -334,8 +362,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         solved[name] = (agents, result)
         speeds = {a.id: a.speed for a in agents}
         for m in methods:
-            jobs.append((solution.plans, m, speeds, configs))
-            weights.append(len(agents) * solution.makespan)
+            jobs.append((solution.plans, m, speeds, base, args.repetitions))
+            weights.append(len(agents) * solution.makespan * _runs_flown(m, args.repetitions))
 
     flown = iter(_fly_batches(jobs, weights))
     rows: list[dict] = []
@@ -351,12 +379,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for m in methods:
             runs = next(flown)
             completed = 0
-            for config, (done, _, _) in zip(configs, runs):
+            for rep, (done, _, _) in enumerate(runs):
                 if done:
                     completed += 1
                 else:
                     failures.append(
-                        {"scenario": name, "stage": "simulate", "method": m, "seed": config.seed,
+                        {"scenario": name, "stage": "simulate", "method": m, "seed": base.seed + rep,
                          "error": "wall-time cap reached before all vehicles finished"}
                     )
             rows.append(

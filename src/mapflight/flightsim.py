@@ -53,6 +53,10 @@ from .plan import TimedPlan
 from .world import DEFAULT_SPEED, InputError
 
 METHODS = ("bhl", "bll", "vll")
+# Methods whose executors never read the estimated pose. The seed moves only
+# that estimate (dynamics, goto anchors and the completion test read the true
+# pose), so each of these flies the same true trajectory for every seed.
+SEED_FREE_METHODS = ("bhl", "bll")
 
 BASIS_ACTUAL = "actual-vs-planned"
 BASIS_ESTIMATED = "estimated-vs-planned"

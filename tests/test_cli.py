@@ -1,6 +1,7 @@
 """End-to-end command line flows and their exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from mapflight.cli import (
     build_parser,
     main,
 )
+from mapflight.flightsim import METHODS, SEED_FREE_METHODS, SimConfig, error_metrics, run_executions
 from mapflight.world import load_instance
 
 SWAP_INSTANCE = {
@@ -532,6 +534,30 @@ class TestParallelFly:
         assert cli._shares([2.0, 2.0], 3) == [[0], [1], []]
         assert cli._shares([], 1) == [[]]
 
+    @pytest.mark.parametrize("doc", [{}, {"max_speed": 0.2}], ids=["default", "slow"])
+    def test_a_batch_reports_what_flying_every_seed_reports(self, monkeypatch, scenario_dir, doc):
+        # a seed-free method flies one run for all three seeds, and reports it for each
+        base = SimConfig(seed=4, **doc)
+        configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(3)]
+        flown = []
+
+        def run_executions_spy(plans, method, configs, speeds=None):
+            flown.append((method, [c.seed for c in configs]))
+            return run_executions(plans, method, configs, speeds=speeds)
+
+        monkeypatch.setattr(cli, "run_executions", run_executions_spy)
+        for path in sorted(scenario_dir.glob("*.json")):
+            world, agents = load_instance(path)
+            plans = ccbs_solve(world, agents).solution.plans
+            speeds = {a.id: a.speed for a in agents}
+            for m in METHODS:
+                want = []
+                for log in run_executions(plans, m, configs, speeds=speeds):
+                    aggregate = error_metrics(log).aggregate
+                    want.append((log.completed, aggregate.max_error, aggregate.avg_error))
+                assert cli._fly_batch(plans, m, speeds, base, 3) == want
+        assert flown == [(m, [4] if m in SEED_FREE_METHODS else [4, 5, 6]) for _ in range(5) for m in METHODS]
+
 
 @pytest.mark.parametrize(
     "mutate",
@@ -627,3 +653,22 @@ def test_a_batch_past_the_log_limit_is_a_simulate_failure(tmp_path, scenario_dir
     assert (failure["scenario"], failure["stage"]) == ("swarm_2", "simulate")
     assert "MAX_LOG_RECORDS" in failure["error"]
     assert "swarm_2: FAILED to simulate" in capsys.readouterr().out
+
+
+def test_a_million_repetitions_are_refused_before_their_configs_are_made(tmp_path, scenario_dir):
+    # making a config per repetition first took 18.6 s and 395 MB to refuse every scenario
+    out = tmp_path / "out"
+    with deadline(3):
+        code = main(["bench", "--scenarios", str(scenario_dir), "--repetitions", "1000000", "--out", str(out)])
+    assert code == EXIT_SIM_FAILED
+    bench = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+    assert bench["rows"] == []
+    sizes = [("method_comparison", 2, "16", "3.2e+09"), ("swarm_2", 2, "18", "3.6e+09"),
+             ("swarm_4", 4, "16", "6.41e+09"), ("swarm_6", 6, "16", "9.61e+09"),
+             ("swarm_8", 8, "16.8284", "1.35e+10")]
+    assert bench["failures"] == [
+        {"scenario": name, "stage": "simulate",
+         "error": f"a flight of {agents}000000 vehicle rows up to its wall cap of {cap} s would log up to "
+                  f"{records} pose records, more than MAX_LOG_RECORDS = 4194304"}
+        for name, agents, cap, records in sizes
+    ]

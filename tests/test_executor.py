@@ -182,6 +182,28 @@ class TestVllExecute:
         assert counts[1] > counts[0]
 
 
+class BlindEndpoint(ScriptedEndpoint):
+    """An endpoint with no position estimate: asking for one raises."""
+
+    def estimated_position(self):
+        raise AssertionError("the executor read the estimated position")
+
+
+@pytest.mark.parametrize("method", ["bhl", "bll"])
+def test_seed_free_executors_never_read_the_estimate(method):
+    # bench flies one seed of these methods for all (flightsim.SEED_FREE_METHODS)
+    blind, seeing = BlindEndpoint(), ScriptedEndpoint()
+    drive(make_executor(method, TWO_SEGMENTS, blind, period=0.1), blind)
+    drive(make_executor(method, TWO_SEGMENTS, seeing, period=0.1), seeing)
+    assert blind.sent and blind.sent == seeing.sent
+
+
+def test_vll_reads_the_estimate():
+    ep = BlindEndpoint()
+    with pytest.raises(AssertionError, match="read the estimated position"):
+        drive(make_executor("vll", TWO_SEGMENTS, ep, cruise_speed=1.0), ep)
+
+
 class TestMakeExecutor:
     def test_dispatch(self):
         ep = ScriptedEndpoint()

@@ -24,6 +24,7 @@ from mapflight.flightsim import (
     _Fleet,
     _mean,
     MAX_LOG_RECORDS,
+    SEED_FREE_METHODS,
     _refine,
     check_flight_size,
     error_metrics,
@@ -534,13 +535,23 @@ def test_batched_runs_equal_per_seed_runs(scenario, method):
     configs = [SimConfig(seed=seed) for seed in range(13)]
     batched = list(run_executions(planset.plans, method, configs, speeds=planset.speeds))
     assert [log.seed for log in batched] == list(range(13))
+    reports = []
     for config, log in zip(configs, batched):
         alone = run_execution(planset.plans, method, config, speeds=planset.speeds)
         assert (log.completed, log.end_time) == (alone.completed, alone.end_time)
         assert csv_digest(log) == csv_digest(alone)  # a digest keeps a failure's report short
-        assert error_metrics(log).to_json_dict("") == error_metrics(alone).to_json_dict("")
-    if method == "vll":  # vll steers on noisy estimates, so its runs end at different ticks
-        assert len({log.end_time for log in batched}) > 1
+        reports.append(error_metrics(log).to_json_dict(""))
+        assert reports[-1] == error_metrics(alone).to_json_dict("")
+    # the seed moves only the estimated pose, and `bench` flies one run of a
+    # method whose executors never read it (SEED_FREE_METHODS)
+    assert len({log.records["estimated"].tobytes() for log in batched}) == 13
+    actual = {log.records["actual"].tobytes() for log in batched}
+    ends = {(log.completed, log.end_time) for log in batched}
+    figures = {json.dumps([report["per_agent"], report["aggregate"]]) for report in reports}
+    if method in SEED_FREE_METHODS:
+        assert (len(actual), len(ends), len(figures)) == (1, 1, 1)
+    else:  # vll steers on noisy estimates, so its runs fly apart and end at different ticks
+        assert len(actual) == 13 and len(ends) > 1 and len(figures) > 1
 
 
 @pytest.mark.parametrize("log_block,noise_block", [(1, 1), (5, 3)])
