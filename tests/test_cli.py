@@ -656,7 +656,7 @@ def test_a_batch_past_the_log_limit_is_a_simulate_failure(tmp_path, scenario_dir
 
 
 def test_a_million_repetitions_are_refused_before_their_configs_are_made(tmp_path, scenario_dir):
-    # making a config per repetition first took 18.6 s and 395 MB to refuse every scenario
+    # the refusal is arithmetic: a million SimConfigs would take tens of seconds and hundreds of MB
     out = tmp_path / "out"
     with deadline(3):
         code = main(["bench", "--scenarios", str(scenario_dir), "--repetitions", "1000000", "--out", str(out)])
