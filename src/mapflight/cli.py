@@ -220,10 +220,9 @@ def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, repetitions: i
     estimated pose, the only thing the seed moves.
     """
     flown = _runs_flown(method, repetitions)
-    configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(flown)]
     runs = []
     # logs arrive one run at a time
-    for log in run_executions(plans, method, configs, speeds=speeds):
+    for log in run_executions(plans, method, base, flown, speeds=speeds):
         aggregate = error_metrics(log).aggregate
         runs.append((log.completed, aggregate.max_error, aggregate.avg_error))
         del log  # so that its records are freed before the next run's are built
@@ -304,8 +303,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     A batch of a method in SEED_FREE_METHODS flies its first seed only, and
     that run is reported for every seed; a vll batch flies every seed. The
-    flight-size limit is checked for all repetitions, before any run's
-    config is made.
+    flight-size limit is checked for all repetitions.
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
@@ -354,6 +352,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         save_plans(solution.plans, agents, out_dir / plan_file)
         outputs.append(plan_file)
         try:
+            # all repetitions, not the runs flown: it also bounds the per-seed lists a batch reports
             check_flight_size(solution.plans, base, args.repetitions)
         except InputError as exc:
             stopped[name] = ({"scenario": name, "stage": "simulate", "error": str(exc)},

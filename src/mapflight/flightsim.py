@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -352,8 +352,9 @@ def _wall_cap(plans: Iterable[TimedPlan]) -> float:
 def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int) -> None:
     """Raise InputError if `runs` seeded runs of the plans, flown as one fleet,
     could log more than MAX_LOG_RECORDS pose records: fleet rows x logged ticks
-    up to the wall cap. run_executions checks this before its first tick, and
-    `mapflight simulate` before it makes --out."""
+    up to the wall cap. run_executions checks this before its first tick,
+    `mapflight simulate` before it makes --out, and `mapflight bench` for all
+    of a batch's repetitions, which also bounds the per-seed lists it reports."""
     cap = _wall_cap(plans)
     rows = runs * len(plans)
     size = rows * (cap / config.log_period + 2)  # the ticks at 0 and past the cap are logged too
@@ -416,40 +417,29 @@ def run_execution(
     operation of the one-vehicle update, in the same order, on each element,
     and a block draw equals the same number of single-tick draws.
 
-    This is the one-config case of `run_executions`; `command_sink`, if given,
+    This is the one-run case of `run_executions`; `command_sink`, if given,
     receives every (agent, command) the executors send.
     """
-    return next(_execute(plans, method, [config], speeds, command_sink))
+    return next(run_executions(plans, method, config, 1, speeds, command_sink))
 
 
 def run_executions(
     plans: Iterable[TimedPlan],
     method: str,
-    configs: Sequence[SimConfig],
+    config: SimConfig,
+    runs: int,
     speeds: Optional[Mapping[int, float]] = None,
+    command_sink: Optional[list] = None,
 ) -> Iterator[PoseLog]:
-    """Fly the same plans once per config, all runs in one fleet; yields one
-    PoseLog per config, in order.
+    """Fly the same plans `runs` times, all runs in one fleet; yields one
+    PoseLog per run, in order. Run r has seed config.seed + r.
 
-    The configs must be equal in every field but `seed`. Run r's N vehicles
-    are rows r*N .. r*N + N - 1 of one fleet of R*N rows, and all runs share
-    the tick clock, so each log is byte-identical to
-    `run_execution(plans, method, configs[r], speeds)`. The simulation runs
-    when this is called; a run's record array is filled from the logged
-    arrays only when the iterator reaches it.
+    Run r's N vehicles are rows r*N .. r*N + N - 1 of one fleet of R*N rows,
+    and all runs share the tick clock, so each log is byte-identical to
+    `run_execution(plans, method, replace(config, seed=config.seed + r), speeds)`.
+    The simulation runs when this is called; a run's record array is filled
+    from the logged arrays only when the iterator reaches it.
     """
-    return _execute(plans, method, configs, speeds, None)
-
-
-def _execute(
-    plans: Iterable[TimedPlan],
-    method: str,
-    configs: Sequence[SimConfig],
-    speeds: Optional[Mapping[int, float]],
-    command_sink: Optional[list],
-) -> Iterator[PoseLog]:
-    """The one tick loop behind run_execution and run_executions; only the
-    one-config call passes a command_sink."""
     name = method.lower()
     if name not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -459,12 +449,9 @@ def _execute(
     agent_ids = [p.agent for p in plan_list]
     if len(set(agent_ids)) != len(agent_ids):
         raise ValueError(f"duplicate plan agent ids: {agent_ids}")
-    if not configs:
-        raise ValueError("no configs to execute")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("configs of one batch may differ only in seed")
-    check_flight_size(plan_list, config, len(configs))
+    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+        raise ValueError(f"runs must be a positive int, got {runs!r}")
+    check_flight_size(plan_list, config, runs)
 
     n_agents = len(plan_list)
     cruise_speeds = []
@@ -473,9 +460,9 @@ def _execute(
         if cruise is None:
             cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
         cruise_speeds.append(cruise)
-    runs: list[_Run] = []
-    for r, run_config in enumerate(configs):
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(run_config.seed).spawn(n_agents)]
+    fleet_runs: list[_Run] = []
+    for r in range(runs):
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed + r).spawn(n_agents)]
         vehicles = []
         for i, (plan, cruise) in enumerate(zip(plan_list, cruise_speeds)):
             vehicle = _Vehicle(r * n_agents + i, plan.agent, config.latency, command_sink)
@@ -488,11 +475,11 @@ def _execute(
                 cruise_speed=cruise,
             )
             vehicles.append(vehicle)
-        runs.append(_Run(r, run_config.seed, vehicles, rngs))
+        fleet_runs.append(_Run(r, config.seed + r, vehicles, rngs))
 
-    rows = len(runs) * n_agents
-    fleet = _Fleet([p.start_position for p in plan_list] * len(runs), [(0.0, 0.0, 0.0)] * rows, config, config.tick)
-    goals = np.array([p.goal_position for p in plan_list] * len(runs), dtype=np.float64)
+    rows = runs * n_agents
+    fleet = _Fleet([p.start_position for p in plan_list] * runs, [(0.0, 0.0, 0.0)] * rows, config, config.tick)
+    goals = np.array([p.goal_position for p in plan_list] * runs, dtype=np.float64)
     cap = _wall_cap(plan_list)
     steps_per_log = config.log_every_ticks
     box = config.vll_box_half_width
@@ -501,7 +488,7 @@ def _execute(
 
     times: list[float] = []  # the logged ticks
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (actual, estimated, planned) per _LOG_BLOCK
-    active = runs  # runs still flying
+    active = fleet_runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
     n = 0
     wake = 0.0  # earliest next resume or command arrival of the active runs' vehicles
@@ -525,7 +512,7 @@ def _execute(
             estimated_block[j] = estimated
             times.append(t)
         if ready:
-            inside = (np.abs(fleet.pos - goals) <= box).reshape(len(runs), -1).all(axis=1)
+            inside = (np.abs(fleet.pos - goals) <= box).reshape(runs, -1).all(axis=1)
             for run in ready:
                 if inside[run.index]:
                     run.completed = True
@@ -587,7 +574,7 @@ def _execute(
             for j, (_, _, planned) in zip(range(0, len(ts), _LOG_BLOCK), chunk):
                 planned[: len(ts) - j, i] = positions[j : j + _LOG_BLOCK]
     agents = [p.agent for p in plan_list]
-    return (_pose_log(run, times, blocks, agents, name) for run in runs)
+    return (_pose_log(run, times, blocks, agents, name) for run in fleet_runs)
 
 
 def _pose_log(run: _Run, times: list[float], blocks: list, agents: list[int], method: str) -> PoseLog:

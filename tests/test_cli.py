@@ -1,7 +1,6 @@
 """End-to-end command line flows and their exit codes."""
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -517,10 +516,10 @@ class TestParallelFly:
         src, config = mixed_dir
         real = cli.run_executions
 
-        def run_executions(plans, method, configs, speeds=None):
+        def run_executions(plans, method, config, runs, speeds=None):
             if method == "vll":
                 raise RuntimeError("injected vll failure")
-            return real(plans, method, configs, speeds=speeds)
+            return real(plans, method, config, runs, speeds=speeds)
 
         monkeypatch.setattr(cli, "run_executions", run_executions)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
@@ -538,12 +537,11 @@ class TestParallelFly:
     def test_a_batch_reports_what_flying_every_seed_reports(self, monkeypatch, scenario_dir, doc):
         # a seed-free method flies one run for all three seeds, and reports it for each
         base = SimConfig(seed=4, **doc)
-        configs = [dataclasses.replace(base, seed=base.seed + rep) for rep in range(3)]
         flown = []
 
-        def run_executions_spy(plans, method, configs, speeds=None):
-            flown.append((method, [c.seed for c in configs]))
-            return run_executions(plans, method, configs, speeds=speeds)
+        def run_executions_spy(plans, method, config, runs, speeds=None):
+            flown.append((method, [config.seed + r for r in range(runs)]))
+            return run_executions(plans, method, config, runs, speeds=speeds)
 
         monkeypatch.setattr(cli, "run_executions", run_executions_spy)
         for path in sorted(scenario_dir.glob("*.json")):
@@ -552,7 +550,7 @@ class TestParallelFly:
             speeds = {a.id: a.speed for a in agents}
             for m in METHODS:
                 want = []
-                for log in run_executions(plans, m, configs, speeds=speeds):
+                for log in run_executions(plans, m, base, 3, speeds=speeds):
                     aggregate = error_metrics(log).aggregate
                     want.append((log.completed, aggregate.max_error, aggregate.avg_error))
                 assert cli._fly_batch(plans, m, speeds, base, 3) == want

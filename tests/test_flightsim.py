@@ -335,7 +335,7 @@ class TestRunExecution:
         with pytest.raises(ValueError, match="duplicate plan agent ids"):
             run_execution(plans, "bll")
         with pytest.raises(ValueError, match="duplicate plan agent ids"):
-            run_executions(plans, "vll", [SimConfig(seed=0), SimConfig(seed=1)])
+            run_executions(plans, "vll", SimConfig(seed=0), 2)
 
     def test_logging_cadence_is_exact(self):
         log = run_execution(straight_plans(), "bll", SimConfig(seed=3))
@@ -533,7 +533,7 @@ def csv_digest(log):
 def test_batched_runs_equal_per_seed_runs(scenario, method):
     planset = load_plans(FIXTURES / f"{scenario}.plans.json")
     configs = [SimConfig(seed=seed) for seed in range(13)]
-    batched = list(run_executions(planset.plans, method, configs, speeds=planset.speeds))
+    batched = list(run_executions(planset.plans, method, SimConfig(seed=0), 13, speeds=planset.speeds))
     assert [log.seed for log in batched] == list(range(13))
     reports = []
     for config, log in zip(configs, batched):
@@ -558,11 +558,10 @@ def test_batched_runs_equal_per_seed_runs(scenario, method):
 def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block):
     # vll runs end at different ticks, so ended runs are cut from part-filled blocks
     planset = load_plans(FIXTURES / "swarm_4.plans.json")
-    configs = [SimConfig(seed=seed) for seed in range(3)]
-    want = [csv_digest(log) for log in run_executions(planset.plans, "vll", configs, speeds=planset.speeds)]
+    want = [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=0), 3, speeds=planset.speeds)]
     monkeypatch.setattr(flightsim, "_LOG_BLOCK", log_block)
     monkeypatch.setattr(flightsim, "_NOISE_BLOCK", noise_block)
-    assert [csv_digest(log) for log in run_executions(planset.plans, "vll", configs, speeds=planset.speeds)] == want
+    assert [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=0), 3, speeds=planset.speeds)] == want
 
 
 @pytest.fixture(scope="module")
@@ -579,7 +578,7 @@ def bundled_plans(scenario_dir):
 @pytest.mark.parametrize("method", METHODS)
 def test_per_agent_columns_equal_the_mask_oracle(bundled_plans, method):
     for plans, speeds in bundled_plans.values():
-        for log in run_executions(plans, method, [SimConfig(seed=seed) for seed in range(2)], speeds=speeds):
+        for log in run_executions(plans, method, SimConfig(seed=0), 2, speeds=speeds):
             for basis in (BASIS_ACTUAL, BASIS_ESTIMATED):
                 report = error_metrics(log, basis)
                 want = oracles.per_agent_errors_reference(report.series)
@@ -588,11 +587,10 @@ def test_per_agent_columns_equal_the_mask_oracle(bundled_plans, method):
                 assert list(got) == sorted(want)
 
 
-def test_batched_runs_reject_bad_configs():
-    with pytest.raises(ValueError, match="no configs"):
-        run_executions(straight_plans(), "bll", [])
-    with pytest.raises(ValueError, match="differ only in seed"):
-        run_executions(straight_plans(), "bll", [SimConfig(seed=0), SimConfig(seed=1, latency=0.0)])
+def test_batched_runs_reject_bad_run_counts():
+    for runs in (0, -1, True, 1.0):
+        with pytest.raises(ValueError, match="runs must be a positive int"):
+            run_executions(straight_plans(), "bll", SimConfig(seed=0), runs)
 
 
 # sha256 of to_csv() and of repr(command_sink) for swarm_4, seed 0, at two latencies

@@ -8,6 +8,7 @@ import pytest
 from mapflight import geometry3d
 from mapflight.ccbs import conflict_table
 from mapflight.geometry3d import (
+    _BRACKET_WIDTH,
     _CLEAR_TOL,
     CylinderBody,
     _contact,
@@ -322,7 +323,8 @@ def clearing_corpus(scale: float, draws: int = 1500):
 
 
 class TestClearingBracket:
-    """move_clear_delay against the plain bisection it brackets, move_clear_delay_reference."""
+    """move_clear_delay against its two rules: a verified time-alignment
+    candidate, else the plain bisection and snap, move_clear_delay_reference."""
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-4])
     def test_equals_the_plain_bisection_bit_for_bit(self, scale):
@@ -366,6 +368,19 @@ class TestClearingBracket:
             delay = move_clear_delay(a, b, body, body)
             assert delay in clear, (a, b, body, delay)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-4, 3.0, 1e-2])
+    def test_returns_the_verified_candidate(self, scale):
+        # the first clear candidate above _BRACKET_WIDTH, with a hit _BRACKET_WIDTH below it
+        verified = 0
+        for a, b, body in clearing_corpus(scale):
+            candidates = sorted({b.t0 - a.t0, b.t0 - a.t1, b.t1 - a.t0, b.t1 - a.t1})
+            clear = [c for c in candidates
+                     if c > _BRACKET_WIDTH and cylinder_unsafe_interval(shifted(a, c), b, body, body) is None]
+            if clear and cylinder_unsafe_interval(shifted(a, clear[0] - _BRACKET_WIDTH), b, body, body) is not None:
+                verified += 1
+                assert move_clear_delay(a, b, body, body) == clear[0], (a, b, body)
+        assert verified > 0
+
     def test_kernel_probes_are_pinned(self, monkeypatch):
         # the saving itself: kernel windows over the scale-1 corpus, the plain
         # bisection's count beside it
@@ -384,7 +399,7 @@ class TestClearingBracket:
             for a, b, body in corpus:
                 clearing_delay(a, b, body, body)
             counts.append(probes)
-        assert counts == [55588, 82242]
+        assert counts == [55540, 82242]
 
 
 # ---------------------------------------------------------------------------
