@@ -554,6 +554,47 @@ def test_batched_runs_equal_per_seed_runs(scenario, method):
         assert len(actual) == 13 and len(ends) > 1 and len(figures) > 1
 
 
+# (completed, end_time.hex(), len(records)) of swarm_4 runs. At a 0.015 s log
+# period the bhl and vll runs end between logged ticks (ticks 710 and 661).
+RUN_ENDS = {
+    (0.01, "bhl", 0): (True, "0x1.c666666666667p+1", 1424),
+    (0.01, "bhl", 1): (True, "0x1.c666666666667p+1", 1424),
+    (0.01, "bll", 0): (True, "0x1.b1eb851eb851fp+1", 1360),
+    (0.01, "bll", 1): (True, "0x1.b1eb851eb851fp+1", 1360),
+    (0.01, "vll", 0): (True, "0x1.a70a3d70a3d71p+1", 1324),
+    (0.01, "vll", 1): (True, "0x1.a70a3d70a3d71p+1", 1324),
+    (0.015, "bhl", 0): (True, "0x1.c666666666667p+1", 948),
+    (0.015, "bhl", 1): (True, "0x1.c666666666667p+1", 948),
+    (0.015, "bll", 0): (True, "0x1.b1eb851eb851fp+1", 908),
+    (0.015, "bll", 1): (True, "0x1.b1eb851eb851fp+1", 908),
+    (0.015, "vll", 0): (True, "0x1.a70a3d70a3d71p+1", 884),
+    (0.015, "vll", 1): (True, "0x1.a70a3d70a3d71p+1", 884),
+}
+
+
+def run_end(log):
+    return log.completed, log.end_time.hex(), len(log.records)
+
+
+@pytest.mark.parametrize("log_period,method,seed", sorted(RUN_ENDS))
+def test_run_ends_are_pinned(log_period, method, seed):
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    log = run_execution(planset.plans, method, SimConfig(seed=seed, log_period=log_period), speeds=planset.speeds)
+    assert run_end(log) == RUN_ENDS[(log_period, method, seed)]
+
+
+def test_wall_cap_and_batched_run_ends_are_pinned():
+    # makespan 3 s -> cap at 16 s: the first tick past it, with 1,601 logged ticks of 2 agents
+    log = run_execution(straight_plans(), "bll", SimConfig(max_speed=0.01))
+    assert run_end(log) == (False, "0x1.00147ae147ae1p+4", 3202)
+    # seeds 7, 8 and 9 end at ticks 652, 671 and 651
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    logs = run_executions(planset.plans, "vll", SimConfig(seed=7), 3, speeds=planset.speeds)
+    assert [run_end(log) for log in logs] == [(True, "0x1.a147ae147ae15p+1", 1308),
+                                              (True, "0x1.ad70a3d70a3d7p+1", 1344),
+                                              (True, "0x1.a0a3d70a3d70ap+1", 1304)]
+
+
 @pytest.mark.parametrize("log_block,noise_block", [(1, 1), (5, 3)])
 def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block):
     # vll runs end at different ticks, so ended runs are cut from part-filled blocks
