@@ -196,7 +196,7 @@ def _usable_cpus() -> int:
 def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
     """Batch indices split into k shares: heaviest first, each to the lightest share (the lowest on ties).
 
-    `cmd_bench` weighs a batch by agents x makespan x runs flown.
+    `_fly_batches` weighs a batch by agents x makespan x runs flown.
     """
     shares: list[list[int]] = [[] for _ in range(k)]
     loads = [0.0] * k
@@ -248,17 +248,21 @@ def _fly_share(jobs: list[tuple], share: list[int], write_fd: int) -> None:
         os._exit(code)
 
 
-def _fly_batches(jobs: list[tuple], weights: Sequence[float]) -> list[list[tuple]]:
+def _fly_batches(jobs: list[tuple]) -> list[list[tuple]]:
     """_fly_batch of every job, in job order, over up to one process per usable CPU.
 
-    The parent flies share 0. Each other share goes to a child it forks,
-    which never waits for input: it sends one reply over its own pipe and
-    exits, so it ends by itself even if the parent is killed. Every child is
-    reaped before this returns or raises. A fork, unlike a spawned worker,
-    inherits the imported modules and the solved plans, which a batch share
-    would otherwise pay for with a fresh import; the simulator makes no BLAS
-    call, so numpy's BLAS threads are never needed in a child.
+    Each job is weighed from its own plans, method and repetitions, and the
+    jobs are dealt into shares by weight (`_shares`). The parent flies share
+    0; each other share goes to a child it forks, which never waits for
+    input: it sends one reply over its own pipe and exits, so it ends by
+    itself even if the parent is killed. Every child is reaped before this
+    returns or raises. A fork, unlike a spawned worker, inherits the imported
+    modules and the solved plans, which a batch share would otherwise pay for
+    with a fresh import; the simulator makes no BLAS call, so numpy's BLAS
+    threads are never needed in a child.
     """
+    weights = [len(plans) * max(p.end_time for p in plans) * _runs_flown(method, repetitions)
+               for plans, method, _, _, repetitions in jobs]
     shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
     results: list = [None] * len(jobs)
     children: list[tuple[int, int, list[int]]] = []  # (pid, read end, share)
@@ -301,9 +305,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     flown at the same time, one process per usable CPU, and reported in
     scenario order, so the outputs do not depend on the process count.
 
-    A batch of a method in SEED_FREE_METHODS flies its first seed only, and
-    that run is reported for every seed; a vll batch flies every seed. The
-    flight-size limit is checked for all repetitions.
+    A batch of a method in SEED_FREE_METHODS flies its first seed only
+    (`_fly_batch`), and that run is reported for every seed; a vll batch flies
+    every seed. The flight-size limit is checked here, for all repetitions.
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
@@ -328,7 +332,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     stopped: dict[str, tuple[dict, str]] = {}
     solved: dict[str, tuple[list, SolveResult]] = {}
     jobs: list[tuple] = []
-    weights: list[float] = []
     outputs = ["bench.json"]
     for path in instance_paths:
         name = path.stem
@@ -360,11 +363,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         solved[name] = (agents, result)
         speeds = {a.id: a.speed for a in agents}
-        for m in methods:
-            jobs.append((solution.plans, m, speeds, base, args.repetitions))
-            weights.append(len(agents) * solution.makespan * _runs_flown(m, args.repetitions))
+        jobs += [(solution.plans, m, speeds, base, args.repetitions) for m in methods]
 
-    flown = iter(_fly_batches(jobs, weights))
+    flown = iter(_fly_batches(jobs))
     rows: list[dict] = []
     failures: list[dict] = []
     for path in instance_paths:

@@ -18,9 +18,10 @@ bookkeeping is batched too:
     arrival falls, and such a wake tick visits every active vehicle, in row order;
   * the commands that arrive on one tick are activated together, one array
     update per command kind (`_Fleet.activate`);
-  * poses are logged into fixed blocks of logged ticks, and each run's records
-    are cut from its rows of those blocks; the planned positions, the same for
-    every run, are filled in once after the last tick (`TimedPlan.positions_at`);
+  * actual and estimated poses are logged into fixed blocks of logged ticks,
+    and each run's records are cut from its rows of those blocks; the planned
+    positions, the same for every run, are filled into one array per flight
+    after the last tick (`TimedPlan.positions_at`);
   * localization noise is drawn in blocks of ticks from each vehicle's own
     seeded stream, for the runs still flying only.
 
@@ -138,14 +139,14 @@ class SimConfig:
 _NOISE_BLOCK = 64
 
 # Logged ticks per pose-log block: a (block, rows, 3) array each of actual and
-# estimated positions, logged tick by tick, and a (block, N, 3) one of planned
-# positions, filled once after the flight. Each run's records are cut from the
+# estimated positions, logged tick by tick. Each run's records are cut from the
 # blocks. A fixed block keeps every array far below the 4 MB from which numpy
 # asks for huge pages, whatever the wall cap; over the bundled bench batches, 16
 # left a lower peak RSS than 32 or 64.
 _LOG_BLOCK = 16
-# Blocks filled per positions_at call, so that each call's arrays are bounded too.
-_PLANNED_BLOCKS = 64
+# Logged ticks per positions_at call when the flight's (ticks, N, 3) planned
+# positions are filled, so that each call's temporary arrays are bounded too.
+_PLANNED_TICKS = 1024
 
 # Records per row block of the CSV writers and of error_metrics' per-record
 # hypot: the Python strings and floats of one block are all that is alive at
@@ -325,6 +326,7 @@ class _Vehicle(VehicleEndpoint):
     agent: int
     latency: float
     command_sink: Optional[list]
+    rng: np.random.Generator  # this vehicle's noise stream
     gen: Optional[Iterator[float]] = None  # the executor, made on this endpoint
     next_resume: float = 0.0
     done: bool = False
@@ -374,21 +376,14 @@ def _plan_speed(plan: TimedPlan) -> float:
 
 @dataclass
 class _Run:
-    """One seeded repetition of a batch: fleet rows index*N .. index*N + N - 1."""
+    """One seeded repetition of a batch: its vehicles, their fleet rows and, once ended, its end tick."""
 
-    index: int
     seed: int
+    rows: slice
     vehicles: list[_Vehicle]
-    rngs: list[np.random.Generator]  # the vehicles' noise streams
     n_done: int = 0
     completed: bool = False
-    end_time: float = 0.0
-    n_logged: int = 0  # leading logged ticks that belong to this run
-
-    @property
-    def rows(self) -> slice:
-        n = len(self.vehicles)
-        return slice(self.index * n, self.index * n + n)
+    end_tick: int = 0
 
 
 def run_execution(
@@ -454,18 +449,15 @@ def run_executions(
     check_flight_size(plan_list, config, runs)
 
     n_agents = len(plan_list)
-    cruise_speeds = []
-    for plan in plan_list:
-        cruise = config.vll_cruise_speed
-        if cruise is None:
-            cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
-        cruise_speeds.append(cruise)
     fleet_runs: list[_Run] = []
     for r in range(runs):
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed + r).spawn(n_agents)]
         vehicles = []
-        for i, (plan, cruise) in enumerate(zip(plan_list, cruise_speeds)):
-            vehicle = _Vehicle(r * n_agents + i, plan.agent, config.latency, command_sink)
+        for i, (plan, rng) in enumerate(zip(plan_list, rngs)):
+            vehicle = _Vehicle(r * n_agents + i, plan.agent, config.latency, command_sink, rng)
+            cruise = config.vll_cruise_speed
+            if cruise is None:
+                cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
             vehicle.gen = make_executor(
                 name,
                 plan,
@@ -475,7 +467,7 @@ def run_executions(
                 cruise_speed=cruise,
             )
             vehicles.append(vehicle)
-        fleet_runs.append(_Run(r, config.seed + r, vehicles, rngs))
+        fleet_runs.append(_Run(config.seed + r, slice(r * n_agents, r * n_agents + n_agents), vehicles))
 
     rows = runs * n_agents
     fleet = _Fleet([p.start_position for p in plan_list] * runs, [(0.0, 0.0, 0.0)] * rows, config, config.tick)
@@ -487,7 +479,7 @@ def run_executions(
     offsets = np.empty((_NOISE_BLOCK, rows, 3))  # noise_sigma * noise, one (rows, 3) slab per tick
 
     times: list[float] = []  # the logged ticks
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (actual, estimated, planned) per _LOG_BLOCK
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (actual, estimated) per _LOG_BLOCK
     active = fleet_runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
     n = 0
@@ -498,34 +490,31 @@ def run_executions(
         if k == 0:
             # an ended run's rows are never read again, so its streams stop here
             for run in active:
-                for block, rng in zip(noise[run.rows], run.rngs):
-                    rng.standard_normal(out=block)
+                for v in run.vehicles:
+                    v.rng.standard_normal(out=noise[v.row])
             np.multiply(noise.transpose(1, 0, 2), config.noise_sigma, out=offsets)
         estimated = fleet.pos + offsets[k]
         if n % steps_per_log == 0:
             j = len(times) % _LOG_BLOCK
             if j == 0:
-                blocks.append((np.empty((_LOG_BLOCK, rows, 3)), np.empty((_LOG_BLOCK, rows, 3)),
-                               np.empty((_LOG_BLOCK, n_agents, 3))))
-            actual_block, estimated_block, _ = blocks[-1]
+                blocks.append((np.empty((_LOG_BLOCK, rows, 3)), np.empty((_LOG_BLOCK, rows, 3))))
+            actual_block, estimated_block = blocks[-1]
             actual_block[j] = fleet.pos
             estimated_block[j] = estimated
             times.append(t)
         if ready:
-            inside = (np.abs(fleet.pos - goals) <= box).reshape(runs, -1).all(axis=1)
+            inside = (np.abs(fleet.pos - goals) <= box).all(axis=1)
             for run in ready:
-                if inside[run.index]:
+                if inside[run.rows].all():
                     run.completed = True
-                    run.end_time = t
-                    run.n_logged = len(times)
+                    run.end_tick = n
             ready = [run for run in ready if not run.completed]
             active = [run for run in active if not run.completed]
             if not active:
                 break
         if t > cap:
             for run in active:
-                run.end_time = t
-                run.n_logged = len(times)
+                run.end_tick = n
             break
 
         due_by = t + _EPS
@@ -565,38 +554,34 @@ def run_executions(
         n += 1
 
     # the planned positions are the same for every run, so they are computed once
-    span = _PLANNED_BLOCKS * _LOG_BLOCK
-    for lo in range(0, len(times), span):
-        ts = times[lo : lo + span]
-        chunk = blocks[lo // _LOG_BLOCK : lo // _LOG_BLOCK + _PLANNED_BLOCKS]
+    planned = np.empty((len(times), n_agents, 3))
+    for lo in range(0, len(times), _PLANNED_TICKS):
         for i, plan in enumerate(plan_list):
-            positions = plan.positions_at(ts)
-            for j, (_, _, planned) in zip(range(0, len(ts), _LOG_BLOCK), chunk):
-                planned[: len(ts) - j, i] = positions[j : j + _LOG_BLOCK]
-    agents = [p.agent for p in plan_list]
-    return (_pose_log(run, times, blocks, agents, name) for run in fleet_runs)
+            planned[lo : lo + _PLANNED_TICKS, i] = plan.positions_at(times[lo : lo + _PLANNED_TICKS])
+    return (_pose_log(run, config, times, blocks, planned, agent_ids, name) for run in fleet_runs)
 
 
-def _pose_log(run: _Run, times: list[float], blocks: list, agents: list[int], method: str) -> PoseLog:
-    """The run's POSE_DTYPE records, one row per agent per logged tick, cut
-    block by block from its rows of the logged arrays."""
-    ticks = run.n_logged
+def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list, planned: np.ndarray,
+              agents: list[int], method: str) -> PoseLog:
+    """The run's POSE_DTYPE records, one row per agent per logged tick up to
+    its end tick: actual and estimated positions cut block by block from its
+    rows of the logged arrays, planned ones from the flight's planned array."""
+    ticks = run.end_tick // config.log_every_ticks + 1
     records = np.empty(ticks * len(agents), dtype=POSE_DTYPE)
     records["t"] = np.repeat(times[:ticks], len(agents))
     records["agent"] = np.tile(agents, ticks)
     grid = records.reshape(ticks, len(agents))  # a view, one row per logged tick
-    actual_out, estimated_out, planned_out = grid["actual"], grid["estimated"], grid["planned"]
-    for lo, (actual, estimated, planned) in zip(range(0, ticks, _LOG_BLOCK), blocks):
-        m = min(_LOG_BLOCK, ticks - lo)
-        actual_out[lo : lo + m] = actual[:m, run.rows]
-        estimated_out[lo : lo + m] = estimated[:m, run.rows]
-        planned_out[lo : lo + m] = planned[:m]
+    grid["planned"] = planned[:ticks]
+    actual_out, estimated_out = grid["actual"], grid["estimated"]
+    for lo, (actual, estimated) in zip(range(0, ticks, _LOG_BLOCK), blocks):
+        actual_out[lo : lo + _LOG_BLOCK] = actual[: ticks - lo, run.rows]
+        estimated_out[lo : lo + _LOG_BLOCK] = estimated[: ticks - lo, run.rows]
     return PoseLog(
         records=records,
         method=method,
         seed=run.seed,
         completed=run.completed,
-        end_time=run.end_time,
+        end_time=run.end_tick * config.tick,
     )
 
 

@@ -595,14 +595,16 @@ def test_wall_cap_and_batched_run_ends_are_pinned():
                                               (True, "0x1.a0a3d70a3d70ap+1", 1304)]
 
 
-@pytest.mark.parametrize("log_block,noise_block", [(1, 1), (5, 3)])
-def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block):
-    # vll runs end at different ticks, so ended runs are cut from part-filled blocks
+@pytest.mark.parametrize("log_block,noise_block,planned_ticks", [(1, 1, 1), (5, 3, 7)])
+def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block, planned_ticks):
+    # vll runs at seeds 3, 4 and 5 end at ticks 681, 661 and 681, so ended runs
+    # are cut from part-filled blocks and planned chunks
     planset = load_plans(FIXTURES / "swarm_4.plans.json")
-    want = [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=0), 3, speeds=planset.speeds)]
+    want = [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=3), 3, speeds=planset.speeds)]
     monkeypatch.setattr(flightsim, "_LOG_BLOCK", log_block)
     monkeypatch.setattr(flightsim, "_NOISE_BLOCK", noise_block)
-    assert [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=0), 3, speeds=planset.speeds)] == want
+    monkeypatch.setattr(flightsim, "_PLANNED_TICKS", planned_ticks)
+    assert [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=3), 3, speeds=planset.speeds)] == want
 
 
 @pytest.fixture(scope="module")
