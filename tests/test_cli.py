@@ -3,9 +3,13 @@
 import contextlib
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -527,6 +531,100 @@ class TestParallelFly:
             main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
                   "--out", str(tmp_path / "out")])
         assert_no_child_left()
+
+    @pytest.mark.parametrize("end", [lambda: os._exit(1), lambda: os.kill(os.getpid(), signal.SIGINT)],
+                             ids=["exit", "interrupt"])
+    def test_a_worker_that_ends_without_a_reply_fails_the_bench_and_leaves_no_child(self, monkeypatch, capfd,
+                                                                                     tmp_path, mixed_dir, end):
+        # an interrupted worker ends as quietly as one that exits
+        src, config = mixed_dir
+        parent, real = os.getpid(), cli._fly_batch
+
+        def fly_batch(*job):
+            if os.getpid() != parent:
+                end()
+            return real(*job)
+
+        monkeypatch.setattr(cli, "_fly_batch", fly_batch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        with deadline(120), pytest.raises(RuntimeError, match="ended without a reply"):
+            main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
+                  "--out", str(tmp_path / "out")])
+        assert_no_child_left()
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_reply_the_parent_no_longer_reads_ends_its_worker_quietly(self, monkeypatch, capfd, tmp_path,
+                                                                         mixed_dir, workers):
+        # the parent raises in its own share; each worker's reply overfills a pipe
+        src, config = mixed_dir
+        parent = os.getpid()
+
+        def fly_batch(*job):
+            if os.getpid() == parent:
+                raise RuntimeError("injected parent failure")
+            return [(True, float(i), float(i)) for i in range(100_000)]
+
+        monkeypatch.setattr(cli, "_fly_batch", fly_batch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        with deadline(60), pytest.raises(RuntimeError, match="injected parent failure"):
+            main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
+                  "--out", str(tmp_path / "out")])
+        assert_no_child_left()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_a_bench_in_a_daemonic_process_reports_what_an_in_process_bench_does(self, monkeypatch, capsys,
+                                                                                 tmp_path, mixed_dir):
+        # the standard library starts no child from a daemonic process; three CPUs
+        # are reported there, so a bench that tried to start one would fail
+        src, config = mixed_dir
+        out, printed = tmp_path / "daemonic", tmp_path / "daemonic.out"
+
+        def in_daemon():
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            with open(printed, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+                code = main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "2",
+                             "--seed", "0", "--out", str(out)])
+            sys.exit(code)
+
+        child = multiprocessing.get_context("fork").Process(target=in_daemon, daemon=True)
+        child.start()
+        child.join(120)
+        want = self.bench(monkeypatch, capsys, src, config, tmp_path / "in_process", 1)
+        assert not child.is_alive() and child.exitcode == want[0]
+        lines = printed.read_text(encoding="utf-8").splitlines()
+        assert lines[-1] == f"wrote {out / 'bench.json'}"
+        summary = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        for row in summary["rows"]:
+            del row["solver_wall_time"]
+        plans = {p.name: p.read_bytes() for p in sorted(out.glob("*_plans.json"))}
+        assert (child.exitcode, summary, lines[:-1], plans) == want
+        assert_no_child_left()
+
+    def test_a_line_printed_before_a_bench_to_a_file_is_written_once(self, tmp_path, scenario_dir):
+        # stdout sent to a file is block-buffered: a worker that flushed its copy
+        # of the parent's unwritten line would write it a second time
+        script = ("import sys\n"
+                  "from mapflight import cli\n"
+                  "assert not (sys.stdout.line_buffering or sys.stdout.write_through)\n"
+                  "print('before the bench')\n"
+                  "cli._usable_cpus = lambda: int(sys.argv[1])\n"
+                  "sys.exit(cli.main(['bench', '--scenarios', sys.argv[2], '--repetitions', '2',"
+                  " '--out', sys.argv[3]]))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        printed = []
+        for workers in (1, 2):
+            out = tmp_path / f"printed{workers}.txt"
+            with open(out, "w", encoding="utf-8") as fh:
+                done = subprocess.run([sys.executable, "-c", script, str(workers), str(scenario_dir),
+                                       str(tmp_path / f"out{workers}")], stdout=fh, env=env, timeout=120)
+            assert done.returncode == EXIT_OK
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert lines.count("before the bench") == 1 and lines[0] == "before the bench"
+            assert lines[-1] == f"wrote {tmp_path / f'out{workers}' / 'bench.json'}"
+            printed.append(lines[:-1])
+        assert printed[0] == printed[1]
 
     def test_shares_are_heaviest_first_to_the_lightest(self):
         assert cli._shares([1.0, 5.0, 3.0, 3.0], 2) == [[1, 0], [2, 3]]
