@@ -14,12 +14,14 @@ Exit codes are disjoint so scripts can tell failure modes apart:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
-import pickle
+import signal
 import sys
 import traceback
 from pathlib import Path
@@ -187,8 +189,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the batch cannot fork workers."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """CPUs this process may run on; 1 where the batch cannot start workers: no fork, or a daemonic process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or multiprocessing.current_process().daemon:
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -229,70 +231,58 @@ def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, repetitions: i
     return runs * (repetitions // flown)
 
 
-def _fly_share(jobs: list[tuple], share: list[int], write_fd: int) -> None:
-    """Body of a forked worker: fly its share, send the reply over `write_fd`, end the process.
-
-    It never returns. os._exit skips the exit handlers and the unflushed
-    stdio buffers the child shares with the parent.
-    """
-    code = 1
+def _fly_share(jobs: list[tuple], share: list[int], receive, send) -> None:
+    """A worker's body: send ("ok", the runs of each batch in `share`) or ("error", a traceback) over `send`."""
+    receive.close()  # else a reply the parent no longer reads would wait on a full pipe for good
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # a Ctrl-C, which the parent gets too, ends it without a traceback
     try:
-        try:
-            reply = ("ok", [_fly_batch(*jobs[i]) for i in share])
-        except Exception:
-            reply = ("error", traceback.format_exc())
-        with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(reply, fh)
-        code = 0
-    finally:
-        os._exit(code)
+        reply = ("ok", [_fly_batch(*jobs[i]) for i in share])
+    except Exception:
+        reply = ("error", traceback.format_exc())
+    with contextlib.suppress(BrokenPipeError):  # the parent is already raising: end without a traceback
+        send.send(reply)
 
 
 def _fly_batches(jobs: list[tuple]) -> list[list[tuple]]:
     """_fly_batch of every job, in job order, over up to one process per usable CPU.
 
-    Each job is weighed from its own plans, method and repetitions, and the
-    jobs are dealt into shares by weight (`_shares`). The parent flies share
-    0; each other share goes to a child it forks, which never waits for
-    input: it sends one reply over its own pipe and exits, so it ends by
-    itself even if the parent is killed. Every child is reaped before this
-    returns or raises. A fork, unlike a spawned worker, inherits the imported
-    modules and the solved plans, which a batch share would otherwise pay for
-    with a fresh import; the simulator makes no BLAS call, so numpy's BLAS
-    threads are never needed in a child.
+    The jobs are dealt into shares by weight (`_shares`), each weighed from
+    its own plans, method and repetitions. The parent flies share 0 and
+    starts a fork `Process` for each other share, which sends one reply over
+    a one-way `Pipe` and never waits for input, so it ends even if the parent
+    is killed. A fork inherits the imported modules and the solved plans, and
+    needs no BLAS thread (the simulator makes no BLAS call); the standard
+    library flushes stdout before it forks, so no line prints twice.
     """
     weights = [len(plans) * max(p.end_time for p in plans) * _runs_flown(method, repetitions)
                for plans, method, _, _, repetitions in jobs]
     shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
     results: list = [None] * len(jobs)
-    children: list[tuple[int, int, list[int]]] = []  # (pid, read end, share)
+    fork = multiprocessing.get_context("fork")
+    children = []  # (process, receive end, share)
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                for _, fd, _ in children:
-                    os.close(fd)
-                os.close(read_fd)
-                _fly_share(jobs, share, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
+            receive, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_fly_share, args=(jobs, share, receive, send))
+            child.start()
+            children.append((child, receive, share))
+            send.close()
         for i in shares[0]:
             results[i] = _fly_batch(*jobs[i])
-        for pid, read_fd, share in children:
-            with open(read_fd, "rb", closefd=False) as fh:
-                data = fh.read()
-            if not data:
-                raise RuntimeError(f"bench worker {pid} ended without a reply")
-            status, payload = pickle.loads(data)
+        for child, receive, share in children:
+            try:
+                status, payload = receive.recv()
+            except EOFError:
+                raise RuntimeError(f"bench worker {child.pid} ended without a reply") from None
             if status != "ok":
-                raise RuntimeError(f"bench worker {pid} failed:\n{payload}")
+                raise RuntimeError(f"bench worker {child.pid} failed:\n{payload}")
             for i, runs in zip(share, payload):
                 results[i] = runs
     finally:
-        for pid, read_fd, _ in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+        for _, receive, _ in children:
+            receive.close()  # all before any join: a worker holds copies of the earlier workers' receive ends
+        for child, _, _ in children:
+            child.join()
     return results
 
 
@@ -302,8 +292,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     Per-scenario failures are recorded in the summary and the batch continues;
     the exit status is nonzero if anything failed. Scenarios are loaded, solved
     and validated one after another; their (scenario, method) batches are then
-    flown at the same time, one process per usable CPU, and reported in
-    scenario order, so the outputs do not depend on the process count.
+    flown by `_fly_batches` over worker processes and reported in scenario
+    order, so the outputs do not depend on the process count.
 
     A batch of a method in SEED_FREE_METHODS flies its first seed only
     (`_fly_batch`), and that run is reported for every seed; a vll batch flies

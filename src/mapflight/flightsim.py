@@ -101,6 +101,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is not JSON-serialisable
         if self.tick < MIN_TICK:
             raise ValueError(f"tick must be at least {MIN_TICK} s, got {self.tick!r}")
         if self.log_period < self.tick - _EPS:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mapflight import cli
@@ -26,7 +27,8 @@ from mapflight.cli import (
     build_parser,
     main,
 )
-from mapflight.flightsim import METHODS, SEED_FREE_METHODS, SimConfig, error_metrics, run_executions
+from mapflight.flightsim import METHODS, SEED_FREE_METHODS, SimConfig, error_metrics, run_execution, run_executions
+from mapflight.plan import load_plans
 from mapflight.world import load_instance
 
 SWAP_INSTANCE = {
@@ -301,6 +303,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "cannot write --out" in err and "File exists" in err
+
+
+def test_a_numpy_integer_seed_hashes_and_writes_as_the_int(planned, tmp_path):
+    # an np.int64 seed was kept as given, and the config hash and errors.json raised TypeError
+    _, plans = planned
+    planset = load_plans(plans)
+    docs = []
+    for config in (SimConfig(seed=np.int64(3)), SimConfig(seed=3)):
+        log = run_execution(planset.plans, "bll", config, speeds=planset.speeds)
+        docs.append(error_metrics(log).to_json_dict(config_hash=cli._config_hash(config)))
+    cli.write_json(tmp_path / "errors.json", docs[0])
+    assert json.loads((tmp_path / "errors.json").read_text(encoding="utf-8")) == docs[0] == docs[1]
 
 
 class TestBench:
