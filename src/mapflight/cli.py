@@ -232,11 +232,11 @@ def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, repetitions: i
 
 
 def _fly_share(jobs: list[tuple], share: list[int], receive, send) -> None:
-    """A worker's body: send ("ok", the runs of each batch in `share`) or ("error", a traceback) over `send`."""
+    """A worker's body: send ("ok", {job index: runs} for its share) or ("error", a traceback) over `send`."""
     receive.close()  # else a reply the parent no longer reads would wait on a full pipe for good
     signal.signal(signal.SIGINT, signal.SIG_DFL)  # a Ctrl-C, which the parent gets too, ends it without a traceback
     try:
-        reply = ("ok", [_fly_batch(*jobs[i]) for i in share])
+        reply = ("ok", {i: _fly_batch(*jobs[i]) for i in share})
     except Exception:
         reply = ("error", traceback.format_exc())
     with contextlib.suppress(BrokenPipeError):  # the parent is already raising: end without a traceback
@@ -257,33 +257,30 @@ def _fly_batches(jobs: list[tuple]) -> list[list[tuple]]:
     weights = [len(plans) * max(p.end_time for p in plans) * _runs_flown(method, repetitions)
                for plans, method, _, _, repetitions in jobs]
     shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
-    results: list = [None] * len(jobs)
     fork = multiprocessing.get_context("fork")
-    children = []  # (process, receive end, share)
+    children = []  # (process, receive end)
     try:
         for share in shares[1:]:
             receive, send = fork.Pipe(duplex=False)
             child = fork.Process(target=_fly_share, args=(jobs, share, receive, send))
             child.start()
-            children.append((child, receive, share))
+            children.append((child, receive))
             send.close()
-        for i in shares[0]:
-            results[i] = _fly_batch(*jobs[i])
-        for child, receive, share in children:
+        results = {i: _fly_batch(*jobs[i]) for i in shares[0]}
+        for child, receive in children:
             try:
                 status, payload = receive.recv()
             except EOFError:
                 raise RuntimeError(f"bench worker {child.pid} ended without a reply") from None
             if status != "ok":
                 raise RuntimeError(f"bench worker {child.pid} failed:\n{payload}")
-            for i, runs in zip(share, payload):
-                results[i] = runs
+            results.update(payload)
     finally:
-        for _, receive, _ in children:
+        for _, receive in children:
             receive.close()  # all before any join: a worker holds copies of the earlier workers' receive ends
-        for child, _, _ in children:
+        for child, _ in children:
             child.join()
-    return results
+    return [results[i] for i in range(len(jobs))]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
