@@ -240,11 +240,11 @@ def ccbs_solve(
 
     root_tables = {a.id: SafeIntervalTable({}, {}) for a in agent_list}
     root_plans: dict[int, TimedPlan] = {}
-    stats.replans = len(agent_list)
     for a in agent_list:
         t = clock()
         p = sipp_plan(world, a, root_tables[a.id])
         stats.sipp_s += clock() - t
+        stats.replans += 1
         if p is None:
             stats.wall_time = clock() - started
             return SolveResult(NO_SOLUTION, None, stats, f"agent {a.id} cannot reach its goal")

@@ -14,7 +14,7 @@ Exit codes are disjoint so scripts can tell failure modes apart:
 from __future__ import annotations
 
 import argparse
-import contextlib
+import concurrent.futures
 import dataclasses
 import errno
 import hashlib
@@ -23,7 +23,7 @@ import multiprocessing
 import os
 import signal
 import sys
-import traceback
+import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -165,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     log = run_execution(planset.plans, args.method, config, speeds=planset.speeds)
     report = error_metrics(log)
     log.write_csv(out_dir / "poses.csv")
-    (out_dir / "error_series.csv").write_text(report.series_csv(), encoding="utf-8")
+    report.write_csv(out_dir / "error_series.csv")
     write_json(out_dir / "errors.json", report.to_json_dict(config_hash=_config_hash(config)))
     _write_manifest(
         out_dir,
@@ -231,56 +231,46 @@ def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, repetitions: i
     return runs * (repetitions // flown)
 
 
-def _fly_share(jobs: list[tuple], share: list[int], receive, send) -> None:
-    """A worker's body: send ("ok", {job index: runs} for its share) or ("error", a traceback) over `send`."""
-    receive.close()  # else a reply the parent no longer reads would wait on a full pipe for good
-    signal.signal(signal.SIGINT, signal.SIG_DFL)  # a Ctrl-C, which the parent gets too, ends it without a traceback
-    try:
-        reply = ("ok", {i: _fly_batch(*jobs[i]) for i in share})
-    except Exception:
-        reply = ("error", traceback.format_exc())
-    with contextlib.suppress(BrokenPipeError):  # the parent is already raising: end without a traceback
-        send.send(reply)
+def _fly_jobs(jobs: dict[int, tuple]) -> dict[int, list[tuple]]:
+    """_fly_batch of each {job index: job}, by job index: a share of the batches."""
+    return {i: _fly_batch(*job) for i, job in jobs.items()}
+
+
+def _start_worker() -> None:
+    """A pool worker's set-up: it ends without a traceback on a Ctrl-C, which the parent gets too, and
+    once the parent has ended, which would otherwise leave it waiting for a task for good."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # reads b"" once the parent's end is closed; a later worker holds that of an earlier one, so the last ends first
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: os.read(sentinel, 1) or os._exit(1), daemon=True).start()
 
 
 def _fly_batches(jobs: list[tuple]) -> list[list[tuple]]:
     """_fly_batch of every job, in job order, over up to one process per usable CPU.
 
     The jobs are dealt into shares by weight (`_shares`), each weighed from
-    its own plans, method and repetitions. The parent flies share 0 and
-    starts a fork `Process` for each other share, which sends one reply over
-    a one-way `Pipe` and never waits for input, so it ends even if the parent
-    is killed. A fork inherits the imported modules and the solved plans, and
-    needs no BLAS thread (the simulator makes no BLAS call); the standard
-    library flushes stdout before it forks, so no line prints twice.
+    its own plans, method and repetitions. Each share past the first goes,
+    with only its own jobs, to a worker of a fork `ProcessPoolExecutor`; the
+    parent flies the first. A worker's exception re-raises here as itself; a
+    worker that dies is a RuntimeError. A fork inherits the imported modules
+    and needs no BLAS thread (the simulator makes no BLAS call), and the
+    standard library flushes stdout before it forks: no line prints twice.
     """
     weights = [len(plans) * max(p.end_time for p in plans) * _runs_flown(method, repetitions)
                for plans, method, _, _, repetitions in jobs]
     shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
-    fork = multiprocessing.get_context("fork")
-    children = []  # (process, receive end)
-    try:
-        for share in shares[1:]:
-            receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_fly_share, args=(jobs, share, receive, send))
-            child.start()
-            children.append((child, receive))
-            send.close()
-        results = {i: _fly_batch(*jobs[i]) for i in shares[0]}
-        for child, receive in children:
-            try:
-                status, payload = receive.recv()
-            except EOFError:
-                raise RuntimeError(f"bench worker {child.pid} ended without a reply") from None
-            if status != "ok":
-                raise RuntimeError(f"bench worker {child.pid} failed:\n{payload}")
-            results.update(payload)
-    finally:
-        for _, receive in children:
-            receive.close()  # all before any join: a worker holds copies of the earlier workers' receive ends
-        for child, _ in children:
-            child.join()
-    return [results[i] for i in range(len(jobs))]
+    if len(shares) == 1:
+        return [_fly_batch(*job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(len(shares) - 1, multiprocessing.get_context("fork"),
+                                                _start_worker) as pool:
+        futures = [pool.submit(_fly_jobs, {i: jobs[i] for i in share}) for share in shares[1:]]
+        runs = _fly_jobs({i: jobs[i] for i in shares[0]})
+        try:
+            for future in futures:
+                runs.update(future.result())
+        except concurrent.futures.BrokenExecutor:
+            raise RuntimeError("a bench worker ended without a reply") from None
+    return [runs[i] for i in range(len(jobs))]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -289,8 +279,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     Per-scenario failures are recorded in the summary and the batch continues;
     the exit status is nonzero if anything failed. Scenarios are loaded, solved
     and validated one after another; their (scenario, method) batches are then
-    flown by `_fly_batches` over worker processes and reported in scenario
-    order, so the outputs do not depend on the process count.
+    flown by `_fly_batches`, in the parent and a pool of worker processes, and
+    reported in scenario order, so the outputs do not depend on the process
+    count. A batch's exception is raised here whichever process flew it.
 
     A batch of a method in SEED_FREE_METHODS flies its first seed only
     (`_fly_batch`), and that run is reported for every seed; a vll batch flies
@@ -365,15 +356,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         agents, result = solved[name]
         for m in methods:
             runs = next(flown)
-            completed = 0
-            for rep, (done, _, _) in enumerate(runs):
-                if done:
-                    completed += 1
-                else:
-                    failures.append(
-                        {"scenario": name, "stage": "simulate", "method": m, "seed": base.seed + rep,
-                         "error": "wall-time cap reached before all vehicles finished"}
-                    )
+            completed = sum(done for done, _, _ in runs)
+            failures += [{"scenario": name, "stage": "simulate", "method": m, "seed": base.seed + rep,
+                          "error": "wall-time cap reached before all vehicles finished"}
+                         for rep, (done, _, _) in enumerate(runs) if not done]
             rows.append(
                 {
                     "scenario": name,

@@ -261,8 +261,16 @@ POSE_DTYPE = np.dtype([("t", "f8"), ("agent", "i8"), ("actual", "f8", (3,)), ("e
 ERROR_DTYPE = np.dtype([("t", "f8"), ("agent", "i8"), ("error", "f8")])
 
 
+class _BlockCsv:
+    """A CSV file written as `_csv_chunks` yields it: the header, then one chunk per row block."""
+
+    def write_csv(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(self._csv_chunks())
+
+
 @dataclass(frozen=True)
-class PoseLog:
+class PoseLog(_BlockCsv):
     records: np.ndarray  # POSE_DTYPE rows, tick-major, then agent
     method: str
     seed: int
@@ -284,11 +292,6 @@ class PoseLog:
     def to_csv(self) -> str:
         """poses.csv as one string: a header, then one line per record, every float as its repr."""
         return "".join(self._csv_chunks())
-
-    def write_csv(self, path) -> None:
-        """Write to_csv()'s text one row block at a time."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(self._csv_chunks())
 
 
 def _row_blocks(records: np.ndarray) -> Iterator[np.ndarray]:
@@ -598,7 +601,7 @@ class AgentError:
 
 
 @dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(_BlockCsv):
     basis: str
     method: str
     seed: int
@@ -619,13 +622,15 @@ class ErrorReport:
             "aggregate": {"max_error": self.aggregate.max_error, "avg_error": self.aggregate.avg_error},
         }
 
-    def series_csv(self) -> str:
-        """error_series.csv: a header, then one line per record, built one row block at a time."""
-        chunks = ["t,agent,error\n"]
+    def _csv_chunks(self) -> Iterator[str]:
+        """error_series.csv as text chunks: the header, then one chunk per row block."""
+        yield "t,agent,error\n"
         for b in _row_blocks(self.series):
-            chunks.append("".join([f"{prefix}{error!r}\n"
-                                   for prefix, error in zip(_row_prefixes(b), b["error"].tolist())]))
-        return "".join(chunks)
+            yield "".join([f"{prefix}{error!r}\n" for prefix, error in zip(_row_prefixes(b), b["error"].tolist())])
+
+    def series_csv(self) -> str:
+        """error_series.csv as one string: a header, then one line per record, every error as its repr."""
+        return "".join(self._csv_chunks())
 
 
 def _mean(values) -> float:
@@ -660,11 +665,10 @@ def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
     series = np.empty(len(r), dtype=ERROR_DTYPE)
     series["t"], series["agent"] = r["t"], agents
     errors = series["error"]
-    for lo in range(0, len(r), _ROW_BLOCK):
-        b = r[lo : lo + _ROW_BLOCK]
+    for b, block_errors in zip(_row_blocks(r), _row_blocks(errors)):
         # math.hypot of the differences is math.dist bit for bit (one CPython routine);
         # a numpy norm differs from both by an ulp on some poses
-        errors[lo : lo + len(b)] = list(map(math.hypot, *(b[column] - b["planned"]).T.tolist()))
+        block_errors[:] = list(map(math.hypot, *(b[column] - b["planned"]).T.tolist()))
     columns = errors.reshape(ticks, n_agents)
     # a running sum down each column adds left to right, as _mean does
     means = (np.cumsum(columns, axis=0)[-1] / ticks).tolist()

@@ -175,6 +175,18 @@ class TestNoSolution:
         assert res.status == NO_SOLUTION
         assert res.detail == "agent 1 cannot reach its goal"
 
+    def test_replans_count_only_the_root_plans_made(self):
+        # agent 0 is walled into its corner: its root plan fails, and the others are never planned
+        world = GridWorld((3, 3, 1), 0.5, frozenset({(1, 0, 0), (0, 1, 0), (1, 1, 0)}))
+        agents = [
+            AgentSpec(0, (0, 0, 0), (2, 2, 0), BODY, 0.5),
+            AgentSpec(1, (2, 0, 0), (2, 1, 0), BODY, 0.5),
+            AgentSpec(2, (0, 2, 0), (1, 2, 0), BODY, 0.5),
+        ]
+        res = ccbs_solve(world, agents)
+        assert (res.status, res.detail) == (NO_SOLUTION, "agent 0 cannot reach its goal")
+        assert res.stats.replans == 1
+
 
 class TestLimits:
     def test_expansion_limit(self):

@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from mapflight.cli import (
     main,
 )
 from mapflight.flightsim import METHODS, SEED_FREE_METHODS, SimConfig, error_metrics, run_execution, run_executions
-from mapflight.plan import load_plans
-from mapflight.world import load_instance
+from mapflight.plan import ValidationReport, Violation, load_plans, validate
+from mapflight.world import InputError, load_instance
 
 SWAP_INSTANCE = {
     "grid": {"dims": [4, 4, 1], "cell_size": 0.5},
@@ -52,6 +53,13 @@ OVERLAPPING_GOALS = {
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def validate_with_an_injected_violation(plans, agents, world):
+    """validate's report on the plans with one more violation: a solver output that fails validation."""
+    report = validate(plans, agents, world)
+    injected = Violation("endpoint", 0.0, agent=plans[0].agent, detail="injected")
+    return ValidationReport(False, report.violations + (injected,), report.checked_pairs)
 
 
 @pytest.fixture()
@@ -131,6 +139,17 @@ class TestPlan:
         )
         assert code == EXIT_LIMIT
         assert "limit exceeded: expansion limit reached; cost lower bound 4.0" in capsys.readouterr().out
+
+    def test_a_solution_that_fails_validation_is_exit_6_and_writes_no_plans(self, monkeypatch, tmp_path,
+                                                                            scenario_dir, capsys):
+        monkeypatch.setattr(cli, "validate", validate_with_an_injected_violation)
+        out = tmp_path / "plans.json"
+        code = main(["plan", "--instance", str(scenario_dir / "method_comparison.json"), "--out", str(out)])
+        assert code == EXIT_INVALID_PLAN and not out.exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["solver output failed independent validation:",
+                             "1 violation(s) over 1 agent pairs:",
+                             "  [endpoint] agent 0 at t = 0.0000 s injected"]
 
     @pytest.mark.parametrize("flag,value", [("--time-limit", "nan"), ("--time-limit", "-1"),
                                             ("--expansions-limit", "-3")])
@@ -423,6 +442,24 @@ class TestBench:
         # the solvable scenario still produced its row
         assert [r["scenario"] for r in bench["rows"]] == ["method_comparison"]
 
+    def test_a_solution_that_fails_validation_is_a_validate_failure(self, monkeypatch, tmp_path, scenario_dir,
+                                                                    capsys):
+        src = tmp_path / "scenarios"
+        src.mkdir()
+        for name in ("method_comparison", "swarm_2"):
+            shutil.copy(scenario_dir / f"{name}.json", src / f"{name}.json")
+        monkeypatch.setattr(cli, "validate", validate_with_an_injected_violation)
+        out = tmp_path / "out"
+        code = main(["bench", "--scenarios", str(src), "--methods", "bhl", "--repetitions", "1", "--out", str(out)])
+        assert code == EXIT_SIM_FAILED
+        bench = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        assert [(f["scenario"], f["stage"]) for f in bench["failures"]] == [("method_comparison", "validate"),
+                                                                            ("swarm_2", "validate")]
+        assert all(f["error"].endswith("injected") for f in bench["failures"]) and bench["rows"] == []
+        assert capsys.readouterr().out.splitlines()[:2] == ["method_comparison: solution failed validation",
+                                                            "swarm_2: solution failed validation"]
+        assert list(out.glob("*_plans.json")) == []
+
     def test_runs_past_the_wall_cap_are_failures_one_per_seed(self, tmp_path, scenario_dir, capsys):
         # at 0.02 m/s no vehicle reaches its goal before swarm_2's 18 s wall cap
         src = tmp_path / "scenarios"
@@ -467,11 +504,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class DeadlineExceeded(Exception):
+    """A block ran past its deadline. Not an OSError: multiprocessing's Popen.poll
+    swallows one raised in its os.waitpid, so a hung join() would return."""
+
+
 @contextlib.contextmanager
 def deadline(seconds):
-    """Fail instead of hanging when the block runs past `seconds`; a forked child does not inherit the alarm."""
+    """Fail instead of hanging when the block runs past `seconds`, killing and
+    reaping every child process still alive; a forked child does not inherit the alarm."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
+        raise DeadlineExceeded(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
@@ -480,6 +526,16 @@ def deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_deadline_ends_a_hung_join_and_leaves_no_child():
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(3,))
+    child.start()
+    started = time.monotonic()
+    with pytest.raises(DeadlineExceeded), deadline(1):
+        child.join()
+    assert time.monotonic() - started < 2
+    assert_no_child_left()
 
 
 class TestParallelFly:
@@ -544,6 +600,25 @@ class TestParallelFly:
         with deadline(120), pytest.raises(RuntimeError, match="injected vll failure"):
             main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
                   "--out", str(tmp_path / "out")])
+        assert_no_child_left()
+
+    def test_a_batch_error_in_a_worker_is_raised_as_itself(self, monkeypatch, capsys, tmp_path, mixed_dir):
+        # an InputError exits 3 whichever process flew the batch
+        src, config = mixed_dir
+        parent, real = os.getpid(), cli._fly_batch
+
+        def fly_batch(*job):
+            if os.getpid() != parent:
+                raise InputError("injected input error")
+            return real(*job)
+
+        monkeypatch.setattr(cli, "_fly_batch", fly_batch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        with deadline(120):
+            code = main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: injected input error\n"
         assert_no_child_left()
 
     @pytest.mark.parametrize("end", [lambda: os._exit(1), lambda: os.kill(os.getpid(), signal.SIGINT)],
@@ -639,6 +714,55 @@ class TestParallelFly:
             assert lines[-1] == f"wrote {tmp_path / f'out{workers}' / 'bench.json'}"
             printed.append(lines[:-1])
         assert printed[0] == printed[1]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads process states from /proc")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_worker_outlives_a_parent_killed_mid_flight(self, tmp_path, scenario_dir, workers):
+        # each worker leaves its pid, flies its batches and waits for a task; the
+        # parent kills itself once every worker has started, in its own share
+        script = ("import os, signal, sys, time\n"
+                  "from pathlib import Path\n"
+                  "from mapflight import cli\n"
+                  "workers, pids = int(sys.argv[1]), Path(sys.argv[2])\n"
+                  "parent, real = os.getpid(), cli._fly_batch\n"
+                  "def fly_batch(*job):\n"
+                  "    if os.getpid() != parent:\n"
+                  "        (pids / str(os.getpid())).touch()\n"
+                  "        return real(*job)\n"
+                  "    while len(list(pids.iterdir())) < workers - 1:\n"
+                  "        time.sleep(0.01)\n"
+                  "    time.sleep(0.2)\n"
+                  "    os.kill(parent, signal.SIGKILL)\n"
+                  "cli._fly_batch = fly_batch\n"
+                  "cli._usable_cpus = lambda: workers\n"
+                  "cli.main(['bench', '--scenarios', sys.argv[3], '--repetitions', '2', '--out', sys.argv[4]])\n")
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as err:
+            done = subprocess.run([sys.executable, "-c", script, str(workers), str(pids), str(scenario_dir),
+                                   str(tmp_path / "out")], stdout=subprocess.DEVNULL, stderr=err, env=env,
+                                  timeout=120)
+        assert done.returncode == -signal.SIGKILL
+        left = [int(p.name) for p in pids.iterdir()]
+        assert len(left) == workers - 1
+
+        def ended(pid):  # an orphan's zombie counts as ended: reaping it is init's work
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        for _ in range(100):
+            left = [pid for pid in left if not ended(pid)]
+            if not left:
+                break
+            time.sleep(0.1)
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+        assert (tmp_path / "stderr.txt").read_text(encoding="utf-8") == ""
 
     def test_shares_are_heaviest_first_to_the_lightest(self):
         assert cli._shares([1.0, 5.0, 3.0, 3.0], 2) == [[1, 0], [2, 3]]

@@ -381,6 +381,24 @@ class TestClearingBracket:
                 assert move_clear_delay(a, b, body, body) == clear[0], (a, b, body)
         assert verified > 0
 
+    def test_a_plain_bisection_that_ends_in_the_snap_is_the_reference(self):
+        # no candidate verifies a bracket, and the bisection's final [lo, hi]
+        # holds a clear candidate: without the snap these would return hi
+        snapped = 0
+        for a, b, body in clearing_corpus(0.37):
+            r_sum, h_sum_half = 2 * body.radius, body.height
+
+            def collides(delay):
+                return _unsafe_window(a, b, delay, r_sum, h_sum_half) is not None
+
+            candidates = sorted({b.t0 - a.t0, b.t0 - a.t1, b.t1 - a.t0, b.t1 - a.t1})
+            clear = [c for c in candidates if c > _BRACKET_WIDTH and not collides(c)]
+            want = move_clear_delay_reference(a, b, body, body)
+            if not (clear and collides(clear[0] - _BRACKET_WIDTH)) and want in candidates:
+                snapped += 1
+                assert move_clear_delay(a, b, body, body).hex() == want.hex(), (a, b, body)
+        assert snapped > 0
+
     def test_kernel_probes_are_pinned(self, monkeypatch):
         # the saving itself: kernel windows over the scale-1 corpus, the plain
         # bisection's count beside it

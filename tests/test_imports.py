@@ -110,9 +110,11 @@ READ_OUTSIDE_THE_PACKAGE = {
     # perfbench/worker.py writes errors.json through it; it goes when the
     # benchmark harness stops reading it (ROADMAP item 1)
     "cli._write_json",
-    # the golden log pins hash the whole poses.csv text; the package writes
-    # the same chunks one row block at a time through write_csv
+    # the golden log pins hash the whole poses.csv and error_series.csv text,
+    # and perfbench's fly-swarm writes the latter through series_csv; the
+    # package writes the same chunks one row block at a time through write_csv
     "flightsim.PoseLog.to_csv",
+    "flightsim.ErrorReport.series_csv",
 }
 
 

@@ -240,11 +240,13 @@ class TestValidateChecks:
 
     def test_wrong_endpoints_are_endpoint_violations(self):
         w = GridWorld((3, 1, 1), 0.5)
-        plans = [TimedPlan(0, ((0.25, 0.25, 0.25, 0.0), (0.75, 0.25, 0.25, 1.0)))]
-        report = validate(plans, [spec(0, (0, 0, 0), (2, 0, 0))], w)
-        kinds = [v.kind for v in report.violations]
-        assert kinds == ["endpoint"]
-        assert "goal vertex" in report.violations[0].detail
+        # a plan that stops a cell short of its goal, and one that takes off a cell past its start
+        for waypoints, vertex, t in [(((0.25, 0.25, 0.25, 0.0), (0.75, 0.25, 0.25, 1.0)), "goal vertex", 1.0),
+                                     (((0.75, 0.25, 0.25, 0.0), (1.25, 0.25, 0.25, 1.0)), "start vertex", 0.0)]:
+            report = validate([TimedPlan(0, waypoints)], [spec(0, (0, 0, 0), (2, 0, 0))], w)
+            kinds = [v.kind for v in report.violations]
+            assert kinds == ["endpoint"]
+            assert vertex in report.violations[0].detail and report.violations[0].time == t
 
     def test_parked_goal_is_protected(self):
         # agent 0 reaches its goal at t = 1 and parks; agent 1 flies through
