@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, SolveResult, ccbs_solve
+from .ccbs import LIMIT_EXCEEDED, NO_SOLUTION, SolveLimits, ccbs_solve
 from .flightsim import (
     METHODS,
     SEED_FREE_METHODS,
@@ -198,7 +198,7 @@ def _usable_cpus() -> int:
 def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
     """Batch indices split into k shares: heaviest first, each to the lightest share (the lowest on ties).
 
-    `_fly_batches` weighs a batch by agents x makespan x runs flown.
+    `_fly_batches` weighs a batch by agents x makespan x the runs it flies.
     """
     shares: list[list[int]] = [[] for _ in range(k)]
     loads = [0.0] * k
@@ -209,26 +209,15 @@ def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
     return shares
 
 
-def _runs_flown(method: str, repetitions: int) -> int:
-    """Runs a batch flies: one for a method in SEED_FREE_METHODS, else every repetition."""
-    return 1 if method in SEED_FREE_METHODS else repetitions
-
-
-def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, repetitions: int) -> list[tuple]:
-    """(completed, max_error, avg_error) of each run of one (scenario, method) batch; run r has seed base.seed + r.
-
-    The first `_runs_flown` seeds fly as one fleet. A seed-free method flies
-    one run, which stands for every seed: its executors never read the
-    estimated pose, the only thing the seed moves.
-    """
-    flown = _runs_flown(method, repetitions)
-    runs = []
+def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, runs: int) -> list[tuple]:
+    """(completed, max_error, avg_error) of each of a batch's `runs` runs, one fleet; run r has seed base.seed + r."""
+    flown = []
     # logs arrive one run at a time
-    for log in run_executions(plans, method, base, flown, speeds=speeds):
+    for log in run_executions(plans, method, base, runs, speeds=speeds):
         aggregate = error_metrics(log).aggregate
-        runs.append((log.completed, aggregate.max_error, aggregate.avg_error))
+        flown.append((log.completed, aggregate.max_error, aggregate.avg_error))
         del log  # so that its records are freed before the next run's are built
-    return runs * (repetitions // flown)
+    return flown
 
 
 def _fly_jobs(jobs: dict[int, tuple]) -> dict[int, list[tuple]]:
@@ -249,15 +238,14 @@ def _fly_batches(jobs: list[tuple]) -> list[list[tuple]]:
     """_fly_batch of every job, in job order, over up to one process per usable CPU.
 
     The jobs are dealt into shares by weight (`_shares`), each weighed from
-    its own plans, method and repetitions. Each share past the first goes,
+    its own plans and the runs it flies. Each share past the first goes,
     with only its own jobs, to a worker of a fork `ProcessPoolExecutor`; the
     parent flies the first. A worker's exception re-raises here as itself; a
     worker that dies is a RuntimeError. A fork inherits the imported modules
     and needs no BLAS thread (the simulator makes no BLAS call), and the
     standard library flushes stdout before it forks: no line prints twice.
     """
-    weights = [len(plans) * max(p.end_time for p in plans) * _runs_flown(method, repetitions)
-               for plans, method, _, _, repetitions in jobs]
+    weights = [len(plans) * max(p.end_time for p in plans) * runs for plans, _, _, _, runs in jobs]
     shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
     if len(shares) == 1:
         return [_fly_batch(*job) for job in jobs]
@@ -283,9 +271,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     reported in scenario order, so the outputs do not depend on the process
     count. A batch's exception is raised here whichever process flew it.
 
-    A batch of a method in SEED_FREE_METHODS flies its first seed only
-    (`_fly_batch`), and that run is reported for every seed; a vll batch flies
-    every seed. The flight-size limit is checked here, for all repetitions.
+    A job is (plans, method, speeds, base, runs): one run for a method in
+    SEED_FREE_METHODS, whose executors never read the seeded estimate, else
+    every seed; the reporting loop stretches one run over every seed. The
+    flight-size limit is checked here, for all repetitions.
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
@@ -305,10 +294,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     limits = _solve_limits(args)
     out_dir = _prepare_out(args.out, is_dir=True)
 
-    # each scenario either failed before flying, with its failure and line, or
-    # was solved and saved, and flies one batch per method
-    stopped: dict[str, tuple[dict, str]] = {}
-    solved: dict[str, tuple[list, SolveResult]] = {}
+    # in path order: (failure, line) for a scenario that stopped before flying, or
+    # (name, agents, result) for one that was solved and saved, and flies one batch per method
+    scenarios: list[tuple] = []
     jobs: list[tuple] = []
     outputs = ["bench.json"]
     for path in instance_paths:
@@ -316,18 +304,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             world, agents = load_instance(path)
         except InputError as exc:
-            stopped[name] = ({"scenario": name, "stage": "load", "error": str(exc)}, f"{name}: FAILED to load ({exc})")
+            scenarios.append(({"scenario": name, "stage": "load", "error": str(exc)}, f"{name}: FAILED to load ({exc})"))
             continue
         result = ccbs_solve(world, agents, limits)
         if result.solution is None:
-            stopped[name] = ({"scenario": name, "stage": "plan", "error": f"{result.status}: {result.detail}"},
-                             f"{name}: solver {result.status}")
+            scenarios.append(({"scenario": name, "stage": "plan", "error": f"{result.status}: {result.detail}"},
+                              f"{name}: solver {result.status}"))
             continue
         solution = result.solution
         report = validate(solution.plans, agents, world)
         if not report.ok:
-            stopped[name] = ({"scenario": name, "stage": "validate", "error": report.summary()},
-                             f"{name}: solution failed validation")
+            scenarios.append(({"scenario": name, "stage": "validate", "error": report.summary()},
+                              f"{name}: solution failed validation"))
             continue
         plan_file = f"{name}_plans.json"
         save_plans(solution.plans, agents, out_dir / plan_file)
@@ -336,26 +324,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # all repetitions, not the runs flown: it also bounds the per-seed lists a batch reports
             check_flight_size(solution.plans, base, args.repetitions)
         except InputError as exc:
-            stopped[name] = ({"scenario": name, "stage": "simulate", "error": str(exc)},
-                             f"{name}: FAILED to simulate ({exc})")
+            scenarios.append(({"scenario": name, "stage": "simulate", "error": str(exc)},
+                              f"{name}: FAILED to simulate ({exc})"))
             continue
-        solved[name] = (agents, result)
+        scenarios.append((name, agents, result))
         speeds = {a.id: a.speed for a in agents}
-        jobs += [(solution.plans, m, speeds, base, args.repetitions) for m in methods]
+        jobs += [(solution.plans, m, speeds, base, 1 if m in SEED_FREE_METHODS else args.repetitions)
+                 for m in methods]
 
     flown = iter(_fly_batches(jobs))
     rows: list[dict] = []
     failures: list[dict] = []
-    for path in instance_paths:
-        name = path.stem
-        if name in stopped:
-            failure, line = stopped[name]
+    for scenario in scenarios:
+        if len(scenario) == 2:
+            failure, line = scenario
             failures.append(failure)
             print(line)
             continue
-        agents, result = solved[name]
+        name, agents, result = scenario
         for m in methods:
             runs = next(flown)
+            runs = runs * (args.repetitions // len(runs))  # a seed-free batch's one run stands for every seed
             completed = sum(done for done, _, _ in runs)
             failures += [{"scenario": name, "stage": "simulate", "method": m, "seed": base.seed + rep,
                           "error": "wall-time cap reached before all vehicles finished"}
@@ -403,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     limits = SolveLimits()
+    solver = argparse.ArgumentParser(add_help=False)  # the solver limits, shared by plan and bench
+    solver.add_argument("--time-limit", type=float, default=limits.max_wall_time, help="solver wall-time limit, s")
+    solver.add_argument("--expansions-limit", type=int, default=limits.max_expansions,
+                        help="conflict-tree expansion limit")
 
-    p_plan = sub.add_parser("plan", help="solve an instance and write timed plans")
+    p_plan = sub.add_parser("plan", parents=[solver], help="solve an instance and write timed plans")
     p_plan.add_argument("--instance", required=True, help="instance JSON file")
     p_plan.add_argument("--out", required=True, help="output plan JSON file")
-    p_plan.add_argument("--time-limit", type=float, default=limits.max_wall_time, help="solver wall-time limit, s")
-    p_plan.add_argument(
-        "--expansions-limit", type=int, default=limits.max_expansions, help="conflict-tree expansion limit"
-    )
     p_plan.set_defaults(func=cmd_plan)
 
     p_val = sub.add_parser("validate", help="check a plan file against its instance")
@@ -426,16 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_bench = sub.add_parser("bench", help="batch plan + simulate a directory of instances")
+    p_bench = sub.add_parser("bench", parents=[solver], help="batch plan + simulate a directory of instances")
     p_bench.add_argument("--scenarios", required=True, help="directory of instance JSON files")
     p_bench.add_argument("--methods", default=None, help="comma-separated subset of bhl,bll,vll")
     p_bench.add_argument("--repetitions", type=int, default=13, help="seeded runs per (scenario, method)")
     p_bench.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
     p_bench.add_argument("--config", default=None, help="simulation config JSON file")
-    p_bench.add_argument("--time-limit", type=float, default=limits.max_wall_time, help="solver wall-time limit, s")
-    p_bench.add_argument(
-        "--expansions-limit", type=int, default=limits.max_expansions, help="conflict-tree expansion limit"
-    )
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -39,8 +39,8 @@ _ENDPOINT_ATOL = 1e-9
 _SAMPLING_GUARD = 1e-9
 # Time step of the validator's sampled sweep, s.
 _SAMPLING_DT = 1e-3
-# How far past the later plan end the sampled sweep runs; parked agents that
-# statically overlap are guaranteed to show inside this pad.
+# How far past the later of two plans' last moves the sampled sweep runs; parked
+# agents that statically overlap are guaranteed to show inside this pad.
 _PARK_PAD = 1.0
 
 
@@ -274,12 +274,14 @@ def validate(
 
     # pairwise checks: analytic intervals and an independent sampled sweep
     columns = {plan.agent: np.array(plan.waypoints).T for plan in plan_list}
+    # a position never changes after its plan's last move ends, however long a wait follows
+    settled = {plan.agent: max((m.t1 for m in plan.motions[:-1] if m.p0 != m.p1), default=0.0) for plan in plan_list}
     for pa, pb in itertools.combinations(plan_list, 2):
         body_a = spec_map[pa.agent].body
         body_b = spec_map[pb.agent].body
         r_sum = body_a.radius + body_b.radius
         h_half = 0.5 * (body_a.height + body_b.height)
-        horizon = max(pa.end_time, pb.end_time) + _PARK_PAD
+        horizon = max(settled[pa.agent], settled[pb.agent]) + _PARK_PAD
         wa, wb = columns[pa.agent], columns[pb.agent]
 
         found = geometry3d._pair_earliest(pa, pb, body_a, body_b)

@@ -28,7 +28,7 @@ from mapflight.cli import (
     build_parser,
     main,
 )
-from mapflight.flightsim import METHODS, SEED_FREE_METHODS, SimConfig, error_metrics, run_execution, run_executions
+from mapflight.flightsim import METHODS, SimConfig, error_metrics, run_execution, run_executions
 from mapflight.plan import ValidationReport, Violation, load_plans, validate
 from mapflight.world import InputError, load_instance
 
@@ -770,9 +770,10 @@ class TestParallelFly:
         assert cli._shares([], 1) == [[]]
 
     @pytest.mark.parametrize("doc", [{}, {"max_speed": 0.2}], ids=["default", "slow"])
-    def test_a_batch_reports_what_flying_every_seed_reports(self, monkeypatch, scenario_dir, doc):
-        # a seed-free method flies one run for all three seeds, and reports it for each
-        base = SimConfig(seed=4, **doc)
+    def test_a_batch_reports_what_flying_every_seed_reports(self, monkeypatch, capsys, tmp_path, scenario_dir, doc):
+        # a seed-free method flies one run, which bench reports for each seed: rows,
+        # per-seed failures, printed lines and plan files are those of flying every seed
+        config_file = write_json(tmp_path / "config.json", doc)
         flown = []
 
         def run_executions_spy(plans, method, config, runs, speeds=None):
@@ -780,17 +781,12 @@ class TestParallelFly:
             return run_executions(plans, method, config, runs, speeds=speeds)
 
         monkeypatch.setattr(cli, "run_executions", run_executions_spy)
-        for path in sorted(scenario_dir.glob("*.json")):
-            world, agents = load_instance(path)
-            plans = ccbs_solve(world, agents).solution.plans
-            speeds = {a.id: a.speed for a in agents}
-            for m in METHODS:
-                want = []
-                for log in run_executions(plans, m, base, 3, speeds=speeds):
-                    aggregate = error_metrics(log).aggregate
-                    want.append((log.completed, aggregate.max_error, aggregate.avg_error))
-                assert cli._fly_batch(plans, m, speeds, base, 3) == want
-        assert flown == [(m, [4] if m in SEED_FREE_METHODS else [4, 5, 6]) for _ in range(5) for m in METHODS]
+        once = self.bench(monkeypatch, capsys, scenario_dir, config_file, tmp_path / "once", 1)
+        assert flown == [(m, {"bhl": [0], "bll": [0], "vll": [0, 1]}[m]) for _ in range(5) for m in METHODS]
+        monkeypatch.setattr(cli, "SEED_FREE_METHODS", ())
+        every = self.bench(monkeypatch, capsys, scenario_dir, config_file, tmp_path / "every", 1)
+        assert flown[15:] == [(m, [0, 1]) for _ in range(5) for m in METHODS]
+        assert every == once
 
 
 @pytest.mark.parametrize(

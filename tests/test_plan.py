@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from mapflight.ccbs import ccbs_solve
 from mapflight.geometry3d import CylinderBody
 from mapflight.plan import (
     TimedPlan,
@@ -18,7 +19,7 @@ from mapflight.plan import (
     segment_cells,
     validate,
 )
-from mapflight.world import AgentSpec, GridWorld, InputError
+from mapflight.world import AgentSpec, GridWorld, InputError, load_instance
 
 from oracles import motions_reference, position_at, timed_plan_reference
 
@@ -274,6 +275,30 @@ class TestValidateChecks:
         report = validate(plans, specs, w)
         assert [(v.kind, v.pair, v.time) for v in report.violations] == [("pairwise", (0, 1), 0.0)]
         assert report.violations[0].min_separation_found == pytest.approx(0.3)
+
+    def test_a_wait_until_t_1e12_after_the_last_move_validates(self, scenario_dir):
+        # the sampled sweep ends 1 s after both bodies are at rest, not after the
+        # wait; up to 1e12 s at 1 ms it once asked numpy for 7.11 PiB
+        world, agents = load_instance(scenario_dir / "swarm_2.json")
+        plans = list(ccbs_solve(world, agents).solution.plans)
+        plans[0] = TimedPlan(0, plans[0].waypoints + (plans[0].waypoints[-1][:3] + (1e12,),))
+        assert validate(plans, agents, world).ok
+
+    def test_a_trailing_wait_leaves_an_overlap_at_rest_reported_as_it_was(self):
+        # agent 1 ends 0.5 m from the parked agent 0, inside their 0.6 m r_sum, from t = 2.8 on
+        w = GridWorld((2, 5, 1), 0.5)
+        body = CylinderBody(0.3, 1.0)
+        parked = TimedPlan(0, ((0.25, 0.25, 0.25, 0.0), (0.75, 0.25, 0.25, 1.0)))
+        flown = ((0.75, 2.25, 0.25, 0.0), (0.75, 0.75, 0.25, 3.0))
+        specs = [spec(0, (0, 0, 0), (1, 0, 0), body=body), spec(1, (1, 4, 0), (1, 1, 0), body=body)]
+        reports = []
+        for waypoints in (flown, flown + ((0.75, 0.75, 0.25, 1e12),)):
+            report = validate([parked, TimedPlan(1, waypoints)], specs, w)
+            reports.append([(v.kind, v.time.hex(), v.pair, v.min_separation_found.hex(), v.detail)
+                            for v in report.violations])
+        assert reports[0] == reports[1]
+        assert [(kind, float.fromhex(t), pair) for kind, t, pair, _, _ in reports[0]] == [
+            ("pairwise", pytest.approx(2.8, abs=1e-6), (0, 1))]
 
 
 def colliding_plan_sets(n_sets=400, seed=24):
