@@ -15,7 +15,7 @@ tracking-error reports.
 __version__ = "0.1.0"
 
 from .ccbs import SolveLimits, SolveResult, Solution, ccbs_solve
-from .flightsim import ErrorReport, PoseLog, SimConfig, error_metrics, run_execution, run_executions
+from .flightsim import ErrorReport, PoseLog, SimConfig, error_metrics, run_execution, run_executions, run_fleet
 from .geometry3d import CylinderBody, LinearMotion, cylinder_unsafe_interval
 from .plan import TimedPlan, ValidationReport, load_plans, save_plans, validate
 from .sipp import Constraint, sipp_plan
@@ -44,6 +44,7 @@ __all__ = [
     "neighbors",
     "run_execution",
     "run_executions",
+    "run_fleet",
     "save_instance",
     "save_plans",
     "sipp_plan",

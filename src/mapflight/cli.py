@@ -34,10 +34,11 @@ from .flightsim import (
     SEED_FREE_METHODS,
     SimConfig,
     _mean,
+    check_fleet_size,
     check_flight_size,
     error_metrics,
     run_execution,
-    run_executions,
+    run_fleet,
 )
 from .plan import load_plans, save_plans, validate
 from .world import InputError, check_keys, input_field, load_instance, read_json, write_json
@@ -209,20 +210,42 @@ def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
     return shares
 
 
-def _fly_batch(plans, method: str, speeds: dict, base: SimConfig, runs: int) -> list[tuple]:
-    """(completed, max_error, avg_error) of each of a batch's `runs` runs, one fleet; run r has seed base.seed + r."""
+def _fly_fleet(flights: list[tuple], base: SimConfig) -> list[list[tuple]]:
+    """(completed, max_error, avg_error) of each run of each `run_fleet` flight,
+    flown as one fleet; run r of a flight has seed base.seed + r."""
+    logs = run_fleet(flights, base)
     flown = []
-    # logs arrive one run at a time
-    for log in run_executions(plans, method, base, runs, speeds=speeds):
-        aggregate = error_metrics(log).aggregate
-        flown.append((log.completed, aggregate.max_error, aggregate.avg_error))
-        del log  # so that its records are freed before the next run's are built
+    for _, _, runs, _ in flights:
+        flown.append([])
+        for _ in range(runs):  # logs arrive one run at a time
+            log = next(logs)
+            aggregate = error_metrics(log).aggregate
+            flown[-1].append((log.completed, aggregate.max_error, aggregate.avg_error))
+            del log  # so that its records are freed before the next run's are built
     return flown
 
 
-def _fly_jobs(jobs: dict[int, tuple]) -> dict[int, list[tuple]]:
-    """_fly_batch of each {job index: job}, by job index: a share of the batches."""
-    return {i: _fly_batch(*job) for i, job in jobs.items()}
+def _fly_jobs(jobs: dict[int, tuple], base: SimConfig) -> dict[int, list[tuple]]:
+    """_fly_fleet's runs of each {job index: job}, by job index: a share of the batches.
+
+    A job is a `run_fleet` flight, (plans, method, runs, speeds). The jobs are
+    packed, in share order, into as few fleets as fit under MAX_LOG_RECORDS
+    (`check_fleet_size`: fleet rows x the longest wall cap's logged ticks).
+    Every job passes that check alone, so a job that does not fit beside the
+    last fleet's starts the next one.
+    """
+    fleets: list[list[int]] = []
+    for i in jobs:
+        fleet = [*fleets[-1], i] if fleets else [i]
+        try:
+            check_fleet_size([(jobs[j][0], jobs[j][2]) for j in fleet], base)
+            fleets[-1:] = [fleet]  # the job joins the last fleet, or starts the first
+        except InputError:
+            fleets.append([i])
+    flown: dict[int, list[tuple]] = {}
+    for fleet in fleets:
+        flown.update(zip(fleet, _fly_fleet([jobs[i] for i in fleet], base)))
+    return flown
 
 
 def _start_worker() -> None:
@@ -234,31 +257,34 @@ def _start_worker() -> None:
     threading.Thread(target=lambda: os.read(sentinel, 1) or os._exit(1), daemon=True).start()
 
 
-def _fly_batches(jobs: list[tuple]) -> list[list[tuple]]:
-    """_fly_batch of every job, in job order, over up to one process per usable CPU.
+def _fly_batches(jobs: list[tuple], base: SimConfig) -> list[list[tuple]]:
+    """The runs of every job (`_fly_jobs`), in job order, over up to one process per usable CPU.
 
     The jobs are dealt into shares by weight (`_shares`), each weighed from
     its own plans and the runs it flies. Each share past the first goes,
     with only its own jobs, to a worker of a fork `ProcessPoolExecutor`; the
-    parent flies the first. A worker's exception re-raises here as itself; a
+    parent flies the first. With one share, the parent flies every job, in
+    job order, and makes no pool. Each share flies as one fleet, or as few as
+    fit under the log limit. A worker's exception re-raises here as itself; a
     worker that dies is a RuntimeError. A fork inherits the imported modules
     and needs no BLAS thread (the simulator makes no BLAS call), and the
     standard library flushes stdout before it forks: no line prints twice.
     """
-    weights = [len(plans) * max(p.end_time for p in plans) * runs for plans, _, _, _, runs in jobs]
+    weights = [len(plans) * max(p.end_time for p in plans) * runs for plans, _, runs, _ in jobs]
     shares = _shares(weights, max(1, min(_usable_cpus(), len(jobs))))
     if len(shares) == 1:
-        return [_fly_batch(*job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(len(shares) - 1, multiprocessing.get_context("fork"),
-                                                _start_worker) as pool:
-        futures = [pool.submit(_fly_jobs, {i: jobs[i] for i in share}) for share in shares[1:]]
-        runs = _fly_jobs({i: jobs[i] for i in shares[0]})
-        try:
-            for future in futures:
-                runs.update(future.result())
-        except concurrent.futures.BrokenExecutor:
-            raise RuntimeError("a bench worker ended without a reply") from None
-    return [runs[i] for i in range(len(jobs))]
+        flown = _fly_jobs(dict(enumerate(jobs)), base)
+    else:
+        with concurrent.futures.ProcessPoolExecutor(len(shares) - 1, multiprocessing.get_context("fork"),
+                                                    _start_worker) as pool:
+            futures = [pool.submit(_fly_jobs, {i: jobs[i] for i in share}, base) for share in shares[1:]]
+            flown = _fly_jobs({i: jobs[i] for i in shares[0]}, base)
+            try:
+                for future in futures:
+                    flown.update(future.result())
+            except concurrent.futures.BrokenExecutor:
+                raise RuntimeError("a bench worker ended without a reply") from None
+    return [flown[i] for i in range(len(jobs))]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -267,14 +293,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     Per-scenario failures are recorded in the summary and the batch continues;
     the exit status is nonzero if anything failed. Scenarios are loaded, solved
     and validated one after another; their (scenario, method) batches are then
-    flown by `_fly_batches`, in the parent and a pool of worker processes, and
+    flown by `_fly_batches`: each share of them is one lockstep fleet (or a few,
+    under the log limit), flown in the parent or in a pool worker. They are
     reported in scenario order, so the outputs do not depend on the process
     count. A batch's exception is raised here whichever process flew it.
 
-    A job is (plans, method, speeds, base, runs): one run for a method in
-    SEED_FREE_METHODS, whose executors never read the seeded estimate, else
-    every seed; the reporting loop stretches one run over every seed. The
-    flight-size limit is checked here, for all repetitions.
+    A job is a `run_fleet` flight, (plans, method, runs, speeds): one run for a
+    method in SEED_FREE_METHODS, whose executors never read the seeded
+    estimate, else every seed; the reporting loop stretches one run over every
+    seed. The flight-size limit is checked here per scenario, for all
+    repetitions, and by `_fly_jobs` for each fleet it packs.
     """
     scenario_dir = Path(args.scenarios)
     if not scenario_dir.is_dir():
@@ -329,10 +357,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         scenarios.append((name, agents, result))
         speeds = {a.id: a.speed for a in agents}
-        jobs += [(solution.plans, m, speeds, base, 1 if m in SEED_FREE_METHODS else args.repetitions)
-                 for m in methods]
+        jobs += [(solution.plans, m, 1 if m in SEED_FREE_METHODS else args.repetitions, speeds) for m in methods]
 
-    flown = iter(_fly_batches(jobs))
+    flown = iter(_fly_batches(jobs, base))
     rows: list[dict] = []
     failures: list[dict] = []
     for scenario in scenarios:

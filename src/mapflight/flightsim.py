@@ -10,18 +10,20 @@ columns in row blocks, and `error_metrics` takes its per-agent figures from the
 could log more than MAX_LOG_RECORDS records is refused before its first tick.
 
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
-advances them together, one array update per tick (`_Fleet.step`). The seeded
-repetitions of a batch fly as one fleet on one clock (`run_executions`). The
-bookkeeping is batched too:
+advances them together, one array update per tick (`_Fleet.step`). Any list of
+flights, each a plan set flown under one method for some seeded runs, flies as
+one fleet on one clock (`run_fleet`); each run keeps its own rows, seed, wall
+cap and end tick. The bookkeeping is batched too:
 
   * executors wake only on a tick where some vehicle's next resume or command
-    arrival falls, and such a wake tick visits every active vehicle, in row order;
+    arrival falls, and such a wake tick visits every vehicle of the runs still
+    flying, in row order, and resumes only those that are due;
   * the commands that arrive on one tick are activated together, one array
     update per command kind (`_Fleet.activate`);
   * actual and estimated poses are logged into fixed blocks of logged ticks,
     and each run's records are cut from its rows of those blocks; the planned
-    positions, the same for every run, are filled into one array per flight
-    after the last tick (`TimedPlan.positions_at`);
+    positions, the same for every run of a flight, are filled into one array
+    per flight after the last tick (`TimedPlan.positions_at`);
   * localization noise is drawn in blocks of ticks from each vehicle's own
     seeded stream, for the runs still flying only.
 
@@ -65,10 +67,10 @@ BASIS_ESTIMATED = "estimated-vs-planned"
 _EPS = 1e-9
 # a finer tick spends the whole run on bookkeeping; the tests fly down to 0.0025 s
 MIN_TICK = 1e-4
-# Fleet rows x logged ticks up to the wall cap that one flight may log. A
-# row-tick takes 48 bytes of logged arrays and its record 88 bytes, so the limit
-# stands for about 200 MB and 370 MB; each bundled scenario flown 13 times is at
-# least 20 times below it.
+# Fleet rows x logged ticks up to the longest wall cap that one fleet may log.
+# A row-tick takes 48 bytes of logged arrays and its record 88 bytes, so the
+# limit stands for about 200 MB and 370 MB; each bundled scenario flown 13 times
+# is at least 20 times below it, and all five flown as one fleet 7 times below.
 MAX_LOG_RECORDS = 2**22
 
 
@@ -166,7 +168,7 @@ class _Fleet:
     """Positions, velocities and active commands of N vehicles as arrays.
 
     `step` is the one implementation of the vehicle dynamics: the simulation
-    loop calls it once per tick for every vehicle of every run in a batch.
+    loop calls it once per tick for every vehicle of every run in a fleet.
     `activate` stores a tick's arrived commands as they were sent; `step`
     limits every commanded velocity, setpoint or feedback, to max_speed.
     """
@@ -321,8 +323,8 @@ def _distinct_reprs(x: np.ndarray) -> list[str]:
 class _Vehicle(VehicleEndpoint):
     """One fleet row as its executor sees it, and that executor's schedule.
 
-    `now` and `estimates` (every row's estimated position, as lists) are set
-    before each resume. A sent command is due `latency` after `now`; `now`
+    `now` and `estimates` (every row's estimated position, an (rows, 3)
+    array) are set before each resume. A sent command is due `latency` after `now`; `now`
     never decreases, so `pending` is in due order as well as in send order.
     """
 
@@ -335,7 +337,7 @@ class _Vehicle(VehicleEndpoint):
     next_resume: float = 0.0
     done: bool = False
     now: float = 0.0
-    estimates: Optional[list] = None
+    estimates: Optional[np.ndarray] = None
     pending: list[tuple[float, Command]] = field(default_factory=list)  # (due, command)
 
     def send(self, command: Command) -> None:
@@ -344,7 +346,7 @@ class _Vehicle(VehicleEndpoint):
             self.command_sink.append((self.agent, command))
 
     def estimated_position(self) -> Vec3:
-        return tuple(self.estimates[self.row])  # type: ignore[index,return-value]
+        return tuple(self.estimates[self.row].tolist())  # type: ignore[index,return-value]
 
     def clock(self) -> float:
         return self.now
@@ -355,20 +357,28 @@ def _wall_cap(plans: Iterable[TimedPlan]) -> float:
     return 2.0 * max(p.end_time for p in plans) + 10.0
 
 
-def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int) -> None:
-    """Raise InputError if `runs` seeded runs of the plans, flown as one fleet,
-    could log more than MAX_LOG_RECORDS pose records: fleet rows x logged ticks
-    up to the wall cap. run_executions checks this before its first tick,
-    `mapflight simulate` before it makes --out, and `mapflight bench` for all
-    of a batch's repetitions, which also bounds the per-seed lists it reports."""
-    cap = _wall_cap(plans)
-    rows = runs * len(plans)
+def check_fleet_size(flights: Iterable[tuple[Sequence[TimedPlan], int]], config: SimConfig) -> None:
+    """Raise InputError if (plans, runs) flights, flown as one fleet, could log
+    more than MAX_LOG_RECORDS pose records: fleet rows x logged ticks up to the
+    longest wall cap, since every row is logged until the last run ends.
+    run_fleet checks this before its first tick, and `mapflight bench` for each
+    fleet it packs."""
+    flights = list(flights)
+    cap = max(_wall_cap(plans) for plans, _ in flights)
+    rows = sum(runs * len(plans) for plans, runs in flights)
     size = rows * (cap / config.log_period + 2)  # the ticks at 0 and past the cap are logged too
     if size > MAX_LOG_RECORDS:
         raise InputError(
             f"a flight of {rows} vehicle rows up to its wall cap of {cap:.6g} s would log up to "
             f"{size:.3g} pose records, more than MAX_LOG_RECORDS = {MAX_LOG_RECORDS}"
         )
+
+
+def check_flight_size(plans: Sequence[TimedPlan], config: SimConfig, runs: int) -> None:
+    """check_fleet_size of `runs` seeded runs of the plans: `mapflight simulate`
+    checks it before it makes --out, and `mapflight bench` for all of a batch's
+    repetitions, which also bounds the per-seed lists it reports."""
+    check_fleet_size([(plans, runs)], config)
 
 
 def _plan_speed(plan: TimedPlan) -> float:
@@ -378,15 +388,24 @@ def _plan_speed(plan: TimedPlan) -> float:
     return DEFAULT_SPEED
 
 
+# (plans, method, runs, speeds): the plans flown `runs` times, run r at seed config.seed + r
+Flight = tuple[Iterable[TimedPlan], str, int, Optional[Mapping[int, float]]]
+
+
 @dataclass
 class _Run:
-    """One seeded repetition of a batch: its vehicles, their fleet rows and, once ended, its end tick."""
+    """One seeded run of a flight: its vehicles, their fleet rows, its wall cap
+    and, once ended, its end tick; `plans` (by agent id) and `method` are its flight's."""
 
     seed: int
     rows: slice
     vehicles: list[_Vehicle]
+    cap: float
+    plans: list[TimedPlan]
+    method: str
     n_done: int = 0
     completed: bool = False
+    ended: bool = False
     end_tick: int = 0
 
 
@@ -416,10 +435,10 @@ def run_execution(
     operation of the one-vehicle update, in the same order, on each element,
     and a block draw equals the same number of single-tick draws.
 
-    This is the one-run case of `run_executions`; `command_sink`, if given,
+    This is the one-run case of `run_fleet`; `command_sink`, if given,
     receives every (agent, command) the executors send.
     """
-    return next(run_executions(plans, method, config, 1, speeds, command_sink))
+    return next(run_fleet([(plans, method, 1, speeds)], config, command_sink))
 
 
 def run_executions(
@@ -431,52 +450,73 @@ def run_executions(
     command_sink: Optional[list] = None,
 ) -> Iterator[PoseLog]:
     """Fly the same plans `runs` times, all runs in one fleet; yields one
-    PoseLog per run, in order. Run r has seed config.seed + r.
-
-    Run r's N vehicles are rows r*N .. r*N + N - 1 of one fleet of R*N rows,
-    and all runs share the tick clock, so each log is byte-identical to
-    `run_execution(plans, method, replace(config, seed=config.seed + r), speeds)`.
-    The simulation runs when this is called; a run's record array is filled
-    from the logged arrays only when the iterator reaches it.
+    PoseLog per run, in order. Run r has seed config.seed + r, and its log is
+    byte-identical to `run_execution(plans, method, replace(config,
+    seed=config.seed + r), speeds)`. This is the one-flight case of `run_fleet`.
     """
-    name = method.lower()
-    if name not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    plan_list = sorted(plans, key=lambda p: p.agent)
-    if not plan_list:
-        raise ValueError("no plans to execute")
-    agent_ids = [p.agent for p in plan_list]
-    if len(set(agent_ids)) != len(agent_ids):
-        raise ValueError(f"duplicate plan agent ids: {agent_ids}")
-    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-        raise ValueError(f"runs must be a positive int, got {runs!r}")
-    check_flight_size(plan_list, config, runs)
+    return run_fleet([(plans, method, runs, speeds)], config, command_sink)
 
-    n_agents = len(plan_list)
-    fleet_runs: list[_Run] = []
-    for r in range(runs):
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed + r).spawn(n_agents)]
-        vehicles = []
-        for i, (plan, rng) in enumerate(zip(plan_list, rngs)):
-            vehicle = _Vehicle(r * n_agents + i, plan.agent, config.latency, command_sink, rng)
-            cruise = config.vll_cruise_speed
-            if cruise is None:
-                cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
-            vehicle.gen = make_executor(
-                name,
-                plan,
-                vehicle,
-                period=config.command_period,
-                box_half_width=config.vll_box_half_width,
-                cruise_speed=cruise,
-            )
-            vehicles.append(vehicle)
-        fleet_runs.append(_Run(config.seed + r, slice(r * n_agents, r * n_agents + n_agents), vehicles))
 
-    rows = runs * n_agents
-    fleet = _Fleet([p.start_position for p in plan_list] * runs, [(0.0, 0.0, 0.0)] * rows, config, config.tick)
-    goals = np.array([p.goal_position for p in plan_list] * runs, dtype=np.float64)
-    cap = _wall_cap(plan_list)
+def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Optional[list] = None) -> Iterator[PoseLog]:
+    """Fly every (plans, method, runs, speeds) flight as one fleet on one clock;
+    yields one PoseLog per run, flight by flight and run by run.
+
+    Each run keeps its own contiguous fleet rows, plan set, executors, seed
+    (config.seed + r for run r of its flight), wall cap and end tick. Steps are
+    elementwise, and a wake tick resumes only the vehicles that are due, so
+    each log is byte-identical to `run_execution(plans, method,
+    replace(config, seed=config.seed + r), speeds)`, whatever else flies
+    beside it. The simulation runs when this is called; a run's record array
+    is filled from the logged arrays only when the iterator reaches it.
+    """
+    checked = []
+    for plans, method, runs, speeds in flights:
+        name = method.lower()
+        if name not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        plan_list = sorted(plans, key=lambda p: p.agent)
+        if not plan_list:
+            raise ValueError("no plans to execute")
+        agent_ids = [p.agent for p in plan_list]
+        if len(set(agent_ids)) != len(agent_ids):
+            raise ValueError(f"duplicate plan agent ids: {agent_ids}")
+        if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+            raise ValueError(f"runs must be a positive int, got {runs!r}")
+        checked.append((plan_list, name, runs, speeds))
+    if not checked:
+        raise ValueError("no flights to fly")
+    check_fleet_size([(plan_list, runs) for plan_list, _, runs, _ in checked], config)
+
+    by_flight: list[list[_Run]] = []
+    rows = 0
+    for plan_list, name, runs, speeds in checked:
+        flight_runs = []
+        for r in range(runs):
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed + r).spawn(len(plan_list))]
+            vehicles = []
+            for plan, rng in zip(plan_list, rngs):
+                vehicle = _Vehicle(rows + len(vehicles), plan.agent, config.latency, command_sink, rng)
+                cruise = config.vll_cruise_speed
+                if cruise is None:
+                    cruise = speeds[plan.agent] if speeds and plan.agent in speeds else _plan_speed(plan)
+                vehicle.gen = make_executor(
+                    name,
+                    plan,
+                    vehicle,
+                    period=config.command_period,
+                    box_half_width=config.vll_box_half_width,
+                    cruise_speed=cruise,
+                )
+                vehicles.append(vehicle)
+            flight_runs.append(_Run(config.seed + r, slice(rows, rows + len(vehicles)), vehicles, _wall_cap(plan_list),
+                                    plan_list, name))
+            rows += len(vehicles)
+        by_flight.append(flight_runs)
+
+    fleet_runs = [run for flight_runs in by_flight for run in flight_runs]
+    fleet = _Fleet([p.start_position for run in fleet_runs for p in run.plans], [(0.0, 0.0, 0.0)] * rows, config,
+                   config.tick)
+    goals = np.array([p.goal_position for run in fleet_runs for p in run.plans], dtype=np.float64)
     steps_per_log = config.log_every_ticks
     box = config.vll_box_half_width
     noise = np.empty((rows, _NOISE_BLOCK, 3))  # one contiguous block per vehicle stream
@@ -486,6 +526,7 @@ def run_executions(
     blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (actual, estimated) per _LOG_BLOCK
     active = fleet_runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
+    cap = min(run.cap for run in active)  # the earliest wall cap of the active runs
     n = 0
     wake = 0.0  # earliest next resume or command arrival of the active runs' vehicles
     while True:
@@ -506,37 +547,40 @@ def run_executions(
             actual_block[j] = fleet.pos
             estimated_block[j] = estimated
             times.append(t)
+        ended = False
         if ready:
             inside = (np.abs(fleet.pos - goals) <= box).all(axis=1)
             for run in ready:
                 if inside[run.rows].all():
-                    run.completed = True
+                    run.completed = run.ended = ended = True
                     run.end_tick = n
-            ready = [run for run in ready if not run.completed]
-            active = [run for run in active if not run.completed]
-            if not active:
-                break
         if t > cap:
             for run in active:
-                run.end_tick = n
-            break
+                if t > run.cap and not run.ended:
+                    run.ended = ended = True
+                    run.end_tick = n
+        if ended:
+            active = [run for run in active if not run.ended]
+            if not active:
+                break
+            ready = [run for run in ready if not run.ended]
+            cap = min(run.cap for run in active)
 
         due_by = t + _EPS
         if wake <= due_by:
             wake = math.inf
-            estimates = estimated.tolist()
             arrivals: list[tuple[int, Command]] = []
             for run in active:
                 for v in run.vehicles:
                     guard = 0
-                    v.now, v.estimates = t, estimates
+                    v.now, v.estimates = t, estimated
                     while not v.done and v.next_resume <= due_by:
                         try:
                             delay = next(v.gen)
                         except StopIteration:
                             v.done = True
                             run.n_done += 1
-                            if run.n_done == n_agents:
+                            if run.n_done == len(run.vehicles):
                                 ready.append(run)
                             break
                         v.next_resume = t + max(delay, 1e-9)
@@ -556,20 +600,29 @@ def run_executions(
                 fleet.activate(arrivals, t)
         fleet.step(t)
         n += 1
-
-    # the planned positions are the same for every run, so they are computed once
-    planned = np.empty((len(times), n_agents, 3))
-    for lo in range(0, len(times), _PLANNED_TICKS):
-        for i, plan in enumerate(plan_list):
-            planned[lo : lo + _PLANNED_TICKS, i] = plan.positions_at(times[lo : lo + _PLANNED_TICKS])
-    return (_pose_log(run, config, times, blocks, planned, agent_ids, name) for run in fleet_runs)
+    return _pose_logs(by_flight, config, times, blocks)
 
 
-def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list, planned: np.ndarray,
-              agents: list[int], method: str) -> PoseLog:
+def _pose_logs(by_flight: list[list[_Run]], config: SimConfig, times: list[float], blocks: list) -> Iterator[PoseLog]:
+    """Each run's PoseLog, flight by flight. A flight's planned positions, the
+    same for each of its runs, are one (logged ticks, N, 3) array up to its
+    last run's end, filled _PLANNED_TICKS logged ticks per positions_at call."""
+    for flight_runs in by_flight:
+        plans = flight_runs[0].plans
+        ticks = max(run.end_tick for run in flight_runs) // config.log_every_ticks + 1
+        planned = np.empty((ticks, len(plans), 3))
+        for lo in range(0, ticks, _PLANNED_TICKS):
+            for i, plan in enumerate(plans):
+                planned[lo : lo + _PLANNED_TICKS, i] = plan.positions_at(times[lo : min(lo + _PLANNED_TICKS, ticks)])
+        for run in flight_runs:
+            yield _pose_log(run, config, times, blocks, planned)
+
+
+def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list, planned: np.ndarray) -> PoseLog:
     """The run's POSE_DTYPE records, one row per agent per logged tick up to
     its end tick: actual and estimated positions cut block by block from its
-    rows of the logged arrays, planned ones from the flight's planned array."""
+    rows of the logged arrays, planned ones from its flight's planned array."""
+    agents = [p.agent for p in run.plans]
     ticks = run.end_tick // config.log_every_ticks + 1
     records = np.empty(ticks * len(agents), dtype=POSE_DTYPE)
     records["t"] = np.repeat(times[:ticks], len(agents))
@@ -582,7 +635,7 @@ def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list, pl
         estimated_out[lo : lo + _LOG_BLOCK] = estimated[: ticks - lo, run.rows]
     return PoseLog(
         records=records,
-        method=method,
+        method=run.method,
         seed=run.seed,
         completed=run.completed,
         end_time=run.end_tick * config.tick,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapflight import cli
+from mapflight import cli, flightsim
 from mapflight.ccbs import SolveLimits, ccbs_solve
 from mapflight.cli import (
     EXIT_BAD_INPUT,
@@ -28,7 +28,7 @@ from mapflight.cli import (
     build_parser,
     main,
 )
-from mapflight.flightsim import METHODS, SimConfig, error_metrics, run_execution, run_executions
+from mapflight.flightsim import METHODS, SimConfig, error_metrics, run_execution, run_fleet
 from mapflight.plan import ValidationReport, Violation, load_plans, validate
 from mapflight.world import InputError, load_instance
 
@@ -588,14 +588,14 @@ class TestParallelFly:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_batch_fails_the_bench_and_leaves_no_child(self, monkeypatch, tmp_path, mixed_dir, workers):
         src, config = mixed_dir
-        real = cli.run_executions
+        real = cli.run_fleet
 
-        def run_executions(plans, method, config, runs, speeds=None):
-            if method == "vll":
+        def run_fleet(flights, config):
+            if any(method == "vll" for _, method, _, _ in flights):
                 raise RuntimeError("injected vll failure")
-            return real(plans, method, config, runs, speeds=speeds)
+            return real(flights, config)
 
-        monkeypatch.setattr(cli, "run_executions", run_executions)
+        monkeypatch.setattr(cli, "run_fleet", run_fleet)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
         with deadline(120), pytest.raises(RuntimeError, match="injected vll failure"):
             main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
@@ -605,14 +605,14 @@ class TestParallelFly:
     def test_a_batch_error_in_a_worker_is_raised_as_itself(self, monkeypatch, capsys, tmp_path, mixed_dir):
         # an InputError exits 3 whichever process flew the batch
         src, config = mixed_dir
-        parent, real = os.getpid(), cli._fly_batch
+        parent, real = os.getpid(), cli._fly_fleet
 
-        def fly_batch(*job):
+        def fly_fleet(flights, base):
             if os.getpid() != parent:
                 raise InputError("injected input error")
-            return real(*job)
+            return real(flights, base)
 
-        monkeypatch.setattr(cli, "_fly_batch", fly_batch)
+        monkeypatch.setattr(cli, "_fly_fleet", fly_fleet)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         with deadline(120):
             code = main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
@@ -627,14 +627,14 @@ class TestParallelFly:
                                                                                      tmp_path, mixed_dir, end):
         # an interrupted worker ends as quietly as one that exits
         src, config = mixed_dir
-        parent, real = os.getpid(), cli._fly_batch
+        parent, real = os.getpid(), cli._fly_fleet
 
-        def fly_batch(*job):
+        def fly_fleet(flights, base):
             if os.getpid() != parent:
                 end()
-            return real(*job)
+            return real(flights, base)
 
-        monkeypatch.setattr(cli, "_fly_batch", fly_batch)
+        monkeypatch.setattr(cli, "_fly_fleet", fly_fleet)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         with deadline(120), pytest.raises(RuntimeError, match="ended without a reply"):
             main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
@@ -649,12 +649,12 @@ class TestParallelFly:
         src, config = mixed_dir
         parent = os.getpid()
 
-        def fly_batch(*job):
+        def fly_fleet(flights, base):
             if os.getpid() == parent:
                 raise RuntimeError("injected parent failure")
-            return [(True, float(i), float(i)) for i in range(100_000)]
+            return [[(True, float(i), float(i)) for i in range(100_000)] for _ in flights]
 
-        monkeypatch.setattr(cli, "_fly_batch", fly_batch)
+        monkeypatch.setattr(cli, "_fly_fleet", fly_fleet)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
         with deadline(60), pytest.raises(RuntimeError, match="injected parent failure"):
             main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
@@ -718,22 +718,22 @@ class TestParallelFly:
     @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads process states from /proc")
     @pytest.mark.parametrize("workers", [2, 3])
     def test_no_worker_outlives_a_parent_killed_mid_flight(self, tmp_path, scenario_dir, workers):
-        # each worker leaves its pid, flies its batches and waits for a task; the
+        # each worker leaves its pid, flies its share and waits for a task; the
         # parent kills itself once every worker has started, in its own share
         script = ("import os, signal, sys, time\n"
                   "from pathlib import Path\n"
                   "from mapflight import cli\n"
                   "workers, pids = int(sys.argv[1]), Path(sys.argv[2])\n"
-                  "parent, real = os.getpid(), cli._fly_batch\n"
-                  "def fly_batch(*job):\n"
+                  "parent, real = os.getpid(), cli._fly_fleet\n"
+                  "def fly_fleet(flights, base):\n"
                   "    if os.getpid() != parent:\n"
                   "        (pids / str(os.getpid())).touch()\n"
-                  "        return real(*job)\n"
+                  "        return real(flights, base)\n"
                   "    while len(list(pids.iterdir())) < workers - 1:\n"
                   "        time.sleep(0.01)\n"
                   "    time.sleep(0.2)\n"
                   "    os.kill(parent, signal.SIGKILL)\n"
-                  "cli._fly_batch = fly_batch\n"
+                  "cli._fly_fleet = fly_fleet\n"
                   "cli._usable_cpus = lambda: workers\n"
                   "cli.main(['bench', '--scenarios', sys.argv[3], '--repetitions', '2', '--out', sys.argv[4]])\n")
         pids = tmp_path / "pids"
@@ -776,11 +776,11 @@ class TestParallelFly:
         config_file = write_json(tmp_path / "config.json", doc)
         flown = []
 
-        def run_executions_spy(plans, method, config, runs, speeds=None):
-            flown.append((method, [config.seed + r for r in range(runs)]))
-            return run_executions(plans, method, config, runs, speeds=speeds)
+        def run_fleet_spy(flights, config):
+            flown.extend((method, [config.seed + r for r in range(runs)]) for _, method, runs, _ in flights)
+            return run_fleet(flights, config)
 
-        monkeypatch.setattr(cli, "run_executions", run_executions_spy)
+        monkeypatch.setattr(cli, "run_fleet", run_fleet_spy)
         once = self.bench(monkeypatch, capsys, scenario_dir, config_file, tmp_path / "once", 1)
         assert flown == [(m, {"bhl": [0], "bll": [0], "vll": [0, 1]}[m]) for _ in range(5) for m in METHODS]
         monkeypatch.setattr(cli, "SEED_FREE_METHODS", ())
@@ -883,6 +883,44 @@ def test_a_batch_past_the_log_limit_is_a_simulate_failure(tmp_path, scenario_dir
     assert (failure["scenario"], failure["stage"]) == ("swarm_2", "simulate")
     assert "MAX_LOG_RECORDS" in failure["error"]
     assert "swarm_2: FAILED to simulate" in capsys.readouterr().out
+
+
+def test_a_share_past_the_log_limit_flies_as_several_fleets(monkeypatch, capsys, tmp_path, scenario_dir):
+    # at 6,000 records each one-run job of method_comparison (2 rows x 1,602 logged
+    # ticks) and of swarm_2 (2 x 1,802) fits alone, and no two fit together
+    src = tmp_path / "scenarios"
+    src.mkdir()
+    for name in ("method_comparison", "swarm_2"):
+        shutil.copy(scenario_dir / f"{name}.json", src / f"{name}.json")
+    real, fleets = cli.run_fleet, []
+
+    def run_fleet(flights, config):
+        rows = sum(runs * len(plans) for plans, _, runs, _ in flights)
+        cap = max(2 * max(p.end_time for p in plans) + 10 for plans, _, _, _ in flights)
+        fleets.append(rows * (cap / config.log_period + 2))
+        return real(flights, config)
+
+    def bench(out, workers):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        with deadline(60):
+            code = main(["bench", "--scenarios", str(src), "--repetitions", "1", "--seed", "0", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote {out / 'bench.json'}"
+        summary = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        for row in summary["rows"]:
+            del row["solver_wall_time"]
+        plans = {p.name: p.read_bytes() for p in sorted(out.glob("*_plans.json"))}
+        return code, summary, lines[:-1], plans
+
+    monkeypatch.setattr(cli, "run_fleet", run_fleet)
+    want = bench(tmp_path / "real", 1)
+    assert want[0] == EXIT_OK and len(want[1]["rows"]) == 6 and len(fleets) == 1
+    monkeypatch.setattr(flightsim, "MAX_LOG_RECORDS", 6000)
+    fleets.clear()
+    assert bench(tmp_path / "limited", 1) == want
+    assert len(fleets) == 6 and max(fleets) <= 6000
+    assert bench(tmp_path / "limited_parallel", 2) == want
+    assert_no_child_left()
 
 
 def test_a_million_repetitions_are_refused_before_their_configs_are_made(tmp_path, scenario_dir):

@@ -1,5 +1,6 @@
 """Simulator unit behavior: dynamics, noise, logging cadence, error metrics."""
 
+import collections
 import hashlib
 import json
 import math
@@ -605,6 +606,54 @@ def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block, p
     monkeypatch.setattr(flightsim, "_NOISE_BLOCK", noise_block)
     monkeypatch.setattr(flightsim, "_PLANNED_TICKS", planned_ticks)
     assert [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=3), 3, speeds=planset.speeds)] == want
+
+
+def test_a_mixed_fleet_flies_each_run_as_it_flies_alone():
+    # at 0.09 m/s swarm_4's vll runs reach their 16 s wall cap while the straight
+    # plans, timed over 8 s (a 26 s cap), keep flying: bll's arrive after it
+    config = SimConfig(seed=4, max_speed=0.09)
+    fixtures = [load_plans(FIXTURES / f"{name}.plans.json") for name in ("swarm_4", "method_comparison")]
+    straight = [TimedPlan(p.agent, tuple((x, y, z, t * 8.0 / 3.0) for x, y, z, t in p.waypoints))
+                for p in straight_plans()]
+    flights = [(fixtures[0].plans, "vll", 3, fixtures[0].speeds), (straight, "bll", 3, None),
+               (fixtures[1].plans, "bhl", 1, fixtures[1].speeds), (fixtures[0].plans, "bll", 1, fixtures[0].speeds),
+               (straight, "vll", 1, None)]
+
+    def digest(log):
+        return run_end(log), hashlib.sha256(log.records.tobytes()).hexdigest()
+
+    sink: list = []
+    fleet = [digest(log) for log in flightsim.run_fleet(flights, config, command_sink=sink)]
+    alone, sinks = [], []
+    for plans, method, runs, speeds in flights:
+        sinks.append([])
+        alone += [digest(log) for log in run_executions(plans, method, config, runs, speeds, command_sink=sinks[-1])]
+    assert fleet == alone
+    # the fleet interleaves its flights' commands tick by tick, so only the multisets compare
+    assert collections.Counter(sink) == sum(map(collections.Counter, sinks), collections.Counter())
+    ends = [(completed, float.fromhex(end)) for (completed, end, _), _ in fleet]
+    first_cap = min(end for completed, end in ends if not completed)
+    assert first_cap > 16.0 and any(completed and end > first_cap for completed, end in ends)
+
+
+def test_a_fleet_is_sized_by_all_its_rows_and_its_longest_wall_cap(monkeypatch):
+    # two plan sets that each fit alone, flown together, are refused before the fleet is built
+    short = straight_plans()
+    long = [TimedPlan(p.agent, tuple((x, y, z, t * 2.0) for x, y, z, t in p.waypoints)) for p in short]
+    config = SimConfig()
+    # the long set alone: 2 rows x 2,202 logged ticks up to its 22 s wall cap
+    monkeypatch.setattr(flightsim, "MAX_LOG_RECORDS", 2 * 2202)
+    check_flight_size(short, config, 1)
+    check_flight_size(long, config, 1)
+
+    def no_fleet(*args, **kwargs):
+        raise AssertionError("the fleet was built")
+
+    monkeypatch.setattr(flightsim, "_Fleet", no_fleet)
+    with pytest.raises(InputError, match="a flight of 4 vehicle rows up to its wall cap of 22 s"):
+        list(flightsim.run_fleet([(short, "bll", 1, None), (long, "bll", 1, None)], config))
+    with pytest.raises(ValueError, match="no flights"):
+        flightsim.run_fleet([], config)
 
 
 @pytest.fixture(scope="module")
