@@ -231,8 +231,8 @@ def _fly_jobs(jobs: dict[int, tuple], base: SimConfig) -> dict[int, list[tuple]]
     A job is a `run_fleet` flight, (plans, method, runs, speeds). The jobs are
     packed, in share order, into as few fleets as fit under MAX_LOG_RECORDS
     (`check_fleet_size`: fleet rows x the longest wall cap's logged ticks).
-    Every job passes that check alone, so a job that does not fit beside the
-    last fleet's starts the next one.
+    Every job passes that check alone, so a job that does not fit into the
+    last fleet starts a new one.
     """
     fleets: list[list[int]] = []
     for i in jobs:
