@@ -38,7 +38,7 @@ from .flightsim import (
     check_flight_size,
     error_metrics,
     run_execution,
-    run_fleet,
+    run_fleet_errors,
 )
 from .plan import load_plans, save_plans, validate
 from .world import InputError, check_keys, input_field, load_instance, read_json, write_json
@@ -212,17 +212,9 @@ def _shares(weights: Sequence[float], k: int) -> list[list[int]]:
 
 def _fly_fleet(flights: list[tuple], base: SimConfig) -> list[list[tuple]]:
     """(completed, max_error, avg_error) of each run of each `run_fleet` flight,
-    flown as one fleet; run r of a flight has seed base.seed + r."""
-    logs = run_fleet(flights, base)
-    flown = []
-    for _, _, runs, _ in flights:
-        flown.append([])
-        for _ in range(runs):  # logs arrive one run at a time
-            log = next(logs)
-            aggregate = error_metrics(log).aggregate
-            flown[-1].append((log.completed, aggregate.max_error, aggregate.avg_error))
-            del log  # so that its records are freed before the next run's are built
-    return flown
+    flown as one fleet (`run_fleet_errors`); run r of a flight has seed base.seed + r."""
+    figures = run_fleet_errors(flights, base)
+    return [[next(figures) for _ in range(runs)] for _, _, runs, _ in flights]
 
 
 def _fly_jobs(jobs: dict[int, tuple], base: SimConfig) -> dict[int, list[tuple]]:

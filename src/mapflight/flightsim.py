@@ -12,20 +12,27 @@ could log more than MAX_LOG_RECORDS records is refused before its first tick.
 The simulator keeps the state of all N vehicles in (N, 3) float64 arrays and
 advances them together, one array update per tick (`_Fleet.step`). Any list of
 flights, each a plan set flown under one method for some seeded runs, flies as
-one fleet on one clock (`run_fleet`); each run keeps its own rows, seed, wall
-cap and end tick. The bookkeeping is batched too:
+one fleet on one clock; each run keeps its own rows, seed, wall cap and end
+tick. The bookkeeping is batched too:
 
   * executors wake only on a tick where some vehicle's next resume or command
     arrival falls, and such a wake tick visits every vehicle of the runs still
     flying, in row order, and resumes only those that are due;
   * the commands that arrive on one tick are activated together, one array
     update per command kind (`_Fleet.activate`);
-  * actual and estimated poses are logged into fixed blocks of logged ticks,
-    and each run's records are cut from its rows of those blocks; the planned
-    positions, the same for every run of a flight, are filled into one array
-    per flight after the last tick (`TimedPlan.positions_at`);
   * localization noise is drawn in blocks of ticks from each vehicle's own
-    seeded stream, for the runs still flying only.
+    seeded stream, for the runs still flying only, and the estimated poses
+    (true pose plus noise) are formed on wake ticks only, the only ticks on
+    which an executor reads them;
+  * only the true positions are logged, into fixed blocks of logged ticks.
+
+The logged blocks have two readers. `run_fleet` cuts each run's records from
+its rows of the blocks and rebuilds the estimated column by redrawing the
+run's noise from its seed; the planned positions, the same for every run of a
+flight, are filled into one array per flight after the last tick
+(`TimedPlan.positions_at`). `run_fleet_errors`, which `mapflight bench` reads,
+takes each run's error figures straight from the blocks and that planned
+array, and builds no record at all.
 
 Every array operation applies, element by element and in the same order, the
 float operations of the one-vehicle update, so pose logs are byte-identical
@@ -68,8 +75,8 @@ _EPS = 1e-9
 # a finer tick spends the whole run on bookkeeping; the tests fly down to 0.0025 s
 MIN_TICK = 1e-4
 # Fleet rows x logged ticks up to the longest wall cap that one fleet may log.
-# A row-tick takes 48 bytes of logged arrays and its record 88 bytes, so the
-# limit stands for about 200 MB and 370 MB; each bundled scenario flown 13 times
+# A row-tick takes 24 bytes of logged arrays and its record 88 bytes, so the
+# limit stands for about 100 MB and 370 MB; each bundled scenario flown 13 times
 # is at least 20 times below it, and all five flown as one fleet 7 times below.
 MAX_LOG_RECORDS = 2**22
 
@@ -138,11 +145,12 @@ class SimConfig:
 # buffers of 3 KiB per vehicle. A block draw yields exactly the values of that
 # many successive standard_normal(3) calls, and scaling by noise_sigma is the
 # same multiply per element whether done per block or per tick, so the block
-# length never changes a log.
+# length never changes a log. A run's pose logs redraw its streams in one block
+# each, up to its end tick.
 _NOISE_BLOCK = 64
 
-# Logged ticks per pose-log block: a (block, rows, 3) array each of actual and
-# estimated positions, logged tick by tick. Each run's records are cut from the
+# Logged ticks per pose-log block: a (block, rows, 3) array of true positions,
+# logged tick by tick. Each run's records and error figures are cut from the
 # blocks. A fixed block keeps every array far below the 4 MB from which numpy
 # asks for huge pages, whatever the wall cap; over the bundled bench batches, 16
 # left a lower peak RSS than 32 or 64.
@@ -155,6 +163,11 @@ _PLANNED_TICKS = 1024
 # hypot: the Python strings and floats of one block are all that is alive at
 # once, so their memory is bounded by the block, not by the run length.
 _ROW_BLOCK = 2048
+
+
+# Setpoint components of at most this magnitude square and sum over three axes
+# to a finite value: 3 x 2**1020 < 2**1024.
+_SQUARE_SAFE = 2.0**510
 
 
 def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapsed: np.ndarray,
@@ -170,7 +183,9 @@ class _Fleet:
     `step` is the one implementation of the vehicle dynamics: the simulation
     loop calls it once per tick for every vehicle of every run in a fleet.
     `activate` stores a tick's arrived commands as they were sent; `step`
-    limits every commanded velocity, setpoint or feedback, to max_speed.
+    limits every commanded velocity, setpoint or feedback, to max_speed. A
+    velocity setpoint whose squared speed overflows is the one exception: it
+    is stored already limited (`_limit_huge`), since `step` could not measure it.
     """
 
     def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
@@ -211,7 +226,10 @@ class _Fleet:
             rows = [row for row, _ in velocity]
             self.tracking[rows] = False
             self.goto[rows] = False
-            self.velocity[rows] = [command.velocity for _, command in velocity]
+            setpoints = np.array([command.velocity for _, command in velocity])
+            if np.abs(setpoints).max() > _SQUARE_SAFE:
+                self._limit_huge(setpoints)
+            self.velocity[rows] = setpoints
         if position:
             rows = [row for row, _ in position]
             self.tracking[rows] = True
@@ -227,6 +245,16 @@ class _Fleet:
             self.activated[rows] = activated
         self.n_tracking = np.count_nonzero(self.tracking)
         self.n_goto = np.count_nonzero(self.goto)
+
+    def _limit_huge(self, setpoints: np.ndarray) -> None:
+        """Scale down to max_speed, in place, each setpoint whose squared speed
+        overflows, dividing it by its largest component first; `step` would
+        read its speed as inf and stop the vehicle. Every other row keeps its bits."""
+        with np.errstate(over="ignore"):
+            sq = setpoints * setpoints
+            huge = np.isinf(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        unit = setpoints[huge] / np.abs(setpoints[huge]).max(axis=1)[:, None]
+        setpoints[huge] = unit * (self.max_speed / np.sqrt((unit * unit).sum(axis=1)))[:, None]
 
     def step(self, now: float) -> None:
         """Advance every row one tick with the exact flow of the first-order velocity lag.
@@ -418,9 +446,10 @@ def run_execution(
 ) -> PoseLog:
     """Lockstep execution of all plans under one method.
 
-    Per tick: localize every vehicle, resume due executors on the shared clock,
-    activate each vehicle's newest arrived command (all of the tick's arrivals
-    in one `_Fleet.activate`), then step the vehicle dynamics. A command
+    Per tick: resume due executors on the shared clock (on such a tick only,
+    every vehicle is localized first), activate each vehicle's newest arrived
+    command (all of the tick's arrivals in one `_Fleet.activate`), then step
+    the vehicle dynamics. A command
     arrives `latency` after it is sent and replaces the active one;
     `_Fleet.step` limits every commanded velocity to max_speed. Poses are
     logged every log_period. The run terminates when every executor has
@@ -469,6 +498,36 @@ def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Option
     beside it. The simulation runs when this is called; a run's record array
     is filled from the logged arrays only when the iterator reaches it.
     """
+    by_flight, times, blocks = _fly(flights, config, command_sink)
+    return (_pose_log(run, config, times, blocks, planned)
+            for flight_runs, planned in _planned_positions(by_flight, config, times) for run in flight_runs)
+
+
+def run_fleet_errors(flights: Iterable[Flight], config: SimConfig) -> Iterator[tuple[bool, float, float]]:
+    """Fly the flights as `run_fleet` does; yields (completed, max_error,
+    avg_error) per run, in the same order: the `error_metrics(log).aggregate`
+    of its log, bit for bit, read from the logged true positions and the
+    flight's planned array without building the log."""
+    by_flight, times, blocks = _fly(flights, config, None)
+    for flight_runs, planned in _planned_positions(by_flight, config, times):
+        for run in flight_runs:
+            ticks = run.end_tick // config.log_every_ticks + 1
+            planned_run = planned[:ticks]
+            diffs = ((actual[: ticks - lo, run.rows] - planned_run[lo : lo + _LOG_BLOCK]).reshape(-1, 3)
+                     for lo, actual in zip(range(0, ticks, _LOG_BLOCK), blocks))
+            aggregate = _error_figures(np.empty(ticks * len(run.plans)), diffs)
+            yield run.completed, aggregate.max_error, aggregate.avg_error
+
+
+def _noise_streams(seed: int, n: int) -> list[np.random.Generator]:
+    """The localization noise streams of a run's n vehicles, in agent order."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _fly(flights: Iterable[Flight], config: SimConfig,
+         command_sink: Optional[list]) -> tuple[list[list[_Run]], list[float], list[np.ndarray]]:
+    """The tick loop of `run_fleet`: the runs by flight, each ended, the logged
+    ticks and the (_LOG_BLOCK, rows, 3) blocks of true positions logged at them."""
     checked = []
     for plans, method, runs, speeds in flights:
         name = method.lower()
@@ -492,9 +551,8 @@ def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Option
     for plan_list, name, runs, speeds in checked:
         flight_runs = []
         for r in range(runs):
-            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed + r).spawn(len(plan_list))]
             vehicles = []
-            for plan, rng in zip(plan_list, rngs):
+            for plan, rng in zip(plan_list, _noise_streams(config.seed + r, len(plan_list))):
                 vehicle = _Vehicle(rows + len(vehicles), plan.agent, config.latency, command_sink, rng)
                 cruise = config.vll_cruise_speed
                 if cruise is None:
@@ -523,7 +581,7 @@ def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Option
     offsets = np.empty((_NOISE_BLOCK, rows, 3))  # noise_sigma * noise, one (rows, 3) slab per tick
 
     times: list[float] = []  # the logged ticks
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (actual, estimated) per _LOG_BLOCK
+    blocks: list[np.ndarray] = []  # true positions, one (_LOG_BLOCK, rows, 3) array per _LOG_BLOCK logged ticks
     active = fleet_runs  # runs still flying
     ready: list[_Run] = []  # active runs whose executors have all finished
     cap = min(run.cap for run in active)  # the earliest wall cap of the active runs
@@ -538,14 +596,11 @@ def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Option
                 for v in run.vehicles:
                     v.rng.standard_normal(out=noise[v.row])
             np.multiply(noise.transpose(1, 0, 2), config.noise_sigma, out=offsets)
-        estimated = fleet.pos + offsets[k]
         if n % steps_per_log == 0:
             j = len(times) % _LOG_BLOCK
             if j == 0:
-                blocks.append((np.empty((_LOG_BLOCK, rows, 3)), np.empty((_LOG_BLOCK, rows, 3))))
-            actual_block, estimated_block = blocks[-1]
-            actual_block[j] = fleet.pos
-            estimated_block[j] = estimated
+                blocks.append(np.empty((_LOG_BLOCK, rows, 3)))
+            blocks[-1][j] = fleet.pos
             times.append(t)
         ended = False
         if ready:
@@ -569,6 +624,7 @@ def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Option
         due_by = t + _EPS
         if wake <= due_by:
             wake = math.inf
+            estimated = fleet.pos + offsets[k]
             arrivals: list[tuple[int, Command]] = []
             for run in active:
                 for v in run.vehicles:
@@ -600,13 +656,14 @@ def run_fleet(flights: Iterable[Flight], config: SimConfig, command_sink: Option
                 fleet.activate(arrivals, t)
         fleet.step(t)
         n += 1
-    return _pose_logs(by_flight, config, times, blocks)
+    return by_flight, times, blocks
 
 
-def _pose_logs(by_flight: list[list[_Run]], config: SimConfig, times: list[float], blocks: list) -> Iterator[PoseLog]:
-    """Each run's PoseLog, flight by flight. A flight's planned positions, the
-    same for each of its runs, are one (logged ticks, N, 3) array up to its
-    last run's end, filled _PLANNED_TICKS logged ticks per positions_at call."""
+def _planned_positions(by_flight: list[list[_Run]], config: SimConfig,
+                       times: list[float]) -> Iterator[tuple[list[_Run], np.ndarray]]:
+    """Each flight's runs and its planned positions, the same for each of its
+    runs: one (logged ticks, N, 3) array up to its last run's end, filled
+    _PLANNED_TICKS logged ticks per positions_at call, made as it is reached."""
     for flight_runs in by_flight:
         plans = flight_runs[0].plans
         ticks = max(run.end_tick for run in flight_runs) // config.log_every_ticks + 1
@@ -614,14 +671,16 @@ def _pose_logs(by_flight: list[list[_Run]], config: SimConfig, times: list[float
         for lo in range(0, ticks, _PLANNED_TICKS):
             for i, plan in enumerate(plans):
                 planned[lo : lo + _PLANNED_TICKS, i] = plan.positions_at(times[lo : min(lo + _PLANNED_TICKS, ticks)])
-        for run in flight_runs:
-            yield _pose_log(run, config, times, blocks, planned)
+        yield flight_runs, planned
 
 
-def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list, planned: np.ndarray) -> PoseLog:
+def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list[np.ndarray],
+              planned: np.ndarray) -> PoseLog:
     """The run's POSE_DTYPE records, one row per agent per logged tick up to
-    its end tick: actual and estimated positions cut block by block from its
-    rows of the logged arrays, planned ones from its flight's planned array."""
+    its end tick: actual positions cut block by block from its rows of the
+    logged arrays, planned ones from its flight's planned array. The estimated
+    ones are rebuilt: each vehicle's stream is redrawn up to the end tick in one
+    block, and the logged ticks' noise is scaled and added as in flight."""
     agents = [p.agent for p in run.plans]
     ticks = run.end_tick // config.log_every_ticks + 1
     records = np.empty(ticks * len(agents), dtype=POSE_DTYPE)
@@ -630,9 +689,11 @@ def _pose_log(run: _Run, config: SimConfig, times: list[float], blocks: list, pl
     grid = records.reshape(ticks, len(agents))  # a view, one row per logged tick
     grid["planned"] = planned[:ticks]
     actual_out, estimated_out = grid["actual"], grid["estimated"]
-    for lo, (actual, estimated) in zip(range(0, ticks, _LOG_BLOCK), blocks):
+    for lo, actual in zip(range(0, ticks, _LOG_BLOCK), blocks):
         actual_out[lo : lo + _LOG_BLOCK] = actual[: ticks - lo, run.rows]
-        estimated_out[lo : lo + _LOG_BLOCK] = estimated[: ticks - lo, run.rows]
+    for i, rng in enumerate(_noise_streams(run.seed, len(agents))):
+        noise = rng.standard_normal((run.end_tick + 1, 3))[:: config.log_every_ticks]
+        estimated_out[:, i] = actual_out[:, i] + noise * config.noise_sigma
     return PoseLog(
         records=records,
         method=run.method,
@@ -718,14 +779,27 @@ def error_metrics(log: PoseLog, basis: str = BASIS_ACTUAL) -> ErrorReport:
     series = np.empty(len(r), dtype=ERROR_DTYPE)
     series["t"], series["agent"] = r["t"], agents
     errors = series["error"]
-    for b, block_errors in zip(_row_blocks(r), _row_blocks(errors)):
-        # math.hypot of the differences is math.dist bit for bit (one CPython routine);
-        # a numpy norm differs from both by an ulp on some poses
-        block_errors[:] = list(map(math.hypot, *(b[column] - b["planned"]).T.tolist()))
+    aggregate = _error_figures(errors, (b[column] - b["planned"] for b in _row_blocks(r)))
     columns = errors.reshape(ticks, n_agents)
     # a running sum down each column adds left to right, as _mean does
     means = (np.cumsum(columns, axis=0)[-1] / ticks).tolist()
     per_agent = {agent: AgentError(hi, mean)
                  for agent, hi, mean in sorted(zip(first.tolist(), columns.max(axis=0).tolist(), means))}
-    aggregate = AgentError(errors.max().item(), _mean(errors))
     return ErrorReport(basis, log.method, log.seed, per_agent, aggregate, series)
+
+
+def _error_figures(errors: np.ndarray, diffs: Iterable[np.ndarray]) -> AgentError:
+    """Fill `errors`, in order, with the Euclidean length of each row of each
+    (k, 3) block of position differences, and return their maximum and mean.
+
+    This is the one error rule of the metrics. Each error is math.hypot of the
+    row, one block at a time, so the Python floats it needs are bounded by the
+    block; the mean is a running sum, left to right (`_mean`).
+    """
+    lo = 0
+    for d in diffs:
+        # math.hypot of the differences is math.dist bit for bit (one CPython routine);
+        # a numpy norm differs from both by an ulp on some poses
+        errors[lo : lo + len(d)] = list(map(math.hypot, *d.T.tolist()))
+        lo += len(d)
+    return AgentError(errors.max().item(), _mean(errors))

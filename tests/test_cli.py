@@ -28,7 +28,7 @@ from mapflight.cli import (
     build_parser,
     main,
 )
-from mapflight.flightsim import METHODS, SimConfig, error_metrics, run_execution, run_fleet
+from mapflight.flightsim import METHODS, SimConfig, error_metrics, run_execution, run_fleet_errors
 from mapflight.plan import ValidationReport, Violation, load_plans, validate
 from mapflight.world import InputError, load_instance
 
@@ -588,14 +588,14 @@ class TestParallelFly:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_batch_fails_the_bench_and_leaves_no_child(self, monkeypatch, tmp_path, mixed_dir, workers):
         src, config = mixed_dir
-        real = cli.run_fleet
+        real = cli.run_fleet_errors
 
-        def run_fleet(flights, config):
+        def run_fleet_errors(flights, config):
             if any(method == "vll" for _, method, _, _ in flights):
                 raise RuntimeError("injected vll failure")
             return real(flights, config)
 
-        monkeypatch.setattr(cli, "run_fleet", run_fleet)
+        monkeypatch.setattr(cli, "run_fleet_errors", run_fleet_errors)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
         with deadline(120), pytest.raises(RuntimeError, match="injected vll failure"):
             main(["bench", "--scenarios", str(src), "--config", str(config), "--repetitions", "1",
@@ -776,11 +776,11 @@ class TestParallelFly:
         config_file = write_json(tmp_path / "config.json", doc)
         flown = []
 
-        def run_fleet_spy(flights, config):
+        def run_fleet_errors_spy(flights, config):
             flown.extend((method, [config.seed + r for r in range(runs)]) for _, method, runs, _ in flights)
-            return run_fleet(flights, config)
+            return run_fleet_errors(flights, config)
 
-        monkeypatch.setattr(cli, "run_fleet", run_fleet_spy)
+        monkeypatch.setattr(cli, "run_fleet_errors", run_fleet_errors_spy)
         once = self.bench(monkeypatch, capsys, scenario_dir, config_file, tmp_path / "once", 1)
         assert flown == [(m, {"bhl": [0], "bll": [0], "vll": [0, 1]}[m]) for _ in range(5) for m in METHODS]
         monkeypatch.setattr(cli, "SEED_FREE_METHODS", ())
@@ -852,6 +852,18 @@ def test_a_tick_below_the_floor_is_malformed_input(planned, tmp_path, capsys):
     assert "tick must be at least" in capsys.readouterr().err
 
 
+def test_a_huge_vll_cruise_speed_flies_swarm_2_to_its_goals(tmp_path, scenario_dir, capsys):
+    # a 1e200 m/s setpoint once overflowed when squared and the clamp stopped the
+    # vehicle: exit 7 at the 18.005 s wall cap with max error 1.5811 m
+    plans = tmp_path / "plans.json"
+    assert main(["plan", "--instance", str(scenario_dir / "swarm_2.json"), "--out", str(plans)]) == EXIT_OK
+    cfg = write_json(tmp_path / "cfg.json", {"vll_cruise_speed": 1e200, "max_speed": 0.5})
+    capsys.readouterr()
+    code = main(["simulate", "--plans", str(plans), "--method", "vll", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == EXIT_OK
+    assert "completed=True" in capsys.readouterr().out
+
+
 def test_a_flight_past_the_log_limit_is_malformed_input(tmp_path, scenario_dir, capsys):
     # swarm_2's plan with agent 0 parked until t = 1e12 once ticked on for good
     plans = tmp_path / "plans.json"
@@ -892,9 +904,9 @@ def test_a_share_past_the_log_limit_flies_as_several_fleets(monkeypatch, capsys,
     src.mkdir()
     for name in ("method_comparison", "swarm_2"):
         shutil.copy(scenario_dir / f"{name}.json", src / f"{name}.json")
-    real, fleets = cli.run_fleet, []
+    real, fleets = cli.run_fleet_errors, []
 
-    def run_fleet(flights, config):
+    def run_fleet_errors(flights, config):
         rows = sum(runs * len(plans) for plans, _, runs, _ in flights)
         cap = max(2 * max(p.end_time for p in plans) + 10 for plans, _, _, _ in flights)
         fleets.append(rows * (cap / config.log_period + 2))
@@ -912,7 +924,7 @@ def test_a_share_past_the_log_limit_flies_as_several_fleets(monkeypatch, capsys,
         plans = {p.name: p.read_bytes() for p in sorted(out.glob("*_plans.json"))}
         return code, summary, lines[:-1], plans
 
-    monkeypatch.setattr(cli, "run_fleet", run_fleet)
+    monkeypatch.setattr(cli, "run_fleet_errors", run_fleet_errors)
     want = bench(tmp_path / "real", 1)
     assert want[0] == EXIT_OK and len(want[1]["rows"]) == 6 and len(fleets) == 1
     monkeypatch.setattr(flightsim, "MAX_LOG_RECORDS", 6000)

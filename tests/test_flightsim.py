@@ -11,7 +11,7 @@ import numpy as np
 import oracles
 import pytest
 
-from mapflight import flightsim
+from mapflight import cli, flightsim
 from mapflight.ccbs import ccbs_solve
 from mapflight.executor import HighLevelGoto, PositionSetpoint, VelocitySetpoint
 from mapflight.flightsim import (
@@ -136,6 +136,27 @@ class TestVehicleStep:
         for _ in range(100):
             state = one_tick(state, cmd, dt=0.05, config=cfg)
         assert state[1][0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_a_setpoint_whose_squared_speed_overflows_is_limited_and_no_other_row_moves(self):
+        # (1e200, -1e200, 5e199) once read as speed inf and was scaled to 0: the
+        # vehicle hovered; (1e154, 0, 0) squares to a finite 1e308 and is left to step
+        cfg = SimConfig()
+        setpoints = [(3.0, 4.0, 0.0), (1e154, 0.0, 0.0), (0.2, -0.1, 0.0), (1e200, -1e200, 5e199)]
+
+        def stepped(rows):
+            fleet = _Fleet([(0.0, 0.0, 0.0)] * len(rows), [(0.0, 0.0, 0.0)] * len(rows), cfg, cfg.tick)
+            fleet.activate([(row, VelocitySetpoint(setpoints[i], 0.0)) for row, i in enumerate(rows)], 0.0)
+            fleet.step(0.0)
+            return fleet
+
+        fleet = stepped(range(4))
+        for i in range(3):
+            alone = stepped([i])
+            assert (fleet.pos[i].tobytes(), fleet.vel[i].tobytes()) == (alone.pos[0].tobytes(), alone.vel[0].tobytes())
+        # from rest, one step leaves vel = commanded * (1 - decay)
+        commanded = fleet.vel[3] / (1.0 - fleet.decay)
+        assert commanded.tolist() == pytest.approx([2.0 / 3.0, -2.0 / 3.0, 1.0 / 3.0], abs=1e-12)
+        assert math.hypot(*commanded.tolist()) <= cfg.max_speed * (1.0 + 1e-12)
 
     def test_position_setpoint_converges(self):
         cfg = SimConfig(tau=0.05, gain=5.0)
@@ -382,6 +403,27 @@ class TestRunExecution:
             got = final[plan.agent]
             assert max(abs(p - g) for p, g in zip(got, plan.goal_position)) <= cfg.vll_box_half_width + 1e-9
 
+    def test_a_huge_vll_cruise_speed_flies_at_max_speed(self, monkeypatch):
+        # at 1e200 m/s every setpoint once overflowed when squared, so the clamp
+        # scaled it to 0 and the vehicles hovered to the wall cap; at 0.5 m/s a
+        # vll chase settles into each goal box (at 1 m/s it overshoots the last)
+        cfg = SimConfig(vll_cruise_speed=1e200, max_speed=0.5)
+        commanded = []
+        step = _Fleet.step
+
+        def spy(fleet, now):
+            vel = fleet.vel
+            step(fleet, now)
+            # the first-order lag: vel' = commanded + (vel - commanded) * decay
+            commanded.append(((fleet.vel - vel * fleet.decay) / (1.0 - fleet.decay)).copy())
+
+        monkeypatch.setattr(_Fleet, "step", spy)
+        planset = load_plans(FIXTURES / "swarm_4.plans.json")
+        log = run_execution(planset.plans, "vll", cfg, speeds=planset.speeds)
+        assert log.completed
+        speeds = np.sqrt((np.concatenate(commanded) ** 2).sum(axis=1))
+        assert 0.99 * cfg.max_speed < speeds.max() <= cfg.max_speed * (1.0 + 1e-9)
+
     def test_command_sink_records_the_stream(self):
         sink: list = []
         plan = straight_plans()[0]
@@ -608,9 +650,10 @@ def test_block_lengths_never_change_a_log(monkeypatch, log_block, noise_block, p
     assert [csv_digest(log) for log in run_executions(planset.plans, "vll", SimConfig(seed=3), 3, speeds=planset.speeds)] == want
 
 
-def test_a_mixed_fleet_flies_each_run_as_it_flies_alone():
-    # at 0.09 m/s swarm_4's vll runs reach their 16 s wall cap while the straight
-    # plans, timed over 8 s (a 26 s cap), keep flying: bll's arrive after it
+def mixed_fleet():
+    """(config, flights): at 0.09 m/s swarm_4's vll runs reach their 16 s wall cap
+    while the straight plans, timed over 8 s (a 26 s cap), keep flying: bll's
+    arrive after it."""
     config = SimConfig(seed=4, max_speed=0.09)
     fixtures = [load_plans(FIXTURES / f"{name}.plans.json") for name in ("swarm_4", "method_comparison")]
     straight = [TimedPlan(p.agent, tuple((x, y, z, t * 8.0 / 3.0) for x, y, z, t in p.waypoints))
@@ -618,6 +661,11 @@ def test_a_mixed_fleet_flies_each_run_as_it_flies_alone():
     flights = [(fixtures[0].plans, "vll", 3, fixtures[0].speeds), (straight, "bll", 3, None),
                (fixtures[1].plans, "bhl", 1, fixtures[1].speeds), (fixtures[0].plans, "bll", 1, fixtures[0].speeds),
                (straight, "vll", 1, None)]
+    return config, flights
+
+
+def test_a_mixed_fleet_flies_each_run_as_it_flies_alone():
+    config, flights = mixed_fleet()
 
     def digest(log):
         return run_end(log), hashlib.sha256(log.records.tobytes()).hexdigest()
@@ -634,6 +682,67 @@ def test_a_mixed_fleet_flies_each_run_as_it_flies_alone():
     ends = [(completed, float.fromhex(end)) for (completed, end, _), _ in fleet]
     first_cap = min(end for completed, end in ends if not completed)
     assert first_cap > 16.0 and any(completed and end > first_cap for completed, end in ends)
+
+
+def test_bench_figures_are_the_error_metrics_of_each_runs_log():
+    # bench reads its (completed, max_error, avg_error) straight from the fleet's
+    # logged arrays; they are error_metrics' aggregate of the log, bit for bit
+    config, flights = mixed_fleet()
+    got = [[(done, hi.hex(), avg.hex()) for done, hi, avg in runs] for runs in cli._fly_fleet(flights, config)]
+    want = []
+    for plans, method, runs, speeds in flights:
+        want.append([])
+        for log in run_executions(plans, method, config, runs, speeds):
+            aggregate = error_metrics(log).aggregate
+            want[-1].append((log.completed, aggregate.max_error.hex(), aggregate.avg_error.hex()))
+    assert got == want
+    assert {done for runs in got for done, _, _ in runs} == {True, False}  # wall-cap runs are among them
+
+
+def test_the_rebuilt_estimate_is_the_one_the_executor_read(monkeypatch):
+    # the loop forms estimates on wake ticks only and logs none; each log redraws
+    # its noise from the seed, and must give what the executor read in flight
+    read = {}
+    estimated_position = flightsim._Vehicle.estimated_position
+
+    def spy(vehicle):
+        read[(vehicle.row, vehicle.now)] = estimated_position(vehicle)
+        return read[(vehicle.row, vehicle.now)]
+
+    monkeypatch.setattr(flightsim._Vehicle, "estimated_position", spy)
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    n = len(planset.plans)
+    checked = 0
+    for r, log in enumerate(run_executions(planset.plans, "vll", SimConfig(seed=5), 3, speeds=planset.speeds)):
+        records = log.records
+        for i, (t, estimated) in enumerate(zip(records["t"].tolist(), records["estimated"].tolist())):
+            key = (r * n + i % n, t)
+            if key in read:
+                assert tuple(estimated) == read[key]
+                checked += 1
+    # a vll executor reads its estimate every 0.05 s (ten ticks, five logged ticks)
+    # for about 3.4 s
+    assert checked > 3 * n * 60
+
+
+def test_benchs_fleet_reader_holds_only_the_logged_true_positions():
+    # 13 swarm_4 vll runs, 52 rows: 48-byte blocks of true and estimated positions
+    # and each run's 88-byte records once peaked at about 1.35 MB
+    planset = load_plans(FIXTURES / "swarm_4.plans.json")
+    config = SimConfig()
+    flights = [(planset.plans, "vll", 13, planset.speeds)]
+    rows = 13 * len(planset.plans)
+    logs = run_executions(planset.plans, "vll", config, 13, planset.speeds)
+    ticks = max(len(log.records) for log in logs) // len(planset.plans)
+    logged = 24 * rows * -(-ticks // flightsim._LOG_BLOCK) * flightsim._LOG_BLOCK
+    noise = 2 * 24 * rows * flightsim._NOISE_BLOCK  # the noise draws and their scaled copy
+    tracemalloc.start()
+    try:
+        cli._fly_fleet(flights, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= logged + noise + 256 * 2**10
 
 
 def test_a_fleet_is_sized_by_all_its_rows_and_its_longest_wall_cap(monkeypatch):
