@@ -526,8 +526,10 @@ def _noise_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 def _fly(flights: Iterable[Flight], config: SimConfig,
          command_sink: Optional[list]) -> tuple[list[list[_Run]], list[float], list[np.ndarray]]:
-    """The tick loop of `run_fleet`: the runs by flight, each ended, the logged
-    ticks and the (_LOG_BLOCK, rows, 3) blocks of true positions logged at them."""
+    """The one tick loop, which `run_fleet` and `run_fleet_errors` read: checks
+    the flights, flies them as one fleet and returns the runs by flight, each
+    ended, the logged ticks and the (_LOG_BLOCK, rows, 3) blocks of true
+    positions logged at them."""
     checked = []
     for plans, method, runs, speeds in flights:
         name = method.lower()
