@@ -19,7 +19,7 @@ from .flightsim import ErrorReport, PoseLog, SimConfig, error_metrics, run_execu
 from .geometry3d import CylinderBody, LinearMotion, cylinder_unsafe_interval
 from .plan import TimedPlan, ValidationReport, load_plans, save_plans, validate
 from .sipp import Constraint, sipp_plan
-from .world import AgentSpec, GridWorld, load_instance, neighbors, save_instance
+from .world import AgentSpec, GridWorld, load_instance, move_duration, neighbors, save_instance
 
 __all__ = [
     "__version__",
@@ -41,6 +41,7 @@ __all__ = [
     "error_metrics",
     "load_instance",
     "load_plans",
+    "move_duration",
     "neighbors",
     "run_execution",
     "run_executions",

@@ -168,6 +168,17 @@ _ROW_BLOCK = 2048
 # Setpoint components of at most this magnitude square and sum over three axes
 # to a finite value: 3 x 2**1020 < 2**1024.
 _SQUARE_SAFE = 2.0**510
+# A feedback gain of at most this keeps gain * (target - pos) within
+# _SQUARE_SAFE for every offset up to 2**200 m; `step` limits the feedback of a
+# larger gain before squaring it.
+_GAIN_SAFE = 2.0**310
+
+
+def _at_speed(rows: np.ndarray, speed: float) -> np.ndarray:
+    """Each nonzero row scaled to length `speed`, divided by its largest
+    component first, so that no square overflows."""
+    unit = rows / np.abs(rows).max(axis=1)[:, None]
+    return unit * (speed / np.sqrt((unit * unit).sum(axis=1)))[:, None]
 
 
 def _refine(anchor: np.ndarray, target: np.ndarray, duration: np.ndarray, elapsed: np.ndarray,
@@ -184,8 +195,10 @@ class _Fleet:
     loop calls it once per tick for every vehicle of every run in a fleet.
     `activate` stores a tick's arrived commands as they were sent; `step`
     limits every commanded velocity, setpoint or feedback, to max_speed. A
-    velocity setpoint whose squared speed overflows is the one exception: it
-    is stored already limited (`_limit_huge`), since `step` could not measure it.
+    velocity whose squared speed overflows is the one exception, since `step`
+    could not measure it: a setpoint is stored already limited (`_limit_huge`),
+    and under a gain above _GAIN_SAFE such feedback is limited as it is made
+    (`_huge_gain_feedback`).
     """
 
     def __init__(self, positions: Sequence[Vec3], velocities: Sequence[Vec3], config: SimConfig, dt: float):
@@ -193,6 +206,7 @@ class _Fleet:
         self.vel = np.array(velocities, dtype=np.float64)
         n = len(self.pos)
         self.gain = config.gain
+        self.huge_gain = config.gain > _GAIN_SAFE
         self.max_speed = config.max_speed
         self.rate = config.goto_refine_rate
         self.dt = dt
@@ -253,8 +267,20 @@ class _Fleet:
         with np.errstate(over="ignore"):
             sq = setpoints * setpoints
             huge = np.isinf(sq[:, 0] + sq[:, 1] + sq[:, 2])
-        unit = setpoints[huge] / np.abs(setpoints[huge]).max(axis=1)[:, None]
-        setpoints[huge] = unit * (self.max_speed / np.sqrt((unit * unit).sum(axis=1)))[:, None]
+        setpoints[huge] = _at_speed(setpoints[huge], self.max_speed)
+
+    def _huge_gain_feedback(self, target: np.ndarray) -> np.ndarray:
+        """The position feedback under a gain above _GAIN_SAFE: each row whose
+        squared speed overflows, or whose product overflows, is limited to
+        max_speed toward its target, as the clamp would limit it; every other
+        row keeps the bits of `gain * (target - pos)`."""
+        offset = target - self.pos
+        with np.errstate(over="ignore"):
+            feedback = self.gain * offset
+            sq = feedback * feedback
+            huge = np.isinf(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        feedback[huge] = _at_speed(offset[huge], self.max_speed)
+        return feedback
 
     def step(self, now: float) -> None:
         """Advance every row one tick with the exact flow of the first-order velocity lag.
@@ -273,7 +299,7 @@ class _Fleet:
                 target = _refine(self.anchor, self.target, self.duration, now - self.activated, self.rate)
                 if self.n_goto < n:
                     target = np.where(self.goto[:, None], target, self.target)
-            feedback = self.gain * (target - self.pos)
+            feedback = self._huge_gain_feedback(target) if self.huge_gain else self.gain * (target - self.pos)
             commanded = feedback if self.n_tracking == n else np.where(self.tracking[:, None], feedback, commanded)
         sq = commanded * commanded
         norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])

@@ -109,6 +109,13 @@ class Conflict:
     action_j: LinearMotion
     unsafe: tuple[float, float]
 
+    def __post_init__(self) -> None:
+        # conflicts key the solver's branch cache, so hash the fields once
+        object.__setattr__(self, "_hash", hash((self.agent_i, self.action_i, self.agent_j, self.action_j, self.unsafe)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
 
 def _solve_below(a2: float, b2: float, c2: float, span: float) -> Optional[tuple[float, float]]:
     """Open subinterval of [0, span] where a2 s^2 + b2 s + c2 < 0, or None.

@@ -4,6 +4,11 @@ A plan file is self-contained: it echoes each agent's body and speed so the
 execution side can run plans produced by external solvers. Each value rule lives
 in the constructor of the type it constrains; `load_plans` keeps the file's shape
 and the rules no type owns (unique agent ids, the speed).
+
+A plan takes each motion from the bounded module-level cache `_interned_motion`,
+so plans share their equal motions. The cache compares floats by equality,
+under which +0.0 == -0.0 although their bits differ, so a motion with any zero
+value is built apart, and every plan keeps the bits of its own waypoints.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -86,7 +92,9 @@ class TimedPlan:
         motions = []
         for n, (p0, p1, t0, t1) in enumerate(zip(points, points[1:] + points[-1:], times, times[1:] + [math.inf])):
             try:
-                motions.append(LinearMotion(p0, p1, t0, t1))
+                # a zero may be -0.0, which the cache's key equality cannot tell from +0.0
+                motion = LinearMotion if 0.0 in p0 or 0.0 in p1 or t0 == 0.0 else _interned_motion
+                motions.append(motion(p0, p1, t0, t1))
             except ValueError as exc:
                 raise ValueError(f"agent {self.agent}: the motion from waypoint {n}: {exc}") from exc
         wps = tuple(wps)
@@ -127,6 +135,17 @@ class TimedPlan:
         s = (t - times[k]) / (times[k + 1] - times[k])
         out[inside] = points[k] + (points[k + 1] - points[k]) * s[:, None]
         return out
+
+
+@lru_cache(maxsize=32768)
+def _interned_motion(p0: Vec3, p1: Vec3, t0: float, t1: float) -> LinearMotion:
+    """The one LinearMotion of each zero-free (p0, p1, t0, t1): plans share their equal motions.
+
+    Key equality is float equality, so every value must be nonzero: +0.0 and
+    -0.0 compare equal but have different bits. NaN is never cached, since
+    LinearMotion rejects it.
+    """
+    return LinearMotion(p0, p1, t0, t1)
 
 
 @dataclass(frozen=True)

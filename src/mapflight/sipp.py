@@ -6,6 +6,13 @@ Constraint semantics:
     right so departing exactly at hi is allowed);
   * wait constraint (src == dst): the agent may not occupy the vertex at any
     instant strictly inside (lo, hi).
+
+Module-level caches, all bounded: `_search_graph` per (world, speed), built
+on `world.adjacency`; `_heuristic` per (world, goal, speed); and
+`_interned_plan`, which returns one TimedPlan per (agent, waypoints), so a
+replan that finds a plan found before returns that same object. Its keys
+compare floats by equality, under which +0.0 == -0.0; that is sound only
+because SIPP's values are never -0.0 (nor NaN).
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .geometry3d import Vec3
-from .plan import TimedPlan
-from .world import AgentSpec, Cell, GridWorld, move_duration, neighbors
+from .plan import TimedPlan, Waypoint
+from .world import AgentSpec, Cell, GridWorld, adjacency, travel_time
 
 _FULL = ((0.0, math.inf),)
 
@@ -38,6 +45,11 @@ class Constraint:
         lo, hi = self.interval
         if not (math.isfinite(lo) and 0.0 <= lo <= hi):  # a NaN hi fails too
             raise ValueError(f"interval must satisfy 0 <= lo <= hi with lo finite, got {self.interval!r}")
+        # constraints key the solver's replan cache, so hash the fields once
+        object.__setattr__(self, "_hash", hash((self.agent, self.src, self.dst, self.interval)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def is_wait(self) -> bool:
@@ -113,14 +125,14 @@ class _SearchGraph(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _search_graph(world: GridWorld, speed: float) -> _SearchGraph:
+    """The world's `adjacency` with each move's `travel_time` at `speed`, the bits of `move_duration`."""
     nx, ny, nz = world.dims
-    cells = tuple((i, j, k) for i in range(nx) for j in range(ny) for k in range(nz))  # vertex_index order
+    centers = tuple(world.center((i, j, k)) for i in range(nx) for j in range(ny) for k in range(nz))
     succ = tuple(
-        tuple((world.vertex_index(nbr), move_duration(world, cell, nbr, speed)) for nbr in neighbors(world, cell))
-        if world.is_free(cell) else ()
-        for cell in cells
+        tuple((w, travel_time(centers[v], centers[w], speed)) for w in nbrs)
+        for v, nbrs in enumerate(adjacency(world))
     )
-    return _SearchGraph(tuple(world.center(cell) for cell in cells), succ)
+    return _SearchGraph(centers, succ)
 
 
 @lru_cache(maxsize=256)
@@ -143,9 +155,10 @@ def _heuristic(world: GridWorld, goal: Cell, speed: float) -> tuple[float, ...]:
         if d > h[v]:
             continue
         for w, dur in succ[v]:
-            if d + dur < h[w]:
-                h[w] = d + dur
-                heapq.heappush(heap, (h[w], w))
+            dw = d + dur
+            if dw < h[w]:
+                h[w] = dw
+                heapq.heappush(heap, (dw, w))
     return tuple(h)
 
 
@@ -261,4 +274,17 @@ def sipp_plan(world: GridWorld, agent: AgentSpec, table: SafeIntervalTable) -> O
         waypoints.append((x, y, z, arrival))
         if departure is not None and departure > arrival:
             waypoints.append((x, y, z, departure))
-    return TimedPlan(agent.id, tuple(waypoints))
+    return _interned_plan(agent.id, tuple(waypoints))
+
+
+@lru_cache(maxsize=4096)
+def _interned_plan(agent: int, waypoints: tuple[Waypoint, ...]) -> TimedPlan:
+    """The one plan object of each (agent, waypoints) that SIPP returns.
+
+    Replans under different tables often find the same plan; sharing it skips
+    rebuilding its motions and makes the pair scan's cache hits identity hits.
+    Keying by float equality is sound here only because SIPP's values are never
+    -0.0 or NaN: centers are (i + 0.5) * cell_size > 0, and times start at +0.0
+    and only grow, so equal keys hold equal bits.
+    """
+    return TimedPlan(agent, waypoints)

@@ -5,7 +5,9 @@ Cells are integer triples (i, j, k); the vertex of cell (i, j, k) is embedded at
 their full volume. Each value rule lives in the constructor of the type it
 constrains; `load_instance` keeps the file's shape and the cross-agent rules.
 Every input file is read through `read_json`, and every rejected one raises
-`InputError`.
+`InputError`. The neighbour rule lives once, in `adjacency`, a bounded cache
+of each world's vertex-indexed neighbour lists that `neighbors` and SIPP's
+search graph both read; the move-time rule lives once, in `travel_time`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 from .geometry3d import CylinderBody, Vec3, is_finite_number
@@ -32,7 +35,9 @@ DEFAULT_HEIGHT = 1.0
 # or overflow the float spacing of the waypoint times
 MOVE_TIME_RANGE = (1e-3, 1e3)
 # grid cell ceiling: SIPP compiles every cell into its search graph, at about
-# 10 us and 1 KB a cell, so the ceiling bounds that at about 10 s and 1 GB
+# 6 us and 1.1 KB a cell under face-6 and 36 us and 3.7 KB under full-26 (a
+# 2-vCPU Xeon, Python 3.11), so the ceiling bounds that at about 6 s and 1.2 GB,
+# or 38 s and 3.9 GB
 MAX_CELLS = 2**20
 # largest cell_size over an agent's radius or half height: far past it a contact
 # window lasts below the float spacing of its move's times, and detection misses
@@ -119,6 +124,11 @@ class GridWorld:
         _, ny, nz = self.dims
         return (cell[0] * ny + cell[1]) * nz + cell[2]
 
+    def cell_of(self, v: int) -> Cell:
+        """The cell at vertex index v: the inverse of `vertex_index`."""
+        _, ny, nz = self.dims
+        return (v // (ny * nz), v // nz % ny, v % nz)
+
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -139,36 +149,53 @@ class AgentSpec:
         object.__setattr__(self, "speed", float(self.speed))
 
 
-def move_duration(world: GridWorld, a: Cell, b: Cell, speed: float) -> float:
-    pa = world.center(a)
-    pb = world.center(b)
+def travel_time(pa: Vec3, pb: Vec3, speed: float) -> float:
+    """The one move-time rule: the straight-line distance from pa to pb over the speed."""
     return math.dist(pa, pb) / speed
 
 
-def _diagonal_box_free(world: GridWorld, cell: Cell, step: Cell) -> bool:
-    # the center-to-center segment passes through the shared corner: every cell
-    # of the axis-aligned box spanned by the two cells must be free
-    xs = (cell[0],) if step[0] == 0 else (cell[0], cell[0] + step[0])
-    ys = (cell[1],) if step[1] == 0 else (cell[1], cell[1] + step[1])
-    zs = (cell[2],) if step[2] == 0 else (cell[2], cell[2] + step[2])
-    return all(world.is_free((x, y, z)) for x in xs for y in ys for z in zs)
+def move_duration(world: GridWorld, a: Cell, b: Cell, speed: float) -> float:
+    return travel_time(world.center(a), world.center(b), speed)
+
+
+@lru_cache(maxsize=64)
+def adjacency(world: GridWorld) -> tuple[tuple[int, ...], ...]:
+    """Each vertex index's neighbour indices, in CONNECTIVITY_STEPS order; () at an obstacle.
+
+    The one statement of the neighbour rule: a step of the world's
+    connectivity to an in-bounds free cell, without corner-cutting. The
+    center-to-center segment of a diagonal step passes through the shared edge
+    or corner, so every cell of the axis-aligned box the two cells span must
+    be free. Built once per world by index arithmetic on a free mask, and
+    cached, so `neighbors` and SIPP's search graph both read it.
+    """
+    nx, ny, nz = world.dims
+    free = [True] * (nx * ny * nz)
+    for cell in world.obstacles:
+        free[world.vertex_index(cell)] = False
+    adj: list[list[int]] = [[] for _ in free]
+    for dx, dy, dz in CONNECTIVITY_STEPS[world.connectivity]:
+        step = (dx * ny + dy) * nz + dz
+        # index offsets of the box's other cells, none for a face step
+        corners = [(a * ny + b) * nz + c for a in {0, dx} for b in {0, dy} for c in {0, dz}
+                   if (a, b, c) not in ((0, 0, 0), (dx, dy, dz))]
+        # the cells whose target is in bounds, and so is their whole box
+        for i in range(max(0, -dx), min(nx, nx - dx)):
+            for j in range(max(0, -dy), min(ny, ny - dy)):
+                row = (i * ny + j) * nz
+                for v in range(row + max(0, -dz), row + min(nz, nz - dz)):
+                    if free[v] and free[v + step] and (not corners or all(free[v + o] for o in corners)):
+                        adj[v].append(v + step)
+    return tuple(map(tuple, adj))
 
 
 def neighbors(world: GridWorld, cell: Cell) -> list[Cell]:
-    """In-bounds free cells adjacent under the world's connectivity, no corner-cutting."""
+    """In-bounds free cells adjacent under the world's connectivity, no corner-cutting (see `adjacency`)."""
     if not world.in_bounds(cell):
         raise ValueError(f"query cell {cell} is out of bounds for dims {world.dims}")
     if not world.is_free(cell):
         raise ValueError(f"query cell {cell} is an obstacle")
-    result: list[Cell] = []
-    for step in CONNECTIVITY_STEPS[world.connectivity]:
-        target = (cell[0] + step[0], cell[1] + step[1], cell[2] + step[2])
-        if not world.is_free(target):
-            continue
-        if abs(step[0]) + abs(step[1]) + abs(step[2]) > 1 and not _diagonal_box_free(world, cell, step):
-            continue
-        result.append(target)
-    return result
+    return [world.cell_of(v) for v in adjacency(world)[world.vertex_index(cell)]]
 
 
 # ---------------------------------------------------------------------------

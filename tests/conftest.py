@@ -1,5 +1,6 @@
 """Shared fixtures: repository paths, bundled scenario files, acceptance summary."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,17 @@ def demo_scenario_paths() -> list[Path]:
     missing = [p.name for p in paths if not p.is_file()]
     assert not missing, f"missing scenario files: {missing}"
     return paths
+
+
+@pytest.fixture
+def cold_caches() -> None:
+    """Clear every module-level functools cache of mapflight, as the benchmark
+    worker does before each operation, so counts and digests start cold."""
+    for name, module in list(sys.modules.items()):
+        if name == "mapflight" or name.startswith("mapflight."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mapflight import ccbs, geometry3d, sipp
+from mapflight import ccbs, geometry3d
 from mapflight.ccbs import (
     LIMIT_EXCEEDED,
     NO_SOLUTION,
@@ -252,14 +252,12 @@ class TestLimits:
         assert res.detail.startswith("expansion limit reached; cost lower bound ")
 
 
-def test_chipping_swap_counters_at_a_small_budget():
+def test_chipping_swap_counters_at_a_small_budget(cold_caches):
     # The head-on swap with 0.25 m bodies in 10 m cells: each branch delays a
     # move by only the short contact window, so the search chips toward the
     # side-step and piles bans on one move: they cover 3 disjoint windows at
     # this budget and 5 at 20,000 expansions, against at most 2 on the
     # benchmark inputs. Every counter and the bound are pinned.
-    for cache in (geometry3d._pair_earliest, sipp._search_graph, sipp._heuristic):
-        cache.cache_clear()
     world = GridWorld((4, 4, 1), 10.0)
     agents = [
         AgentSpec(0, (0, 0, 0), (2, 0, 0), BODY, 10.0),
@@ -610,10 +608,10 @@ class TestGolden:
             assert _summary(res) == want, seed
 
 
-def test_plan_grid_counters_at_a_small_budget(monkeypatch):
+def test_plan_grid_counters_at_a_small_budget(monkeypatch, cold_caches):
     # Every counter of the 32 committed plan-grid solves at 20 expansions,
     # bit for bit: a change that claims the same conflict trees must keep it.
-    # The pair scan's kernel calls, from a cold scan cache, are pinned too: a
+    # The pair scan's kernel calls, from cold caches, are pinned too: a
     # box filter that skips a different set of pairs fails even where the
     # conflicts still match.
     kernel_calls = 0
@@ -624,7 +622,6 @@ def test_plan_grid_counters_at_a_small_budget(monkeypatch):
         return cylinder_unsafe_interval(*args)
 
     monkeypatch.setattr(geometry3d, "cylinder_unsafe_interval", counted)
-    geometry3d._pair_earliest.cache_clear()
     rows = []
     for k in range(32):
         world, agents = load_instance(PLAN_GRID / f"grid_{k:03d}.json")
@@ -693,11 +690,11 @@ SOLVE_TIMES = ("wall_time", "sipp_s", "detect_s", "branch_s")
 DENSE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "plan_dense.json"
 
 
-def test_solver_digest_is_pinned():
+def test_solver_digest_is_pinned(cold_caches):
     # Status, detail, every SolveStats counter, the bound and every waypoint as
     # float hex over the 32 plan-grid inputs at 200 expansions, plan_dense and
-    # the plateau inputs grid_009/grid_026 at 3,000, with no wall limit: a
-    # change that claims the same solves must keep every bit of them.
+    # the plateau inputs grid_009/grid_026 at 3,000, with no wall limit, from
+    # cold caches: a change that claims the same solves must keep every bit of them.
     cases = [(PLAN_GRID / f"grid_{k:03d}.json", 200) for k in range(32)]
     cases += [(DENSE, 3000), (PLAN_GRID / "grid_009.json", 3000), (PLAN_GRID / "grid_026.json", 3000)]
     rows = []

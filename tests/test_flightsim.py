@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,25 @@ class TestRunExecution:
         assert log.completed
         speeds = np.sqrt((np.concatenate(commanded) ** 2).sum(axis=1))
         assert 0.99 * cfg.max_speed < speeds.max() <= cfg.max_speed * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("method", ["bhl", "bll"])
+    def test_a_huge_gain_flies_at_max_speed(self, method):
+        # at a gain of 1e200 the position feedback once overflowed when squared,
+        # so the clamp scaled it to 0 and the vehicles hovered to the wall cap;
+        # at 1.7e308 the product gain * (target - pos) overflows too
+        planset = load_plans(FIXTURES / "swarm_4.plans.json")
+        for gain in (1e200, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                log = run_execution(planset.plans, method, SimConfig(gain=gain), speeds=planset.speeds)
+            assert log.completed, gain
+
+    def test_the_huge_gain_feedback_keeps_the_bits_of_every_finite_row(self, monkeypatch):
+        planset = load_plans(FIXTURES / "swarm_4.plans.json")
+        want = run_execution(planset.plans, "bll", SimConfig(), speeds=planset.speeds)
+        monkeypatch.setattr(flightsim, "_GAIN_SAFE", 0.0)
+        got = run_execution(planset.plans, "bll", SimConfig(), speeds=planset.speeds)
+        assert got.records.tobytes() == want.records.tobytes()
 
     def test_command_sink_records_the_stream(self):
         sink: list = []

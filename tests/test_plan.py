@@ -159,6 +159,30 @@ class TestTimedPlan:
             floats.agent = 7
 
 
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_a_signed_zero_keeps_its_bits_after_an_equal_plan(self, first):
+        # motions are shared through a cache keyed by float equality, under
+        # which 0.0 == -0.0; each plan must keep the bits of its own waypoints
+        def plan(zero):
+            return TimedPlan(6, ((zero, 1.0, 2.0, zero), (1.0, 1.0, 2.0, 1.0), (1.0, 1.0, 1.0, 2.0),
+                                 (1.0, zero, 1.0, 3.0)))
+
+        def bits(values):
+            return [v.hex() for v in values]
+
+        a, b = plan(first), plan(-first)
+        assert a == b
+        for p, zero in ((a, first), (b, -first)):
+            assert bits(p.start_position) == bits((zero, 1.0, 2.0))
+            wps = p.waypoints
+            want = [(*w0[:3], *w1[:3], w0[3], w1[3]) for w0, w1 in zip(wps, wps[1:])]
+            want.append((*wps[-1][:3], *wps[-1][:3], wps[-1][3], math.inf))
+            assert [bits((*m.p0, *m.p1, m.t0, m.t1)) for m in p.motions] == [bits(w) for w in want]
+            assert bits(p.motions[0].box) == bits((zero, 1.0, 1.0, 1.0, 2.0, 2.0))
+        # the one zero-free motion is shared
+        assert a.motions[1] is b.motions[1]
+
+
 class TestSegmentCells:
     def test_axis_crossing(self):
         w = GridWorld((3, 3, 1), 1.0)

@@ -9,7 +9,7 @@ import oracles
 from mapflight import sipp
 from mapflight.geometry3d import CylinderBody
 from mapflight.sipp import Constraint, sipp_plan
-from mapflight.world import CONNECTIVITY_STEPS, AgentSpec, GridWorld, neighbors
+from mapflight.world import CONNECTIVITY_STEPS, AgentSpec, GridWorld, move_duration, neighbors
 from oracles import build_safe_intervals, plan_satisfies_constraints, sipp_reference
 
 BODY = CylinderBody(0.25, 1.0)
@@ -317,6 +317,61 @@ class TestExactHeuristic:
                 for w, dur in moves:
                     assert h[v] <= dur + h[w], (v, w)
         assert unreachable > 0
+
+
+class TestSearchGraph:
+    """`_search_graph` reads the cached adjacency; it must be the graph that
+    `neighbors` and `move_duration` define, bit for bit, and `neighbors` must be
+    the oracle's neighbour rule."""
+
+    @pytest.mark.parametrize("connectivity", sorted(CONNECTIVITY_STEPS))
+    def test_matches_neighbors_and_move_duration(self, connectivity):
+        rng = random.Random(f"graph-{connectivity}")
+        for _ in range(16):
+            dims = tuple(rng.randint(1, 5) for _ in range(3))
+            cells = [(i, j, k) for i in range(dims[0]) for j in range(dims[1]) for k in range(dims[2])]
+            obstacles = frozenset(rng.sample(cells, len(cells) * rng.choice([0, 2, 4]) // 10))
+            world = GridWorld(dims, rng.choice([0.1, 0.3, 0.5, 2.5]), obstacles, connectivity)
+            speed = rng.choice([0.3, 0.5, 0.8, 1.7])
+            graph = sipp._search_graph(world, speed)
+            assert len(graph.centers) == len(graph.succ) == len(cells)
+            for cell in cells:
+                v = world.vertex_index(cell)
+                assert graph.centers[v] == world.center(cell)
+                if cell in obstacles:
+                    assert graph.succ[v] == ()
+                    with pytest.raises(ValueError, match="is an obstacle"):
+                        neighbors(world, cell)
+                    continue
+                nbrs = neighbors(world, cell)
+                want = [(world.vertex_index(n), move_duration(world, cell, n, speed).hex()) for n in nbrs]
+                assert [(w, dur.hex()) for w, dur in graph.succ[v]] == want, (world, cell)
+                oracle = oracles._free_moves(world, cell, speed)
+                assert sorted((n, dur.hex()) for n, dur in oracle) == sorted(
+                    (n, dur) for n, (_, dur) in zip(nbrs, want)), (world, cell)
+            for outside in ((-1, 0, 0), (0, dims[1], 0), (0, 0, dims[2])):
+                with pytest.raises(ValueError, match="out of bounds"):
+                    neighbors(world, outside)
+
+
+class TestInterning:
+    """SIPP returns one object per distinct plan, and plans share equal motions."""
+
+    def test_equal_searches_return_the_same_plan(self):
+        world, agent = corridor()
+        empty = build_safe_intervals([], 0)
+        # a ban on the start cell long after the agent has left changes the
+        # table, not the plan
+        late = empty.adding(wait_c((0, 0, 0), 50.0, 60.0))
+        a, b = sipp_plan(world, agent, empty), sipp_plan(world, agent, late)
+        assert late is not empty and a is b
+        # a ban at the goal makes the agent wait before its last move
+        waited = sipp_plan(world, agent, empty.adding(wait_c((3, 0, 0), 2.5, 3.5)))
+        assert waited.end_time == 3.5
+        # the plans share their equal motions, but one that starts at t = 0.0
+        # is built apart, since a zero may be -0.0
+        assert waited.motions[1] is a.motions[1]
+        assert waited.motions[0] == a.motions[0] and waited.motions[0] is not a.motions[0]
 
 
 class TestAgainstTheReferenceSearch:
