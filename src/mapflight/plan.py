@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +48,12 @@ _SAMPLING_DT = 1e-3
 # How far past the later of two plans' last moves the sampled sweep runs; parked
 # agents that statically overlap are guaranteed to show inside this pad.
 _PARK_PAD = 1.0
+# Grid points the sampled sweep evaluates at once: its memory is bounded whatever the plans' length.
+_SAMPLE_BLOCK = 8192
+# Two segments are within reach when the gap between their boxes on each axis is at most
+# r_sum (x, y) or h_sum_half (z) plus this share of the pair's largest coordinate, a
+# margin far above the rounding of np.interp's positions.
+_REACH_RTOL = 1e-12
 
 
 def _are_numbers(x, y, z, t) -> bool:
@@ -232,6 +238,104 @@ def _gaps(wa: np.ndarray, wb: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, n
     return np.hypot(xa - xb, ya - yb), np.abs(za - zb)
 
 
+def _first_sample(t: float) -> int:
+    """Index k of the first grid time k * _SAMPLING_DT at or after the finite time t >= 0."""
+    k = math.ceil(t / _SAMPLING_DT)
+    # t / dt rounds, so the ceiling can be one off either way: the grid's own products decide
+    if k * _SAMPLING_DT < t:
+        return k + 1
+    return k - 1 if k > 0 and (k - 1) * _SAMPLING_DT >= t else k
+
+
+class _Track(NamedTuple):
+    """A plan's waypoint columns x, y, z, t, and its segments in time order, the
+    goal park last: each one's start time, per-axis box (x_lo, x_hi, y_lo, y_hi,
+    z_lo, z_hi) and whether it is at rest; with the plan's largest coordinate
+    magnitude."""
+
+    columns: np.ndarray
+    segments: list[tuple[float, tuple[float, ...], bool]]
+    scale: float
+
+
+def _track(plan: TimedPlan) -> _Track:
+    wps = plan.waypoints
+    segments = []
+    for (x0, y0, z0, t0), (x1, y1, z1, _) in zip(wps, wps[1:] + wps[-1:]):
+        box = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1), min(z0, z1), max(z0, z1))
+        segments.append((t0, box, (x0, y0, z0) == (x1, y1, z1)))
+    return _Track(np.array(wps).T, segments, max(abs(v) for wp in wps for v in wp[:3]))
+
+
+def _reach_windows(a: _Track, b: _Track, r_sum: float, h_half: float, n: int) -> Iterator[tuple[int, int]]:
+    """First and last grid index, in time order, of each run of motion-pair windows
+    among the grid indices 0..n-1. A window is the time overlap of one segment of
+    each plan whose boxes lie within reach; where both bodies are at rest it is its
+    first grid point. Windows whose grid indices touch join into one run."""
+    margin = _REACH_RTOL * max(a.scale, b.scale)
+    xy, z = r_sum + margin, h_half + margin
+    grid_end = (n - 1) * _SAMPLING_DT
+    i = j = 0
+    start = 0.0
+    run = None
+    while True:
+        _, (axl, axh, ayl, ayh, azl, azh), a_rest = a.segments[i]
+        _, (bxl, bxh, byl, byh, bzl, bzh), b_rest = b.segments[j]
+        next_a = a.segments[i + 1][0] if i + 1 < len(a.segments) else math.inf
+        next_b = b.segments[j + 1][0] if j + 1 < len(b.segments) else math.inf
+        end = min(next_a, next_b, grid_end)
+        if (bxl - axh <= xy and axl - bxh <= xy and byl - ayh <= xy and ayl - byh <= xy
+                and bzl - azh <= z and azl - bzh <= z):
+            first, last = _first_sample(start), _first_sample(math.nextafter(end, math.inf)) - 1
+            if first <= last:
+                if a_rest and b_rest:
+                    last = first  # every grid point of the window sees the same two positions
+                if run and first <= run[1] + 1:
+                    run = (run[0], max(run[1], last))
+                else:
+                    if run:
+                        yield run
+                    run = (first, last)
+        if end == grid_end:
+            if run:
+                yield run
+            return
+        start = end
+        i += next_a == end
+        j += next_b == end
+
+
+def _sampled_sweep(a: _Track, b: _Track, r_sum: float, h_half: float, horizon: float,
+                   first_only: bool) -> tuple[Optional[float], Optional[float]]:
+    """Time of the first overlapping sample and the least planar distance of all
+    overlapping samples (None, None without one) of two plans' tracks on the grid
+    k * _SAMPLING_DT, 0 <= k < n, that np.arange(0.0, horizon + dt / 2, dt)
+    yields bit for bit.
+
+    Only the grid points of the motion-pair windows are sampled, in time order,
+    at most _SAMPLE_BLOCK at a time; with `first_only` the sweep stops at the
+    first overlapping sample.
+    """
+    n = math.ceil((horizon + 0.5 * _SAMPLING_DT) / _SAMPLING_DT)  # np.arange's length
+    sampled_time = closest = None
+    for first, last in _reach_windows(a, b, r_sum, h_half, n):
+        for k in range(first, last + 1, _SAMPLE_BLOCK):
+            ts = np.arange(k, min(k + _SAMPLE_BLOCK, last + 1), dtype=np.float64) * _SAMPLING_DT
+            planar, dz = _gaps(a.columns, b.columns, ts)
+            # guard keeps exact-touching trajectories (legal) from tripping on
+            # rounding noise; genuine penetrations at this sampling resolution
+            # run orders of magnitude deeper
+            mask = (planar < r_sum - _SAMPLING_GUARD) & (dz < h_half - _SAMPLING_GUARD)
+            if mask.any():
+                if sampled_time is None:
+                    sampled_time = float(ts[np.argmax(mask)])
+                    if first_only:
+                        return sampled_time, None
+                least = float(planar[mask].min())
+                closest = least if closest is None else min(closest, least)
+    return sampled_time, closest
+
+
 def validate(
     plans: Iterable[TimedPlan],
     agents: Iterable[AgentSpec],
@@ -242,7 +346,11 @@ def validate(
     The analytic check is the solver's own pair test (`geometry3d._pair_earliest`),
     so planner and validator judge the cylinder the same way. The sampled check
     is independent of it: it never evaluates the quadratic, only positions on a
-    uniform grid every _SAMPLING_DT seconds.
+    uniform grid every _SAMPLING_DT seconds. It samples only the grid points of
+    the motion-pair windows, found from its own waypoint columns
+    (`_reach_windows`): a window where both bodies are at rest is one sample,
+    however long, and the windows are swept _SAMPLE_BLOCK points at a time, so
+    its memory is bounded whatever the plans' length.
     """
     plan_list = sorted(plans, key=lambda p: p.agent)
     spec_map = {a.id: a for a in agents}
@@ -292,7 +400,7 @@ def validate(
                     break
 
     # pairwise checks: analytic intervals and an independent sampled sweep
-    columns = {plan.agent: np.array(plan.waypoints).T for plan in plan_list}
+    tracks = {plan.agent: _track(plan) for plan in plan_list}
     # a position never changes after its plan's last move ends, however long a wait follows
     settled = {plan.agent: max((m.t1 for m in plan.motions[:-1] if m.p0 != m.p1), default=0.0) for plan in plan_list}
     for pa, pb in itertools.combinations(plan_list, 2):
@@ -301,32 +409,26 @@ def validate(
         r_sum = body_a.radius + body_b.radius
         h_half = 0.5 * (body_a.height + body_b.height)
         horizon = max(settled[pa.agent], settled[pb.agent]) + _PARK_PAD
-        wa, wb = columns[pa.agent], columns[pb.agent]
+        a, b = tracks[pa.agent], tracks[pb.agent]
 
         found = geometry3d._pair_earliest(pa, pb, body_a, body_b)
-
-        ts = np.arange(0.0, horizon + 0.5 * _SAMPLING_DT, _SAMPLING_DT)
-        planar, dz = _gaps(wa, wb, ts)
-        # guard keeps exact-touching trajectories (legal) from tripping on
-        # rounding noise; genuine penetrations at this sampling resolution
-        # run orders of magnitude deeper
-        mask = (planar < r_sum - _SAMPLING_GUARD) & (dz < h_half - _SAMPLING_GUARD)
-        sampled_time = float(ts[np.argmax(mask)]) if mask.any() else None
+        # with an analytic window, only the first sample's existence and time are read
+        sampled_time, closest = _sampled_sweep(a, b, r_sum, h_half, horizon, found is not None)
 
         if found is not None:
             # the min separation comes from a dense grid over the analytic window
             lo, hi = found.unsafe
             ts = np.linspace(lo, min(hi, horizon), 1001)
-            planar, dz = _gaps(wa, wb, ts)
+            planar, dz = _gaps(a.columns, b.columns, ts)
             mask = (planar < r_sum) & (dz < h_half)
+            closest = float((planar[mask] if mask.any() else planar).min())
             earliest = lo if sampled_time is None else min(lo, sampled_time)
         elif sampled_time is not None:
             earliest = sampled_time
         else:
             continue
         violations.append(
-            Violation("pairwise", earliest, pair=(pa.agent, pb.agent),
-                      min_separation_found=float((planar[mask] if mask.any() else planar).min()),
+            Violation("pairwise", earliest, pair=(pa.agent, pb.agent), min_separation_found=closest,
                       detail="(analytic)" if sampled_time is None else "")
         )
     checked_pairs = len(plan_list) * (len(plan_list) - 1) // 2

@@ -48,6 +48,12 @@ Two are the plan's earlier forms, which the current code must reproduce:
   * position_at — the scalar position lookup, one time at a time, which
     `TimedPlan.positions_at` must reproduce bit for bit.
 
+One is the validator's earlier sampled sweep, which the windowed sweep must
+reproduce bit for bit:
+
+  * sampled_sweep_reference — every 1 ms grid point from t = 0 to the pair's
+    horizon in one np.arange, each a position lookup of both plans.
+
 And four are the simulator's earlier per-row code, which the batched code
 must reproduce bit for bit:
 
@@ -73,7 +79,7 @@ import numpy as np
 from mapflight import geometry3d, sipp
 from mapflight.executor import HighLevelGoto, VelocitySetpoint
 from mapflight.geometry3d import Conflict, LinearMotion, cylinder_unsafe_interval
-from mapflight.plan import TimedPlan
+from mapflight.plan import _SAMPLING_DT, _SAMPLING_GUARD, TimedPlan
 from mapflight.world import move_duration, neighbors
 
 Vec3 = tuple[float, float, float]
@@ -903,3 +909,19 @@ def series_csv_reference(series) -> str:
     """error_series.csv of ERROR_DTYPE rows, one line per row."""
     lines = ["t,agent,error"] + [f"{t:.3f},{agent},{error!r}" for t, agent, error in series.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def sampled_sweep_reference(wa, wb, r_sum: float, h_half: float, horizon: float):
+    """The validator's sampled sweep as it was before motion-pair windows: every
+    1 ms grid point from 0 to the pair's horizon in one np.arange, each a
+    position lookup of the two plans' waypoint columns x, y, z, t. Returns the
+    time of the first overlapping sample and the least planar distance of all
+    overlapping samples, or (None, None)."""
+    ts = np.arange(0.0, horizon + 0.5 * _SAMPLING_DT, _SAMPLING_DT)
+    xa, ya, za = (np.interp(ts, wa[3], axis) for axis in wa[:3])
+    xb, yb, zb = (np.interp(ts, wb[3], axis) for axis in wb[:3])
+    planar, dz = np.hypot(xa - xb, ya - yb), np.abs(za - zb)
+    mask = (planar < r_sum - _SAMPLING_GUARD) & (dz < h_half - _SAMPLING_GUARD)
+    if not mask.any():
+        return None, None
+    return float(ts[np.argmax(mask)]), float(planar[mask].min())

@@ -880,6 +880,23 @@ def test_a_flight_past_the_log_limit_is_malformed_input(tmp_path, scenario_dir, 
     assert not (tmp_path / "run").exists()  # refused before --out is made
 
 
+def test_a_wait_until_t_1e12_before_a_move_is_a_colliding_plan_set(tmp_path, scenario_dir, capsys):
+    # swarm_2's agent 0 waits at its start until t = 1e12 and then flies its plan,
+    # under agent 1's parked goal: validate once exited 1 with numpy's 7.11 PiB traceback
+    plans = tmp_path / "plans.json"
+    instance = str(scenario_dir / "swarm_2.json")
+    assert main(["plan", "--instance", instance, "--out", str(plans)]) == EXIT_OK
+    doc = json.loads(plans.read_text(encoding="utf-8"))
+    first, *rest = doc["plans"][0]["waypoints"]
+    doc["plans"][0]["waypoints"] = [first, [*first[:3], 1e12], *([*wp[:3], wp[3] + 1e12] for wp in rest)]
+    write_json(plans, doc)
+    capsys.readouterr()
+    with deadline(10):
+        code = main(["validate", "--instance", instance, "--plans", str(plans)])
+    assert code == EXIT_INVALID_PLAN
+    assert "[pairwise] agents 0-1 at t = 1000000000000.0000 s" in capsys.readouterr().out
+
+
 def test_a_batch_past_the_log_limit_is_a_simulate_failure(tmp_path, scenario_dir, capsys):
     # 1,200 runs of two agents to swarm_2's 18 s wall cap would log about 4.3 M records
     src = tmp_path / "scenarios"

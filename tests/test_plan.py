@@ -6,14 +6,20 @@ import json
 import math
 import pickle
 import random
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mapflight.ccbs import ccbs_solve
+from mapflight.ccbs import SolveLimits, ccbs_solve
 from mapflight.geometry3d import CylinderBody
 from mapflight.plan import (
+    _PARK_PAD,
+    _REACH_RTOL,
     TimedPlan,
+    _sampled_sweep,
+    _track,
     load_plans,
     save_plans,
     segment_cells,
@@ -21,13 +27,34 @@ from mapflight.plan import (
 )
 from mapflight.world import AgentSpec, GridWorld, InputError, load_instance
 
-from oracles import motions_reference, position_at, timed_plan_reference
+from oracles import motions_reference, position_at, sampled_sweep_reference, timed_plan_reference
 
 BODY = CylinderBody(0.25, 1.0)
+PLAN_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "plan_grid"
 
 
 def spec(aid, start, goal, speed=0.5, body=BODY):
     return AgentSpec(aid, start, goal, body, speed)
+
+
+def report_key(report):
+    """A report's fields, with every time and separation as float hex."""
+    return (report.ok, report.checked_pairs, [
+        (v.kind, v.time.hex(), v.pair, v.agent,
+         None if v.min_separation_found is None else v.min_separation_found.hex(), v.detail)
+        for v in report.violations])
+
+
+def reference_sweep(a, b, r_sum, h_half, horizon, first_only):
+    """The full-horizon sweep in the windowed sweep's place, on the tracks' waypoint columns."""
+    return sampled_sweep_reference(a.columns, b.columns, r_sum, h_half, horizon)
+
+
+def reference_report(monkeypatch, plans, specs, world):
+    """What `validate` reported with the full-horizon sweep."""
+    with monkeypatch.context() as m:
+        m.setattr("mapflight.plan._sampled_sweep", reference_sweep)
+        return validate(plans, specs, world)
 
 
 class TestTimedPlan:
@@ -324,6 +351,40 @@ class TestValidateChecks:
         assert [(kind, float.fromhex(t), pair) for kind, t, pair, _, _ in reports[0]] == [
             ("pairwise", pytest.approx(2.8, abs=1e-6), (0, 1))]
 
+    def test_a_wait_until_t_1e12_before_the_first_move_validates(self, scenario_dir):
+        # agent 0 waits at its start, then flies its plan; agent 1 is parked above
+        # its first move. Up to 1e12 s at 1 ms the sweep once asked numpy for 7.11 PiB.
+        world, agents = load_instance(scenario_dir / "swarm_2.json")
+        plans = list(ccbs_solve(world, agents).solution.plans)
+        first, *rest = plans[0].waypoints
+        reports = {}
+        for wait in (100.0, 1e12):
+            delayed = TimedPlan(0, (first, (*first[:3], wait)) + tuple((x, y, z, t + wait) for x, y, z, t in rest))
+            started = time.perf_counter()
+            report = validate([delayed, *plans[1:]], agents, world)
+            assert time.perf_counter() - started < 1.0
+            reports[wait] = [(v.kind, v.time, v.pair, v.detail) for v in report.violations]
+        assert reports == {wait: [("pairwise", wait, (0, 1), "")] for wait in (100.0, 1e12)}
+
+    def test_an_overlap_at_rest_until_t_1e12_then_a_move_is_reported_as_for_a_short_wait(self, monkeypatch):
+        # agent 1 starts 0.5 m from the parked agent 0, inside their 0.6 m r_sum, and
+        # leaves only after its wait: the whole wait is one test at t = 0
+        w = GridWorld((3, 1, 1), 0.5)
+        body = CylinderBody(0.3, 1.0)
+        specs = [spec(0, (0, 0, 0), (0, 0, 0), body=body), spec(1, (1, 0, 0), (2, 0, 0), body=body)]
+        parked = TimedPlan(0, ((0.25, 0.25, 0.25, 0.0),))
+
+        def leaving(wait):
+            return TimedPlan(1, ((0.75, 0.25, 0.25, 0.0), (0.75, 0.25, 0.25, wait), (1.25, 0.25, 0.25, wait + 1.0)))
+
+        started = time.perf_counter()
+        report = validate([parked, leaving(1e12)], specs, w)
+        assert time.perf_counter() - started < 1.0
+        short = reference_report(monkeypatch, [parked, leaving(2.0)], specs, w)
+        assert report_key(report) == report_key(short)
+        assert [(v.kind, v.time, v.pair, v.min_separation_found) for v in report.violations] == [
+            ("pairwise", 0.0, (0, 1), 0.5)]
+
 
 def colliding_plan_sets(n_sets=400, seed=24):
     """Fixed-seed random walks of 2-4 agents on a 4x4x2 grid at three scales,
@@ -400,6 +461,69 @@ class TestPinnedReports:
         assert 2 * half < 1e-3
         assert v.time == pytest.approx(1.0005 - half, abs=1e-9)
         assert v.min_separation_found < r_sum
+
+
+class TestWindowedSweep:
+    """The sampled half samples only the grid points of the motion-pair windows.
+    Every report must equal the full-horizon sweep's, bit for bit."""
+
+    def test_reports_equal_the_full_horizon_sweep(self, monkeypatch):
+        cases = list(colliding_plan_sets())
+        for k in range(32):
+            world, agents = load_instance(PLAN_GRID / f"grid_{k:03d}.json")
+            result = ccbs_solve(world, agents, SolveLimits(max_wall_time=math.inf, max_expansions=20))
+            if result.solution is not None:
+                cases.append((result.solution.plans, agents, world))
+        assert len(cases) == 400 + 13
+        for plans, specs, world in cases:
+            got = report_key(validate(plans, specs, world))
+            assert got == report_key(reference_report(monkeypatch, plans, specs, world))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-4])
+    def test_fuzz_at_the_reach_boundary_matches_the_full_sweep(self, scale):
+        # agent b flies or waits with its box r_sum or h_sum_half plus an offset
+        # from agent a's moving segment on one axis, and across a's path on the
+        # others: at -1e-7 the bodies overlap, from 0 on they do not, and up to
+        # the margin the pair is still sampled
+        rng = random.Random(39)
+        hits = {}
+        for case in range(90):
+            axis = case % 3
+            ra, rb = (rng.choice([0.1, 0.25, 0.3]) * scale for _ in range(2))
+            ha, hb = (rng.choice([0.4, 1.0]) * scale for _ in range(2))
+            reach = ra + rb if axis < 2 else 0.5 * (ha + hb)
+            p0 = tuple(rng.uniform(0.0, 2.0) * scale for _ in range(3))
+            p1 = tuple(c + rng.uniform(-1.0, 1.0) * scale for c in p0)
+            wait_a = rng.choice([0.0, rng.uniform(0.0, 1.7)])
+            a_wps = ((*p0, 0.0),) + (((*p0, wait_a),) if wait_a else ()) + (
+                (*p1, wait_a + math.dist(p0, p1) / (rng.uniform(0.5, 1.3) * scale)),)
+            # b's path crosses a's on the other axes; with u = 0 it waits on a's park
+            u = [rng.choice([0.0, rng.uniform(-1.0, 1.0) * scale]) for _ in range(3)]
+            u[axis] = 0.0
+            wait_b = rng.uniform(0.0, 2.0)
+            span_b = rng.uniform(0.3, 3.0)
+
+            def b_waypoints(offset):
+                side = max(p0[axis], p1[axis]) + reach + offset
+                q0, q1 = list(p1), list(p1)
+                q0[axis] = q1[axis] = side
+                q0 = tuple(c + d for c, d in zip(q0, u))
+                q1 = tuple(c - d for c, d in zip(q1, u))
+                return ((*q0, 0.0), (*q0, wait_b), (*q1, wait_b + span_b))
+
+            ta = _track(TimedPlan(0, a_wps))
+            margin = _REACH_RTOL * max(ta.scale, _track(TimedPlan(1, b_waypoints(0.0))).scale)
+            for offset in (-1e-7, 0.0, 1e-9, 1e-7, margin):
+                tb = _track(TimedPlan(1, b_waypoints(offset)))
+                horizon = max(a_wps[-1][3], wait_b + span_b) + _PARK_PAD
+                want = sampled_sweep_reference(ta.columns, tb.columns, ra + rb, 0.5 * (ha + hb), horizon)
+                got = _sampled_sweep(ta, tb, ra + rb, 0.5 * (ha + hb), horizon, False)
+                first = _sampled_sweep(ta, tb, ra + rb, 0.5 * (ha + hb), horizon, True)
+                hex_ = [None if v is None else v.hex() for v in (*want, *got, first[0])]
+                assert hex_[2:4] == hex_[:2] and hex_[4] == hex_[0], (case, offset)
+                hits[offset] = hits.get(offset, 0) + (want[0] is not None)
+        # only the overlapping offset has overlapping samples, in a good share of the cases
+        assert hits[-1e-7] >= 30 and sum(hits.values()) == hits[-1e-7]
 
 
 class TestPlanFiles:
