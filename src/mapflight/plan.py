@@ -347,10 +347,10 @@ def validate(
     so planner and validator judge the cylinder the same way. The sampled check
     is independent of it: it never evaluates the quadratic, only positions on a
     uniform grid every _SAMPLING_DT seconds. It samples only the grid points of
-    the motion-pair windows, found from its own waypoint columns
-    (`_reach_windows`): a window where both bodies are at rest is one sample,
-    however long, and the windows are swept _SAMPLE_BLOCK points at a time, so
-    its memory is bounded whatever the plans' length.
+    the motion-pair windows, which it finds by its own arithmetic on the
+    waypoints (`_reach_windows`): a window where both bodies are at rest is one
+    sample, however long, and the windows are swept at most _SAMPLE_BLOCK points
+    at a time, so its memory is bounded whatever the plans' length.
     """
     plan_list = sorted(plans, key=lambda p: p.agent)
     spec_map = {a.id: a for a in agents}
